@@ -697,7 +697,7 @@ def _strict_common(cond: Condition, s: Point, t: Point):
     return {x for x in cond.points if cond.lt(x, s) and cond.lt(x, t)}
 
 
-def _first_deficient(cond, base_keys, orbit_of):
+def _first_deficient(cond, base_keys, tree):
     for s, t in cond.pairs():
         if frozenset((s, t)) in base_keys:
             continue
@@ -707,9 +707,9 @@ def _first_deficient(cond, base_keys, orbit_of):
         if not common:
             continue
         maxima = [x for x in common if not any(cond.lt(x, y) for y in common)]
-        if len(maxima) == 1 and maxima[0].level in orbit_of(
+        if len(maxima) == 1 and maxima[0].level in tree.orbit(
             s.level
-        ) and maxima[0].level in orbit_of(t.level):
+        ) and maxima[0].level in tree.orbit(t.level):
             continue
         return s, t
     return None
@@ -778,18 +778,11 @@ def amalgamate_eta(
                 f"members disagree on the root meet of ({s}, {t})"
             )
     base_keys = {frozenset(k) for k in base_meets}
-    orbit_cache: Dict = {}
-
-    def orbit_of(level):
-        if level not in orbit_cache:
-            orbit_cache[level] = set(tree.orbit(level))
-        return orbit_cache[level]
-
     blocked = []
 
     def attempt(points, rel_now, fresh):
         cond = make_condition("kappa", points, rel_now, base_meets, complete=True)
-        task = _first_deficient(cond, base_keys, orbit_of)
+        task = _first_deficient(cond, base_keys, tree)
         if task is None:
             if validate(cond, tree):
                 return None
@@ -838,7 +831,7 @@ def amalgamate_eta(
             v = Point(beta, col)
             for ups in options:
                 if not all(
-                    beta < c.level and beta in orbit_of(c.level) for c in ups
+                    beta < c.level and beta in tree.orbit(c.level) for c in ups
                 ):
                     continue
                 placed_any = True

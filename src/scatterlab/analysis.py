@@ -13,6 +13,7 @@ below w^w, where the derivative sequence is computable exactly."""
 from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
+from .conditions import _indexed, _numbered, _section
 from .generic import FinitePoset
 from .ordinals import (
     ONE,
@@ -276,19 +277,11 @@ def space_from_text(text: str) -> FiniteSpace:
     lines = [ln.rstrip("\n") for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != FORMAT_HEADER_SPACE:
         raise AnalysisError(f"missing header {FORMAT_HEADER_SPACE!r}")
-    npts = int(lines[1].split()[1])
-    pts: List[str] = []
-    for line in lines[2 : 2 + npts]:
-        idx, _, label = line.partition(" ")
-        assert int(idx) == len(pts)
-        pts.append(label)
-    at = 2 + npts
-    nsub = int(lines[at].split()[1])
-    at += 1
+    body, at = _section(lines, 1, "points", AnalysisError)
+    pts = _numbered(body, AnalysisError)
+    body, _ = _section(lines, at, "subbase", AnalysisError)
     subbase = []
-    for line in lines[at : at + nsub]:
+    for line in body:
         _, _, right = line.partition(":")
-        subbase.append(frozenset(pts[int(tok)] for tok in right.split()))
-    if len(subbase) != nsub:
-        raise AnalysisError(f"expected {nsub} subbase lines, found {len(subbase)}")
+        subbase.append(frozenset(_indexed(pts, right.split(), AnalysisError)))
     return FiniteSpace(frozenset(pts), tuple(subbase))

@@ -20,11 +20,11 @@ validity.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from .intervals import IntervalTree, Params, TreeError
-from .ordinals import ZERO, Ordinal
+from .ordinals import Ordinal
 from .ordinals import parse as parse_ordinal
 from .unbounded import UnboundedFn
 
@@ -38,7 +38,6 @@ __all__ = [
     "UnmaterializedLevelError",
     "LevelBudgetError",
     "level_lt",
-    "level_le",
     "point_key",
     "make_condition",
     "validate",
@@ -87,31 +86,53 @@ def level_lt(a: Level, b: Level) -> bool:
     return a < b
 
 
-def level_le(a: Level, b: Level) -> bool:
-    return a is b or a == b or level_lt(a, b)
-
-
-def _level_sort_key(level: Level):
-    return (1, ZERO) if level is TOP else (0, level)
-
-
-@dataclass(frozen=True)
 class Point:
-    """A grid point: ordinal level (or TOP) and column index."""
+    """A grid point: ordinal level (or TOP) and column index.
 
-    level: Level
-    xi: int
+    Immutable.  ``_key`` is the sort key ``(0, level._key, xi)``, or
+    ``(1, (), xi)`` at the top level, computed once together with its
+    hash; equality and hashing go through it.
+    """
+
+    __slots__ = ("level", "xi", "_key", "_hash")
+
+    def __init__(self, level: Level, xi: int):
+        key = (1, (), xi) if level is TOP else (0, level._key, xi)
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "xi", xi)
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (Point, (self.level, self.xi))
 
     @property
     def is_top(self) -> bool:
         return self.level is TOP
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is Point:
+            return self._key == other._key
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"Point(level={self.level!r}, xi={self.xi!r})"
 
     def __str__(self) -> str:
         return f"({'TOP' if self.is_top else self.level}, {self.xi})"
 
 
 def point_key(p: Point):
-    return (*_level_sort_key(p.level), p.xi)
+    return p._key
 
 
 def _pair_key(s: Point, t: Point) -> Tuple[Point, Point]:
@@ -273,10 +294,6 @@ def make_condition(
     return Condition(dialect, pts, strict, ordered)
 
 
-EMPTY_OMEGA = make_condition("omega", ())
-EMPTY_KAPPA = make_condition("kappa", ())
-
-
 @dataclass(frozen=True)
 class Violation:
     clause: str
@@ -288,13 +305,11 @@ class Violation:
         return f"{self.clause} [{names}]: {self.detail}"
 
 
-def _tree_orbit(tree: IntervalTree, alpha: Ordinal, cache: Dict) -> Set[Ordinal]:
-    if alpha not in cache:
-        try:
-            cache[alpha] = set(tree.orbit(alpha))
-        except TreeError as err:
-            raise UnmaterializedLevelError(f"orbit({alpha}): {err}") from err
-    return cache[alpha]
+def _tree_orbit(tree: IntervalTree, alpha: Ordinal) -> Tuple[Ordinal, ...]:
+    try:
+        return tree.orbit(alpha)
+    except TreeError as err:
+        raise UnmaterializedLevelError(f"orbit({alpha}): {err}") from err
 
 
 def _tree_split(tree: IntervalTree, alpha: Ordinal, beta: Ordinal):
@@ -327,7 +342,6 @@ def validate(
     params = tree.params
     out: List[Violation] = []
     pts = p.sorted_points()
-    orbit_cache: Dict = {}
 
     if p.size > params.size_cap:
         out.append(Violation("size-cap", (), f"{p.size} points exceed cap {params.size_cap}"))
@@ -363,13 +377,13 @@ def validate(
             out.append(Violation("meet-arity", (s, t), f"{len(value)} meet points"))
 
     if p.dialect == "kappa":
-        _validate_kappa(p, tree, F, out, orbit_cache)
+        _validate_kappa(p, tree, F, out)
     else:
         _validate_omega(p, tree, F, out)
     return out
 
 
-def _validate_kappa(p, tree, F, out, orbit_cache):
+def _validate_kappa(p, tree, F, out):
     params = tree.params
     for s, t in p.pairs():
         if p.comparable(s, t) or not p.compatible(s, t):
@@ -380,9 +394,7 @@ def _validate_kappa(p, tree, F, out, orbit_cache):
                 continue
             beta = v.level
             if not s.is_top and not t.is_top:
-                ok = beta in _tree_orbit(tree, s.level, orbit_cache) and beta in _tree_orbit(
-                    tree, t.level, orbit_cache
-                )
+                ok = beta in _tree_orbit(tree, s.level) and beta in _tree_orbit(tree, t.level)
                 why = "below both paths" if ok else f"{beta} outside orbit overlap"
             elif s.is_top and t.is_top:
                 if F is None:
@@ -392,7 +404,7 @@ def _validate_kappa(p, tree, F, out, orbit_cache):
                 why = f"{beta} not a root marker below F value {bound}" if not ok else ""
             else:
                 ordinary = t if s.is_top else s
-                ok = beta in _tree_orbit(tree, ordinary.level, orbit_cache) and _marker_membership(
+                ok = beta in _tree_orbit(tree, ordinary.level) and _marker_membership(
                     tree, beta
                 )
                 why = f"{beta} not a shared root marker on the path" if not ok else ""
@@ -606,12 +618,65 @@ def condition_to_text(p: Condition, params: Params) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _section(lines: List[str], at: int, name: str, error) -> Tuple[List[str], int]:
+    """The lines of the counted section whose `name N` line sits at `at`,
+    and the index of the line after them.
+
+    Raises `error` when that line is missing or malformed, or when fewer
+    than N lines follow it.
+    """
+    head = lines[at].split() if at < len(lines) else []
+    if len(head) != 2 or head[0] != name or not head[1].isdecimal():
+        raise error(f"expected a '{name} N' line at document line {at + 1}")
+    count = int(head[1])
+    body = lines[at + 1 : at + 1 + count]
+    if len(body) < count:
+        raise error(f"{name} section declares {count} lines, found {len(body)}")
+    return body, at + 1 + count
+
+
+def _numbered(body: List[str], error, fields: int = 0) -> list:
+    """The text after the index of each `i ...` line of a points section,
+    checking that line i carries index i; split into `fields` tokens when
+    `fields` is given."""
+    rows = []
+    for line in body:
+        idx, _, rest = line.partition(" ")
+        row = rest.split() if fields else rest
+        if idx != str(len(rows)) or (fields and len(row) != fields):
+            raise error(f"point line {len(rows)} is misnumbered or malformed: {line!r}")
+        rows.append(row)
+    return rows
+
+
+def _indexed(items: Sequence, tokens: Iterable[str], error) -> list:
+    """The items at the given index tokens, each checked to be in range."""
+    out = []
+    for tok in tokens:
+        if not tok.isdecimal() or int(tok) >= len(items):
+            raise error(f"point index {tok!r} out of range for {len(items)} points")
+        out.append(items[int(tok)])
+    return out
+
+
+def _pair(items: Sequence, text: str, error) -> list:
+    pair = _indexed(items, text.split(), error)
+    if len(pair) != 2:
+        raise error(f"expected two point indices, got {text.strip()!r}")
+    return pair
+
+
 def condition_from_text(text: str) -> Tuple[Condition, Params]:
     lines = [ln.rstrip("\n") for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != FORMAT_HEADER:
         raise ConditionError(f"missing header {FORMAT_HEADER!r}")
-    if not lines[1].startswith("dialect ") or not lines[2].startswith("eta "):
-        raise ConditionError("missing dialect/eta lines")
+    if (
+        len(lines) < 4
+        or not lines[1].startswith("dialect ")
+        or not lines[2].startswith("eta ")
+        or not lines[3].startswith("params ")
+    ):
+        raise ConditionError("missing dialect/eta/params lines")
     dialect = lines[1].split()[1]
     eta = parse_ordinal(lines[2].split()[1])
     kv = dict(tok.split("=") for tok in lines[3].split()[1:])
@@ -622,28 +687,15 @@ def condition_from_text(text: str) -> Tuple[Condition, Params]:
         e_budget=int(kv["e_budget"]),
         size_cap=int(kv["size_cap"]),
     )
-    npts = int(lines[4].split()[1])
-    at = 5
-    pts: List[Point] = []
-    for line in lines[at : at + npts]:
-        idx, level, xi = line.split()
-        assert int(idx) == len(pts)
-        pts.append(Point(_parse_level(level), int(xi)))
-    at += npts
-    norder = int(lines[at].split()[1])
-    at += 1
-    rel = []
-    for line in lines[at : at + norder]:
-        i, j = (int(tok) for tok in line.split())
-        rel.append((pts[i], pts[j]))
-    at += norder
-    nmeets = int(lines[at].split()[1])
-    at += 1
+    body, at = _section(lines, 4, "points", ConditionError)
+    pts = [Point(_parse_level(level), int(xi)) for level, xi in _numbered(body, ConditionError, 2)]
+    body, at = _section(lines, at, "order", ConditionError)
+    rel = [tuple(_pair(pts, line, ConditionError)) for line in body]
+    body, _ = _section(lines, at, "meets", ConditionError)
     meets = {}
-    for line in lines[at : at + nmeets]:
+    for line in body:
         head, _, tail = line.partition(":")
-        i, j = (int(tok) for tok in head.split())
-        value = [pts[int(tok)] for tok in tail.split()]
-        meets[(pts[i], pts[j])] = value
+        s, t = _pair(pts, head, ConditionError)
+        meets[(s, t)] = _indexed(pts, tail.split(), ConditionError)
     cond = make_condition(dialect, pts, rel, meets)
     return cond, params

@@ -26,9 +26,13 @@ from .conditions import (
     make_condition,
     point_key,
 )
+from .conditions import _indexed as indexed
 from .conditions import _level_token as level_token
+from .conditions import _numbered as numbered
+from .conditions import _pair as index_pair
 from .conditions import _pair_key as pair_key
 from .conditions import _parse_level as parse_level
+from .conditions import _section as section
 from .conditions import validate
 from .intervals import IntervalTree, TreeError
 from .ordinals import ONE, Ordinal
@@ -240,37 +244,24 @@ def poset_from_text(text: str) -> FinitePoset:
     lines = [ln.rstrip("\n") for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != FORMAT_HEADER_POSET:
         raise GenericError(f"missing header {FORMAT_HEADER_POSET!r}")
+    if len(lines) < 2 or not lines[1].startswith("dialect "):
+        raise GenericError("missing dialect line")
     dialect = lines[1].split()[1]
-    npts = int(lines[2].split()[1])
-    at = 3
-    pts: List[Point] = []
-    for line in lines[at : at + npts]:
-        idx, level, xi = line.split()
-        assert int(idx) == len(pts)
-        pts.append(Point(parse_level(level), int(xi)))
-    at += npts
-    norder = int(lines[at].split()[1])
-    at += 1
-    rel = set()
-    for line in lines[at : at + norder]:
-        i, j = (int(tok) for tok in line.split())
-        rel.add((pts[i], pts[j]))
-    at += norder
-    nmeets = int(lines[at].split()[1])
-    at += 1
+    body, at = section(lines, 2, "points", GenericError)
+    pts = [Point(parse_level(level), int(xi)) for level, xi in numbered(body, GenericError, 2)]
+    body, at = section(lines, at, "order", GenericError)
+    rel = {tuple(index_pair(pts, line, GenericError)) for line in body}
+    body, at = section(lines, at, "meets", GenericError)
     meets = {}
-    for line in lines[at : at + nmeets]:
+    for line in body:
         left, _, right = line.partition(":")
-        i, j = (int(tok) for tok in left.split())
-        value = frozenset(pts[int(tok)] for tok in right.split())
-        meets[pair_key(pts[i], pts[j])] = value
-    at += nmeets
-    ntargeted = int(lines[at].split()[1])
-    at += 1
+        value = frozenset(indexed(pts, right.split(), GenericError))
+        meets[pair_key(*index_pair(pts, left, GenericError))] = value
+    body, _ = section(lines, at, "targeted", GenericError)
     targeted = []
-    for line in lines[at : at + ntargeted]:
-        level, i = line.split()
-        targeted.append((parse_level(level), pts[int(i)]))
+    for line in body:
+        level, _, i = line.partition(" ")
+        targeted.append((parse_level(level), *indexed(pts, [i.strip()], GenericError)))
     return FinitePoset(dialect, pts, rel, meets.items(), targeted)
 
 

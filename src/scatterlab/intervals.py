@@ -110,9 +110,11 @@ class Params:
 class IntervalTree:
     """Memoized lazy refinement of [0, eta).
 
-    The marker cache is insert-only and every entry is a deterministic
-    function of its key, so racing computations of the same node agree;
-    behavior is as-if single-threaded.
+    The marker, path, orbit and split caches are insert-only and every
+    entry is a deterministic function of its key, so racing computations
+    of the same entry agree; behavior is as-if single-threaded.  Only
+    successful navigation results are cached, so a request that raises
+    raises again when repeated.
     """
 
     def __init__(self, params: Params, depth_cap: int = 32):
@@ -120,6 +122,9 @@ class IntervalTree:
         self.depth_cap = depth_cap
         self.root = Interval(ZERO, params.eta)
         self._markers: Dict[Interval, List[Ordinal]] = {}
+        self._paths: Dict[Ordinal, Tuple[Interval, ...]] = {}
+        self._orbits: Dict[Ordinal, Tuple[Ordinal, ...]] = {}
+        self._splits: Dict[Tuple[Ordinal, Ordinal], Tuple[Optional[int], Interval]] = {}
 
     # -- marker sequences -----------------------------------------------
 
@@ -221,14 +226,17 @@ class IntervalTree:
     def path(self, alpha: Ordinal) -> List[Interval]:
         """Containing intervals from the root down to the first one
         starting at alpha."""
-        out = [self.root]
-        while out[-1].lo != alpha:
-            if len(out) > self.depth_cap:
-                raise DepthCapError(
-                    f"{alpha} did not become a left endpoint within depth {self.depth_cap}"
-                )
-            out.append(self._step(out[-1], alpha))
-        return out
+        trail = self._paths.get(alpha)
+        if trail is None:
+            out = [self.root]
+            while out[-1].lo != alpha:
+                if len(out) > self.depth_cap:
+                    raise DepthCapError(
+                        f"{alpha} did not become a left endpoint within depth {self.depth_cap}"
+                    )
+                out.append(self._step(out[-1], alpha))
+            trail = self._paths[alpha] = tuple(out)
+        return list(trail)
 
     def orbit(self, alpha: Ordinal) -> Tuple[Ordinal, ...]:
         """Markers strictly below alpha collected along its path.
@@ -237,14 +245,17 @@ class IntervalTree:
         contributes its markers below alpha.  Budget growth only ever
         extends paths, so previously returned orbits never change.
         """
-        seen = set()
-        for iv in self.path(alpha)[:-1]:
-            if iv.hi.is_limit:
-                marks = self.e_set(iv)
-            else:
-                marks = (iv.lo,) if iv.is_singleton else (iv.lo, iv.hi.predecessor())
-            seen.update(m for m in marks if m < alpha)
-        return tuple(sorted(seen))
+        orb = self._orbits.get(alpha)
+        if orb is None:
+            seen = set()
+            for iv in self.path(alpha)[:-1]:
+                if iv.hi.is_limit:
+                    marks = self.e_set(iv)
+                else:
+                    marks = (iv.lo,) if iv.is_singleton else (iv.lo, iv.hi.predecessor())
+                seen.update(m for m in marks if m < alpha)
+            orb = self._orbits[alpha] = tuple(sorted(seen))
+        return orb
 
     def j_and_J(
         self, alpha: Ordinal, beta
@@ -257,6 +268,12 @@ class IntervalTree:
         depth at which the two paths agree and J alpha's interval one level
         deeper.
         """
+        split = self._splits.get((alpha, beta))
+        if split is None:
+            split = self._splits[(alpha, beta)] = self._split(alpha, beta)
+        return split
+
+    def _split(self, alpha: Ordinal, beta) -> Tuple[Optional[int], Interval]:
         if beta == self.params.eta:
             return None, self.locate(alpha, 1)
         if not alpha < beta:

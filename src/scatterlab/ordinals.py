@@ -21,8 +21,7 @@ Everything in this module is immutable and pure.
 
 from __future__ import annotations
 
-import functools
-from typing import Iterable, Tuple, Union
+from typing import Iterable, Tuple
 
 __all__ = [
     "Ordinal",
@@ -49,29 +48,40 @@ class OrdinalParseError(OrdinalError):
     """Input text does not match the ordinal grammar."""
 
 
-@functools.total_ordering
 class Ordinal:
     """A Cantor-normal-form ordinal below epsilon_0.
 
     ``terms`` is a tuple of (exponent, coefficient) pairs with strictly
     decreasing exponents and coefficients >= 1.
+
+    ``_key`` mirrors ``terms`` as nested tuples ``((exp._key, coeff), ...)``.
+    Native tuple order on keys is Cantor-normal-form order (exponents
+    first, then coefficients, a proper prefix below its extensions), so
+    comparison, equality and hashing are each one tuple operation.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms", "_key", "_hash")
 
     def __init__(self, terms: Iterable[Tuple["Ordinal", int]] = ()):
         terms = tuple((exp, int(coeff)) for exp, coeff in terms)
-        previous = None
+        key = []
         for exp, coeff in terms:
             if not isinstance(exp, Ordinal):
                 raise OrdinalError(f"exponent must be an Ordinal, got {exp!r}")
             if coeff < 1:
                 raise OrdinalError(f"coefficient must be positive, got {coeff}")
-            if previous is not None and compare(exp, previous) >= 0:
+            if key and exp._key >= key[-1][0]:
                 raise OrdinalError("exponents must strictly decrease")
-            previous = exp
+            key.append((exp._key, coeff))
         self._terms = terms
-        self._hash = None
+        self._key = key = tuple(key)
+        # a finite ordinal hashes as its int, since it compares equal to it
+        if not key:
+            self._hash = 0
+        elif len(key) == 1 and not key[0][0]:
+            self._hash = hash(key[0][1])
+        else:
+            self._hash = hash(key)
 
     @property
     def terms(self) -> Tuple[Tuple["Ordinal", int], ...]:
@@ -101,12 +111,6 @@ class Ordinal:
             raise OrdinalError("0 has no leading exponent")
         return self._terms[0][0]
 
-    @property
-    def trailing_exponent(self) -> "Ordinal":
-        if self.is_zero:
-            raise OrdinalError("0 has no trailing exponent")
-        return self._terms[-1][0]
-
     def predecessor(self) -> "Ordinal":
         if not self.is_successor:
             raise OrdinalError(f"{self} is not a successor")
@@ -127,22 +131,41 @@ class Ordinal:
         raise OrdinalError(f"{self} is not a natural number")
 
     def __eq__(self, other) -> bool:
+        if other.__class__ is Ordinal:
+            return self._key == other._key
         if isinstance(other, int):
-            other = from_int(other)
-        if not isinstance(other, Ordinal):
-            return NotImplemented
-        return self._terms == other._terms
+            return self._key == from_int(other)._key
+        return NotImplemented
 
     def __lt__(self, other) -> bool:
+        if other.__class__ is Ordinal:
+            return self._key < other._key
         if isinstance(other, int):
-            other = from_int(other)
-        if not isinstance(other, Ordinal):
-            return NotImplemented
-        return compare(self, other) < 0
+            return self._key < from_int(other)._key
+        return NotImplemented
+
+    def __le__(self, other) -> bool:
+        if other.__class__ is Ordinal:
+            return self._key <= other._key
+        if isinstance(other, int):
+            return self._key <= from_int(other)._key
+        return NotImplemented
+
+    def __gt__(self, other) -> bool:
+        if other.__class__ is Ordinal:
+            return self._key > other._key
+        if isinstance(other, int):
+            return self._key > from_int(other)._key
+        return NotImplemented
+
+    def __ge__(self, other) -> bool:
+        if other.__class__ is Ordinal:
+            return self._key >= other._key
+        if isinstance(other, int):
+            return self._key >= from_int(other)._key
+        return NotImplemented
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self._terms)
         return self._hash
 
     def __add__(self, other) -> "Ordinal":
@@ -190,14 +213,8 @@ class Ordinal:
 
 def compare(a: Ordinal, b: Ordinal) -> int:
     """Three-way ordinal comparison: -1, 0, or 1."""
-    for (ea, ca), (eb, cb) in zip(a._terms, b._terms):
-        rel = compare(ea, eb)
-        if rel:
-            return rel
-        if ca != cb:
-            return -1 if ca < cb else 1
-    la, lb = len(a._terms), len(b._terms)
-    return 0 if la == lb else (-1 if la < lb else 1)
+    ka, kb = a._key, b._key
+    return (ka > kb) - (ka < kb)
 
 
 ZERO = Ordinal()
@@ -368,5 +385,3 @@ def _is_atom(exp: Ordinal) -> bool:
         return True
     return coeff == 1 and _is_atom(inner)
 
-
-OrdinalLike = Union[Ordinal, int]

@@ -229,3 +229,25 @@ def drop_witness(cond, tree, rng: random.Random):
     pts = cond.points - {victim}
     rel = {(a, b) for a, b in cond.strict if victim not in (a, b)}
     return make_condition(cond.dialect, pts, rel, complete=True)
+
+
+def damaged_documents(text, indexed_section):
+    """Damaged copies of a counted-section document, each of which its
+    parser must refuse with a typed error: every proper prefix (so some
+    section is shorter than its declared count, or missing), a misnumbered
+    first point line, and the first line of `indexed_section` pointing past
+    the last point or below the first."""
+    lines = text.splitlines()
+    out = ["\n".join(lines[:k]) + "\n" for k in range(1, len(lines))]
+
+    def edited(at, line):
+        return "\n".join(lines[:at] + [line] + lines[at + 1 :]) + "\n"
+
+    at = next(i for i, ln in enumerate(lines) if ln.startswith("points "))
+    npts = int(lines[at].split()[1])
+    out.append(edited(at + 1, "1 " + lines[at + 1].split(" ", 1)[1]))
+    at = next(i for i, ln in enumerate(lines) if ln.startswith(indexed_section + " "))
+    for bad in (str(npts), "-1"):
+        out.append(edited(at + 1, lines[at + 1].rsplit(" ", 1)[0] + " " + bad))
+    return out
+

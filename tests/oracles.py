@@ -46,6 +46,25 @@ def word_sum(a: Ordinal, b: Ordinal) -> Ordinal:
     return rebuild(survivors)
 
 
+# --- ordinal comparison, term by term ----------------------------------------
+#
+# The textbook Cantor-normal-form comparison: walk both term lists together,
+# comparing exponents recursively and then coefficients; when one list runs
+# out first, the shorter sum is smaller.  It reads only `terms`, never the
+# package's native comparison keys.
+
+
+def cnf_compare(a: Ordinal, b: Ordinal) -> int:
+    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
+        rel = cnf_compare(ea, eb)
+        if rel:
+            return rel
+        if ca != cb:
+            return -1 if ca < cb else 1
+    la, lb = len(a.terms), len(b.terms)
+    return 0 if la == lb else (-1 if la < lb else 1)
+
+
 # --- ordinal comparison below w^w -------------------------------------------
 #
 # With natural-number exponents an ordinal is just a coefficient vector

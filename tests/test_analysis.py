@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from .corpus import flat_F
+from .corpus import damaged_documents, flat_F
 from .oracles import naive_cb
 from scatterlab.analysis import (
     AnalysisError,
@@ -158,6 +158,13 @@ def test_space_text_round_trip(tree):
     assert space_to_text(space_from_text(text)) == text
     with pytest.raises(AnalysisError):
         space_from_text("points 1\n0 a\nsubbase 0\n")
+
+
+def test_space_from_text_refuses_damaged_documents():
+    space = FiniteSpace(frozenset("abc"), (frozenset("a"), frozenset("ab")))
+    for bad in damaged_documents(space_to_text(space), "subbase"):
+        with pytest.raises(AnalysisError):
+            space_from_text(bad)
 
 
 # --- symbolic ordinal reports ----------------------------------------------------

@@ -10,7 +10,7 @@ from scatterlab.generic import poset_from_text
 from scatterlab.intervals import IntervalTree
 from scatterlab.unbounded import load as load_table
 
-from .corpus import kappa_instance, kappa_tree, omega_instance, omega_tree
+from .corpus import damaged_documents, kappa_instance, kappa_tree, omega_instance, omega_tree
 
 
 def run(capsys, *argv):
@@ -114,6 +114,18 @@ def test_validate_missing_file_is_a_clean_error(tmp_path, capsys):
     code, _, err = run(capsys, "validate", str(tmp_path / "absent.txt"))
     assert code == 2
     assert "error: FileNotFoundError" in err
+
+
+def test_validate_damaged_document_is_a_clean_error(kappa_doc, tmp_path, capsys):
+    a, _, f, _, _ = kappa_doc
+    damaged = damaged_documents(a.read_text(), "order")
+    bad = tmp_path / "bad.txt"
+    # one cut inside the meets section, then the three index faults
+    for text in [damaged[-4]] + damaged[-3:]:
+        bad.write_text(text)
+        code, _, err = run(capsys, "validate", str(bad), "--f", str(f))
+        assert code == 2
+        assert err.startswith("error: ConditionError")
 
 
 def test_extend_emits_valid_document(kappa_doc, tmp_path, capsys):

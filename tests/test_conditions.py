@@ -21,6 +21,8 @@ from scatterlab.intervals import IntervalTree, Params
 from scatterlab.ordinals import parse
 from scatterlab.unbounded import UnboundedFn, f_generate
 
+from .corpus import damaged_documents
+
 
 def pt(level: str, xi: int = 0) -> Point:
     return Point(TOP if level == "TOP" else parse(level), xi)
@@ -401,6 +403,16 @@ def test_round_trip_meets_and_order(tree):
     cond, _ = condition_from_text(text)
     assert cond == p
     assert condition_to_text(cond, tree.params) == text
+
+
+def test_from_text_refuses_damaged_documents(tree):
+    t = pt("TOP")
+    p = make_condition("kappa", [t])
+    p, _ = extend_below(p, t, parse("w + 1"), 1, tree)
+    text = condition_to_text(p, tree.params)
+    for bad in damaged_documents(text, "order"):
+        with pytest.raises(ConditionError):
+            condition_from_text(bad)
 
 
 def test_from_text_rejects_garbage():

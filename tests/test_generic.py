@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from .corpus import flat_F
+from .corpus import damaged_documents, flat_F
 from scatterlab.conditions import TOP, Point, _pair_key, leq, validate
 from scatterlab.generic import (
     CardinalProfile,
@@ -93,6 +93,14 @@ def test_determinism_and_round_trips(tree, F):
     assert poset_from_text(poset_to_text(T1)) == T1
     text = poset_to_text(T1)
     assert text == poset_to_text(poset_from_text(text))
+
+
+def test_poset_from_text_refuses_damaged_documents(tree, F):
+    steps = [RealizePoint(TOP, 0), PredecessorBelow(Point(TOP, 0), parse("w*2"), 0)]
+    T = run_schedule(Schedule(tuple(steps)), tree, F, "kappa")
+    for bad in damaged_documents(poset_to_text(T), "order"):
+        with pytest.raises(GenericError):
+            poset_from_text(bad)
 
 
 def test_realize_is_idempotent(tree, F):

@@ -250,3 +250,66 @@ def test_dump_shape():
     assert lines[0].startswith("I=[0, w^2) depth=0 E=[0, w, w*2]")
     assert any(line.strip().startswith("I=[w, w*2) depth=1") for line in lines)
     assert all("E=[" in line for line in lines)
+
+
+def _grid_points(a_max: int, b_max: int):
+    return [
+        Ordinal(((from_int(1), a),)) + b if a else from_int(b)
+        for a in range(a_max)
+        for b in range(b_max)
+    ]
+
+
+def test_warm_memos_answer_like_a_fresh_tree():
+    warm = make_tree("w^2", e_budget=8)
+    points = _grid_points(8, 8)
+    pairs = [(x, y) for x in points for y in points + [warm.params.eta] if x < y]
+    rng = random.Random(11)
+    for _ in range(3):
+        for alpha in rng.sample(points, len(points)):
+            warm.orbit(alpha)
+            warm.path(alpha)
+        for alpha, beta in rng.sample(pairs, len(pairs) // 2):
+            warm.j_and_J(alpha, beta)
+
+    def fresh():
+        return make_tree("w^2", e_budget=8)
+
+    for alpha in points:
+        assert warm.orbit(alpha) == fresh().orbit(alpha)
+        assert warm.path(alpha) == fresh().path(alpha)
+    for alpha, beta in pairs:
+        assert warm.j_and_J(alpha, beta) == fresh().j_and_J(alpha, beta)
+
+
+def test_path_returns_a_fresh_list_each_call():
+    t = make_tree("w^2")
+    alpha = parse("w*2 + 5")
+    first = t.path(alpha)
+    expected = list(first)
+    first.append(t.root)
+    first[0] = iv("w", "w*2")
+    assert t.path(alpha) == expected
+    t.path(alpha).clear()
+    assert t.path(alpha) == expected
+    assert t.orbit(alpha) == make_tree("w^2").orbit(alpha)
+
+
+def test_failed_navigation_raises_again_when_repeated():
+    capped = make_tree("w^2", depth_cap=1)
+    deep = make_tree("w^3", e_budget=8, depth_cap=0)
+    small = make_tree("w^2", e_budget=8)
+    past = parse("w*9")
+    calls = [
+        (DepthCapError, lambda: capped.path(parse("w*2 + 5"))),
+        (DepthCapError, lambda: capped.orbit(parse("w*2 + 5"))),
+        (DepthCapError, lambda: deep.j_and_J(parse("w^2 + w + 1"), parse("w^2 + w + 2"))),
+        (BudgetExceededError, lambda: small.path(past)),
+        (BudgetExceededError, lambda: small.orbit(past)),
+        (BudgetExceededError, lambda: small.j_and_J(past, past + 1)),
+        (BudgetExceededError, lambda: small.j_and_J(past, small.params.eta)),
+    ]
+    for _ in range(3):
+        for error, call in calls:
+            with pytest.raises(error):
+                call()

@@ -19,7 +19,7 @@ from scatterlab.ordinals import (
 )
 
 from .conftest import deep_ordinals, flat_ordinals, limit_ordinals
-from .oracles import omega_times, shift_down, strip_rank, vector_compare, word_sum
+from .oracles import cnf_compare, omega_times, shift_down, strip_rank, vector_compare, word_sum
 
 
 def test_constants():
@@ -155,6 +155,29 @@ def test_addition_monotone(a, b, c):
 @given(flat_ordinals(), flat_ordinals())
 def test_compare_matches_vector_oracle(a, b):
     assert compare(a, b) == vector_compare(a, b)
+
+
+@given(deep_ordinals(), deep_ordinals())
+def test_native_compare_matches_term_by_term_oracle(a, b):
+    rel = cnf_compare(a, b)
+    assert compare(a, b) == rel
+    assert (a < b) == (rel < 0)
+    assert (a <= b) == (rel <= 0)
+    assert (a > b) == (rel > 0)
+    assert (a >= b) == (rel >= 0)
+    assert (a == b) == (rel == 0)
+    assert (a != b) == (rel != 0)
+    if rel == 0:
+        assert hash(a) == hash(b)
+
+
+@given(st.integers(0, 10**6))
+def test_finite_ordinals_hash_as_ints(n):
+    a = from_int(n)
+    assert a == n and n == a
+    assert hash(a) == hash(n)
+    assert {a} == {n}
+    assert {a: "x"}[n] == "x"
 
 
 @given(deep_ordinals(), deep_ordinals())
