@@ -98,7 +98,7 @@ def space_from_poset(T: FinitePoset) -> FiniteSpace:
     point."""
     subbase: List[FrozenSet] = []
     for x in T.sorted_points():
-        down = frozenset(y for y in T.points if T.le(y, x))
+        down = frozenset(T.down(x))
         subbase.append(down)
     subbase += [T.points - s for s in list(subbase)]
     return FiniteSpace(frozenset(T.points), tuple(subbase))

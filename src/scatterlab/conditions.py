@@ -15,13 +15,31 @@ related pair.
 reports every violated clause by name; `extend_below` is the point
 insertion that plants a fresh point under a target while preserving
 validity.
+
+`Poset` is the order core shared with `generic.FinitePoset`: each poset
+builds one `OrderIndex` on first use, its points sorted by `point_key`
+with the strict order as int masks over their positions, and every order
+query, clause check and meet completion here is a bit operation on it
+(the closure is Warshall's, on the same masks).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import FrozenInstanceError, dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from .intervals import IntervalTree, Params, TreeError
 from .ordinals import Ordinal
@@ -139,15 +157,141 @@ def _pair_key(s: Point, t: Point) -> Tuple[Point, Point]:
     return (s, t) if point_key(s) <= point_key(t) else (t, s)
 
 
-class Condition:
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class OrderIndex:
+    """The indexed core of a finite strict order.
+
+    `pts` holds the points sorted by `point_key` and `index` maps each to
+    its position.  The order is kept as int masks over those positions:
+    bit i of `down[j]` and bit j of `up[i]` are set iff (pts[i], pts[j]) is
+    a strict pair.  `levels` maps each level to the mask of its points.
+    The masks hold exactly the pairs they were built from: no closure, no
+    check for cycles.
+    """
+
+    __slots__ = ("pts", "index", "down", "up", "levels")
+
+    def __init__(self, points: Iterable[Point], strict: Iterable[Tuple[Point, Point]]):
+        self.pts: List[Point] = sorted(points, key=point_key)
+        self.index: Dict[Point, int] = {x: i for i, x in enumerate(self.pts)}
+        self.down: List[int] = [0] * len(self.pts)
+        self.up: List[int] = [0] * len(self.pts)
+        for s, t in strict:
+            i = self.index.get(s)
+            j = self.index.get(t)
+            if i is None or j is None:
+                raise ConditionError(f"order pair ({s}, {t}) mentions unknown points")
+            self.down[j] |= 1 << i
+            self.up[i] |= 1 << j
+        self.levels: Dict[Level, int] = {}
+        for i, x in enumerate(self.pts):
+            self.levels[x.level] = self.levels.get(x.level, 0) | 1 << i
+
+    def below(self) -> List[int]:
+        """`down` with each point's own bit added: the masks of `le`."""
+        return [m | 1 << i for i, m in enumerate(self.down)]
+
+    def above(self) -> List[int]:
+        """`up` with each point's own bit added."""
+        return [m | 1 << i for i, m in enumerate(self.up)]
+
+    def strict_pairs(self) -> Iterator[Tuple[int, int]]:
+        """The strict pairs as positions, in (point_key, point_key) order."""
+        for i, m in enumerate(self.up):
+            for j in _bits(m):
+                yield i, j
+
+    def members(self, mask: int) -> List[Point]:
+        return [self.pts[k] for k in _bits(mask)]
+
+
+class Poset:
+    """Points, a strict order and a meet table, with the order queries
+    answered from one `OrderIndex` built on first use.
+
+    `le` is reflexive on the points and false for any point outside them;
+    every query reads the strict set as given.  A pair without a meet
+    entry reads `_no_meet`.
+    """
+
+    __slots__ = ("dialect", "points", "strict", "meets", "_core", "_meet_map")
+    _no_meet: Optional[FrozenSet[Point]] = None
+
+    def core(self) -> OrderIndex:
+        if self._core is None:
+            self._core = OrderIndex(self.points, self.strict)
+        return self._core
+
+    def meet_table(self) -> Dict[Tuple[Point, Point], FrozenSet[Point]]:
+        """The meet entries by canonical pair."""
+        if self._meet_map is None:
+            self._meet_map = dict(self.meets)
+        return self._meet_map
+
+    @property
+    def size(self) -> int:
+        return len(self.points)
+
+    def sorted_points(self) -> List[Point]:
+        return list(self.core().pts)
+
+    def pairs(self) -> List[Tuple[Point, Point]]:
+        return list(itertools.combinations(self.core().pts, 2))
+
+    def points_at(self, level: Level) -> List[Point]:
+        core = self.core()
+        return core.members(core.levels.get(level, 0))
+
+    def lt(self, s: Point, t: Point) -> bool:
+        core = self.core()
+        i = core.index.get(s)
+        j = core.index.get(t)
+        return i is not None and j is not None and core.up[i] >> j & 1 == 1
+
+    def le(self, s: Point, t: Point) -> bool:
+        core = self.core()
+        i = core.index.get(s)
+        j = core.index.get(t)
+        return i is not None and j is not None and (i == j or core.up[i] >> j & 1 == 1)
+
+    def comparable(self, s: Point, t: Point) -> bool:
+        return self.le(s, t) or self.le(t, s)
+
+    def compatible(self, s: Point, t: Point) -> bool:
+        core = self.core()
+        i = core.index.get(s)
+        j = core.index.get(t)
+        if i is None or j is None:
+            return False
+        return (core.down[i] | 1 << i) & (core.down[j] | 1 << j) != 0
+
+    def down(self, s: Point) -> Set[Point]:
+        core = self.core()
+        i = core.index.get(s)
+        return set() if i is None else set(core.members(core.down[i] | 1 << i))
+
+    def meet(self, s: Point, t: Point) -> Optional[FrozenSet[Point]]:
+        return self.meet_table().get(_pair_key(s, t), self._no_meet)
+
+
+class Condition(Poset):
     """Immutable points + strict order + total meet table.
 
     Assumes normalized input: build through `make_condition`.  The strict
     set is transitively closed and irreflexive; the meet table has exactly
-    one entry per unordered pair, canonically keyed.
+    one entry per unordered pair, canonically keyed, in `pairs()` order.
+    A missing entry reads as the empty meet.
     """
 
-    __slots__ = ("dialect", "points", "strict", "meets", "_meet_map", "_hash")
+    __slots__ = ("_hash",)
+    _no_meet = frozenset()
 
     def __init__(
         self,
@@ -155,41 +299,15 @@ class Condition:
         points: FrozenSet[Point],
         strict: FrozenSet[Tuple[Point, Point]],
         meets: Tuple[Tuple[Tuple[Point, Point], FrozenSet[Point]], ...],
+        core: Optional[OrderIndex] = None,
     ):
         self.dialect = dialect
         self.points = points
         self.strict = strict
         self.meets = meets
-        self._meet_map = dict(meets)
+        self._core = core
+        self._meet_map = None
         self._hash = None
-
-    @property
-    def size(self) -> int:
-        return len(self.points)
-
-    def sorted_points(self) -> List[Point]:
-        return sorted(self.points, key=point_key)
-
-    def lt(self, s: Point, t: Point) -> bool:
-        return (s, t) in self.strict
-
-    def le(self, s: Point, t: Point) -> bool:
-        return s == t or (s, t) in self.strict
-
-    def meet(self, s: Point, t: Point) -> FrozenSet[Point]:
-        return self._meet_map.get(_pair_key(s, t), frozenset())
-
-    def down(self, s: Point) -> Set[Point]:
-        return {x for x in self.points if self.le(x, s)}
-
-    def comparable(self, s: Point, t: Point) -> bool:
-        return self.le(s, t) or self.le(t, s)
-
-    def compatible(self, s: Point, t: Point) -> bool:
-        return any(self.le(x, s) and self.le(x, t) for x in self.points)
-
-    def pairs(self) -> List[Tuple[Point, Point]]:
-        return list(itertools.combinations(self.sorted_points(), 2))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Condition):
@@ -212,26 +330,28 @@ class Condition:
 
 def _transitive_closure(
     points: FrozenSet[Point], rel: Iterable[Tuple[Point, Point]]
-) -> FrozenSet[Tuple[Point, Point]]:
-    adj: Dict[Point, Set[Point]] = {p: set() for p in points}
-    for s, t in rel:
-        if s not in adj or t not in adj:
-            raise ConditionError(f"order pair ({s}, {t}) mentions unknown points")
-        adj[s].add(t)
-    changed = True
-    while changed:
-        changed = False
-        for s in points:
-            extra = set()
-            for t in adj[s]:
-                extra |= adj[t] - adj[s]
-            if extra:
-                adj[s] |= extra
-                changed = True
+) -> Tuple[FrozenSet[Tuple[Point, Point]], OrderIndex]:
+    """The closed strict set and its index, by Warshall's algorithm on the
+    `up` masks; a cycle is reported through the first of its points in
+    `points` order."""
+    core = OrderIndex(points, rel)
+    up = core.up
+    for k in range(len(up)):
+        bit, reach = 1 << k, up[k]
+        for i, m in enumerate(up):
+            if m & bit:
+                up[i] = m | reach
     for s in points:
-        if s in adj[s]:
+        i = core.index[s]
+        if up[i] >> i & 1:
             raise ConditionError(f"order cycle through {s}")
-    return frozenset((s, t) for s in points for t in adj[s])
+    pts = core.pts
+    down = core.down
+    pairs = []
+    for i, j in core.strict_pairs():
+        down[j] |= 1 << i
+        pairs.append((pts[i], pts[j]))
+    return frozenset(pairs), core
 
 
 def make_condition(
@@ -253,45 +373,41 @@ def make_condition(
     if dialect not in ("omega", "kappa"):
         raise ConditionError(f"unknown dialect {dialect!r}")
     pts = frozenset(points)
-    strict = _transitive_closure(pts, rel)
+    strict, core = _transitive_closure(pts, rel)
+    index, order, up, down = core.index, core.pts, core.up, core.down
 
-    cond = Condition(dialect, pts, strict, ())
-
-    table: Dict[Tuple[Point, Point], FrozenSet[Point]] = {}
+    table: Dict[Tuple[int, int], FrozenSet[Point]] = {}
     for key, val in (meets or {}).items():
         s, t = tuple(key)
-        if s not in pts or t not in pts:
+        i = index.get(s)
+        j = index.get(t)
+        if i is None or j is None:
             raise ConditionError(f"meet entry ({s}, {t}) mentions unknown points")
-        if s == t:
+        if i == j:
             raise ConditionError(f"meet entry for identical points {s}")
         value = frozenset(val)
         if not value <= pts:
             raise ConditionError(f"meet of ({s}, {t}) has unknown points")
-        canon = _pair_key(s, t)
-        if table.setdefault(canon, value) != value:
+        if table.setdefault((i, j) if i < j else (j, i), value) != value:
             raise ConditionError(f"conflicting meet entries for ({s}, {t})")
 
-    for s, t in itertools.combinations(sorted(pts, key=point_key), 2):
-        canon = _pair_key(s, t)
-        if canon in table:
-            continue
-        if not complete:
-            table[canon] = frozenset()
-        elif cond.le(s, t):
-            table[canon] = frozenset({s})
-        elif cond.le(t, s):
-            table[canon] = frozenset({t})
-        else:
-            common = cond.down(s) & cond.down(t)
-            maximal = {
-                x for x in common if not any(cond.lt(x, y) for y in common)
-            }
-            table[canon] = frozenset(maximal)
-
-    ordered = tuple(
-        sorted(table.items(), key=lambda kv: (point_key(kv[0][0]), point_key(kv[0][1])))
-    )
-    return Condition(dialect, pts, strict, ordered)
+    rows = []
+    for i, s in enumerate(order):
+        for j in range(i + 1, len(order)):
+            t = order[j]
+            value = table.get((i, j))
+            if value is None:
+                if not complete:
+                    value = frozenset()
+                elif up[i] >> j & 1:
+                    value = frozenset({s})
+                elif up[j] >> i & 1:
+                    value = frozenset({t})
+                else:
+                    common = down[i] & down[j]
+                    value = frozenset(order[k] for k in _bits(common) if not up[k] & common)
+            rows.append(((s, t), value))
+    return Condition(dialect, pts, strict, tuple(rows), core)
 
 
 @dataclass(frozen=True)
@@ -341,7 +457,8 @@ def validate(
     """
     params = tree.params
     out: List[Violation] = []
-    pts = p.sorted_points()
+    core = p.core()
+    pts = core.pts
 
     if p.size > params.size_cap:
         out.append(Violation("size-cap", (), f"{p.size} points exceed cap {params.size_cap}"))
@@ -356,27 +473,34 @@ def validate(
             elif not 0 <= s.xi < params.kappa_w:
                 out.append(Violation("grid", (s,), f"column {s.xi} out of range"))
 
-    for s, t in sorted(p.strict, key=lambda st: (point_key(st[0]), point_key(st[1]))):
+    for i, j in core.strict_pairs():
+        s, t = pts[i], pts[j]
         if not level_lt(s.level, t.level):
             out.append(Violation("level-monotone", (s, t), "related points must climb levels"))
 
-    for s, t in p.pairs():
-        value = p.meet(s, t)
-        common = {x for x in pts if p.le(x, s) and p.le(x, t)}
-        covered = {x for x in pts if any(p.le(x, v) for v in value)}
-        if common != covered:
-            missed = common ^ covered
-            out.append(
-                Violation(
-                    "meet-axiom",
-                    (s, t),
-                    f"lower-bound set mismatch at {{{', '.join(str(x) for x in sorted(missed, key=point_key))}}}",
+    # meet axiom: the points below both ends are exactly those below a meet point
+    index, below, table = core.index, core.below(), p.meet_table()
+    kappa = p.dialect == "kappa"
+    for i, s in enumerate(pts):
+        for j in range(i + 1, len(pts)):
+            t = pts[j]
+            value = table.get((s, t), frozenset())
+            covered = 0
+            for v in value:
+                covered |= below[index[v]]
+            missed = (below[i] & below[j]) ^ covered
+            if missed:
+                out.append(
+                    Violation(
+                        "meet-axiom",
+                        (s, t),
+                        f"lower-bound set mismatch at {{{', '.join(str(x) for x in core.members(missed))}}}",
+                    )
                 )
-            )
-        if p.dialect == "kappa" and len(value) > 1:
-            out.append(Violation("meet-arity", (s, t), f"{len(value)} meet points"))
+            if kappa and len(value) > 1:
+                out.append(Violation("meet-arity", (s, t), f"{len(value)} meet points"))
 
-    if p.dialect == "kappa":
+    if kappa:
         _validate_kappa(p, tree, F, out)
     else:
         _validate_omega(p, tree, F, out)
@@ -385,45 +509,48 @@ def validate(
 
 def _validate_kappa(p, tree, F, out):
     params = tree.params
-    for s, t in p.pairs():
-        if p.comparable(s, t) or not p.compatible(s, t):
-            continue
-        for v in p.meet(s, t):
-            if v.is_top:
-                out.append(Violation("meet-location", (s, t), "meet point at the top level"))
+    core = p.core()
+    pts, below, table = core.pts, core.below(), p.meet_table()
+    for i, s in enumerate(pts):
+        for j in range(i + 1, len(pts)):
+            # skip comparable pairs and pairs with no common lower bound
+            if (below[j] >> i | below[i] >> j) & 1 or not below[i] & below[j]:
                 continue
-            beta = v.level
-            if not s.is_top and not t.is_top:
-                ok = beta in _tree_orbit(tree, s.level) and beta in _tree_orbit(tree, t.level)
-                why = "below both paths" if ok else f"{beta} outside orbit overlap"
-            elif s.is_top and t.is_top:
-                if F is None:
-                    raise ConditionError("top-top meet check needs the pair coloring F")
-                bound = F.value(s.xi, t.xi)
-                ok = beta < bound and _marker_membership(tree, beta)
-                why = f"{beta} not a root marker below F value {bound}" if not ok else ""
-            else:
-                ordinary = t if s.is_top else s
-                ok = beta in _tree_orbit(tree, ordinary.level) and _marker_membership(
-                    tree, beta
-                )
-                why = f"{beta} not a shared root marker on the path" if not ok else ""
-            if not ok:
-                out.append(Violation("meet-location", (s, t), why))
+            t = pts[j]
+            for v in table.get((s, t), ()):
+                if v.is_top:
+                    out.append(Violation("meet-location", (s, t), "meet point at the top level"))
+                    continue
+                beta = v.level
+                if not s.is_top and not t.is_top:
+                    ok = beta in _tree_orbit(tree, s.level) and beta in _tree_orbit(tree, t.level)
+                    why = "below both paths" if ok else f"{beta} outside orbit overlap"
+                elif s.is_top and t.is_top:
+                    if F is None:
+                        raise ConditionError("top-top meet check needs the pair coloring F")
+                    bound = F.value(s.xi, t.xi)
+                    ok = beta < bound and _marker_membership(tree, beta)
+                    why = f"{beta} not a root marker below F value {bound}" if not ok else ""
+                else:
+                    ordinary = t if s.is_top else s
+                    ok = beta in _tree_orbit(tree, ordinary.level) and _marker_membership(
+                        tree, beta
+                    )
+                    why = f"{beta} not a shared root marker on the path" if not ok else ""
+                if not ok:
+                    out.append(Violation("meet-location", (s, t), why))
 
-    for s, t in sorted(p.strict, key=lambda st: (point_key(st[0]), point_key(st[1]))):
+    above = core.above()
+    for i, j in core.strict_pairs():
+        s, t = pts[i], pts[j]
         if s.is_top or not level_lt(s.level, t.level):
             continue
         beta = params.eta if t.is_top else t.level
         lam = _tree_split(tree, s.level, beta)
         if not (lam.lo < s.level and lam.hi <= beta):
             continue
-        witnesses = [
-            u
-            for u in p.points
-            if not u.is_top and u.level == lam.hi and p.le(s, u) and p.le(u, t)
-        ]
-        if not witnesses:
+        # a witness sits at lam.hi with s <= u <= t
+        if not core.levels.get(lam.hi, 0) & above[i] & below[j]:
             out.append(
                 Violation(
                     "isolation-interpolant",
@@ -434,36 +561,38 @@ def _validate_kappa(p, tree, F, out):
 
 
 def _validate_omega(p, tree, F, out):
-    for s, t in p.pairs():
-        if s.is_top and t.is_top:
-            for v in p.meet(s, t):
-                if F is None:
-                    raise ConditionError("top-top meet check needs the pair coloring F")
-                bound = F.value(s.xi, t.xi)
-                if v.is_top or not v.level < bound:
-                    out.append(
-                        Violation(
-                            "top-meet-bound",
-                            (s, t),
-                            f"meet point {v} not below F value {bound}",
+    core = p.core()
+    pts, table = core.pts, p.meet_table()
+    for i, s in enumerate(pts):
+        for j in range(i + 1, len(pts)):
+            t = pts[j]
+            if s.is_top and t.is_top:
+                for v in table.get((s, t), ()):
+                    if F is None:
+                        raise ConditionError("top-top meet check needs the pair coloring F")
+                    bound = F.value(s.xi, t.xi)
+                    if v.is_top or not v.level < bound:
+                        out.append(
+                            Violation(
+                                "top-meet-bound",
+                                (s, t),
+                                f"meet point {v} not below F value {bound}",
+                            )
                         )
+            elif not s.is_top and not t.is_top and s.level == t.level:
+                if table.get((s, t)):
+                    out.append(
+                        Violation("same-level-meet", (s, t), "same-level pairs meet nothing")
                     )
-        elif not s.is_top and not t.is_top and s.level == t.level:
-            if p.meet(s, t):
-                out.append(
-                    Violation("same-level-meet", (s, t), "same-level pairs meet nothing")
-                )
 
-    for s, t in sorted(p.strict, key=lambda st: (point_key(st[0]), point_key(st[1]))):
+    above = core.above()
+    for i, j in core.strict_pairs():
+        s, t = pts[i], pts[j]
         if t.is_top or not t.level.is_successor:
             continue
         prior = t.level.predecessor()
-        witnesses = [
-            u
-            for u in p.points
-            if not u.is_top and u.level == prior and p.le(s, u) and p.lt(u, t)
-        ]
-        if not witnesses:
+        # a witness sits at the predecessor level with s <= u < t
+        if not core.levels.get(prior, 0) & above[i] & core.down[j]:
             out.append(
                 Violation(
                     "successor-interpolant",
@@ -480,10 +609,19 @@ def leq(q: Condition, p: Condition) -> bool:
         return False
     if not p.points <= q.points:
         return False
-    restricted = {(s, t) for (s, t) in q.strict if s in p.points and t in p.points}
-    if restricted != set(p.strict):
-        return False
-    return all(q.meet(s, t) == p.meet(s, t) for s, t in p.pairs())
+    pc, qc = p.core(), q.core()
+    at = [qc.index[x] for x in pc.pts]
+    inside = 0
+    for k in at:
+        inside |= 1 << k
+    for i, m in enumerate(pc.up):
+        want = 0
+        for j in _bits(m):
+            want |= 1 << at[j]
+        if qc.up[at[i]] & inside != want:
+            return False
+    table = q.meet_table()
+    return all(table.get(key, frozenset()) == value for key, value in p.meets)
 
 
 def _fresh_column(
@@ -525,7 +663,9 @@ def extend_below(
         raise ConditionError(f"alpha {alpha} is not below {tree.params.eta}")
 
     params = tree.params
-    above = [y for y in p.points if p.le(tgt, y)]
+    core = p.core()
+    i = core.index[tgt]
+    above = set(core.members(core.up[i] | 1 << i))
     taken: Set[Point] = set()
 
     if p.dialect == "kappa":
@@ -666,6 +806,37 @@ def _pair(items: Sequence, text: str, error) -> list:
     return pair
 
 
+def _integer(token: str, what: str, error) -> int:
+    """`int(token)`, raising `error` where int raises ValueError."""
+    try:
+        return int(token)
+    except ValueError:
+        raise error(f"{what} {token!r} is not an integer") from None
+
+
+def _grid_points(body: List[str], error) -> List[Point]:
+    """The points of a points section whose lines read `i level column`."""
+    return [
+        Point(_parse_level(level), _integer(xi, "column", error))
+        for level, xi in _numbered(body, error, 2)
+    ]
+
+
+def _params(line: str, eta: Ordinal) -> Params:
+    """The widths and budgets of a `params key=value ...` line."""
+    kv = {}
+    for tok in line.split()[1:]:
+        key, eq, value = tok.partition("=")
+        if not eq:
+            raise ConditionError(f"params entry {tok!r} is not key=value")
+        kv[key] = value
+    fields = ("kappa_w", "lambda_w", "e_budget", "size_cap")
+    missing = [key for key in fields if key not in kv]
+    if missing:
+        raise ConditionError(f"params line lacks {', '.join(missing)}")
+    return Params(eta=eta, **{key: _integer(kv[key], key, ConditionError) for key in fields})
+
+
 def condition_from_text(text: str) -> Tuple[Condition, Params]:
     lines = [ln.rstrip("\n") for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != FORMAT_HEADER:
@@ -677,18 +848,13 @@ def condition_from_text(text: str) -> Tuple[Condition, Params]:
         or not lines[3].startswith("params ")
     ):
         raise ConditionError("missing dialect/eta/params lines")
-    dialect = lines[1].split()[1]
-    eta = parse_ordinal(lines[2].split()[1])
-    kv = dict(tok.split("=") for tok in lines[3].split()[1:])
-    params = Params(
-        eta=eta,
-        kappa_w=int(kv["kappa_w"]),
-        lambda_w=int(kv["lambda_w"]),
-        e_budget=int(kv["e_budget"]),
-        size_cap=int(kv["size_cap"]),
-    )
+    dialect_row, eta_row = lines[1].split(), lines[2].split()
+    if len(dialect_row) != 2 or len(eta_row) != 2:
+        raise ConditionError("dialect and eta lines take one value each")
+    dialect = dialect_row[1]
+    params = _params(lines[3], parse_ordinal(eta_row[1]))
     body, at = _section(lines, 4, "points", ConditionError)
-    pts = [Point(_parse_level(level), int(xi)) for level, xi in _numbered(body, ConditionError, 2)]
+    pts = _grid_points(body, ConditionError)
     body, at = _section(lines, at, "order", ConditionError)
     rel = [tuple(_pair(pts, line, ConditionError)) for line in body]
     body, _ = _section(lines, at, "meets", ConditionError)

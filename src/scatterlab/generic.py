@@ -8,11 +8,16 @@ directly: the graded-poset clauses at an explicit witness budget, the
 bone-level test per level, and the tightness counting argument on a
 planted family.  Every check recomputes from the raw order relation and
 never trusts the meet table it is handed.
+
+`FinitePoset` is a `conditions.Poset`: its order queries and the mask
+loops of `sposet_check` and `skeleton_check` run on the shared
+`OrderIndex`, built from the raw strict set as given (not closed, cycles
+kept), so the checkers see the relation the poset really holds.
 """
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from typing import FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from .conditions import (
     TOP,
@@ -20,15 +25,18 @@ from .conditions import (
     ConditionError,
     Level,
     Point,
+    Poset,
     extend_below,
     leq,
     level_lt,
     make_condition,
     point_key,
 )
+from .conditions import _bits as bits
+from .conditions import _grid_points as grid_points
 from .conditions import _indexed as indexed
+from .conditions import _integer as integer
 from .conditions import _level_token as level_token
-from .conditions import _numbered as numbered
 from .conditions import _pair as index_pair
 from .conditions import _pair_key as pair_key
 from .conditions import _parse_level as parse_level
@@ -111,48 +119,48 @@ def schedule_from_text(text: str) -> Schedule:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != FORMAT_HEADER_SCHEDULE:
         raise GenericError(f"missing header {FORMAT_HEADER_SCHEDULE!r}")
-    seed = int(lines[1].split()[1])
-    count = int(lines[2].split()[1])
+    head = lines[1].split() if len(lines) > 1 else []
+    if len(head) != 2 or head[0] != "seed":
+        raise GenericError("expected a 'seed N' line at document line 2")
+    seed = integer(head[1], "seed", GenericError)
+    body, _ = section(lines, 2, "steps", GenericError)
     steps: List[Requirement] = []
-    for line in lines[3 : 3 + count]:
+    for line in body:
         toks = line.split()
+        width = {"realize": 3, "below": 5}.get(toks[0])
+        if width is None:
+            raise GenericError(f"unknown requirement {toks[0]!r}")
+        if len(toks) != width:
+            raise GenericError(f"{toks[0]} line takes {width - 1} fields: {line!r}")
         if toks[0] == "realize":
-            steps.append(RealizePoint(parse_level(toks[1]), int(toks[2])))
-        elif toks[0] == "below":
+            steps.append(RealizePoint(parse_level(toks[1]), integer(toks[2], "column", GenericError)))
+        else:
             steps.append(
                 PredecessorBelow(
-                    Point(parse_level(toks[1]), int(toks[2])),
+                    Point(parse_level(toks[1]), integer(toks[2], "column", GenericError)),
                     parse_level(toks[3]),
-                    int(toks[4]),
+                    integer(toks[4], "column floor", GenericError),
                 )
             )
-        else:
-            raise GenericError(f"unknown requirement {toks[0]!r}")
-    if len(steps) != count:
-        raise GenericError(f"expected {count} requirements, found {len(steps)}")
     return Schedule(tuple(steps), seed)
 
 
 # --- the finite poset ------------------------------------------------------------
 
 
-class FinitePoset:
+class FinitePoset(Poset):
     """Union of a descending chain of conditions: same raw data as a
     condition but with no size cap, plus the chain itself and the list of
-    (level, target) pairs the schedule aimed predecessors at."""
+    (level, target) pairs the schedule aimed predecessors at.
 
-    __slots__ = (
-        "dialect",
-        "points",
-        "strict",
-        "meets",
-        "targeted",
-        "provenance",
-        "_le",
-        "_meet",
-    )
+    The order is read exactly as given (the checkers below judge it), and
+    `meet` returns None for a pair with no entry."""
 
-    def __init__(self, dialect, points, strict, meets, targeted=(), provenance=()):
+    __slots__ = ("targeted", "provenance")
+
+    def __init__(
+        self, dialect, points, strict, meets, targeted=(), provenance=(), core=None
+    ):
         self.dialect = dialect
         self.points: FrozenSet[Point] = frozenset(points)
         self.strict: FrozenSet[Tuple[Point, Point]] = frozenset(strict)
@@ -163,33 +171,11 @@ class FinitePoset:
         )
         self.targeted: Tuple[Tuple[Level, Point], ...] = tuple(targeted)
         self.provenance: Tuple[Condition, ...] = tuple(provenance)
-        self._le = self.strict | {(x, x) for x in self.points}
-        self._meet: Dict = dict(self.meets)
-
-    def le(self, s: Point, t: Point) -> bool:
-        return (s, t) in self._le
-
-    def lt(self, s: Point, t: Point) -> bool:
-        return (s, t) in self.strict
-
-    def meet(self, s: Point, t: Point) -> Optional[FrozenSet[Point]]:
-        return self._meet.get(pair_key(s, t))
-
-    def sorted_points(self) -> List[Point]:
-        return sorted(self.points, key=point_key)
-
-    def pairs(self) -> List[Tuple[Point, Point]]:
-        pts = self.sorted_points()
-        return list(itertools.combinations(pts, 2))
-
-    def points_at(self, level: Level) -> List[Point]:
-        return sorted(
-            (x for x in self.points if x.level == level or x.level is level),
-            key=point_key,
-        )
+        self._core = core
+        self._meet_map = None
 
     def sub_top_levels(self) -> List[Ordinal]:
-        return sorted({x.level for x in self.points if not x.is_top})
+        return sorted(level for level in self.core().levels if level is not TOP)
 
     def __eq__(self, other):
         if not isinstance(other, FinitePoset):
@@ -213,7 +199,7 @@ def poset_from_condition(
     p: Condition, targeted=(), provenance=()
 ) -> FinitePoset:
     return FinitePoset(
-        p.dialect, p.points, p.strict, p.meets, targeted, provenance
+        p.dialect, p.points, p.strict, p.meets, targeted, provenance, p.core()
     )
 
 
@@ -244,11 +230,11 @@ def poset_from_text(text: str) -> FinitePoset:
     lines = [ln.rstrip("\n") for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != FORMAT_HEADER_POSET:
         raise GenericError(f"missing header {FORMAT_HEADER_POSET!r}")
-    if len(lines) < 2 or not lines[1].startswith("dialect "):
+    if len(lines) < 2 or len(lines[1].split()) != 2 or not lines[1].startswith("dialect "):
         raise GenericError("missing dialect line")
     dialect = lines[1].split()[1]
     body, at = section(lines, 2, "points", GenericError)
-    pts = [Point(parse_level(level), int(xi)) for level, xi in numbered(body, GenericError, 2)]
+    pts = grid_points(body, GenericError)
     body, at = section(lines, at, "order", GenericError)
     rel = {tuple(index_pair(pts, line, GenericError)) for line in body}
     body, at = section(lines, at, "meets", GenericError)
@@ -365,49 +351,60 @@ def sposet_check(T: FinitePoset, budget: int) -> SposetReport:
     partition: List[str] = []
     level_order: List[str] = []
     meet_witness: List[str] = []
+    core = T.core()
+    pts, index, up, down = core.pts, core.index, core.up, core.down
 
     seen: Set[Tuple[Level, int]] = set()
-    for x in T.sorted_points():
+    for x in pts:
         if x.xi < 0:
             partition.append(f"negative column: {x}")
         key = (x.level, x.xi)
         if key in seen:
             partition.append(f"duplicate grid slot: {x}")
         seen.add(key)
-    for s, t in T.strict:
-        if s == t:
-            partition.append(f"reflexive strict pair: {s}")
-        if (t, s) in T.strict:
-            partition.append(f"two-cycle: {s} / {t}")
-    for s, t in T.strict:
-        for u in T.points:
-            if (t, u) in T.strict and (s, u) not in T.strict:
-                partition.append(f"not transitive: {s} < {t} < {u}")
+    # findings follow the iteration order of the strict set itself
+    ids = [(index[s], index[t]) for s, t in T.strict]
+    for i, j in ids:
+        if i == j:
+            partition.append(f"reflexive strict pair: {pts[i]}")
+        if up[j] >> i & 1:
+            partition.append(f"two-cycle: {pts[i]} / {pts[j]}")
+    for i, j in ids:
+        missed = up[j] & ~up[i]
+        if missed:
+            for u in T.points:
+                if missed >> index[u] & 1:
+                    partition.append(f"not transitive: {pts[i]} < {pts[j]} < {u}")
 
-    for s, t in sorted(T.strict, key=lambda st: (point_key(st[0]), point_key(st[1]))):
-        if not level_lt(s.level, t.level):
-            level_order.append(f"order does not climb levels: {s} < {t}")
+    for i, j in core.strict_pairs():
+        if not level_lt(pts[i].level, pts[j].level):
+            level_order.append(f"order does not climb levels: {pts[i]} < {pts[j]}")
 
-    for s, t in T.pairs():
-        value = T.meet(s, t)
-        if value is None:
-            meet_witness.append(f"no recorded meet for {s}, {t}")
-            continue
-        for v in value:
-            if not (T.le(v, s) and T.le(v, t)):
-                meet_witness.append(f"meet point {v} of {s}, {t} is not below both")
-        for u in T.sorted_points():
-            below_both = T.le(u, s) and T.le(u, t)
-            witnessed = any(T.le(u, v) for v in value)
-            if below_both != witnessed:
-                meet_witness.append(
-                    f"meet axiom fails at {u} for pair {s}, {t}"
-                )
-                break
+    below, table = core.below(), T.meet_table()
+    for i, s in enumerate(pts):
+        for j in range(i + 1, len(pts)):
+            t = pts[j]
+            value = table.get((s, t))
+            if value is None:
+                meet_witness.append(f"no recorded meet for {s}, {t}")
+                continue
+            common = below[i] & below[j]
+            covered = 0
+            for v in value:
+                k = index.get(v)
+                if k is None or not common >> k & 1:
+                    meet_witness.append(f"meet point {v} of {s}, {t} is not below both")
+                if k is not None:
+                    covered |= below[k]
+            missed = common ^ covered
+            if missed:
+                u = pts[(missed & -missed).bit_length() - 1]
+                meet_witness.append(f"meet axiom fails at {u} for pair {s}, {t}")
 
     density: List[Tuple[Level, Point, int]] = []
     for level, tgt in dict.fromkeys(T.targeted):
-        count = sum(1 for s in T.points_at(level) if T.lt(s, tgt))
+        k = index.get(tgt)
+        count = 0 if k is None else (core.levels.get(level, 0) & down[k]).bit_count()
         density.append((level, tgt, count))
 
     return SposetReport(
@@ -438,20 +435,25 @@ class SkeletonReport:
 def skeleton_check(T: FinitePoset, levels: Sequence[Ordinal]) -> SkeletonReport:
     """Bone-level test per level: same-level meets are empty, and every
     strict lower bound of a next-level point is routed through the level."""
+    core = T.core()
+    pts, below, down, table = core.pts, core.below(), core.down, T.meet_table()
     verdicts: List[Tuple[Ordinal, Tuple[str, ...]]] = []
     for gamma in sorted(set(levels)):
         found: List[str] = []
-        rank = T.points_at(gamma)
-        for s, t in itertools.combinations(rank, 2):
-            value = T.meet(s, t)
+        rank = core.levels.get(gamma, 0)
+        for s, t in itertools.combinations(core.members(rank), 2):
+            value = table.get((s, t))
             if value:
                 found.append(f"same-level-meet: {s}, {t} -> {sorted(value, key=point_key)}")
-        for x in T.points_at(gamma + ONE):
-            for y in T.sorted_points():
-                if not T.lt(y, x):
-                    continue
-                if not any(T.le(y, z) and T.lt(z, x) for z in rank):
-                    found.append(f"interpolant: no route for {y} < {x} through level {gamma}")
+        for k in bits(core.levels.get(gamma + ONE, 0)):
+            # y < x is routed when y <= z < x for some z on the level
+            routed = 0
+            for z in bits(rank & down[k]):
+                routed |= below[z]
+            for y in bits(down[k] & ~routed):
+                found.append(
+                    f"interpolant: no route for {pts[y]} < {pts[k]} through level {gamma}"
+                )
         verdicts.append((gamma, tuple(found)))
     return SkeletonReport(tuple(verdicts))
 

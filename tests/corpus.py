@@ -236,18 +236,43 @@ def damaged_documents(text, indexed_section):
     parser must refuse with a typed error: every proper prefix (so some
     section is shorter than its declared count, or missing), a misnumbered
     first point line, and the first line of `indexed_section` pointing past
-    the last point or below the first."""
+    the last point or below the first.  Where point lines read `i level
+    column`, also a non-integer column; where a `params` line exists, also
+    one entry without its `=`."""
     lines = text.splitlines()
     out = ["\n".join(lines[:k]) + "\n" for k in range(1, len(lines))]
 
     def edited(at, line):
         return "\n".join(lines[:at] + [line] + lines[at + 1 :]) + "\n"
 
-    at = next(i for i, ln in enumerate(lines) if ln.startswith("points "))
-    npts = int(lines[at].split()[1])
-    out.append(edited(at + 1, "1 " + lines[at + 1].split(" ", 1)[1]))
+    points = next(i for i, ln in enumerate(lines) if ln.startswith("points "))
+    npts = int(lines[points].split()[1])
+    out.append(edited(points + 1, "1 " + lines[points + 1].split(" ", 1)[1]))
     at = next(i for i, ln in enumerate(lines) if ln.startswith(indexed_section + " "))
     for bad in (str(npts), "-1"):
         out.append(edited(at + 1, lines[at + 1].rsplit(" ", 1)[0] + " " + bad))
+    row = lines[points + 1].split()
+    if len(row) == 3:
+        out.append(edited(points + 1, f"{row[0]} {row[1]} x"))
+    params = next((i for i, ln in enumerate(lines) if ln.startswith("params ")), None)
+    if params is not None:
+        out.append(edited(params, lines[params].replace("=", "", 1)))
     return out
 
+
+def damaged_schedules(text):
+    """Damaged copies of a schedule document that `schedule_from_text` must
+    refuse with a typed error: every proper prefix, the first `below` line
+    short of its last field, and a non-integer seed and column."""
+    lines = text.splitlines()
+    out = ["\n".join(lines[:k]) + "\n" for k in range(1, len(lines))]
+
+    def edited(at, line):
+        return "\n".join(lines[:at] + [line] + lines[at + 1 :]) + "\n"
+
+    below = next(i for i, ln in enumerate(lines) if ln.startswith("below "))
+    out.append(edited(below, lines[below].rsplit(" ", 1)[0]))
+    out.append(edited(below, lines[below].rsplit(" ", 1)[0] + " x"))
+    seed = next(i for i, ln in enumerate(lines) if ln.startswith("seed "))
+    out.append(edited(seed, "seed x"))
+    return out

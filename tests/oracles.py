@@ -350,3 +350,268 @@ def naive_cb(points, subbase):
         levels.append(frozenset(isolated))
         current = current - isolated
     return levels, current
+
+
+# --- set-based order checks ----------------------------------------------------
+#
+# The package answers order queries from int masks over the points sorted by
+# point_key.  These oracles read only the raw fields (points, strict, meets)
+# and test membership of point pairs in the strict set, as the package did
+# before it had the mask core.  Results must match it list for list.
+
+
+def _raw_le(p, s, t):
+    return (s == t and s in p.points) or (s, t) in p.strict
+
+
+def _raw_meet(p, s, t, missing):
+    return dict(p.meets).get((s, t) if s._key <= t._key else (t, s), missing)
+
+
+def _raw_pairs(p):
+    return list(itertools.combinations(sorted(p.points, key=lambda x: x._key), 2))
+
+
+def _sorted_strict(p):
+    return sorted(p.strict, key=lambda st: (st[0]._key, st[1]._key))
+
+
+def naive_validate(p, tree, F=None):
+    """`conditions.validate` by point-pair membership tests, no masks."""
+    from scatterlab.conditions import ConditionError, Violation, level_lt, point_key
+    from scatterlab.conditions import _marker_membership, _tree_orbit, _tree_split
+
+    params = tree.params
+    out = []
+    pts = sorted(p.points, key=point_key)
+
+    def le(s, t):
+        return _raw_le(p, s, t)
+
+    def meet(s, t):
+        return _raw_meet(p, s, t, frozenset())
+
+    if len(p.points) > params.size_cap:
+        out.append(
+            Violation("size-cap", (), f"{len(p.points)} points exceed cap {params.size_cap}")
+        )
+    for s in pts:
+        if s.is_top:
+            if not 0 <= s.xi < params.lambda_w:
+                out.append(Violation("grid", (s,), f"top column {s.xi} out of range"))
+        else:
+            if not s.level < params.eta:
+                out.append(Violation("grid", (s,), f"level {s.level} not below {params.eta}"))
+            elif not 0 <= s.xi < params.kappa_w:
+                out.append(Violation("grid", (s,), f"column {s.xi} out of range"))
+    for s, t in _sorted_strict(p):
+        if not level_lt(s.level, t.level):
+            out.append(Violation("level-monotone", (s, t), "related points must climb levels"))
+    for s, t in _raw_pairs(p):
+        value = meet(s, t)
+        common = {x for x in pts if le(x, s) and le(x, t)}
+        covered = {x for x in pts if any(le(x, v) for v in value)}
+        if common != covered:
+            missed = sorted(common ^ covered, key=point_key)
+            out.append(
+                Violation(
+                    "meet-axiom",
+                    (s, t),
+                    f"lower-bound set mismatch at {{{', '.join(str(x) for x in missed)}}}",
+                )
+            )
+        if p.dialect == "kappa" and len(value) > 1:
+            out.append(Violation("meet-arity", (s, t), f"{len(value)} meet points"))
+
+    if p.dialect == "kappa":
+        for s, t in _raw_pairs(p):
+            if le(s, t) or le(t, s) or not any(le(x, s) and le(x, t) for x in p.points):
+                continue
+            for v in meet(s, t):
+                if v.is_top:
+                    out.append(Violation("meet-location", (s, t), "meet point at the top level"))
+                    continue
+                beta = v.level
+                if not s.is_top and not t.is_top:
+                    ok = beta in _tree_orbit(tree, s.level) and beta in _tree_orbit(tree, t.level)
+                    why = "below both paths" if ok else f"{beta} outside orbit overlap"
+                elif s.is_top and t.is_top:
+                    if F is None:
+                        raise ConditionError("top-top meet check needs the pair coloring F")
+                    bound = F.value(s.xi, t.xi)
+                    ok = beta < bound and _marker_membership(tree, beta)
+                    why = f"{beta} not a root marker below F value {bound}" if not ok else ""
+                else:
+                    ordinary = t if s.is_top else s
+                    ok = beta in _tree_orbit(tree, ordinary.level) and _marker_membership(
+                        tree, beta
+                    )
+                    why = f"{beta} not a shared root marker on the path" if not ok else ""
+                if not ok:
+                    out.append(Violation("meet-location", (s, t), why))
+        for s, t in _sorted_strict(p):
+            if s.is_top or not level_lt(s.level, t.level):
+                continue
+            beta = params.eta if t.is_top else t.level
+            lam = _tree_split(tree, s.level, beta)
+            if not (lam.lo < s.level and lam.hi <= beta):
+                continue
+            if not any(
+                not u.is_top and u.level == lam.hi and le(s, u) and le(u, t) for u in p.points
+            ):
+                out.append(
+                    Violation(
+                        "isolation-interpolant",
+                        (s, t),
+                        f"split interval {lam} isolates but no point sits at {lam.hi}",
+                    )
+                )
+        return out
+
+    for s, t in _raw_pairs(p):
+        if s.is_top and t.is_top:
+            for v in meet(s, t):
+                if F is None:
+                    raise ConditionError("top-top meet check needs the pair coloring F")
+                bound = F.value(s.xi, t.xi)
+                if v.is_top or not v.level < bound:
+                    out.append(
+                        Violation("top-meet-bound", (s, t), f"meet point {v} not below F value {bound}")
+                    )
+        elif not s.is_top and not t.is_top and s.level == t.level:
+            if meet(s, t):
+                out.append(Violation("same-level-meet", (s, t), "same-level pairs meet nothing"))
+    for s, t in _sorted_strict(p):
+        if t.is_top or not t.level.is_successor:
+            continue
+        prior = t.level.predecessor()
+        if not any(
+            not u.is_top and u.level == prior and le(s, u) and (u, t) in p.strict
+            for u in p.points
+        ):
+            out.append(
+                Violation("successor-interpolant", (s, t), f"no point at {prior} between {s} and {t}")
+            )
+    return out
+
+
+def naive_sposet_check(T, budget):
+    """`generic.sposet_check` by point-pair membership tests, no masks."""
+    from scatterlab.conditions import level_lt, point_key
+    from scatterlab.generic import SposetReport
+
+    def le(s, t):
+        return _raw_le(T, s, t)
+
+    pts = sorted(T.points, key=point_key)
+    partition, level_order, meet_witness = [], [], []
+    seen = set()
+    for x in pts:
+        if x.xi < 0:
+            partition.append(f"negative column: {x}")
+        if (x.level, x.xi) in seen:
+            partition.append(f"duplicate grid slot: {x}")
+        seen.add((x.level, x.xi))
+    for s, t in T.strict:
+        if s == t:
+            partition.append(f"reflexive strict pair: {s}")
+        if (t, s) in T.strict:
+            partition.append(f"two-cycle: {s} / {t}")
+    for s, t in T.strict:
+        for u in T.points:
+            if (t, u) in T.strict and (s, u) not in T.strict:
+                partition.append(f"not transitive: {s} < {t} < {u}")
+    for s, t in _sorted_strict(T):
+        if not level_lt(s.level, t.level):
+            level_order.append(f"order does not climb levels: {s} < {t}")
+    for s, t in _raw_pairs(T):
+        value = _raw_meet(T, s, t, None)
+        if value is None:
+            meet_witness.append(f"no recorded meet for {s}, {t}")
+            continue
+        for v in value:
+            if not (le(v, s) and le(v, t)):
+                meet_witness.append(f"meet point {v} of {s}, {t} is not below both")
+        for u in pts:
+            if (le(u, s) and le(u, t)) != any(le(u, v) for v in value):
+                meet_witness.append(f"meet axiom fails at {u} for pair {s}, {t}")
+                break
+    density = []
+    for level, tgt in dict.fromkeys(T.targeted):
+        count = sum(1 for s in T.points if s.level == level and (s, tgt) in T.strict)
+        density.append((level, tgt, count))
+    return SposetReport(
+        tuple(partition), tuple(level_order), tuple(meet_witness), tuple(density), budget
+    )
+
+
+def naive_skeleton_check(T, levels):
+    """`generic.skeleton_check` by point-pair membership tests, no masks."""
+    from scatterlab.conditions import point_key
+    from scatterlab.generic import SkeletonReport
+    from scatterlab.ordinals import ONE
+
+    def at(level):
+        return sorted((x for x in T.points if x.level == level), key=point_key)
+
+    verdicts = []
+    for gamma in sorted(set(levels)):
+        found = []
+        rank = at(gamma)
+        for s, t in itertools.combinations(rank, 2):
+            value = _raw_meet(T, s, t, None)
+            if value:
+                found.append(f"same-level-meet: {s}, {t} -> {sorted(value, key=point_key)}")
+        for x in at(gamma + ONE):
+            for y in sorted(T.points, key=point_key):
+                if (y, x) not in T.strict:
+                    continue
+                if not any(_raw_le(T, y, z) and (z, x) in T.strict for z in rank):
+                    found.append(f"interpolant: no route for {y} < {x} through level {gamma}")
+        verdicts.append((gamma, tuple(found)))
+    return SkeletonReport(tuple(verdicts))
+
+
+def naive_transitive_closure(points, rel):
+    """The closed strict set of the pairs `rel` over `points`, by adding
+    composites until none is new; refuses unknown points and cycles as
+    `make_condition` does (a cycle through the first of its points in
+    `points` order)."""
+    from scatterlab.conditions import ConditionError
+
+    adj = {p: set() for p in points}
+    for s, t in rel:
+        if s not in adj or t not in adj:
+            raise ConditionError(f"order pair ({s}, {t}) mentions unknown points")
+        adj[s].add(t)
+    changed = True
+    while changed:
+        changed = False
+        for s in points:
+            extra = set()
+            for t in adj[s]:
+                extra |= adj[t] - adj[s]
+            if extra:
+                adj[s] |= extra
+                changed = True
+    for s in points:
+        if s in adj[s]:
+            raise ConditionError(f"order cycle through {s}")
+    return frozenset((s, t) for s in points for t in adj[s])
+
+
+def naive_complete_meets(points, strict):
+    """The forced meet of every pair of a transitively closed order: the
+    lower point of a comparable pair, else the maximal common lower bounds."""
+    out = {}
+    for s, t in itertools.combinations(sorted(points, key=lambda x: x._key), 2):
+        if (s, t) in strict:
+            out[(s, t)] = frozenset({s})
+        elif (t, s) in strict:
+            out[(s, t)] = frozenset({t})
+        else:
+            common = {x for x in points if (x, s) in strict and (x, t) in strict}
+            out[(s, t)] = frozenset(
+                x for x in common if not any((x, y) in strict for y in common)
+            )
+    return out

@@ -10,7 +10,14 @@ from scatterlab.generic import poset_from_text
 from scatterlab.intervals import IntervalTree
 from scatterlab.unbounded import load as load_table
 
-from .corpus import damaged_documents, kappa_instance, kappa_tree, omega_instance, omega_tree
+from .corpus import (
+    damaged_documents,
+    damaged_schedules,
+    kappa_instance,
+    kappa_tree,
+    omega_instance,
+    omega_tree,
+)
 
 
 def run(capsys, *argv):
@@ -219,6 +226,15 @@ def test_simulate_fails_starved_budget(tmp_path, capsys):
                        "--budget-n", "2")
     assert code == 1
     assert "FAILED" in out
+
+
+def test_simulate_damaged_schedule_is_a_clean_error(tmp_path, capsys):
+    sched = tmp_path / "sched.txt"
+    for text in damaged_schedules(SCHEDULE):
+        sched.write_text(text)
+        code, _, err = run(capsys, "simulate", "--schedule", str(sched))
+        assert code == 2
+        assert err.startswith("error: GenericError")
 
 
 # --- analyze -----------------------------------------------------------------------

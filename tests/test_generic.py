@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from .corpus import damaged_documents, flat_F
+from .corpus import damaged_documents, damaged_schedules, flat_F
 from scatterlab.conditions import TOP, Point, _pair_key, leq, validate
 from scatterlab.generic import (
     CardinalProfile,
@@ -160,6 +160,17 @@ def test_schedule_text_rejects_garbage():
         schedule_from_text(
             "# scatterlab-fmt 1 schedule\nseed 0\nsteps 1\nfrobnicate TOP 0\n"
         )
+
+
+def test_schedule_from_text_refuses_damaged_documents():
+    steps = [
+        RealizePoint(TOP, 0),
+        PredecessorBelow(Point(TOP, 0), parse("w*2"), 0),
+        PredecessorBelow(Point(TOP, 0), W, 1),
+    ]
+    for bad in damaged_schedules(schedule_to_text(Schedule(tuple(steps)))):
+        with pytest.raises(GenericError):
+            schedule_from_text(bad)
 
 
 def test_density_budget_met(tree, F):

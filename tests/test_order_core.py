@@ -1,0 +1,173 @@
+"""The mask-based order core against the set-based oracles.
+
+`validate`, `sposet_check`, `skeleton_check`, and the closure and forced
+meets of `make_condition` answer from int masks over the sorted points.  On random small conditions, on mutated ones and on raw posets that
+are neither transitive nor antisymmetric, they must return exactly what the
+oracles in `tests/oracles.py` return, message text and order included.
+"""
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from scatterlab.conditions import TOP, ConditionError, Point, make_condition, point_key, validate
+from scatterlab.generic import FinitePoset, skeleton_check, sposet_check
+from scatterlab.intervals import TreeError
+
+from .corpus import drop_meet, drop_witness, flat_F, kappa_tree, omega_tree, walk_condition
+from .oracles import (
+    naive_complete_meets,
+    naive_skeleton_check,
+    naive_sposet_check,
+    naive_transitive_closure,
+    naive_validate,
+)
+
+TREES = {"kappa": kappa_tree(), "omega": omega_tree()}
+FS = {d: flat_F(t, t.params.lambda_w, 12) for d, t in TREES.items()}
+
+
+def outcome(fn, *args):
+    """The result, or the type and text of the error it raised."""
+    try:
+        return fn(*args)
+    except (ConditionError, TreeError) as err:
+        return type(err).__name__, str(err)
+
+
+def levels_of(tree):
+    """Marker levels, successor levels just above them, eta (off the grid)
+    and the top."""
+    eps = tree.root_eps()[:6]
+    return list(eps) + [e + 1 for e in eps[:4]] + [e + 2 for e in eps[1:3]] + [tree.params.eta, TOP]
+
+
+@st.composite
+def raw_points(draw, tree, max_size=7):
+    """Distinct points, some off the grid: a column at the width cap, or
+    level eta."""
+    levels = levels_of(tree)
+    cells = st.tuples(st.sampled_from(range(len(levels))), st.integers(0, 3))
+    picked = draw(st.lists(cells, min_size=1, max_size=max_size, unique=True))
+    return [Point(levels[i], xi) for i, xi in picked]
+
+
+@st.composite
+def conditions(draw, dialect):
+    """A condition over random points: an acyclic order of random density
+    along a random permutation (so pairs may go down a level), forced
+    meets, and then a few meet entries dropped, extended or replaced."""
+    tree = TREES[dialect]
+    pts = draw(raw_points(tree))
+    perm = draw(st.permutations(range(len(pts))))
+    n = len(pts)
+    density = draw(st.integers(1, 6))
+    rel = {
+        (pts[perm[a]], pts[perm[b]])
+        for a in range(n)
+        for b in range(a + 1, n)
+        if draw(st.integers(0, 9)) < density
+    }
+    cond = make_condition(dialect, pts, rel, complete=True)
+    table = dict(cond.meets)
+    keys = [k for k, _ in cond.meets]
+    for _ in range(draw(st.integers(0, 3)) if keys else 0):
+        key = draw(st.sampled_from(keys))
+        kind = draw(st.sampled_from(["drop", "extra", "replace"]))
+        if kind == "drop":
+            table[key] = frozenset()
+        else:
+            extra = frozenset(draw(st.lists(st.sampled_from(pts), min_size=1, max_size=2)))
+            table[key] = (table[key] | extra) if kind == "extra" else extra
+    return make_condition(dialect, pts, cond.strict, table)
+
+
+def agree(cond):
+    tree, F = TREES[cond.dialect], FS[cond.dialect]
+    assert outcome(validate, cond, tree, F) == outcome(naive_validate, cond, tree, F)
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(["kappa", "omega"]).flatmap(conditions))
+def test_validate_matches_oracle_on_random_conditions(cond):
+    agree(cond)
+
+
+@settings(max_examples=40)
+@given(st.sampled_from(["kappa", "omega"]), st.integers(0, 10**6))
+def test_validate_matches_oracle_on_walks_and_their_mutants(dialect, seed):
+    rng = random.Random(seed)
+    tree = TREES[dialect]
+    cond = walk_condition(tree, dialect, rng, steps=rng.randint(1, 5))
+    agree(cond)
+    for mutant in (drop_meet(cond, rng), drop_witness(cond, tree, rng)):
+        if mutant is not None:
+            agree(mutant)
+
+
+@settings(max_examples=100)
+@given(st.sampled_from(["kappa", "omega"]).flatmap(conditions))
+def test_forced_meets_match_oracle(cond):
+    completed = make_condition(cond.dialect, cond.points, cond.strict, complete=True)
+    assert dict(completed.meets) == naive_complete_meets(cond.points, cond.strict)
+
+
+@settings(max_examples=100)
+@given(raw_points(TREES["kappa"]), st.data())
+def test_closure_matches_oracle(pts, data):
+    """Any generating pairs, cycles included: the same closed order, or the
+    same refusal."""
+    pair = st.tuples(st.sampled_from(pts), st.sampled_from(pts))
+    rel = data.draw(st.lists(pair, max_size=10))
+    closed = outcome(lambda: make_condition("kappa", pts, rel).strict)
+    assert closed == outcome(naive_transitive_closure, frozenset(pts), rel)
+
+
+@st.composite
+def raw_posets(draw):
+    """A FinitePoset straight from raw parts: any strict pairs (reflexive,
+    two-cycles, not transitive, going down a level), meets missing for some
+    pairs, and targeted pairs at any level."""
+    tree = TREES["kappa"]
+    pts = sorted(draw(raw_points(tree, max_size=6)), key=point_key)
+    n = len(pts)
+    index = st.integers(0, n - 1)
+    strict = {(pts[a], pts[b]) for a, b in draw(st.lists(st.tuples(index, index), max_size=14))}
+    meets = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            if draw(st.integers(0, 5)):
+                meets[(pts[i], pts[j])] = frozenset(
+                    pts[k] for k in draw(st.lists(index, max_size=2))
+                )
+    targeted = [
+        (pts[a].level, pts[b]) for a, b in draw(st.lists(st.tuples(index, index), max_size=3))
+    ]
+    return FinitePoset("kappa", pts, strict, meets, targeted)
+
+
+@settings(max_examples=200)
+@given(raw_posets(), st.integers(0, 4))
+def test_sposet_check_matches_oracle_on_raw_posets(T, budget):
+    assert sposet_check(T, budget) == naive_sposet_check(T, budget)
+
+
+@settings(max_examples=200)
+@given(raw_posets())
+def test_skeleton_check_matches_oracle_on_raw_posets(T):
+    levels = sorted({x.level for x in T.points if not x.is_top})
+    assert skeleton_check(T, levels) == naive_skeleton_check(T, levels)
+
+
+def test_poset_order_queries_keep_raw_semantics():
+    """Masks come from the raw strict set: no closure, no antisymmetry,
+    and a missing meet entry reads None."""
+    a, b, c = Point(TOP, 0), Point(TOP, 1), Point(TOP, 2)
+    T = FinitePoset("kappa", [a, b, c], {(a, b), (b, a), (b, c)}, {})
+    assert T.lt(a, b) and T.lt(b, a) and T.lt(b, c) and not T.lt(a, c)
+    assert T.le(a, a) and not T.le(a, c)
+    assert T.meet(a, b) is None
+    assert T.down(c) == {b, c}
+    outside = Point(TOP, 3)
+    assert not T.le(outside, outside) and not T.lt(outside, a)
