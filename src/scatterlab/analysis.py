@@ -13,7 +13,7 @@ below w^w, where the derivative sequence is computable exactly."""
 from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
-from .conditions import _indexed, _numbered, _section
+from . import fmt
 from .generic import FinitePoset
 from .ordinals import (
     ONE,
@@ -269,19 +269,17 @@ def space_to_text(space: FiniteSpace) -> str:
     for s in space.subbase:
         ids = " ".join(str(k) for k in sorted(index[x] for x in s))
         lines.append(f": {ids}".rstrip())
-    return "\n".join(lines) + "\n"
+    return fmt.text(lines)
 
 
 def space_from_text(text: str) -> FiniteSpace:
     """Reads a space document; points come back as their string labels."""
-    lines = [ln.rstrip("\n") for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != FORMAT_HEADER_SPACE:
-        raise AnalysisError(f"missing header {FORMAT_HEADER_SPACE!r}")
-    body, at = _section(lines, 1, "points", AnalysisError)
-    pts = _numbered(body, AnalysisError)
-    body, _ = _section(lines, at, "subbase", AnalysisError)
+    lines = fmt.document_lines(text, FORMAT_HEADER_SPACE, AnalysisError)
+    body, at = fmt.section(lines, 1, "points", AnalysisError)
+    pts = fmt.numbered(body, AnalysisError)
+    body, _ = fmt.section(lines, at, "subbase", AnalysisError)
     subbase = []
     for line in body:
         _, _, right = line.partition(":")
-        subbase.append(frozenset(_indexed(pts, right.split(), AnalysisError)))
+        subbase.append(frozenset(fmt.indexed(pts, right.split(), AnalysisError)))
     return FiniteSpace(frozenset(pts), tuple(subbase))

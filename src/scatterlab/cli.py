@@ -10,12 +10,14 @@ Documents written anywhere carry a `# scatterlab-fmt` header line.
 """
 
 import argparse
+import itertools
 import os
 import random
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from . import fmt
 from .amalgam import (
     AmalgamError,
     amalgamate_eta,
@@ -43,11 +45,11 @@ from .conditions import (
     condition_to_text,
     extend_below,
     leq,
+    level_token,
     make_condition,
+    parse_level,
     validate,
 )
-from .conditions import _level_token as level_token
-from .conditions import _parse_level as parse_level
 from .generic import (
     GenericError,
     Schedule,
@@ -60,7 +62,7 @@ from .generic import (
     sposet_check,
 )
 from .intervals import IntervalTree, Params, TreeError, tree_axiom_report
-from .ordinals import OrdinalError, parse as parse_ordinal
+from .ordinals import Ordinal, OrdinalError, parse as parse_ordinal
 from .unbounded import (
     BlowupGuardError,
     FamilyError,
@@ -113,7 +115,15 @@ def _point(token: str) -> Point:
     level, _, xi = token.rpartition(":")
     if not level:
         raise ConditionError(f"point {token!r} is not LEVEL:XI")
-    return Point(parse_level(level), int(xi))
+    return Point(parse_level(level), fmt.integer(xi, "column", ConditionError))
+
+
+def _marker(eps: Sequence, token) -> Ordinal:
+    """The root marker at index `token` (an int or its text)."""
+    k = fmt.integer(token, "marker index", FamilyError)
+    if not 0 <= k < len(eps):
+        raise FamilyError(f"marker index {k} out of range for {len(eps)} markers")
+    return eps[k]
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -137,7 +147,7 @@ def cmd_tree(args) -> int:
     for name in sorted(report.checks):
         lines.append(f"check {name} {report.checks[name]}")
     lines.extend(f"failure {f}" for f in report.failures)
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(fmt.text(lines), args.out)
     return 0 if report.ok else 1
 
 
@@ -156,7 +166,7 @@ def cmd_orbit(args) -> int:
         j, J = tree.j_and_J(alpha, beta)
         lines.append(f"split-depth {j if j is not None else 'none'}")
         lines.append(f"J {J}")
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(fmt.text(lines), args.out)
     return 0
 
 
@@ -166,7 +176,7 @@ def cmd_orbit(args) -> int:
 def cmd_unbounded_gen(args) -> int:
     tree = IntervalTree(_params(args))
     eps = tree.root_eps()
-    probes = [(m, nu, [eps[g]]) for m, nu, g in (args.probe or [])]
+    probes = [(m, nu, [_marker(eps, g)]) for m, nu, g in (args.probe or [])]
     try:
         F = f_generate(
             tree.params, eps, strategy=args.strategy, seed=args.seed, probes=probes
@@ -182,13 +192,15 @@ def cmd_unbounded_verify(args) -> int:
     tree = IntervalTree(_params(args))
     eps = tree.root_eps()
     F = load_table(args.table, eps)
+    gamma = _marker(eps, args.gamma)
     family = [
-        frozenset(int(tok) for tok in part.split(",")) for part in args.family.split(";")
+        frozenset(fmt.integer(tok, "family index", FamilyError) for tok in part.split(","))
+        for part in args.family.split(";")
     ]
-    outcome = star_verify(F, eps[args.gamma], family)
+    outcome = star_verify(F, gamma, family)
     lines = [
         REPORT_HEADER,
-        f"verify gamma {eps[args.gamma]}",
+        f"verify gamma {gamma}",
         f"pairs-checked {outcome.pairs_checked}",
     ]
     if outcome.ok:
@@ -201,7 +213,7 @@ def cmd_unbounded_verify(args) -> int:
         )
     else:
         lines.append("witness none")
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(fmt.text(lines), args.out)
     return 0 if outcome.ok else 1
 
 
@@ -210,7 +222,7 @@ def cmd_unbounded_search(args) -> int:
     eps = tree.root_eps()
     F = load_table(args.table, eps)
     gammas = (
-        [eps[int(tok)] for tok in args.gammas.split(",")]
+        [_marker(eps, tok) for tok in args.gammas.split(",")]
         if args.gammas
         else list(eps[:-1])
     )
@@ -229,7 +241,7 @@ def cmd_unbounded_search(args) -> int:
         family, gamma = result.counterexample
         fam = " ".join("{" + ",".join(map(str, sorted(a))) + "}" for a in family)
         lines.append(f"counterexample {fam} at {gamma}")
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(fmt.text(lines), args.out)
     return 0 if result.ok else 1
 
 
@@ -250,7 +262,7 @@ def cmd_validate(args) -> int:
         lines.extend(f"violation {v}" for v in found)
     else:
         lines.append("valid")
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(fmt.text(lines), args.out)
     return 1 if found else 0
 
 
@@ -324,7 +336,8 @@ def cmd_amalgamate(args) -> int:
 # --- simulation --------------------------------------------------------------------
 
 
-def _check_report(T, budget: int) -> str:
+def _check_report(T, budget: int) -> Tuple[str, bool]:
+    """The check report of a run, and whether every sposet clause held."""
     rep = sposet_check(T, budget)
     lines = [REPORT_HEADER, f"sposet budget={budget}"]
     for name, findings in (
@@ -348,7 +361,7 @@ def _check_report(T, budget: int) -> str:
         lines.append(f"profile {cardinal_profile(T)}")
     else:
         lines.append("profile refused")
-    return "\n".join(lines) + "\n"
+    return fmt.text(lines), rep.ok
 
 
 def cmd_simulate(args) -> int:
@@ -365,20 +378,13 @@ def cmd_simulate(args) -> int:
     except GenericError as err:
         print(f"simulation failed: {err}", file=sys.stderr)
         return 1
-    report = _check_report(T, args.budget_n)
+    report, ok = _check_report(T, args.budget_n)
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "runs").mkdir(exist_ok=True)
-        (out / "reports").mkdir(exist_ok=True)
-        (out / "runs" / "poset.txt").write_text(poset_to_text(T))
-        (out / "reports" / "checks.txt").write_text(report)
+        _emit(poset_to_text(T), os.path.join(args.out, "runs", "poset.txt"))
+        _emit(report, os.path.join(args.out, "reports", "checks.txt"))
     else:
-        sys.stdout.write(poset_to_text(T))
-        sys.stdout.write("\n")
-        sys.stdout.write(report)
-    rep = sposet_check(T, args.budget_n)
-    return 0 if rep.ok else 1
+        sys.stdout.write(poset_to_text(T) + "\n" + report)
+    return 0 if ok else 1
 
 
 # --- analysis ---------------------------------------------------------------------
@@ -394,7 +400,7 @@ def _render_level_report(rep: LevelReport, label: str) -> str:
     lines.append(
         "residual" + (" " + " ".join(str(x) for x in rep.residual) if rep.residual else "")
     )
-    return "\n".join(lines) + "\n"
+    return fmt.text(lines)
 
 
 def _render_ordinal_levels(rep: OrdinalLevels) -> str:
@@ -407,7 +413,7 @@ def _render_ordinal_levels(rep: OrdinalLevels) -> str:
         lines.append(f"{e} {tag}{suffix}")
     lines.append(f"height {rep.height}")
     lines.append(f"ht-minus {rep.ht_minus}")
-    return "\n".join(lines) + "\n"
+    return fmt.text(lines)
 
 
 def cmd_analyze(args) -> int:
@@ -442,7 +448,7 @@ def cmd_analyze(args) -> int:
 # --- pipeline ---------------------------------------------------------------------
 
 
-def _pair_instance(tree: IntervalTree, rng: random.Random):
+def pair_instance(tree: IntervalTree, rng: random.Random):
     """One seeded pair of root-sharing kappa conditions plus push levels.
 
     Root points sit at low markers, each member adds at most one point
@@ -484,8 +490,9 @@ def _pair_instance(tree: IntervalTree, rng: random.Random):
         elif shape == "chained-top":
             r += [(u1, t), (u2, t), (s, t)]
         elif shape == "shared-top":
+            # member point under both tops; tops share every lower bound
             r += [(u1, t), (u2, t), (s, t), (s, z_shared)]
-        else:
+        else:  # one-anchor: top sits over u1 alone
             r.append((u1, t))
         return make_condition("kappa", pts, r, complete=True)
 
@@ -500,19 +507,10 @@ def cmd_pipeline(args) -> int:
     for sub in ("tree", "F", "conditions", "runs", "reports"):
         (corpus / sub).mkdir(parents=True, exist_ok=True)
 
-    (corpus / "tree" / "tree.txt").write_text(
-        TREE_HEADER + "\n" + tree.dump(2) + "\n"
-    )
+    (corpus / "tree" / "tree.txt").write_text(fmt.text([TREE_HEADER, tree.dump(2)]))
     if args.f_const is not None:
-        F = UnboundedFn(
-            params.lambda_w,
-            eps,
-            {
-                (i, j): args.f_const
-                for i in range(params.lambda_w)
-                for j in range(i + 1, params.lambda_w)
-            },
-        )
+        pairs = itertools.combinations(range(params.lambda_w), 2)
+        F = UnboundedFn(params.lambda_w, eps, dict.fromkeys(pairs, args.f_const))
         f_label = f"const:{args.f_const}"
     else:
         F = f_generate(params, eps, strategy="greedy", seed=args.seed)
@@ -525,13 +523,10 @@ def cmd_pipeline(args) -> int:
 
     for i in range(args.count):
         rng = random.Random(args.seed * 1_000_003 + i)
-        r_nu, r_mu, zn, zm = _pair_instance(tree, rng)
-        (corpus / "conditions" / f"pair_{i:03d}_a.txt").write_text(
-            condition_to_text(r_nu, params)
-        )
-        (corpus / "conditions" / f"pair_{i:03d}_b.txt").write_text(
-            condition_to_text(r_mu, params)
-        )
+        r_nu, r_mu, zn, zm = pair_instance(tree, rng)
+        for side, member in (("a", r_nu), ("b", r_mu)):
+            path = corpus / "conditions" / f"pair_{i:03d}_{side}.txt"
+            path.write_text(condition_to_text(member, params))
         try:
             pp, g_nu = push_down(r_nu, zn, tree)
             qq, g_mu = push_down(r_mu, zm, tree)
@@ -553,9 +548,7 @@ def cmd_pipeline(args) -> int:
             key = type(err).__name__
             errors[key] = errors.get(key, 0) + 1
             continue
-        (corpus / "runs" / f"pull_{i:03d}.txt").write_text(
-            condition_to_text(r, params)
-        )
+        (corpus / "runs" / f"pull_{i:03d}.txt").write_text(condition_to_text(r, params))
         if validate(r, tree, F) == [] and leq(r, r_nu) and leq(r, r_mu):
             counters["valid"] += 1
         else:
@@ -576,7 +569,7 @@ def cmd_pipeline(args) -> int:
             lines.append(f"error {name} {errors[name]}")
     else:
         lines.append("errors none")
-    summary = "\n".join(lines) + "\n"
+    summary = fmt.text(lines)
     (corpus / "reports" / "summary.txt").write_text(summary)
     sys.stdout.write(summary)
     failed = invalid > 0 or bool(errors)

@@ -35,12 +35,12 @@ from typing import (
     List,
     Mapping,
     Optional,
-    Sequence,
     Set,
     Tuple,
     Union,
 )
 
+from . import fmt
 from .intervals import IntervalTree, Params, TreeError
 from .ordinals import Ordinal
 from .ordinals import parse as parse_ordinal
@@ -61,6 +61,8 @@ __all__ = [
     "validate",
     "leq",
     "extend_below",
+    "level_token",
+    "parse_level",
     "condition_to_text",
     "condition_from_text",
 ]
@@ -153,11 +155,11 @@ def point_key(p: Point):
     return p._key
 
 
-def _pair_key(s: Point, t: Point) -> Tuple[Point, Point]:
+def pair_key(s: Point, t: Point) -> Tuple[Point, Point]:
     return (s, t) if point_key(s) <= point_key(t) else (t, s)
 
 
-def _bits(mask: int) -> Iterator[int]:
+def bits(mask: int) -> Iterator[int]:
     """The positions of the set bits of `mask`, lowest first."""
     while mask:
         low = mask & -mask
@@ -205,11 +207,11 @@ class OrderIndex:
     def strict_pairs(self) -> Iterator[Tuple[int, int]]:
         """The strict pairs as positions, in (point_key, point_key) order."""
         for i, m in enumerate(self.up):
-            for j in _bits(m):
+            for j in bits(m):
                 yield i, j
 
     def members(self, mask: int) -> List[Point]:
-        return [self.pts[k] for k in _bits(mask)]
+        return [self.pts[k] for k in bits(mask)]
 
 
 class Poset:
@@ -278,7 +280,7 @@ class Poset:
         return set() if i is None else set(core.members(core.down[i] | 1 << i))
 
     def meet(self, s: Point, t: Point) -> Optional[FrozenSet[Point]]:
-        return self.meet_table().get(_pair_key(s, t), self._no_meet)
+        return self.meet_table().get(pair_key(s, t), self._no_meet)
 
 
 class Condition(Poset):
@@ -405,7 +407,7 @@ def make_condition(
                     value = frozenset({t})
                 else:
                     common = down[i] & down[j]
-                    value = frozenset(order[k] for k in _bits(common) if not up[k] & common)
+                    value = frozenset(order[k] for k in bits(common) if not up[k] & common)
             rows.append(((s, t), value))
     return Condition(dialect, pts, strict, tuple(rows), core)
 
@@ -616,7 +618,7 @@ def leq(q: Condition, p: Condition) -> bool:
         inside |= 1 << k
     for i, m in enumerate(pc.up):
         want = 0
-        for j in _bits(m):
+        for j in bits(m):
             want |= 1 << at[j]
         if qc.up[at[i]] & inside != want:
             return False
@@ -689,12 +691,12 @@ def extend_below(
         rel |= {(chain[j], chain[i]) for i in range(len(chain)) for j in range(i + 1, len(chain))}
         meets = dict(p.meets)
         for c in chain:
-            meets[_pair_key(s, c)] = frozenset({s})
+            meets[pair_key(s, c)] = frozenset({s})
         for i, j in itertools.combinations(range(len(chain)), 2):
-            meets[_pair_key(chain[i], chain[j])] = frozenset({chain[max(i, j)]})
+            meets[pair_key(chain[i], chain[j])] = frozenset({chain[max(i, j)]})
         for w in new_points:
             for y in p.points:
-                meets[_pair_key(w, y)] = frozenset({w}) if y in above else frozenset()
+                meets[pair_key(w, y)] = frozenset({w}) if y in above else frozenset()
         p2 = make_condition("kappa", set(p.points) | set(new_points), rel, meets)
         return p2, s
 
@@ -716,152 +718,78 @@ def extend_below(
     rel |= {(rungs[j], rungs[k]) for j in range(len(rungs)) for k in range(j + 1, len(rungs))}
     meets = dict(p.meets)
     for j, k in itertools.combinations(range(len(rungs)), 2):
-        meets[_pair_key(rungs[j], rungs[k])] = frozenset({rungs[min(j, k)]})
+        meets[pair_key(rungs[j], rungs[k])] = frozenset({rungs[min(j, k)]})
     for w in rungs:
         for y in p.points:
-            meets[_pair_key(w, y)] = frozenset({w}) if y in above else frozenset()
+            meets[pair_key(w, y)] = frozenset({w}) if y in above else frozenset()
     p2 = make_condition("omega", set(p.points) | set(rungs), rel, meets)
     return p2, s
 
 
-# --- corpus file format ------------------------------------------------------
+# --- document format -----------------------------------------------------------
+
+PARAM_KEYS = ("kappa_w", "lambda_w", "e_budget", "size_cap")
 
 
-def _level_token(level: Level) -> str:
+def level_token(level: Level) -> str:
+    """A level as one document token: `TOP`, or the ordinal without spaces."""
     return "TOP" if level is TOP else str(level).replace(" ", "")
 
 
-def _parse_level(token: str) -> Level:
+def parse_level(token: str) -> Level:
     return TOP if token == "TOP" else parse_ordinal(token)
 
 
-def condition_to_text(p: Condition, params: Params) -> str:
-    pts = p.sorted_points()
-    index = {pt: i for i, pt in enumerate(pts)}
-    lines = [
-        FORMAT_HEADER,
-        f"dialect {p.dialect}",
-        f"eta {str(params.eta).replace(' ', '')}",
-        f"params kappa_w={params.kappa_w} lambda_w={params.lambda_w} "
-        f"e_budget={params.e_budget} size_cap={params.size_cap}",
-        f"points {len(pts)}",
-    ]
-    for i, pt in enumerate(pts):
-        lines.append(f"{i} {_level_token(pt.level)} {pt.xi}")
-    order = sorted((index[s], index[t]) for s, t in p.strict)
+def poset_block(p: Poset) -> List[str]:
+    """The points, order and meets sections of a condition or poset
+    document: points by `point_key`, then every pair by point index."""
+    core = p.core()
+    index = core.index
+    lines = [f"points {len(core.pts)}"]
+    lines.extend(f"{i} {level_token(x.level)} {x.xi}" for i, x in enumerate(core.pts))
+    order = list(core.strict_pairs())
     lines.append(f"order {len(order)}")
     lines.extend(f"{i} {j}" for i, j in order)
     lines.append(f"meets {len(p.meets)}")
     for (s, t), value in p.meets:
         ids = " ".join(str(k) for k in sorted(index[v] for v in value))
         lines.append(f"{index[s]} {index[t]} : {ids}".rstrip())
-    return "\n".join(lines) + "\n"
+    return lines
 
 
-def _section(lines: List[str], at: int, name: str, error) -> Tuple[List[str], int]:
-    """The lines of the counted section whose `name N` line sits at `at`,
-    and the index of the line after them.
-
-    Raises `error` when that line is missing or malformed, or when fewer
-    than N lines follow it.
-    """
-    head = lines[at].split() if at < len(lines) else []
-    if len(head) != 2 or head[0] != name or not head[1].isdecimal():
-        raise error(f"expected a '{name} N' line at document line {at + 1}")
-    count = int(head[1])
-    body = lines[at + 1 : at + 1 + count]
-    if len(body) < count:
-        raise error(f"{name} section declares {count} lines, found {len(body)}")
-    return body, at + 1 + count
-
-
-def _numbered(body: List[str], error, fields: int = 0) -> list:
-    """The text after the index of each `i ...` line of a points section,
-    checking that line i carries index i; split into `fields` tokens when
-    `fields` is given."""
-    rows = []
-    for line in body:
-        idx, _, rest = line.partition(" ")
-        row = rest.split() if fields else rest
-        if idx != str(len(rows)) or (fields and len(row) != fields):
-            raise error(f"point line {len(rows)} is misnumbered or malformed: {line!r}")
-        rows.append(row)
-    return rows
-
-
-def _indexed(items: Sequence, tokens: Iterable[str], error) -> list:
-    """The items at the given index tokens, each checked to be in range."""
-    out = []
-    for tok in tokens:
-        if not tok.isdecimal() or int(tok) >= len(items):
-            raise error(f"point index {tok!r} out of range for {len(items)} points")
-        out.append(items[int(tok)])
-    return out
-
-
-def _pair(items: Sequence, text: str, error) -> list:
-    pair = _indexed(items, text.split(), error)
-    if len(pair) != 2:
-        raise error(f"expected two point indices, got {text.strip()!r}")
-    return pair
-
-
-def _integer(token: str, what: str, error) -> int:
-    """`int(token)`, raising `error` where int raises ValueError."""
-    try:
-        return int(token)
-    except ValueError:
-        raise error(f"{what} {token!r} is not an integer") from None
-
-
-def _grid_points(body: List[str], error) -> List[Point]:
-    """The points of a points section whose lines read `i level column`."""
-    return [
-        Point(_parse_level(level), _integer(xi, "column", error))
-        for level, xi in _numbered(body, error, 2)
+def read_poset_block(lines: List[str], at: int, error):
+    """The points, strict pairs and meet entries of the block that
+    `poset_block` writes, starting at line `at`, and the line after it."""
+    body, at = fmt.section(lines, at, "points", error)
+    pts = [
+        Point(parse_level(level), fmt.integer(xi, "column", error))
+        for level, xi in fmt.numbered(body, error, 2)
     ]
-
-
-def _params(line: str, eta: Ordinal) -> Params:
-    """The widths and budgets of a `params key=value ...` line."""
-    kv = {}
-    for tok in line.split()[1:]:
-        key, eq, value = tok.partition("=")
-        if not eq:
-            raise ConditionError(f"params entry {tok!r} is not key=value")
-        kv[key] = value
-    fields = ("kappa_w", "lambda_w", "e_budget", "size_cap")
-    missing = [key for key in fields if key not in kv]
-    if missing:
-        raise ConditionError(f"params line lacks {', '.join(missing)}")
-    return Params(eta=eta, **{key: _integer(kv[key], key, ConditionError) for key in fields})
-
-
-def condition_from_text(text: str) -> Tuple[Condition, Params]:
-    lines = [ln.rstrip("\n") for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != FORMAT_HEADER:
-        raise ConditionError(f"missing header {FORMAT_HEADER!r}")
-    if (
-        len(lines) < 4
-        or not lines[1].startswith("dialect ")
-        or not lines[2].startswith("eta ")
-        or not lines[3].startswith("params ")
-    ):
-        raise ConditionError("missing dialect/eta/params lines")
-    dialect_row, eta_row = lines[1].split(), lines[2].split()
-    if len(dialect_row) != 2 or len(eta_row) != 2:
-        raise ConditionError("dialect and eta lines take one value each")
-    dialect = dialect_row[1]
-    params = _params(lines[3], parse_ordinal(eta_row[1]))
-    body, at = _section(lines, 4, "points", ConditionError)
-    pts = _grid_points(body, ConditionError)
-    body, at = _section(lines, at, "order", ConditionError)
-    rel = [tuple(_pair(pts, line, ConditionError)) for line in body]
-    body, _ = _section(lines, at, "meets", ConditionError)
+    body, at = fmt.section(lines, at, "order", error)
+    rel = [tuple(fmt.pair(pts, line, error)) for line in body]
+    body, at = fmt.section(lines, at, "meets", error)
     meets = {}
     for line in body:
         head, _, tail = line.partition(":")
-        s, t = _pair(pts, head, ConditionError)
-        meets[(s, t)] = _indexed(pts, tail.split(), ConditionError)
-    cond = make_condition(dialect, pts, rel, meets)
-    return cond, params
+        value = frozenset(fmt.indexed(pts, tail.split(), error))
+        meets[tuple(fmt.pair(pts, head, error))] = value
+    return pts, rel, meets, at
+
+
+def condition_to_text(p: Condition, params: Params) -> str:
+    widths = " ".join(f"{key}={getattr(params, key)}" for key in PARAM_KEYS)
+    head = [FORMAT_HEADER, f"dialect {p.dialect}", f"eta {level_token(params.eta)}"]
+    return fmt.text(head + [f"params {widths}"] + poset_block(p))
+
+
+def condition_from_text(text: str) -> Tuple[Condition, Params]:
+    lines = fmt.document_lines(text, FORMAT_HEADER, ConditionError)
+    dialect = fmt.value(lines, 1, "dialect", ConditionError)
+    eta = parse_ordinal(fmt.value(lines, 2, "eta", ConditionError))
+    widths = fmt.params(lines, 3, PARAM_KEYS, ConditionError)
+    try:
+        params = Params(eta=eta, **widths)
+    except TreeError as err:
+        raise ConditionError(f"params: {err}") from None
+    pts, rel, meets, _ = read_poset_block(lines, 4, ConditionError)
+    return make_condition(dialect, pts, rel, meets), params

@@ -16,9 +16,10 @@ kept), so the checkers see the relation the poset really holds.
 """
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
+from . import fmt
 from .conditions import (
     TOP,
     Condition,
@@ -26,22 +27,19 @@ from .conditions import (
     Level,
     Point,
     Poset,
+    bits,
     extend_below,
     leq,
     level_lt,
+    level_token,
     make_condition,
+    pair_key,
+    parse_level,
     point_key,
+    poset_block,
+    read_poset_block,
+    validate,
 )
-from .conditions import _bits as bits
-from .conditions import _grid_points as grid_points
-from .conditions import _indexed as indexed
-from .conditions import _integer as integer
-from .conditions import _level_token as level_token
-from .conditions import _pair as index_pair
-from .conditions import _pair_key as pair_key
-from .conditions import _parse_level as parse_level
-from .conditions import _section as section
-from .conditions import validate
 from .intervals import IntervalTree, TreeError
 from .ordinals import ONE, Ordinal
 from .unbounded import UnboundedFn
@@ -112,18 +110,13 @@ def schedule_to_text(sch: Schedule) -> str:
                 f"below {level_token(req.target.level)} {req.target.xi} "
                 f"{level_token(req.level)} {req.xi_floor}"
             )
-    return "\n".join(lines) + "\n"
+    return fmt.text(lines)
 
 
 def schedule_from_text(text: str) -> Schedule:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != FORMAT_HEADER_SCHEDULE:
-        raise GenericError(f"missing header {FORMAT_HEADER_SCHEDULE!r}")
-    head = lines[1].split() if len(lines) > 1 else []
-    if len(head) != 2 or head[0] != "seed":
-        raise GenericError("expected a 'seed N' line at document line 2")
-    seed = integer(head[1], "seed", GenericError)
-    body, _ = section(lines, 2, "steps", GenericError)
+    lines = fmt.document_lines(text, FORMAT_HEADER_SCHEDULE, GenericError)
+    seed = fmt.integer(fmt.value(lines, 1, "seed", GenericError), "seed", GenericError)
+    body, _ = fmt.section(lines, 2, "steps", GenericError)
     steps: List[Requirement] = []
     for line in body:
         toks = line.split()
@@ -132,16 +125,13 @@ def schedule_from_text(text: str) -> Schedule:
             raise GenericError(f"unknown requirement {toks[0]!r}")
         if len(toks) != width:
             raise GenericError(f"{toks[0]} line takes {width - 1} fields: {line!r}")
+        xi = fmt.integer(toks[2], "column", GenericError)
         if toks[0] == "realize":
-            steps.append(RealizePoint(parse_level(toks[1]), integer(toks[2], "column", GenericError)))
+            steps.append(RealizePoint(parse_level(toks[1]), xi))
         else:
-            steps.append(
-                PredecessorBelow(
-                    Point(parse_level(toks[1]), integer(toks[2], "column", GenericError)),
-                    parse_level(toks[3]),
-                    integer(toks[4], "column floor", GenericError),
-                )
-            )
+            floor = fmt.integer(toks[4], "column floor", GenericError)
+            target = Point(parse_level(toks[1]), xi)
+            steps.append(PredecessorBelow(target, parse_level(toks[3]), floor))
     return Schedule(tuple(steps), seed)
 
 
@@ -204,51 +194,24 @@ def poset_from_condition(
 
 
 def poset_to_text(T: FinitePoset) -> str:
-    pts = T.sorted_points()
-    index = {pt: i for i, pt in enumerate(pts)}
-    lines = [
-        FORMAT_HEADER_POSET,
-        f"dialect {T.dialect}",
-        f"points {len(pts)}",
-    ]
-    for i, pt in enumerate(pts):
-        lines.append(f"{i} {level_token(pt.level)} {pt.xi}")
-    order = sorted((index[s], index[t]) for s, t in T.strict)
-    lines.append(f"order {len(order)}")
-    lines.extend(f"{i} {j}" for i, j in order)
-    lines.append(f"meets {len(T.meets)}")
-    for (s, t), value in T.meets:
-        ids = " ".join(str(k) for k in sorted(index[v] for v in value))
-        lines.append(f"{index[s]} {index[t]} : {ids}".rstrip())
+    index = T.core().index
+    lines = [FORMAT_HEADER_POSET, f"dialect {T.dialect}"] + poset_block(T)
     lines.append(f"targeted {len(T.targeted)}")
-    for level, pt in T.targeted:
-        lines.append(f"{level_token(level)} {index[pt]}")
-    return "\n".join(lines) + "\n"
+    lines += [f"{level_token(level)} {index[pt]}" for level, pt in T.targeted]
+    return fmt.text(lines)
 
 
 def poset_from_text(text: str) -> FinitePoset:
-    lines = [ln.rstrip("\n") for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != FORMAT_HEADER_POSET:
-        raise GenericError(f"missing header {FORMAT_HEADER_POSET!r}")
-    if len(lines) < 2 or len(lines[1].split()) != 2 or not lines[1].startswith("dialect "):
-        raise GenericError("missing dialect line")
-    dialect = lines[1].split()[1]
-    body, at = section(lines, 2, "points", GenericError)
-    pts = grid_points(body, GenericError)
-    body, at = section(lines, at, "order", GenericError)
-    rel = {tuple(index_pair(pts, line, GenericError)) for line in body}
-    body, at = section(lines, at, "meets", GenericError)
-    meets = {}
-    for line in body:
-        left, _, right = line.partition(":")
-        value = frozenset(indexed(pts, right.split(), GenericError))
-        meets[pair_key(*index_pair(pts, left, GenericError))] = value
-    body, _ = section(lines, at, "targeted", GenericError)
+    lines = fmt.document_lines(text, FORMAT_HEADER_POSET, GenericError)
+    dialect = fmt.value(lines, 1, "dialect", GenericError)
+    pts, rel, meets, at = read_poset_block(lines, 2, GenericError)
+    body, _ = fmt.section(lines, at, "targeted", GenericError)
     targeted = []
     for line in body:
         level, _, i = line.partition(" ")
-        targeted.append((parse_level(level), *indexed(pts, [i.strip()], GenericError)))
-    return FinitePoset(dialect, pts, rel, meets.items(), targeted)
+        targeted.append((parse_level(level), *fmt.indexed(pts, [i.strip()], GenericError)))
+    meets = {pair_key(s, t): value for (s, t), value in meets.items()}
+    return FinitePoset(dialect, pts, rel, meets, targeted)
 
 
 # --- running a schedule ----------------------------------------------------------

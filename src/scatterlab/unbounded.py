@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
+from . import fmt
 from .intervals import Params
 from .ordinals import Ordinal
 
@@ -291,19 +292,24 @@ def save(F: UnboundedFn, path) -> None:
     for i, j in F.pairs():
         lines.append(f"{i} {j} {F.index(i, j)}")
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(fmt.text(lines))
 
 
 def load(path, eps: Sequence[Ordinal]) -> UnboundedFn:
+    """Reads a table document; `eps` supplies the marker values."""
     with open(path) as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    if not lines or lines[0] != FORMAT_HEADER:
-        raise FamilyError(f"{path}: missing header {FORMAT_HEADER!r}")
-    if len(lines) < 2 or not lines[1].startswith("lambda_w "):
-        raise FamilyError(f"{path}: missing lambda_w line")
-    lam = int(lines[1].split()[1])
+        text = fh.read()
+
+    def error(msg: str) -> FamilyError:
+        return FamilyError(f"{path}: {msg}")
+
+    lines = fmt.document_lines(text, FORMAT_HEADER, error)
+    lam = fmt.integer(fmt.value(lines, 1, "lambda_w", error), "lambda_w", error)
     entries = {}
     for line in lines[2:]:
-        i, j, idx = (int(tok) for tok in line.split())
+        row = line.split()
+        if len(row) != 3:
+            raise error(f"table line takes 'i j index': {line!r}")
+        i, j, idx = (fmt.integer(tok, "table entry", error) for tok in row)
         entries[(i, j)] = idx
     return UnboundedFn(lam, eps, entries)

@@ -14,6 +14,7 @@ from scatterlab.conditions import (
     make_condition,
     validate,
 )
+from scatterlab.cli import pair_instance
 from scatterlab.intervals import IntervalTree, Params
 from scatterlab.ordinals import Ordinal, parse
 from scatterlab.unbounded import UnboundedFn
@@ -97,58 +98,15 @@ def kappa_tree():
 def kappa_instance(tree, rng: random.Random):
     """Two kappa conditions with private tops over a shared sub-top root.
 
-    Returns (r_nu, r_mu, zeta_nu, zeta_mu, F).  Root points sit at low
-    markers, each member adds at most one point at a high marker plus one
-    top.  Shapes rotate through: chained root (amalgam needs no fresh
-    point), incomparable root with the member point under its top, and
-    incomparable root with the top anchored on one root point only.
+    Returns (r_nu, r_mu, zeta_nu, zeta_mu, F): the pair and push levels of
+    `cli.pair_instance` (at kappa_w = 3 the push levels are 9 and 12), then
+    a flat table drawn from the same rng.
     """
-    eps = tree.root_eps()
-    shape = rng.choice(
-        ["chain-root", "chained-top", "one-anchor", "top-only", "shared-top"]
-    )
-    u1, u2 = Point(eps[1], 0), Point(eps[2], 0)
-    root_rel = [(u1, u2)] if shape == "chain-root" else []
-    root = [u1, u2]
-    z_shared = Point(TOP, 0)
-    if shape == "shared-top":
-        root = root + [z_shared]
-        root_rel = [(u1, z_shared), (u2, z_shared)]
-
-    lv_nu, lv_mu = rng.sample([6, 7], 2)
-    col_nu, col_mu = rng.sample(range(1, tree.params.lambda_w), 2)
-    chain_member = rng.random() < 0.5
-
-    def member(level_idx, col):
-        t = Point(TOP, col)
-        pts = root + [t]
-        r = list(root_rel)
-        if shape == "top-only":
-            r += [(u1, t), (u2, t)]
-            return make_condition("kappa", pts, r, complete=True)
-        s = Point(eps[level_idx], 0)
-        pts.append(s)
-        r += [(u1, s), (u2, s)]
-        if shape == "chain-root":
-            r += [(u1, t), (u2, t)]
-            if chain_member:
-                r.append((s, t))
-        elif shape == "chained-top":
-            r += [(u1, t), (u2, t), (s, t)]
-        elif shape == "shared-top":
-            # member point under both tops; tops share every lower bound
-            r += [(u1, t), (u2, t), (s, t), (s, z_shared)]
-        else:  # one-anchor: top sits over u1 alone
-            r.append((u1, t))
-        return make_condition("kappa", pts, r, complete=True)
-
-    r_nu = member(lv_nu, col_nu)
-    r_mu = member(lv_mu, col_mu)
+    r_nu, r_mu, zeta_nu, zeta_mu = pair_instance(tree, rng)
     F = flat_F(tree, tree.params.lambda_w, 12 + rng.randint(0, 3))
     for cond in (r_nu, r_mu):
         found = validate(cond, tree, F)
         assert not found, f"kappa template broke: {found}"
-    zeta_nu, zeta_mu = 9, 12
     return r_nu, r_mu, zeta_nu, zeta_mu, F
 
 
@@ -275,4 +233,21 @@ def damaged_schedules(text):
     out.append(edited(below, lines[below].rsplit(" ", 1)[0] + " x"))
     seed = next(i for i, ln in enumerate(lines) if ln.startswith("seed "))
     out.append(edited(seed, "seed x"))
+    return out
+
+
+def damaged_tables(text):
+    """Damaged copies of a pair-table document that `unbounded.load` must
+    refuse with `FamilyError`: every proper prefix, a non-integer
+    `lambda_w`, the first row short of its third field, and a non-integer
+    marker index in the first row."""
+    lines = text.splitlines()
+    out = ["\n".join(lines[:k]) + "\n" for k in range(1, len(lines))]
+
+    def edited(at, line):
+        return "\n".join(lines[:at] + [line] + lines[at + 1 :]) + "\n"
+
+    out.append(edited(1, "lambda_w x"))
+    out.append(edited(2, lines[2].rsplit(" ", 1)[0]))
+    out.append(edited(2, lines[2].rsplit(" ", 1)[0] + " x"))
     return out

@@ -13,6 +13,7 @@ from scatterlab.unbounded import load as load_table
 from .corpus import (
     damaged_documents,
     damaged_schedules,
+    damaged_tables,
     kappa_instance,
     kappa_tree,
     omega_instance,
@@ -125,14 +126,43 @@ def test_validate_missing_file_is_a_clean_error(tmp_path, capsys):
 
 def test_validate_damaged_document_is_a_clean_error(kappa_doc, tmp_path, capsys):
     a, _, f, _, _ = kappa_doc
-    damaged = damaged_documents(a.read_text(), "order")
     bad = tmp_path / "bad.txt"
-    # one cut inside the meets section, then the three index faults
-    for text in [damaged[-4]] + damaged[-3:]:
+    for text in damaged_documents(a.read_text(), "order"):
         bad.write_text(text)
         code, _, err = run(capsys, "validate", str(bad), "--f", str(f))
         assert code == 2
         assert err.startswith("error: ConditionError")
+
+
+def test_validate_damaged_table_is_a_clean_error(kappa_doc, tmp_path, capsys):
+    a, _, f, _, _ = kappa_doc
+    bad = tmp_path / "bad.txt"
+    for text in damaged_tables(f.read_text()):
+        bad.write_text(text)
+        code, _, err = run(capsys, "validate", str(a), "--f", str(bad))
+        assert code == 2
+        assert err.startswith("error: FamilyError")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["extend", "{a}", "--target", "TOP:x", "--alpha", "w*4"],
+        ["unbounded", "verify", "{f}", "--gamma", "99", "--family", "0,1;2,3"],
+        ["unbounded", "verify", "{f}", "--gamma", "-1", "--family", "0,1;2,3"],
+        ["unbounded", "verify", "{f}", "--gamma", "3", "--family", "0,x;2,3"],
+        ["unbounded", "search", "{f}", "--m", "2", "--nu", "2", "--gammas", "1,99"],
+        ["unbounded", "search", "{f}", "--m", "2", "--nu", "2", "--gammas", "1,x"],
+        ["unbounded", "gen", "--probe", "2", "2", "99", "--out", "{out}"],
+    ],
+    ids=["target-column", "gamma", "gamma-negative", "family", "gammas", "gammas-token", "probe"],
+)
+def test_bad_argument_is_a_clean_error(kappa_doc, tmp_path, capsys, argv):
+    a, _, f, _, _ = kappa_doc
+    paths = {"a": a, "f": f, "out": tmp_path / "F.txt"}
+    code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 2
+    assert err.startswith("error: ")
 
 
 def test_extend_emits_valid_document(kappa_doc, tmp_path, capsys):

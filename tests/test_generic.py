@@ -6,7 +6,7 @@ import random
 import pytest
 
 from .corpus import damaged_documents, damaged_schedules, flat_F
-from scatterlab.conditions import TOP, Point, _pair_key, leq, validate
+from scatterlab.conditions import TOP, Point, pair_key, leq, validate
 from scatterlab.generic import (
     CardinalProfile,
     FinitePoset,
@@ -197,19 +197,19 @@ def test_sposet_mutations():
         {a, b, x},
         {(a, x), (a, b)},
         {
-            _pair_key(a, x): frozenset({a}),
-            _pair_key(a, b): frozenset({a}),
-            _pair_key(b, x): frozenset(),
+            pair_key(a, x): frozenset({a}),
+            pair_key(a, b): frozenset({a}),
+            pair_key(b, x): frozenset(),
         },
     )
     rep = sposet_check(broken_meet, 0)
     assert rep.meet_witness and not rep.partition and not rep.level_order
     assert "meet axiom" in rep.meet_witness[0]
 
-    cyc = FinitePoset("kappa", {a, b}, {(a, b), (b, a)}, {_pair_key(a, b): frozenset()})
+    cyc = FinitePoset("kappa", {a, b}, {(a, b), (b, a)}, {pair_key(a, b): frozenset()})
     assert sposet_check(cyc, 0).partition
 
-    down = FinitePoset("kappa", {a, x}, {(x, a)}, {_pair_key(a, x): frozenset({x})})
+    down = FinitePoset("kappa", {a, x}, {(x, a)}, {pair_key(a, x): frozenset({x})})
     assert sposet_check(down, 0).level_order
 
     missing = FinitePoset("kappa", {a, b}, set(), {})
@@ -239,9 +239,9 @@ def test_skeleton_same_level_meet_flagged():
         {s, t, v},
         {(v, s), (v, t)},
         {
-            _pair_key(s, t): frozenset({v}),
-            _pair_key(v, s): frozenset({v}),
-            _pair_key(v, t): frozenset({v}),
+            pair_key(s, t): frozenset({v}),
+            pair_key(v, s): frozenset({v}),
+            pair_key(v, t): frozenset({v}),
         },
     )
     rep = skeleton_check(T, [W])
@@ -256,9 +256,9 @@ def test_skeleton_missing_interpolant_flagged():
         {x, y, z},
         {(y, x)},
         {
-            _pair_key(y, x): frozenset({y}),
-            _pair_key(y, z): frozenset(),
-            _pair_key(z, x): frozenset(),
+            pair_key(y, x): frozenset({y}),
+            pair_key(y, z): frozenset(),
+            pair_key(z, x): frozenset(),
         },
     )
     rep = skeleton_check(T, [W])
@@ -291,7 +291,7 @@ def test_tightness_mutant_flagged(tree, F):
     rel = set(T.strict) | {(A[0], y), (A[1], y), (y, x)}
     meets = dict(T.meets)
     for t in T.sorted_points():
-        meets[_pair_key(y, t)] = frozenset()
+        meets[pair_key(y, t)] = frozenset()
     T2 = FinitePoset("kappa", set(T.points) | {y}, rel, meets)
     rep = tightness_probe(T2, x, A)
     assert not rep.ok
@@ -306,7 +306,7 @@ def test_tightness_preconditions(tree, F):
     with pytest.raises(GenericError):
         tightness_probe(T, x, [x])  # not strictly below x
     a, xx = Point(from_int(2), 0), Point(W + ONE, 0)
-    lone = FinitePoset("kappa", {a, xx}, {(a, xx)}, {_pair_key(a, xx): frozenset({a})})
+    lone = FinitePoset("kappa", {a, xx}, {(a, xx)}, {pair_key(a, xx): frozenset({a})})
     with pytest.raises(ProbeInconclusiveError):
         tightness_probe(lone, xx, [a])
 
@@ -337,9 +337,9 @@ def test_cardinal_profile_refuses_broken_meets():
         {a, b, x},
         {(a, x), (a, b)},
         {
-            _pair_key(a, x): frozenset({a}),
-            _pair_key(a, b): frozenset({a}),
-            _pair_key(b, x): frozenset(),
+            pair_key(a, x): frozenset({a}),
+            pair_key(a, b): frozenset({a}),
+            pair_key(b, x): frozenset(),
         },
     )
     with pytest.raises(GenericError):

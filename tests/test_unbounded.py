@@ -17,6 +17,7 @@ from scatterlab.unbounded import (
     star_verify,
 )
 
+from .corpus import damaged_tables
 from .oracles import naive_star_search
 
 
@@ -208,3 +209,13 @@ def test_load_rejects_bad_header(tmp_path, eps):
     path.write_text("lambda_w 5\n0 1 0\n")
     with pytest.raises(FamilyError):
         load(path, eps)
+
+
+def test_load_refuses_damaged_tables(tmp_path, eps):
+    params = Params(eta=parse("w^2"), lambda_w=4)
+    path = tmp_path / "F.txt"
+    save(f_generate(params, eps, seed=2), path)
+    for text in damaged_tables(path.read_text()):
+        path.write_text(text)
+        with pytest.raises(FamilyError):
+            load(path, eps)
