@@ -18,6 +18,8 @@ The module provides, in dependency order:
 * ``push_down`` / ``amalgamate_eta`` / ``pull_back``: the three-stage
   pipeline that flattens top points to a reserved high level, amalgamates
   inside the grid, and transports the result back.
+* ``amalgamate_kappa``: that pipeline end to end for two root-sharing
+  kappa conditions, with separated refinement and stamps in between.
 
 Construction functions never return silently-wrong output: each one
 re-validates its result and raises with the offending clause otherwise.
@@ -762,18 +764,10 @@ def amalgamate_eta(
             if any(qq.lt(t, u) and pp.lt(u, s) for u in root):
                 rel.add((t, s))
 
-    base_meets: Dict = {}
-    for (s, t), value in pp.meets:
-        base_meets[(s, t)] = value
+    # meet rows are keyed in point_key order, so a shared pair has one key
+    base_meets = dict(pp.meets)
     for (s, t), value in qq.meets:
-        key = frozenset((s, t))
-        clash = next(
-            (v for (a, b), v in base_meets.items() if frozenset((a, b)) == key),
-            None,
-        )
-        if clash is None:
-            base_meets[(s, t)] = value
-        elif clash != value:
+        if base_meets.setdefault((s, t), value) != value:
             raise HypothesisViolationError(
                 f"members disagree on the root meet of ({s}, {t})"
             )
@@ -950,3 +944,39 @@ def pull_back(
         if not leq(r, member):
             raise AmalgamError(f"pull-back is not below the {name} member")
     return r
+
+
+KAPPA_STAGES = ("push", "refine", "eta", "pull")
+
+
+def amalgamate_kappa(
+    p: Condition,
+    q: Condition,
+    zeta_p: int,
+    zeta_q: int,
+    tree: IntervalTree,
+    F: UnboundedFn,
+) -> Condition:
+    """Amalgamate two root-sharing kappa conditions.
+
+    Pushes the tops of p and q down to eps[zeta_p] and eps[zeta_q],
+    refines the pair to a separated family, stamps it, runs the grid
+    amalgam and pulls the result back against F.  An AmalgamError,
+    ConditionError or TreeError leaves with `stage` set to the
+    KAPPA_STAGES entry that raised it; a stamp failure counts as "eta".
+    """
+    stage = "push"
+    try:
+        pp, g_p = push_down(p, zeta_p, tree)
+        qq, g_q = push_down(q, zeta_q, tree)
+        stage = "refine"
+        # refinement keeps input order, so the family is (pp, qq)
+        fam = separated_refine([pp, qq], 2)
+        stage = "eta"
+        stamps = equivalence_stamp(fam, tree)
+        res = amalgamate_eta(pp, qq, fam.pairing(0, 1), stamps, tree)
+        stage = "pull"
+        return pull_back(res.condition, p, q, g_p, g_q, tree, F, res.gamma)
+    except (AmalgamError, ConditionError, TreeError) as err:
+        err.stage = stage
+        raise

@@ -280,6 +280,7 @@ def space_from_text(text: str) -> FiniteSpace:
     body, _ = fmt.section(lines, at, "subbase", AnalysisError)
     subbase = []
     for line in body:
-        _, _, right = line.partition(":")
-        subbase.append(frozenset(fmt.indexed(pts, right.split(), AnalysisError)))
+        if not line.startswith(":"):
+            raise AnalysisError(f"subbase line {line!r} lacks its leading ':'")
+        subbase.append(frozenset(fmt.indexed(pts, line[1:].split(), AnalysisError)))
     return FiniteSpace(frozenset(pts), tuple(subbase))

@@ -18,15 +18,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import fmt
-from .amalgam import (
-    AmalgamError,
-    amalgamate_eta,
-    amalgamate_omega,
-    equivalence_stamp,
-    pull_back,
-    push_down,
-    separated_refine,
-)
+from .amalgam import KAPPA_STAGES, AmalgamError, amalgamate_kappa, amalgamate_omega
 from .analysis import (
     AnalysisError,
     LevelReport,
@@ -84,18 +76,14 @@ def _env(name: str, fallback):
     return os.environ.get(ENV_PREFIX + name.upper().replace("-", "_"), fallback)
 
 
-def _env_int(name: str, fallback: int) -> int:
-    return int(_env(name, fallback))
-
-
 def _param_parent() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--eta", default=_env("eta", "w^2"), help="limit ordinal, e.g. w^2")
-    p.add_argument("--kappa-w", type=int, default=_env_int("kappa-w", 3))
-    p.add_argument("--lambda-w", type=int, default=_env_int("lambda-w", 6))
-    p.add_argument("--e-budget", type=int, default=_env_int("e-budget", 16))
-    p.add_argument("--seed", type=int, default=_env_int("seed", 0))
-    p.add_argument("--budget-n", type=int, default=_env_int("budget-n", 3))
+    p.add_argument("--kappa-w", type=int, default=_env("kappa-w", 3))
+    p.add_argument("--lambda-w", type=int, default=_env("lambda-w", 6))
+    p.add_argument("--e-budget", type=int, default=_env("e-budget", 16))
+    p.add_argument("--seed", type=int, default=_env("seed", 0))
+    p.add_argument("--budget-n", type=int, default=_env("budget-n", 3))
     p.add_argument(
         "--dialect", choices=("omega", "kappa"), default=_env("dialect", "kappa")
     )
@@ -293,38 +281,18 @@ def cmd_amalgamate(args) -> int:
         print("conditions carry different dialects", file=sys.stderr)
         return 1
     F = load_table(args.f, tree.root_eps()) if args.f else None
+    if p.dialect == "kappa" and None in (args.zeta_first, args.zeta_second):
+        print("the kappa route needs --zeta-first and --zeta-second", file=sys.stderr)
+        return 1
+    if F is None:
+        print(f"the {p.dialect} route needs --f", file=sys.stderr)
+        return 1
 
     try:
         if p.dialect == "omega":
-            if F is None:
-                print("the omega route needs --f", file=sys.stderr)
-                return 1
-            root = p.points & q.points
-            r = amalgamate_omega(p, q, root, F, tree)
+            r = amalgamate_omega(p, q, p.points & q.points, F, tree)
         else:
-            if args.zeta_first is None or args.zeta_second is None:
-                print(
-                    "the kappa route needs --zeta-first and --zeta-second",
-                    file=sys.stderr,
-                )
-                return 1
-            if F is None:
-                print("the kappa route needs --f", file=sys.stderr)
-                return 1
-            pp, g_nu = push_down(p, args.zeta_first, tree)
-            qq, g_mu = push_down(q, args.zeta_second, tree)
-            fam = separated_refine([pp, qq], 2)
-            a, b = fam.members
-            swapped = (a, b) != (pp, qq)
-            pairing = fam.pairing(0, 1)
-            stamps = equivalence_stamp(fam, tree)
-            res = amalgamate_eta(a, b, pairing, stamps, tree)
-            maps = (g_mu, g_nu) if swapped else (g_nu, g_mu)
-            members = (q, p) if swapped else (p, q)
-            r = pull_back(
-                res.condition, members[0], members[1], maps[0], maps[1], tree, F,
-                res.gamma,
-            )
+            r = amalgamate_kappa(p, q, args.zeta_first, args.zeta_second, tree, F)
     except (AmalgamError, ConditionError, TreeError) as err:
         print(f"amalgamation failed: {type(err).__name__}: {err}", file=sys.stderr)
         return 1
@@ -517,7 +485,7 @@ def cmd_pipeline(args) -> int:
         f_label = "greedy"
     save_table(F, corpus / "F" / "F.txt")
 
-    counters = {"refine": 0, "push": 0, "eta": 0, "pull": 0, "valid": 0}
+    counters = dict.fromkeys((*KAPPA_STAGES, "valid"), 0)
     errors: Dict[str, int] = {}
     invalid = 0
 
@@ -528,26 +496,15 @@ def cmd_pipeline(args) -> int:
             path = corpus / "conditions" / f"pair_{i:03d}_{side}.txt"
             path.write_text(condition_to_text(member, params))
         try:
-            pp, g_nu = push_down(r_nu, zn, tree)
-            qq, g_mu = push_down(r_mu, zm, tree)
-            counters["push"] += 1
-            fam = separated_refine([pp, qq], 2)
-            counters["refine"] += 1
-            swapped = fam.members != (pp, qq)
-            stamps = equivalence_stamp(fam, tree)
-            a, b = fam.members
-            res = amalgamate_eta(a, b, fam.pairing(0, 1), stamps, tree)
-            counters["eta"] += 1
-            first, second = ((r_mu, r_nu) if swapped else (r_nu, r_mu))
-            gmaps = ((g_mu, g_nu) if swapped else (g_nu, g_mu))
-            r = pull_back(
-                res.condition, first, second, gmaps[0], gmaps[1], tree, F, res.gamma
-            )
-            counters["pull"] += 1
+            r = amalgamate_kappa(r_nu, r_mu, zn, zm, tree, F)
         except (AmalgamError, ConditionError, TreeError) as err:
+            for name in KAPPA_STAGES[: KAPPA_STAGES.index(err.stage)]:
+                counters[name] += 1
             key = type(err).__name__
             errors[key] = errors.get(key, 0) + 1
             continue
+        for name in KAPPA_STAGES:
+            counters[name] += 1
         (corpus / "runs" / f"pull_{i:03d}.txt").write_text(condition_to_text(r, params))
         if validate(r, tree, F) == [] and leq(r, r_nu) and leq(r, r_mu):
             counters["valid"] += 1
@@ -561,8 +518,7 @@ def cmd_pipeline(args) -> int:
         f"count={args.count} seed={args.seed} f={f_label}",
         f"instances {args.count}",
     ]
-    for name in ("push", "refine", "eta", "pull", "valid"):
-        lines.append(f"{name} {counters[name]}")
+    lines.extend(f"{name} {n}" for name, n in counters.items())
     lines.append(f"invalid {invalid}")
     if errors:
         for name in sorted(errors):

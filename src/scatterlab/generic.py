@@ -204,6 +204,8 @@ def poset_to_text(T: FinitePoset) -> str:
 def poset_from_text(text: str) -> FinitePoset:
     lines = fmt.document_lines(text, FORMAT_HEADER_POSET, GenericError)
     dialect = fmt.value(lines, 1, "dialect", GenericError)
+    if dialect not in ("omega", "kappa"):
+        raise GenericError(f"unknown dialect {dialect!r}")
     pts, rel, meets, at = read_poset_block(lines, 2, GenericError)
     body, _ = fmt.section(lines, at, "targeted", GenericError)
     targeted = []

@@ -196,7 +196,9 @@ def damaged_documents(text, indexed_section):
     first point line, and the first line of `indexed_section` pointing past
     the last point or below the first.  Where point lines read `i level
     column`, also a non-integer column; where a `params` line exists, also
-    one entry without its `=`."""
+    one entry without its `=`; where a `dialect` line exists, also an
+    unknown dialect; where a `subbase` section exists, also its first line
+    without the leading `:`."""
     lines = text.splitlines()
     out = ["\n".join(lines[:k]) + "\n" for k in range(1, len(lines))]
 
@@ -215,6 +217,12 @@ def damaged_documents(text, indexed_section):
     params = next((i for i, ln in enumerate(lines) if ln.startswith("params ")), None)
     if params is not None:
         out.append(edited(params, lines[params].replace("=", "", 1)))
+    dialect = next((i for i, ln in enumerate(lines) if ln.startswith("dialect ")), None)
+    if dialect is not None:
+        out.append(edited(dialect, "dialect x"))
+    subbase = next((i for i, ln in enumerate(lines) if ln.startswith("subbase ")), None)
+    if subbase is not None:
+        out.append(edited(subbase + 1, "x" + lines[subbase + 1][1:]))
     return out
 
 

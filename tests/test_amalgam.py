@@ -19,6 +19,7 @@ from scatterlab.amalgam import (
     SearchExhaustedError,
     SeparatedFamily,
     amalgamate_eta,
+    amalgamate_kappa,
     amalgamate_omega,
     canonical_pairing,
     check_adequate,
@@ -203,6 +204,37 @@ def test_separated_refine_drops_level_reuse(ktree):
     fam = separated_refine([a, b, c], 2)
     # one of the level-sharing twins must have been dropped
     assert len(fam.members) == 2
+
+
+def is_subsequence(members, family):
+    rest = iter(family)
+    return all(any(m is x for x in rest) for m in members)
+
+
+def test_separated_refine_keeps_input_order(ktree):
+    # amalgamate_kappa relies on this to read the family as (pp, qq)
+    for seed in range(60):
+        fam, _ = two_member_family(ktree, seed)
+        pp, qq = fam.members
+        refined = separated_refine([pp, qq], 2)
+        assert refined.members[0] is pp and refined.members[1] is qq
+        assert refined.pairing(0, 1) == canonical_pairing(pp, qq)
+    eps = ktree.root_eps()
+    u = Point(eps[1], 0)
+    members = [
+        make_condition("kappa", [u, Point(eps[4 + k], 0)], [(u, Point(eps[4 + k], 0))])
+        for k in range(3)
+    ]
+    members.insert(1, make_condition("kappa", [u, Point(eps[8], 0)]))
+    fam = separated_refine(members, 3)
+    assert len(fam.members) == 3 and is_subsequence(fam.members, members)
+    twins = [
+        make_condition("kappa", [u, Point(eps[5], 0)], [(u, Point(eps[5], 0))]),
+        make_condition("kappa", [u, Point(eps[5], 1)], [(u, Point(eps[5], 1))]),
+        make_condition("kappa", [u, Point(eps[6], 0)], [(u, Point(eps[6], 0))]),
+    ]
+    fam = separated_refine(twins, 2)
+    assert is_subsequence(fam.members, twins)
 
 
 def test_kerneldown_clean(ktree):
@@ -451,6 +483,22 @@ def test_eta_rejects_inadequate_pairing(ktree):
         amalgamate_eta(pp, qq, twisted, stamps, ktree)
 
 
+def test_eta_rejects_disagreeing_root_meets(ktree):
+    # both members are the same three root points, c under u1 and u2, but
+    # only pp records c as the meet of (u1, u2)
+    eps = ktree.root_eps()
+    c, u1, u2 = Point(eps[1], 0), Point(eps[2], 0), Point(eps[3], 0)
+    pp = make_condition("kappa", [c, u1, u2], [(c, u1), (c, u2)], complete=True)
+    meets = dict(pp.meets)
+    meets[(u1, u2)] = frozenset()
+    qq = make_condition("kappa", pp.points, pp.strict, meets)
+    pairing = {s: s for s in pp.points}
+    fam = SeparatedFamily((pp, qq), pp.points, {(0, 1): pairing})
+    stamps = equivalence_stamp(fam, ktree)
+    with pytest.raises(HypothesisViolationError, match="disagree on the root meet"):
+        amalgamate_eta(pp, qq, pairing, stamps, ktree)
+
+
 def test_eta_exhaustion_reports_blocking_pair(ktree):
     _, _, pp, qq, _, _, pairing, stamps, _ = eta_inputs(ktree, 11)
     starved = EquivalenceStamp(
@@ -604,3 +652,51 @@ def test_pull_back_fgap(ktree):
     } - r_nu.points:
         with pytest.raises(FGapError):
             pull_back(res.condition, r_nu, r_mu, g_nu, g_mu, ktree, low, res.gamma)
+
+
+# --- the kappa route end to end ------------------------------------------------
+
+
+def test_amalgamate_kappa_matches_the_stages(ktree):
+    for seed in range(60):
+        r_nu, r_mu, pp, qq, g_nu, g_mu, pairing, stamps, F = eta_inputs(ktree, seed)
+        res = amalgamate_eta(pp, qq, pairing, stamps, ktree)
+        want = pull_back(res.condition, r_nu, r_mu, g_nu, g_mu, ktree, F, res.gamma)
+        _, _, zn, zm, _ = kappa_instance(ktree, random.Random(seed))
+        assert amalgamate_kappa(r_nu, r_mu, zn, zm, ktree, F) == want
+
+
+def test_amalgamate_kappa_names_the_push_stage(ktree):
+    r_nu, r_mu, zn, zm, F = kappa_instance(ktree, random.Random(0))
+    with pytest.raises(HypothesisViolationError) as err:
+        amalgamate_kappa(r_nu, r_mu, zn + 1, zm, ktree, F)
+    assert err.value.stage == "push"
+
+
+def test_amalgamate_kappa_counts_a_stamp_failure_as_eta(ktree):
+    # the pair of test_stamp_rejects_mismatched_tags pushes and refines, but
+    # its member points carry different tags
+    eps = ktree.root_eps()
+    u = Point(eps[1], 0)
+    s, t = Point(eps[4], 0), Point(eps[5], 0)
+    a = make_condition("kappa", [u, s], [(u, s)], complete=True)
+    b = make_condition("kappa", [u, t], [(u, t)], complete=True)
+    F = flat_F(ktree, ktree.params.lambda_w, 12)
+    with pytest.raises(HypothesisViolationError, match="not pairwise equivalent") as err:
+        amalgamate_kappa(a, b, 9, 12, ktree, F)
+    assert err.value.stage == "eta"
+
+
+def test_amalgamate_kappa_names_the_pull_stage(ktree):
+    low = flat_F(ktree, ktree.params.lambda_w, 1)
+    for seed in range(60):
+        r_nu, r_mu, zn, zm, _ = kappa_instance(ktree, random.Random(seed))
+        tops_nu = {x for x in r_nu.points if x.is_top}
+        tops_mu = {x for x in r_mu.points if x.is_top}
+        if not (tops_nu - tops_mu and tops_mu - tops_nu):
+            continue
+        with pytest.raises(FGapError) as err:
+            amalgamate_kappa(r_nu, r_mu, zn, zm, ktree, low)
+        assert err.value.stage == "pull"
+        return
+    pytest.fail("no instance with private tops on both sides")

@@ -30,6 +30,22 @@ def run(capsys, *argv):
 # --- tree / orbit -----------------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("kappa-w", "3"), ("lambda-w", "6"), ("e-budget", "16"), ("seed", "0"),
+     ("budget-n", "3")],
+)
+def test_bad_integer_environment_default(monkeypatch, capsys, flag, value):
+    monkeypatch.setenv("SCATTERLAB_" + flag.upper().replace("-", "_"), "x")
+    with pytest.raises(SystemExit) as err:
+        main(["tree"])
+    assert err.value.code == 2
+    assert f"--{flag}: invalid int value: 'x'" in capsys.readouterr().err
+    # an explicit flag wins, so the bad default is never converted
+    code, _, _ = run(capsys, "tree", f"--{flag}", value)
+    assert code == 0
+
+
 def test_tree_reports_clean_axioms(capsys):
     code, out, _ = run(capsys, "tree", "--depth", "2")
     assert code == 0
@@ -223,6 +239,22 @@ def test_amalgamate_kappa_needs_zetas(kappa_doc, capsys):
     assert "zeta" in err
 
 
+def test_amalgamate_needs_f(kappa_doc, tmp_path, capsys):
+    a, b, _, zn, zm = kappa_doc
+    code, _, err = run(capsys, "amalgamate", str(a), str(b),
+                       "--zeta-first", str(zn), "--zeta-second", str(zm))
+    assert code == 1
+    assert err == "the kappa route needs --f\n"
+    tree = omega_tree()
+    p, q, _, _ = omega_instance(tree, random.Random(5))
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a.write_text(condition_to_text(p, tree.params))
+    b.write_text(condition_to_text(q, tree.params))
+    code, _, err = run(capsys, "amalgamate", str(a), str(b))
+    assert code == 1
+    assert err == "the omega route needs --f\n"
+
+
 # --- simulate ----------------------------------------------------------------------
 
 
@@ -296,6 +328,20 @@ def test_analyze_poset_degenerates_to_discrete(tmp_path, capsys):
     assert "height 1" in text
 
 
+def test_analyze_damaged_poset_is_a_clean_error(tmp_path, capsys):
+    sched = tmp_path / "sched.txt"
+    sched.write_text(SCHEDULE)
+    out = tmp_path / "sim"
+    run(capsys, "simulate", "--schedule", str(sched), "--budget-n", "1",
+        "--out", str(out))
+    bad = tmp_path / "bad.txt"
+    for text in damaged_documents((out / "runs" / "poset.txt").read_text(), "order"):
+        bad.write_text(text)
+        code, _, err = run(capsys, "analyze", "--poset", str(bad))
+        assert code == 2
+        assert err.startswith("error: GenericError")
+
+
 def test_analyze_ordinal_out_of_range(capsys):
     code, _, err = run(capsys, "analyze", "--ordinal", "w^w")
     assert code == 1
@@ -353,6 +399,19 @@ def test_pipeline_deterministic(tmp_path, capsys):
         assert (a / rel).read_bytes() == (b / rel).read_bytes()
 
 
+GAP_SUMMARY = """# scatterlab-fmt 1 report
+pipeline eta=w^2 kappa_w=3 lambda_w=6 e_budget=16 count=5 seed=0 f=const:0
+instances 5
+push 5
+refine 5
+eta 5
+pull 0
+valid 0
+invalid 0
+error FGapError 5
+"""
+
+
 def test_pipeline_gap_breaking_table_fails(tmp_path, capsys):
     corpus = tmp_path / "corpus"
     code, out, _ = run(capsys, "pipeline", "--corpus", str(corpus),
@@ -360,6 +419,8 @@ def test_pipeline_gap_breaking_table_fails(tmp_path, capsys):
     assert code == 1
     assert "error FGapError 5" in out
     assert not list((corpus / "runs").iterdir())
+    # every pair passes push, refine and eta and fails the gap at pull
+    assert out == GAP_SUMMARY
 
 
 def test_pipeline_empty_run_passes(tmp_path, capsys):
