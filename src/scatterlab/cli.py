@@ -53,7 +53,7 @@ from .generic import (
     skeleton_check,
     sposet_check,
 )
-from .intervals import IntervalTree, Params, TreeError, tree_axiom_report
+from .intervals import BudgetExceededError, IntervalTree, Params, TreeError, tree_axiom_report
 from .ordinals import Ordinal, OrdinalError, parse as parse_ordinal
 from .unbounded import (
     BlowupGuardError,
@@ -448,6 +448,12 @@ def pair_instance(tree: IntervalTree, rng: random.Random):
         if shape == "top-only":
             r += [(u1, t), (u2, t)]
             return make_condition("kappa", pts, r, complete=True)
+        if level_idx >= len(eps):
+            raise BudgetExceededError(
+                f"pair instances need root marker {level_idx}, but e_budget "
+                f"{tree.params.e_budget} materializes {len(eps)} root markers; "
+                f"use e_budget {zn - 2} or more"
+            )
         s = Point(eps[level_idx], 0)
         pts.append(s)
         r += [(u1, s), (u2, s)]

@@ -63,7 +63,9 @@ class UnboundedFn:
     """Total symmetric table on unordered pairs below lambda_w.
 
     Entries are indices into `eps`, the materialized marker list supplying
-    the actual ordinal values.  Instances are immutable after construction.
+    the actual ordinal values.  The order of `eps` is not enforced: a larger
+    index need not name a larger value, so code reading the table compares
+    values, not indices.  Instances are immutable after construction.
     """
 
     def __init__(
@@ -210,8 +212,9 @@ def star_search(
     threshold.
 
     Returns a certificate (every instance had a witness pair) or the first
-    failing instance in canonical order.  Instances whose family count
-    exceeds family_cap are refused unless force is set.
+    failing instance in canonical order; `instances` counts the (family,
+    threshold) pairs checked, up to and including that failure.  Instances
+    whose family count exceeds family_cap are refused unless force is set.
     """
     if m < 2:
         raise FamilyError("family size m must be at least 2")
@@ -222,12 +225,22 @@ def star_search(
         raise BlowupGuardError(
             f"{count} families exceeds the cap {family_cap}; pass force to override"
         )
+    # star_verify(F, gamma, family) holds iff the family's bottleneck, the
+    # best over member pairs of the smallest cross value, is above gamma.
+    # Families from _families are disjoint, so no _check_family is needed.
+    lam = F.lambda_w
+    value = [[None] * lam for _ in range(lam)]
+    for i, j in F.pairs():
+        value[i][j] = value[j][i] = F.value(i, j)
     instances = 0
-    for family in _families(F.lambda_w, m, nu):
-        for gamma in gammas:
-            instances += 1
-            if not star_verify(F, gamma, family).ok:
-                return SearchResult(False, instances, (family, gamma))
+    for family in _families(lam, m, nu):
+        neck = max(
+            min(value[i][j] for i in a for j in b) for a, b in combinations(family, 2)
+        )
+        for position, gamma in enumerate(gammas):
+            if not neck > gamma:
+                return SearchResult(False, instances + position + 1, (family, gamma))
+        instances += len(gammas)
     return SearchResult(True, instances, None)
 
 
@@ -243,11 +256,17 @@ def f_generate(
 ) -> UnboundedFn:
     """Build a table over lambda_w indices with values among eps.
 
-    "random" draws every entry from a seeded generator.  "greedy" walks the
-    pairs in lexicographic order and keeps each entry as large as possible
-    subject to all probes (m, nu, gammas triples) passing; since raising an
-    entry never breaks the swept property, a greedy failure means no table
-    over these markers can pass.
+    "random" draws every entry from a seeded generator.  "greedy" starts
+    every entry at the top index and walks the pairs in lexicographic
+    order, lowering each entry from the top until all probes (m, nu, gammas
+    triples) pass; the report of a `GenerationError` lists every failing
+    index tried.  Each later pair first tries the top index, which leaves
+    the table the previous pair settled on, and that table passed; so only
+    the first pair is ever lowered, and the probes run only during its scan.
+
+    When `eps` is strictly increasing, raising an entry never breaks the
+    swept property, so a greedy failure means no table over these markers
+    can pass.  Neither is guaranteed for markers in any other order.
     """
     lam = params.lambda_w
     pairs = [(i, j) for i in range(lam) for j in range(i + 1, lam)]
@@ -273,11 +292,12 @@ def f_generate(
                 return f"probe m={m} nu={nu} fails at gamma={gamma}"
         return None
 
-    for pair in pairs:
+    for k, pair in enumerate(pairs):
         chosen = None
         for idx in range(top, -1, -1):
             entries[pair] = idx
-            failure = passes()
+            # Pair k > 0 at top sees the table pair k - 1 settled on, which passed.
+            failure = None if k and idx == top else passes()
             if failure is None:
                 chosen = idx
                 break

@@ -159,6 +159,79 @@ def naive_star_search(F, m: int, nu: int, gammas):
     return instances, failures
 
 
+# The family x gamma sweep over star_verify that star_search replaced with
+# one bottleneck per family, with star_search's own guards and messages.
+# Families come from the same filtered combinations as above.
+
+
+def naive_star_search_by_verify(F, m: int, nu: int, gammas, family_cap=10_000_000, force=False):
+    from itertools import combinations
+
+    from scatterlab.unbounded import (
+        BlowupGuardError,
+        FamilyError,
+        SearchResult,
+        family_count,
+        star_verify,
+    )
+
+    if m < 2:
+        raise FamilyError("family size m must be at least 2")
+    if nu < 1 or m * nu > F.lambda_w:
+        raise FamilyError(f"cannot fit {m} disjoint {nu}-subsets below {F.lambda_w}")
+    count = family_count(F.lambda_w, m, nu)
+    if count > family_cap and not force:
+        raise BlowupGuardError(
+            f"{count} families exceeds the cap {family_cap}; pass force to override"
+        )
+    subsets = [frozenset(c) for c in combinations(range(F.lambda_w), nu)]
+    instances = 0
+    for family in combinations(subsets, m):
+        if len(set().union(*family)) != m * nu:
+            continue
+        for gamma in gammas:
+            instances += 1
+            if not star_verify(F, gamma, family).ok:
+                return SearchResult(False, instances, (family, gamma))
+    return SearchResult(True, instances, None)
+
+
+# Greedy table generation as a plain linear scan: every pair, every index
+# from the top down, one full probe sweep per try, with no reuse of a table
+# already known to pass.  Probes run through the star_verify sweep above.
+
+
+def naive_f_generate_greedy(params, eps, probes=()):
+    from scatterlab.unbounded import GenerationError, UnboundedFn
+
+    lam = params.lambda_w
+    pairs = [(i, j) for i in range(lam) for j in range(i + 1, lam)]
+    if not eps:
+        raise GenerationError("no materialized marker values", [])
+    top = len(eps) - 1
+    entries = {pair: top for pair in pairs}
+    report = []
+
+    def passes():
+        table = UnboundedFn(lam, eps, entries)
+        for m, nu, gammas in probes:
+            result = naive_star_search_by_verify(table, m, nu, list(gammas))
+            if not result.ok:
+                return f"probe m={m} nu={nu} fails at gamma={result.counterexample[1]}"
+        return None
+
+    for pair in pairs:
+        for idx in range(top, -1, -1):
+            entries[pair] = idx
+            failure = passes()
+            if failure is None:
+                break
+            report.append(f"pair {pair} index {idx}: {failure}")
+        else:
+            raise GenerationError(f"no value for pair {pair} satisfies the probes", report)
+    return UnboundedFn(lam, eps, entries)
+
+
 # --- sunflower extraction ------------------------------------------------------
 # Subset enumeration largest-first; a subfamily qualifies when all pairwise
 # intersections coincide.  No candidate-root indexing, no branch and bound.

@@ -69,6 +69,7 @@ from .oracles import (
     naive_cb,
     naive_eta_search,
     naive_star_search,
+    naive_star_search_by_verify,
     omega_cross_filter,
 )
 from .test_analysis import random_space
@@ -333,6 +334,8 @@ def test_acceptance_family_search_matches_naive_oracle():
                         assert got.counterexample == failures[0]
                     else:
                         assert got.instances == instances
+                    # pins instances on the failing path too
+                    assert got == naive_star_search_by_verify(F, m, nu, gammas)
     clock.check()
 
 

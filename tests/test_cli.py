@@ -432,6 +432,18 @@ def test_pipeline_empty_run_passes(tmp_path, capsys):
     assert "errors none" in out
 
 
+@pytest.mark.parametrize(
+    "argv, needed",
+    [(["--count", "12", "--e-budget", "4"], 7), (["--kappa-w", "5", "--e-budget", "8"], 13)],
+    ids=["count-12", "kappa-w-5"],
+)
+def test_pipeline_short_marker_budget_is_a_clean_error(tmp_path, capsys, argv, needed):
+    code, _, err = run(capsys, "pipeline", "--corpus", str(tmp_path / "corpus"), *argv)
+    assert code == 2
+    assert err.startswith("error: BudgetExceededError: ")
+    assert f"use e_budget {needed} or more" in err
+
+
 # --- env overrides -----------------------------------------------------------------
 
 

@@ -1,7 +1,10 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from scatterlab import unbounded
 from scatterlab.intervals import IntervalTree, Params
 from scatterlab.ordinals import ZERO, parse
 from scatterlab.unbounded import (
@@ -18,7 +21,7 @@ from scatterlab.unbounded import (
 )
 
 from .corpus import damaged_tables
-from .oracles import naive_star_search
+from .oracles import naive_f_generate_greedy, naive_star_search, naive_star_search_by_verify
 
 
 @pytest.fixture
@@ -138,6 +141,85 @@ def test_star_search_matches_naive_oracle(eps):
                 assert got.counterexample == failures[0]
             else:
                 assert got.instances == instances
+            # pins instances on the failing path too
+            assert got == naive_star_search_by_verify(F, m, nu, gammas)
+
+
+MARKERS = IntervalTree(Params(eta=parse("w^2"), e_budget=8)).root_eps()
+
+
+def markers(min_size, max_size):
+    """Marker lists in any order, duplicates allowed."""
+    return st.lists(st.sampled_from(MARKERS), min_size=min_size, max_size=max_size)
+
+
+def outcome(fn, *args, **kwargs):
+    """The result, or the type, text and report of the error it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except (FamilyError, BlowupGuardError, GenerationError) as err:
+        return type(err).__name__, str(err), getattr(err, "report", None)
+
+
+@settings(max_examples=400)
+@given(
+    data=st.data(),
+    lambda_w=st.integers(3, 7),
+    values=markers(1, 4),
+    # common shapes twice, then ones that fit only wide tables or never
+    shape=st.sampled_from(
+        [(2, 1), (2, 2), (3, 1), (2, 1), (2, 2), (3, 2), (2, 3), (4, 1), (1, 1), (2, 0)]
+    ),
+    gammas=st.lists(st.sampled_from(MARKERS[:5]), min_size=1, max_size=4),
+    cap=st.sampled_from([10_000_000, 10_000_000, 10_000_000, 2, 20]),
+    force=st.booleans(),
+)
+def test_star_search_matches_verify_sweep(data, lambda_w, values, shape, gammas, cap, force):
+    # unsorted, duplicate and one-marker eps, unsorted gammas, the family
+    # cap with and without force
+    pairs = list(itertools.combinations(range(lambda_w), 2))
+    cells = st.lists(st.integers(0, len(values) - 1), min_size=len(pairs), max_size=len(pairs))
+    idx = data.draw(cells)
+    F = UnboundedFn(lambda_w, values, dict(zip(pairs, idx)))
+    m, nu = shape
+    args = (F, m, nu, gammas, cap, force)
+    assert outcome(star_search, *args) == outcome(naive_star_search_by_verify, *args)
+
+
+@settings(max_examples=200)
+@given(
+    lambda_w=st.integers(3, 5),
+    values=markers(1, 4),
+    probes=st.lists(
+        st.tuples(st.sampled_from([2, 2, 2, 3, 1]), st.sampled_from([1, 1, 2, 0]), markers(0, 3)),
+        max_size=2,
+    ),
+)
+def test_greedy_matches_linear_scan_oracle(lambda_w, values, probes):
+    params = Params(eta=parse("w^2"), kappa_w=2, lambda_w=lambda_w)
+    got = outcome(f_generate, params, values, "greedy", probes=probes)
+    assert got == outcome(naive_f_generate_greedy, params, values, probes)
+
+
+@pytest.mark.parametrize(
+    "lambda_w, shapes", [(8, [(2, 2)]), (6, [(2, 2), (3, 1)])], ids=["lambda-8", "lambda-6"]
+)
+def test_greedy_sweeps_each_probe_once_when_the_top_table_passes(monkeypatch, lambda_w, shapes):
+    # every entry stays at the top, so one sweep per probe settles the table
+    calls = []
+    real = unbounded.star_search
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(unbounded, "star_search", counting)
+    params = Params(eta=parse("w^2"), lambda_w=lambda_w)
+    values = IntervalTree(params).root_eps()
+    probes = [(m, nu, [values[5]]) for m, nu in shapes]
+    F = f_generate(params, values, "greedy", probes=probes)
+    assert len(calls) == len(probes)
+    assert all(F.index(i, j) == len(values) - 1 for i, j in F.pairs())
 
 
 def test_f_generate_deterministic(eps):
