@@ -7,6 +7,13 @@ ever stops validating, so tests fail loudly on generator rot.
 
 import random
 
+from scatterlab.amalgam import (
+    SeparatedFamily,
+    amalgamate_eta,
+    canonical_pairing,
+    equivalence_stamp,
+    push_down,
+)
 from scatterlab.conditions import (
     TOP,
     Point,
@@ -108,6 +115,73 @@ def kappa_instance(tree, rng: random.Random):
         found = validate(cond, tree, F)
         assert not found, f"kappa template broke: {found}"
     return r_nu, r_mu, zeta_nu, zeta_mu, F
+
+
+def eta_inputs(tree, seed):
+    """The grid-amalgam inputs of `kappa_instance`'s pair for `seed`: both
+    members pushed down, their canonical pairing as a two-member family,
+    and its stamps.  Returns (r_nu, r_mu, pp, qq, g_nu, g_mu, pairing,
+    stamps, F)."""
+    rng = random.Random(seed)
+    r_nu, r_mu, zn, zm, F = kappa_instance(tree, rng)
+    pp, g_nu = push_down(r_nu, zn, tree)
+    qq, g_mu = push_down(r_mu, zm, tree)
+    pairing = canonical_pairing(pp, qq)
+    fam = SeparatedFamily((pp, qq), pp.points & qq.points, {(0, 1): pairing})
+    stamps = equivalence_stamp(fam, tree)
+    return r_nu, r_mu, pp, qq, g_nu, g_mu, pairing, stamps, F
+
+
+def mirror_of(pp, pairing):
+    """The pairing of pp's points and its inverse, as one map."""
+    mirror = {}
+    for s in pp.points:
+        mirror[s] = pairing[s]
+        mirror[pairing[s]] = s
+    return mirror
+
+
+def level_sharing_family(tree):
+    """Two members over a one-point root that add a point at the same
+    level, in different columns."""
+    eps = tree.root_eps()
+    u = Point(eps[1], 0)
+    a = make_condition("kappa", [u, Point(eps[5], 0)], [(u, Point(eps[5], 0))])
+    b = make_condition("kappa", [u, Point(eps[5], 1)], [(u, Point(eps[5], 1))])
+    return SeparatedFamily((a, b), frozenset({u}), {(0, 1): canonical_pairing(a, b)})
+
+
+def order_mismatch_family(tree):
+    """Two members over a one-point root whose private points sit above
+    the root in one member and beside it in the other."""
+    eps = tree.root_eps()
+    u, s1, s2 = Point(eps[1], 0), Point(eps[5], 0), Point(eps[6], 0)
+    a = make_condition("kappa", [u, s1], [(u, s1)], complete=True)
+    b = make_condition("kappa", [u, s2], [], complete=True)
+    return SeparatedFamily((a, b), frozenset({u}), {(0, 1): canonical_pairing(a, b)})
+
+
+def broken_mirror(tree):
+    """A grid amalgam with one extra pair that breaks the mirror symmetry:
+    on the first `eta_inputs` seed whose amalgam has a fresh point v and a
+    private point x of the second member incomparable to v, v is put
+    below x.  Returns (broken, pp, qq, mirror)."""
+    for seed in range(40):
+        _, _, pp, qq, _, _, pairing, stamps, _ = eta_inputs(tree, seed)
+        res = amalgamate_eta(pp, qq, pairing, stamps, tree)
+        if not res.fresh_points:
+            continue
+        v = res.fresh_points[0]
+        r = res.condition
+        above = sorted(
+            (x for x in qq.points - pp.points if not r.comparable(v, x)), key=str
+        )
+        if above:
+            broken = make_condition(
+                "kappa", r.points, set(r.strict) | {(v, above[0])}, dict(r.meets)
+            )
+            return broken, pp, qq, mirror_of(pp, pairing)
+    raise AssertionError("no asymmetric extension found")
 
 
 # --- random conditions by extension walks -------------------------------------

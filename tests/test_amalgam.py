@@ -6,7 +6,14 @@ import random
 
 import pytest
 
-from .corpus import flat_F, kappa_instance, kappa_tree, omega_instance, omega_tree
+from .corpus import (
+    eta_inputs,
+    flat_F,
+    kappa_instance,
+    kappa_tree,
+    omega_instance,
+    omega_tree,
+)
 from .oracles import naive_eta_search, naive_sunflower, omega_cross_filter
 from scatterlab.amalgam import (
     AmalgamError,
@@ -398,17 +405,6 @@ def test_push_down_rejects_top_overflow(ktree):
 
 
 # --- grid amalgamation ----------------------------------------------------------
-
-
-def eta_inputs(ktree, seed):
-    rng = random.Random(seed)
-    r_nu, r_mu, zn, zm, F = kappa_instance(ktree, rng)
-    pp, g_nu = push_down(r_nu, zn, ktree)
-    qq, g_mu = push_down(r_mu, zm, ktree)
-    pairing = canonical_pairing(pp, qq)
-    fam = SeparatedFamily((pp, qq), pp.points & qq.points, {(0, 1): pairing})
-    stamps = equivalence_stamp(fam, ktree)
-    return r_nu, r_mu, pp, qq, g_nu, g_mu, pairing, stamps, F
 
 
 def test_eta_trivial_on_equal_inputs(ktree):

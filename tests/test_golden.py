@@ -9,6 +9,8 @@ format change, run from the repository root:
 """
 
 import contextlib
+import dataclasses
+import hashlib
 import io
 import random
 import sys
@@ -17,9 +19,24 @@ from pathlib import Path
 
 import pytest
 
+from scatterlab.amalgam import (
+    HypothesisViolationError,
+    SearchExhaustedError,
+    amalgamate_eta,
+    amalgamate_kappa,
+    amalgamate_omega,
+    r2_report,
+    separated_report,
+)
 from scatterlab.analysis import space_from_poset, space_from_text, space_to_text
 from scatterlab.cli import main
-from scatterlab.conditions import TOP, Point, condition_from_text, condition_to_text
+from scatterlab.conditions import (
+    TOP,
+    Point,
+    condition_from_text,
+    condition_to_text,
+    make_condition,
+)
 from scatterlab.generic import (
     PredecessorBelow,
     RealizePoint,
@@ -34,7 +51,18 @@ from scatterlab.intervals import IntervalTree, Params
 from scatterlab.ordinals import parse
 from scatterlab.unbounded import f_generate, load, save
 
-from .corpus import flat_F, kappa_tree, omega_tree, walk_condition
+from .corpus import (
+    broken_mirror,
+    eta_inputs,
+    flat_F,
+    kappa_instance,
+    kappa_tree,
+    level_sharing_family,
+    omega_instance,
+    omega_tree,
+    order_mismatch_family,
+    walk_condition,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 PIPELINE = ("summary.txt", "conditions/pair_000_a.txt", "runs/pull_000.txt")
@@ -54,6 +82,61 @@ def golden_schedule() -> Schedule:
     )
 
 
+def digest(cond, params) -> str:
+    return hashlib.sha256(condition_to_text(cond, params).encode()).hexdigest()
+
+
+def amalgam_document() -> str:
+    """The amalgamation layer's results, one line each: for every
+    `kappa_instance` seed 0-59 the grid amalgam (its digest and fresh
+    points, or the blocking pair) with the stamps as computed and with
+    their marker windows emptied, and the kappa route's digest; for every
+    `omega_instance` seed 0-59 the union amalgam's digest.  Then the full
+    reports of the broken cases: two separated families, a grid amalgam
+    with a broken mirror, and omega members that disagree on the root."""
+    tree = kappa_tree()
+    lines = []
+    for seed in range(60):
+        r_nu, r_mu, pp, qq, _, _, pairing, stamps, F = eta_inputs(tree, seed)
+        starved = dataclasses.replace(stamps, d_of={iv: () for iv in stamps.d_of})
+        for name, windows in (("eta", stamps), ("starved", starved)):
+            try:
+                res = amalgamate_eta(pp, qq, pairing, windows, tree)
+            except SearchExhaustedError as err:
+                pair = " ".join(str(x) for x in err.constraint or ())
+                lines.append(f"kappa {seed} {name} exhausted {pair}")
+                continue
+            fresh = " ".join(str(v) for v in res.fresh_points)
+            lines.append(f"kappa {seed} {name} {digest(res.condition, tree.params)} {fresh}")
+        _, _, zn, zm, _ = kappa_instance(tree, random.Random(seed))
+        r = amalgamate_kappa(r_nu, r_mu, zn, zm, tree, F)
+        lines.append(f"kappa {seed} route {digest(r, tree.params)}")
+    otree = omega_tree()
+    for seed in range(60):
+        p, q, root, F = omega_instance(otree, random.Random(seed))
+        r = amalgamate_omega(p, q, root, F, otree)
+        lines.append(f"omega {seed} {digest(r, otree.params)}")
+
+    eps = otree.root_eps()
+    c, u1, u2 = Point(eps[1], 0), Point(eps[2], 0), Point(eps[3], 0)
+    p = make_condition("omega", [c, u1, u2], [(c, u1), (c, u2)], complete=True)
+    q = make_condition("omega", [c, u1, u2], [(c, u1)], complete=True)
+    try:
+        amalgamate_omega(p, q, p.points, flat_F(otree, otree.params.lambda_w, 12))
+    except HypothesisViolationError as err:
+        disagreement = err.details
+    reports = {
+        "level-sharing": separated_report(level_sharing_family(tree)),
+        "order-mismatch": separated_report(order_mismatch_family(tree)),
+        "broken-mirror": r2_report(*broken_mirror(tree)),
+        "root-disagreement": disagreement,
+    }
+    for name, report in reports.items():
+        lines.append(f"{name} {len(report)}")
+        lines.extend(report)
+    return "\n".join(line.rstrip() for line in lines) + "\n"
+
+
 def golden_documents() -> dict:
     """Every golden document by its path under `tests/golden/`."""
     docs = {}
@@ -67,6 +150,7 @@ def golden_documents() -> dict:
     docs["schedule.txt"] = schedule_to_text(sch)
     docs["poset.txt"] = poset_to_text(T)
     docs["space.txt"] = space_to_text(space_from_poset(T))
+    docs["amalgam.txt"] = amalgam_document()
 
     with tempfile.TemporaryDirectory() as tmp:
         params = Params(parse("w^2"))
@@ -90,7 +174,8 @@ def documents():
 
 
 NAMES = sorted(
-    ["condition-kappa.txt", "condition-omega.txt", "poset.txt", "schedule.txt", "space.txt"]
+    ["amalgam.txt", "condition-kappa.txt", "condition-omega.txt", "poset.txt", "schedule.txt"]
+    + ["space.txt"]
     + ["table.txt"]
     + ["pipeline/" + name for name in PIPELINE]
 )
