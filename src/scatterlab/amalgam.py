@@ -21,8 +21,11 @@ The module provides, in dependency order:
 * ``amalgamate_kappa``: that pipeline end to end for two root-sharing
   kappa conditions, with separated refinement and stamps in between.
 
-Construction functions never return silently-wrong output: each one
-re-validates its result and raises with the offending clause otherwise.
+The pairing clauses, the root-interpolant cross order and the root meet
+disagreements each have one helper, shared by the builders and reports that
+decide them; order is read from the ``OrderIndex`` masks.  Construction
+functions never return silently-wrong output: each one re-validates its
+result and raises with the offending clause otherwise.
 """
 
 from __future__ import annotations
@@ -32,14 +35,13 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from .conditions import (
-    TOP,
     Condition,
     ConditionError,
     Point,
-    Violation,
     leq,
     level_lt,
     make_condition,
+    pair_key,
     point_key,
     validate,
 )
@@ -239,12 +241,23 @@ class SeparatedFamily:
         return {v: k for k, v in back.items()}
 
 
-def _meets_transported(p: Condition, q: Condition, h: Mapping[Point, Point]) -> bool:
-    for s, t in p.pairs():
-        image = frozenset(h[v] for v in p.meet(s, t))
-        if image != q.meet(h[s], h[t]):
-            return False
-    return True
+def _pairing_clauses(
+    p: Condition, q: Condition, h: Mapping[Point, Point], root: FrozenSet[Point]
+) -> List[str]:
+    """The clauses that the bijection h: X_p -> X_q breaks: adequacy, fixing
+    the root, carrying p's order onto q's and p's meets onto q's."""
+    out = check_adequate(h)
+    out.extend(f"root-fixing: moves {s}" for s in root if h[s] != s)
+    # h is a bijection, so the pairs it fails to carry are the preimages of
+    # the pairs in one of h(p.strict) and q.strict but not the other
+    back = {v: k for k, v in h.items()}
+    image = {(h[s], h[t]) for s, t in p.strict}
+    moved = {pair_key(back[a], back[b]) for a, b in image ^ q.strict}
+    for s, t in sorted(moved, key=lambda st: (point_key(st[0]), point_key(st[1]))):
+        out.append(f"order: ({s}, {t}) not preserved")
+    if any(frozenset(h[v] for v in value) != q.meet(h[s], h[t]) for (s, t), value in p.meets):
+        out.append("meets: not transported")
+    return out
 
 
 def separated_report(fam: SeparatedFamily) -> List[str]:
@@ -275,19 +288,10 @@ def separated_report(fam: SeparatedFamily) -> List[str]:
     for i, j in itertools.combinations(range(len(members)), 2):
         h = fam.pairing(i, j)
         p, q = members[i], members[j]
-        if set(h) != set(p.points) or set(h.values()) != set(q.points):
+        if set(h) != p.points or set(h.values()) != q.points or len(p.points) != len(q.points):
             out.append(f"bijection: pairing {i},{j} has wrong domain or range")
             continue
-        for clause in check_adequate(h):
-            out.append(f"pair {i},{j} {clause}")
-        for s in root:
-            if h[s] != s:
-                out.append(f"pair {i},{j} root-fixing: moves {s}")
-        for s, t in itertools.combinations(p.sorted_points(), 2):
-            if p.lt(s, t) != q.lt(h[s], h[t]) or p.lt(t, s) != q.lt(h[t], h[s]):
-                out.append(f"pair {i},{j} order: ({s}, {t}) not preserved")
-        if not _meets_transported(p, q, h):
-            out.append(f"pair {i},{j} meets: not transported")
+        out.extend(f"pair {i},{j} {clause}" for clause in _pairing_clauses(p, q, h, root))
     return out
 
 
@@ -320,42 +324,30 @@ def separated_refine(family: Sequence[Condition], target: int) -> SeparatedFamil
     report = []
     root_levels = {x.level for x in root if not x.is_top}
     kept: List[Condition] = []
-    used_levels: Dict = {}
+    used_levels = set()
     for p in chosen:
         extra = [x for x in p.points - root if not x.is_top]
         if any(x.level in root_levels for x in extra):
             report.append("dropped member adding points at a root level")
             continue
         levels = {x.level for x in extra}
-        if any(lv in used_levels for lv in levels):
+        if levels & used_levels:
             report.append("dropped member reusing another member's level")
             continue
-        for lv in levels:
-            used_levels[lv] = True
+        used_levels |= levels
         kept.append(p)
 
     classes: List[List[Condition]] = []
     for p in kept:
-        placed = False
         for cls in classes:
-            rep = cls[0]
             try:
-                h = canonical_pairing(rep, p)
+                h = canonical_pairing(cls[0], p)
             except AmalgamError:
                 continue
-            if check_adequate(h):
-                continue
-            if any(h[s] != s for s in root):
-                continue
-            ok_order = all(
-                rep.lt(s, t) == p.lt(h[s], h[t]) and rep.lt(t, s) == p.lt(h[t], h[s])
-                for s, t in itertools.combinations(rep.sorted_points(), 2)
-            )
-            if ok_order and _meets_transported(rep, p, h):
+            if not _pairing_clauses(cls[0], p, h, root):
                 cls.append(p)
-                placed = True
                 break
-        if not placed:
+        else:
             classes.append([p])
 
     best = max(classes, key=len, default=[])
@@ -383,14 +375,13 @@ def kerneldown_check(fam: SeparatedFamily):
     counterexample as (member index, (s, t), meet value).
     """
     for idx, p in enumerate(fam.members):
-        for s, t in p.pairs():
+        for (s, t), value in p.meets:
             if s not in fam.root or t not in fam.root:
                 continue
             if s.is_top and t.is_top:
                 continue
             if p.comparable(s, t) or not p.compatible(s, t):
                 continue
-            value = p.meet(s, t)
             if not value <= fam.root:
                 return idx, (s, t), value
     return None
@@ -400,16 +391,13 @@ def kerneldown_check(fam: SeparatedFamily):
 # top-heavy dialect amalgamation
 
 
-def _root_agreement(p: Condition, q: Condition, root: FrozenSet[Point]) -> List[str]:
-    out = []
-    rp = {(s, t) for (s, t) in p.strict if s in root and t in root}
-    rq = {(s, t) for (s, t) in q.strict if s in root and t in root}
-    if rp != rq:
-        out.append("root order disagrees between the members")
-    for s, t in itertools.combinations(sorted(root, key=point_key), 2):
-        if p.meet(s, t) != q.meet(s, t):
-            out.append(f"root meet disagrees at ({s}, {t})")
-    return out
+def _root_meet_conflicts(p: Condition, q: Condition, root: FrozenSet[Point]):
+    """The root pairs, in point_key order, whose meets p and q disagree on."""
+    return [
+        (s, t)
+        for s, t in itertools.combinations(sorted(root, key=point_key), 2)
+        if p.meet(s, t) != q.meet(s, t)
+    ]
 
 
 def amalgamate_omega(
@@ -450,7 +438,12 @@ def amalgamate_omega(
                 problems.append(
                     f"initial-segment: {name} member point {x} below root top level"
                 )
-    problems.extend(_root_agreement(p, q, root))
+    rp = {(s, t) for (s, t) in p.strict if s in root and t in root}
+    rq = {(s, t) for (s, t) in q.strict if s in root and t in root}
+    if rp != rq:
+        problems.append("root order disagrees between the members")
+    for s, t in _root_meet_conflicts(p, q, root):
+        problems.append(f"root meet disagrees at ({s}, {t})")
     if problems:
         raise HypothesisViolationError("omega amalgam hypotheses fail", problems)
 
@@ -464,17 +457,12 @@ def amalgamate_omega(
 
     points = p.points | q.points
     rel = set(p.strict) | set(q.strict)
-    meets = {}
-    for (s, t), value in p.meets:
-        meets[(s, t)] = value
-    for (s, t), value in q.meets:
-        meets.setdefault((s, t), value)
-    for x in sorted(p.points - root, key=point_key):
-        for y in sorted(q.points - root, key=point_key):
-            filt = frozenset(
-                u for u in root if p.lt(u, x) and q.lt(u, y)
-            )
-            meets[(x, y)] = filt
+    meets = dict(p.meets + q.meets)
+    q_low = {y: q.down(y) & root for y in q.points - root}
+    for x in p.points - root:
+        x_low = p.down(x) & root
+        for y, y_low in q_low.items():
+            meets[(x, y)] = frozenset(x_low & y_low)
     r = make_condition("omega", points, rel, meets)
     if not (leq(r, p) and leq(r, q)):
         raise AmalgamError("amalgam is not below both members")
@@ -672,47 +660,57 @@ def r2_report(
     """
     out = []
     root = pp.points & qq.points
-    fresh = sorted(r.points - pp.points - qq.points, key=point_key)
-    for y in fresh:
+    core = r.core()
+    index, up, down = core.index, core.up, core.down
+    above = core.above()
+    rootmask = sum(1 << index[u] for u in root)
+    for y in sorted(r.points - pp.points - qq.points, key=point_key):
+        j = index[y]
         for s in pp.sorted_points():
-            if r.lt(y, s) != r.lt(y, pairing[s]):
+            i, k = index[s], index[pairing[s]]
+            if (up[j] >> i & 1) != (up[j] >> k & 1):
                 out.append(f"mirror-up: ({y}, {s}) breaks the pairing")
-            if r.lt(s, y) != r.lt(pairing[s], y):
+            if (down[j] >> i & 1) != (down[j] >> k & 1):
                 out.append(f"mirror-down: ({s}, {y}) breaks the pairing")
         for s in sorted(pp.points | qq.points, key=point_key):
-            if r.lt(s, y) and not any(
-                r.le(s, w) and r.lt(w, y) for w in root
-            ):
+            i = index[s]
+            if down[j] >> i & 1 and not rootmask & above[i] & down[j]:
                 out.append(f"root-passage: {s} reaches {y} off the root")
+    cross = _cross_order(pp, qq, root)
     for s in sorted(pp.points - root, key=point_key):
         for t in sorted(qq.points - root, key=point_key):
-            want = any(pp.lt(s, u) and qq.lt(u, t) for u in root)
-            if r.lt(s, t) != want:
-                out.append(f"cross-order: ({s}, {t}) disagrees with interpolants")
-            want = any(qq.lt(t, u) and pp.lt(u, s) for u in root)
-            if r.lt(t, s) != want:
-                out.append(f"cross-order: ({t}, {s}) disagrees with interpolants")
+            for a, b in ((s, t), (t, s)):
+                if ((a, b) in r.strict) != ((a, b) in cross):
+                    out.append(f"cross-order: ({a}, {b}) disagrees with interpolants")
     return out
 
 
-def _strict_common(cond: Condition, s: Point, t: Point):
-    return {x for x in cond.points if cond.lt(x, s) and cond.lt(x, t)}
+def _cross_order(pp: Condition, qq: Condition, root: FrozenSet[Point]):
+    """The cross pairs between the members' private points that pass
+    through a root interpolant: (s, t) for s of pp and t of qq when
+    s < u < t for some root point u, and (t, s) when t < u < s."""
+    out = set()
+    for a, b in ((pp, qq), (qq, pp)):
+        under = {u: a.down(u) - root for u in root}
+        for t in b.points - root:
+            for u in b.down(t) & root:
+                out.update((s, t) for s in under[u])
+    return out
 
 
-def _first_deficient(cond, base_keys, tree):
-    for s, t in cond.pairs():
-        if frozenset((s, t)) in base_keys:
+def _first_deficient(cond: Condition, base_meets, tree: IntervalTree):
+    """The first incomparable pair off the base pairs whose meet is neither
+    empty nor one point inside both orbits.  `cond` comes from
+    `make_condition(complete=True)`: off the base pairs, a comparable pair's
+    meet holds one of its own points, an incomparable pair's the maximal
+    common strict lower bounds."""
+    for (s, t), value in cond.meets:
+        if not value or (s, t) in base_meets or s in value or t in value:
             continue
-        if cond.comparable(s, t):
-            continue
-        common = _strict_common(cond, s, t)
-        if not common:
-            continue
-        maxima = [x for x in common if not any(cond.lt(x, y) for y in common)]
-        if len(maxima) == 1 and maxima[0].level in tree.orbit(
-            s.level
-        ) and maxima[0].level in tree.orbit(t.level):
-            continue
+        if len(value) == 1:
+            (m,) = value
+            if m.level in tree.orbit(s.level) and m.level in tree.orbit(t.level):
+                continue
         return s, t
     return None
 
@@ -754,29 +752,16 @@ def amalgamate_eta(
         mirror[s] = pairing[s]
         mirror[pairing[s]] = s
 
-    rel = set(pp.strict) | set(qq.strict)
-    p_only = sorted(pp.points - root, key=point_key)
-    q_only = sorted(qq.points - root, key=point_key)
-    for s in p_only:
-        for t in q_only:
-            if any(pp.lt(s, u) and qq.lt(u, t) for u in root):
-                rel.add((s, t))
-            if any(qq.lt(t, u) and pp.lt(u, s) for u in root):
-                rel.add((t, s))
-
+    rel = set(pp.strict) | set(qq.strict) | _cross_order(pp, qq, root)
+    for s, t in _root_meet_conflicts(pp, qq, root):
+        raise HypothesisViolationError(f"members disagree on the root meet of ({s}, {t})")
     # meet rows are keyed in point_key order, so a shared pair has one key
-    base_meets = dict(pp.meets)
-    for (s, t), value in qq.meets:
-        if base_meets.setdefault((s, t), value) != value:
-            raise HypothesisViolationError(
-                f"members disagree on the root meet of ({s}, {t})"
-            )
-    base_keys = {frozenset(k) for k in base_meets}
+    base_meets = dict(pp.meets + qq.meets)
     blocked = []
 
     def attempt(points, rel_now, fresh):
         cond = make_condition("kappa", points, rel_now, base_meets, complete=True)
-        task = _first_deficient(cond, base_keys, tree)
+        task = _first_deficient(cond, base_meets, tree)
         if task is None:
             if validate(cond, tree):
                 return None
@@ -791,10 +776,12 @@ def amalgamate_eta(
             blocked.append((cond, task))
             return None
         s, t = task
-        corners = {s, t, mirror.get(s, s), mirror.get(t, t)}
-        lower = _strict_common(cond, s, t) | _strict_common(
-            cond, mirror.get(s, s), mirror.get(t, t)
-        )
+        ms, mt = mirror.get(s, s), mirror.get(t, t)
+        corners = {s, t, ms, mt}
+        core = cond.core()
+        down, index = core.down, core.index
+        low = down[index[s]] & down[index[t]] | down[index[ms]] & down[index[mt]]
+        lower = core.members(low)
         # candidate levels: the marker windows of every stamped corner,
         # intersected; fresh corners carry no stamp and are screened by
         # the orbit filter below instead
@@ -809,16 +796,17 @@ def amalgamate_eta(
         # symmetric, the second catches corners with incomparable tops)
         options = [corners]
         if lower:
-            fence = corners | {
-                x for x in points if all(cond.lt(w, x) for w in lower)
-            }
+            shared = -1
+            for w in lower:
+                shared &= core.up[index[w]]
+            fence = corners | set(core.members(shared))
             if fence != corners:
                 options.append(fence)
         placed_any = False
         for beta in cand:
             if not all(w.level < beta for w in lower):
                 continue
-            used = {x.xi for x in points if not x.is_top and x.level == beta}
+            used = {x.xi for x in core.members(core.levels.get(beta, 0))}
             col = next(i for i in itertools.count() if i not in used)
             if col >= tree.params.kappa_w:
                 continue
@@ -853,22 +841,26 @@ def amalgamate_eta(
 # pull back
 
 
-def _meet_max(rp: Condition, cands: List[FrozenSet[Point]], pair):
-    best: Optional[FrozenSet[Point]] = None
-
-    def le_set(a, b):
-        return all(any(rp.le(x, y) for y in b) for x in a)
-
+def _meet_max(core, below: List[int], cands: List[FrozenSet[Point]], pair):
+    """The candidate every candidate lies below, one set lying below another
+    when its down-set, the OR of its points' `le` masks `below`, is inside
+    the other's."""
+    hulls = []
     for c in cands:
-        if best is None or le_set(best, c):
-            best = c
-    for c in cands:
-        if not le_set(c, best):
-            raise MaxUndefinedError(
-                f"meet candidates of ({pair[0]}, {pair[1]}) have no maximum",
-                pair=pair,
-            )
-    return best
+        hull = 0
+        for x in c:
+            hull |= below[core.index[x]]
+        hulls.append(hull)
+    best = 0
+    for k, hull in enumerate(hulls):
+        if not hulls[best] & ~hull:
+            best = k
+    if any(hull & ~hulls[best] for hull in hulls):
+        raise MaxUndefinedError(
+            f"meet candidates of ({pair[0]}, {pair[1]}) have no maximum",
+            pair=pair,
+        )
+    return cands[best]
 
 
 def pull_back(
@@ -925,13 +917,15 @@ def pull_back(
             rel.add((s, h[t]))
 
     meets: Dict = {}
+    core = rp.core()
+    below = core.below()
     ordered = sorted(points, key=point_key)
     for s, t in itertools.combinations(ordered, 2):
         cands = []
         for sp in preimages[s]:
             for tp in preimages[t]:
                 cands.append(rp.meet(sp, tp))
-        value = _meet_max(rp, cands, (s, t))
+        value = _meet_max(core, below, cands, (s, t))
         meets[(s, t)] = frozenset(h[v] for v in value)
 
     r = make_condition("kappa", points, rel, meets)

@@ -101,6 +101,9 @@ class Params:
             raise TreeError("kappa_w must be at least 2")
         if self.lambda_w <= self.kappa_w:
             raise TreeError("lambda_w must exceed kappa_w")
+        if self.lambda_w > 1000:
+            n = self.lambda_w * (self.lambda_w - 1) // 2
+            raise TreeError(f"lambda_w {self.lambda_w} exceeds 1000: its table would hold {n} entries")
         if self.e_budget < 2:
             raise TreeError("e_budget must be at least 2")
         if self.size_cap < 1:

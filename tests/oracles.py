@@ -265,6 +265,113 @@ def omega_cross_filter(p, q, root):
     return out
 
 
+# --- amalgam reports --------------------------------------------------------------
+# The separatedness and grid-amalgam contracts, and the pairs a grid amalgam
+# must still fix, re-derived by point-pair membership tests in the strict
+# sets, one root point at a time.  The package reads order masks and the
+# completed meet table instead; the messages and their order must match.
+
+
+def naive_separated_report(fam):
+    """`amalgam.separated_report` by point-pair membership tests."""
+    from scatterlab.amalgam import check_adequate
+
+    out = []
+    members = fam.members
+    root = fam.root
+    for i, j in itertools.combinations(range(len(members)), 2):
+        if members[i].points & members[j].points != root:
+            out.append(f"delta: members {i},{j} intersect off-root")
+
+    root_levels = {x.level for x in root if not x.is_top}
+    owners = {}
+    for i, m in enumerate(members):
+        for x in m.points:
+            if x.is_top or x in root:
+                continue
+            if x.level in root_levels:
+                out.append(f"level-sharing: member {i} adds {x} at a root level")
+            else:
+                prev = owners.setdefault(x.level, i)
+                if prev != i:
+                    out.append(f"level-sharing: level {x.level} used by members {prev},{i}")
+
+    for i, j in itertools.combinations(range(len(members)), 2):
+        h = fam.pairing(i, j)
+        p, q = members[i], members[j]
+        if set(h) != set(p.points) or set(h.values()) != set(q.points):
+            out.append(f"bijection: pairing {i},{j} has wrong domain or range")
+            continue
+        for clause in check_adequate(h):
+            out.append(f"pair {i},{j} {clause}")
+        for s in root:
+            if h[s] != s:
+                out.append(f"pair {i},{j} root-fixing: moves {s}")
+        for s, t in _raw_pairs(p):
+            if ((s, t) in p.strict) != ((h[s], h[t]) in q.strict) or (
+                (t, s) in p.strict
+            ) != ((h[t], h[s]) in q.strict):
+                out.append(f"pair {i},{j} order: ({s}, {t}) not preserved")
+        for s, t in _raw_pairs(p):
+            image = frozenset(h[v] for v in _raw_meet(p, s, t, frozenset()))
+            if image != _raw_meet(q, h[s], h[t], frozenset()):
+                out.append(f"pair {i},{j} meets: not transported")
+                break
+    return out
+
+
+def naive_r2_report(r, pp, qq, pairing):
+    """`amalgam.r2_report` by point-pair membership tests."""
+    out = []
+    root = pp.points & qq.points
+
+    def by_key(points):
+        return sorted(points, key=lambda x: x._key)
+
+    for y in by_key(r.points - pp.points - qq.points):
+        for s in by_key(pp.points):
+            if ((y, s) in r.strict) != ((y, pairing[s]) in r.strict):
+                out.append(f"mirror-up: ({y}, {s}) breaks the pairing")
+            if ((s, y) in r.strict) != ((pairing[s], y) in r.strict):
+                out.append(f"mirror-down: ({s}, {y}) breaks the pairing")
+        for s in by_key(pp.points | qq.points):
+            if (s, y) in r.strict and not any(
+                _raw_le(r, s, w) and (w, y) in r.strict for w in root
+            ):
+                out.append(f"root-passage: {s} reaches {y} off the root")
+    for s in by_key(pp.points - root):
+        for t in by_key(qq.points - root):
+            want = any((s, u) in pp.strict and (u, t) in qq.strict for u in root)
+            if ((s, t) in r.strict) != want:
+                out.append(f"cross-order: ({s}, {t}) disagrees with interpolants")
+            want = any((t, u) in qq.strict and (u, s) in pp.strict for u in root)
+            if ((t, s) in r.strict) != want:
+                out.append(f"cross-order: ({t}, {s}) disagrees with interpolants")
+    return out
+
+
+def naive_deficient(cond, base_keys, tree):
+    """Every pair of `cond`, in point order, that the grid amalgam must still
+    fix: not in `base_keys` (unordered pairs), incomparable, with common
+    strict lower bounds that lack a unique maximum inside both orbits."""
+    out = []
+    for s, t in _raw_pairs(cond):
+        if frozenset((s, t)) in base_keys or (s, t) in cond.strict or (t, s) in cond.strict:
+            continue
+        common = {x for x in cond.points if (x, s) in cond.strict and (x, t) in cond.strict}
+        if not common:
+            continue
+        maxima = [x for x in common if not any((x, y) in cond.strict for y in common)]
+        if (
+            len(maxima) == 1
+            and maxima[0].level in tree.orbit(s.level)
+            and maxima[0].level in tree.orbit(t.level)
+        ):
+            continue
+        out.append((s, t))
+    return out
+
+
 # --- grid amalgam: full placement enumeration ----------------------------------
 # Breadth-first over every (deficient pair, window level, attachment shape)
 # choice, collecting every terminal condition that passes the full contract.
@@ -275,7 +382,6 @@ def omega_cross_filter(p, q, root):
 def naive_eta_search(pp, qq, pairing, stamps, tree, max_fresh=3):
     import itertools as it
 
-    from scatterlab.amalgam import r2_report
     from scatterlab.conditions import Point, leq, make_condition, point_key, validate
 
     root = pp.points & qq.points
@@ -302,24 +408,6 @@ def naive_eta_search(pp, qq, pairing, stamps, tree, max_fresh=3):
     def orbit(level):
         return set(tree.orbit(level))
 
-    def deficient(cond):
-        out = []
-        for s, t in cond.pairs():
-            if frozenset((s, t)) in meets0 or cond.comparable(s, t):
-                continue
-            common = {x for x in cond.points if cond.lt(x, s) and cond.lt(x, t)}
-            if not common:
-                continue
-            maxima = [x for x in common if not any(cond.lt(x, y) for y in common)]
-            if (
-                len(maxima) == 1
-                and maxima[0].level in orbit(s.level)
-                and maxima[0].level in orbit(t.level)
-            ):
-                continue
-            out.append((s, t))
-        return out
-
     successes = []
     seen = set()
     frontier = [(frozenset(pp.points | qq.points), frozenset(rel0), ())]
@@ -329,11 +417,11 @@ def naive_eta_search(pp, qq, pairing, stamps, tree, max_fresh=3):
             continue
         seen.add((points, rel))
         cond = build(points, rel)
-        tasks = deficient(cond)
+        tasks = naive_deficient(cond, meets0, tree)
         if not tasks:
             ok = (
                 not validate(cond, tree)
-                and not r2_report(cond, pp, qq, mirror)
+                and not naive_r2_report(cond, pp, qq, mirror)
                 and leq(cond, pp)
                 and leq(cond, qq)
                 and all(v.level < stamps.gamma for v in fresh)

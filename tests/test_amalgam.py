@@ -5,16 +5,29 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from .corpus import (
+    broken_mirror,
     eta_inputs,
     flat_F,
     kappa_instance,
     kappa_tree,
+    level_sharing_family,
+    mirror_of,
     omega_instance,
     omega_tree,
+    order_mismatch_family,
 )
-from .oracles import naive_eta_search, naive_sunflower, omega_cross_filter
+from .oracles import (
+    naive_deficient,
+    naive_eta_search,
+    naive_r2_report,
+    naive_separated_report,
+    naive_sunflower,
+    omega_cross_filter,
+)
 from scatterlab.amalgam import (
     AmalgamError,
     EquivalenceStamp,
@@ -25,6 +38,7 @@ from scatterlab.amalgam import (
     RefineError,
     SearchExhaustedError,
     SeparatedFamily,
+    _first_deficient,
     amalgamate_eta,
     amalgamate_kappa,
     amalgamate_omega,
@@ -44,6 +58,7 @@ from scatterlab.conditions import (
     Point,
     leq,
     make_condition,
+    point_key,
     validate,
 )
 from scatterlab.intervals import Interval, IntervalTree, Params
@@ -567,6 +582,77 @@ def test_r2_report_flags_broken_mirror(ktree):
         assert any("mirror" in line for line in report)
         return
     pytest.fail("no asymmetric extension found")
+
+
+def first_deficient_agrees(cond, base_meets, tree):
+    want = naive_deficient(cond, {frozenset(k) for k in base_meets}, tree)
+    assert _first_deficient(cond, base_meets, tree) == (want[0] if want else None)
+
+
+def test_reports_and_first_deficient_match_the_oracles(ktree):
+    # every seed's family and amalgam, the amalgam with each one-pair break
+    # of its mirror symmetry, the member union before any cross order, and
+    # the broken cases
+    for seed in range(60):
+        _, _, pp, qq, _, _, pairing, stamps, _ = eta_inputs(ktree, seed)
+        fam = SeparatedFamily((pp, qq), pp.points & qq.points, {(0, 1): pairing})
+        assert separated_report(fam) == naive_separated_report(fam)
+        mirror = mirror_of(pp, pairing)
+        res = amalgamate_eta(pp, qq, pairing, stamps, ktree)
+        r = res.condition
+        assert r2_report(r, pp, qq, mirror) == naive_r2_report(r, pp, qq, mirror)
+        for v in res.fresh_points:
+            for x in sorted(r.points - {v}, key=point_key):
+                if not r.comparable(v, x):
+                    broken = make_condition(
+                        "kappa", r.points, set(r.strict) | {(v, x)}, dict(r.meets)
+                    )
+                    want = naive_r2_report(broken, pp, qq, mirror)
+                    assert r2_report(broken, pp, qq, mirror) == want
+        base = dict(pp.meets)
+        base.update(qq.meets)
+        union = make_condition(
+            "kappa", pp.points | qq.points, pp.strict | qq.strict, base, complete=True
+        )
+        first_deficient_agrees(union, base, ktree)
+        first_deficient_agrees(r, base, ktree)
+    for fam in (level_sharing_family(ktree), order_mismatch_family(ktree)):
+        assert separated_report(fam) == naive_separated_report(fam)
+    args = broken_mirror(ktree)
+    assert r2_report(*args) == naive_r2_report(*args)
+
+
+@st.composite
+def completed_conditions(draw):
+    """A kappa condition over points at marker and near-marker levels, its
+    order acyclic along a random permutation, built with
+    `make_condition(complete=True)` from a random subset of its pairs given
+    arbitrary meets; returns it with that subset."""
+    eps = kappa_tree().root_eps()[:6]
+    levels = list(eps) + [e + 1 for e in eps[:4]]
+    cells = st.tuples(st.sampled_from(range(len(levels))), st.integers(0, 2))
+    picked = draw(st.lists(cells, min_size=2, max_size=7, unique=True))
+    pts = [Point(levels[i], xi) for i, xi in picked]
+    perm = draw(st.permutations(range(len(pts))))
+    density = draw(st.integers(1, 7))
+    rel = {
+        (pts[perm[a]], pts[perm[b]])
+        for a in range(len(pts))
+        for b in range(a + 1, len(pts))
+        if draw(st.integers(0, 9)) < density
+    }
+    pairs = list(itertools.combinations(sorted(pts, key=point_key), 2))
+    keys = draw(st.lists(st.sampled_from(pairs), max_size=4, unique=True))
+    value = st.lists(st.sampled_from(pts), max_size=2).map(frozenset)
+    base = {key: draw(value) for key in keys}
+    return make_condition("kappa", pts, rel, base, complete=True), base
+
+
+@settings(max_examples=150, deadline=None)
+@given(completed_conditions())
+def test_first_deficient_matches_the_oracle(drawn):
+    cond, base = drawn
+    first_deficient_agrees(cond, base, kappa_tree())
 
 
 # --- pull back -------------------------------------------------------------------

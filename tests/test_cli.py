@@ -1,6 +1,7 @@
 """End-to-end exercises of the command line through main()."""
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -442,6 +443,25 @@ def test_pipeline_short_marker_budget_is_a_clean_error(tmp_path, capsys, argv, n
     assert code == 2
     assert err.startswith("error: BudgetExceededError: ")
     assert f"use e_budget {needed} or more" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["unbounded", "gen", "--out", "{tmp}/F.txt"],
+        ["simulate", "--schedule", "{golden}/schedule.txt", "--out", "{tmp}/T.txt"],
+        ["pipeline", "--corpus", "{tmp}/corpus"],
+    ],
+    ids=["gen", "simulate", "pipeline"],
+)
+def test_huge_lambda_w_is_a_clean_error(tmp_path, capsys, argv):
+    # a greedy table over 10^6 columns would need about 5 * 10^11 entries
+    golden = Path(__file__).resolve().parent / "golden"
+    argv = [arg.format(tmp=tmp_path, golden=golden) for arg in argv]
+    code, _, err = run(capsys, *argv, "--lambda-w", "1000000")
+    assert code == 2
+    assert err.startswith("error: TreeError: lambda_w 1000000 exceeds 1000")
+    assert "Traceback" not in err
 
 
 # --- env overrides -----------------------------------------------------------------

@@ -121,15 +121,13 @@ def amalgam_document() -> str:
     c, u1, u2 = Point(eps[1], 0), Point(eps[2], 0), Point(eps[3], 0)
     p = make_condition("omega", [c, u1, u2], [(c, u1), (c, u2)], complete=True)
     q = make_condition("omega", [c, u1, u2], [(c, u1)], complete=True)
-    try:
+    with pytest.raises(HypothesisViolationError) as err:
         amalgamate_omega(p, q, p.points, flat_F(otree, otree.params.lambda_w, 12))
-    except HypothesisViolationError as err:
-        disagreement = err.details
     reports = {
         "level-sharing": separated_report(level_sharing_family(tree)),
         "order-mismatch": separated_report(order_mismatch_family(tree)),
         "broken-mirror": r2_report(*broken_mirror(tree)),
-        "root-disagreement": disagreement,
+        "root-disagreement": err.value.details,
     }
     for name, report in reports.items():
         lines.append(f"{name} {len(report)}")

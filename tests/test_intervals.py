@@ -46,6 +46,12 @@ def test_params_validation():
         Params(eta=parse("w^2"), e_budget=1)
 
 
+def test_params_bound_lambda_w():
+    assert Params(eta=parse("w^2"), lambda_w=1000).lambda_w == 1000
+    with pytest.raises(TreeError, match="would hold 500500 entries"):
+        Params(eta=parse("w^2"), lambda_w=1001)
+
+
 def test_children_limit_case():
     t = make_tree("w^2")
     assert t.children(iv("0", "w^2"), 3) == [iv("0", "w"), iv("w", "w*2"), iv("w*2", "w*3")]
