@@ -626,11 +626,8 @@ def leq(q: Condition, p: Condition) -> bool:
     return all(table.get(key, frozenset()) == value for key, value in p.meets)
 
 
-def _fresh_column(
-    p: Condition, level: Level, floor: int, cap: int, taken: Set[Point]
-) -> Point:
-    used = {x.xi for x in p.points if x.level is level or x.level == level}
-    used |= {x.xi for x in taken if x.level is level or x.level == level}
+def _fresh_column(core: OrderIndex, level: Level, floor: int, cap: int) -> Point:
+    used = {x.xi for x in core.members(core.levels.get(level, 0))}
     xi = floor
     while xi in used:
         xi += 1
@@ -654,8 +651,10 @@ def extend_below(
     the target's level (instances whose isolating interval ends exactly at
     the target's level are witnessed by the target itself).  The omega
     dialect adds the finite ladder filling the levels from which the
-    target's successor level is reachable by finite steps.  All new points
-    relate upward only, so their meets are forced.
+    target's successor level is reachable by finite steps.  The new points
+    form one chain tied upward to everything at or above tgt, and
+    `make_condition` forces their meets: the lower point of a comparable
+    pair, and the empty set against every other old point.
     """
     if tgt not in p.points:
         raise ConditionError(f"target {tgt} is not in the condition")
@@ -663,66 +662,34 @@ def extend_below(
         raise ConditionError(f"need alpha below the target, got {alpha} vs {tgt.level}")
     if not alpha < tree.params.eta:
         raise ConditionError(f"alpha {alpha} is not below {tree.params.eta}")
+    if nu_floor < 0:
+        raise ConditionError(f"column floor {nu_floor} is negative")
 
     params = tree.params
-    core = p.core()
-    i = core.index[tgt]
-    above = set(core.members(core.up[i] | 1 << i))
-    taken: Set[Point] = set()
-
+    levels: List[Ordinal] = [alpha]
     if p.dialect == "kappa":
         try:
             trail = tree.path(alpha)
         except TreeError as err:
             raise UnmaterializedLevelError(f"path({alpha}): {err}") from err
         bound = params.eta if tgt.is_top else tgt.level
-        isolating = [iv for iv in trail[:-1] if iv.hi < bound]
-        s = _fresh_column(p, alpha, nu_floor, params.kappa_w, taken)
-        taken.add(s)
-        chain: List[Point] = []
-        for iv in isolating:
-            c = _fresh_column(p, iv.hi, 0, params.kappa_w, taken)
-            taken.add(c)
-            chain.append(c)
-        new_points = [s] + chain
-        rel = set(p.strict)
-        rel |= {(s, c) for c in chain}
-        rel |= {(w, y) for w in new_points for y in above}
-        rel |= {(chain[j], chain[i]) for i in range(len(chain)) for j in range(i + 1, len(chain))}
-        meets = dict(p.meets)
-        for c in chain:
-            meets[pair_key(s, c)] = frozenset({s})
-        for i, j in itertools.combinations(range(len(chain)), 2):
-            meets[pair_key(chain[i], chain[j])] = frozenset({chain[max(i, j)]})
-        for w in new_points:
-            for y in p.points:
-                meets[pair_key(w, y)] = frozenset({w}) if y in above else frozenset()
-        p2 = make_condition("kappa", set(p.points) | set(new_points), rel, meets)
-        return p2, s
+        levels += [iv.hi for iv in trail[:-1] if iv.hi < bound]
+    elif not tgt.is_top and tgt.level.is_successor:
+        base = Ordinal(tgt.level.terms[:-1])
+        levels += [base + k for k in range(tgt.level.terms[-1][1]) if alpha < base + k]
 
-    ladder_levels: List[Ordinal] = [alpha]
-    tlevel = tgt.level
-    if not tgt.is_top and tlevel.is_successor:
-        base = Ordinal(tlevel.terms[:-1])
-        steps = tlevel.terms[-1][1]
-        ladder_levels += [base + k for k in range(steps) if alpha < base + k]
-    rungs: List[Point] = []
-    for depth, lev in enumerate(ladder_levels):
-        floor = nu_floor if depth == 0 else 0
-        rung = _fresh_column(p, lev, floor, params.kappa_w, taken)
-        taken.add(rung)
-        rungs.append(rung)
-    s = rungs[0]
+    core = p.core()
+    s = _fresh_column(core, alpha, nu_floor, params.kappa_w)
+    chain = sorted(
+        [s] + [_fresh_column(core, lev, 0, params.kappa_w) for lev in levels[1:]],
+        key=point_key,
+    )
+    i = core.index[tgt]
+    above = core.members(core.up[i] | 1 << i)
     rel = set(p.strict)
-    rel |= {(w, y) for w in rungs for y in above}
-    rel |= {(rungs[j], rungs[k]) for j in range(len(rungs)) for k in range(j + 1, len(rungs))}
-    meets = dict(p.meets)
-    for j, k in itertools.combinations(range(len(rungs)), 2):
-        meets[pair_key(rungs[j], rungs[k])] = frozenset({rungs[min(j, k)]})
-    for w in rungs:
-        for y in p.points:
-            meets[pair_key(w, y)] = frozenset({w}) if y in above else frozenset()
-    p2 = make_condition("omega", set(p.points) | set(rungs), rel, meets)
+    rel.update(zip(chain, chain[1:]))
+    rel.update((w, y) for w in chain for y in above)
+    p2 = make_condition(p.dialect, p.points | set(chain), rel, p.meet_table(), complete=True)
     return p2, s
 
 

@@ -219,13 +219,6 @@ def poset_from_text(text: str) -> FinitePoset:
 # --- running a schedule ----------------------------------------------------------
 
 
-def _insert_isolated(p: Condition, x: Point) -> Condition:
-    meets = dict(p.meets)
-    for y in p.points:
-        meets[pair_key(x, y)] = frozenset()
-    return make_condition(p.dialect, set(p.points) | {x}, p.strict, meets)
-
-
 def run_schedule(
     sch: Schedule,
     tree: IntervalTree,
@@ -261,7 +254,12 @@ def run_schedule(
                     tree.path(x.level)
                 except TreeError as err:
                     fail(f"level not materialized: {err}", k, req)
-            p2 = p if x in p.points else _insert_isolated(p, x)
+            if x in p.points:
+                p2 = p
+            else:
+                p2 = make_condition(
+                    p.dialect, p.points | {x}, p.strict, p.meet_table(), complete=True
+                )
         elif isinstance(req, PredecessorBelow):
             if req.target not in p.points:
                 fail("target point has not been realized", k, req)

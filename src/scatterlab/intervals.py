@@ -163,10 +163,6 @@ class IntervalTree:
     def root_eps(self, count: Optional[int] = None) -> Tuple[Ordinal, ...]:
         return self.e_set(self.root, count)
 
-    def eps(self, i: int) -> Ordinal:
-        """The i-th root marker."""
-        return self.e_set(self.root, i + 1)[i]
-
     # -- refinement -------------------------------------------------------
 
     def children(self, iv: Interval, count: Optional[int] = None) -> List[Interval]:
@@ -252,11 +248,7 @@ class IntervalTree:
         if orb is None:
             seen = set()
             for iv in self.path(alpha)[:-1]:
-                if iv.hi.is_limit:
-                    marks = self.e_set(iv)
-                else:
-                    marks = (iv.lo,) if iv.is_singleton else (iv.lo, iv.hi.predecessor())
-                seen.update(m for m in marks if m < alpha)
+                seen.update(m for m in self.e_set(iv) if m < alpha)
             orb = self._orbits[alpha] = tuple(sorted(seen))
         return orb
 

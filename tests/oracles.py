@@ -776,3 +776,102 @@ def naive_complete_meets(points, strict):
                 x for x in common if not any((x, y) in strict for y in common)
             )
     return out
+
+
+# --- point insertion: the two-branch extend_below ------------------------------
+# The kappa and omega branches as they stood before insertion went through one
+# route: each builds its own chain, copies the whole meet table and writes the
+# new points' meet rows by hand.  The package now lets `make_condition` force
+# those rows; documents, new points and errors must match this copy.
+
+
+def _naive_fresh_column(p, level, floor, cap, taken):
+    from scatterlab.conditions import LevelBudgetError, Point
+
+    used = {x.xi for x in p.points if x.level is level or x.level == level}
+    used |= {x.xi for x in taken if x.level is level or x.level == level}
+    xi = floor
+    while xi in used:
+        xi += 1
+    if xi >= cap:
+        raise LevelBudgetError(f"no free column at level {level} (cap {cap})")
+    return Point(level, xi)
+
+
+def naive_extend_below(p, tgt, alpha, nu_floor, tree):
+    from scatterlab.conditions import (
+        ConditionError,
+        UnmaterializedLevelError,
+        level_lt,
+        make_condition,
+        pair_key,
+    )
+    from scatterlab.intervals import TreeError
+
+    if tgt not in p.points:
+        raise ConditionError(f"target {tgt} is not in the condition")
+    if not level_lt(alpha, tgt.level):
+        raise ConditionError(f"need alpha below the target, got {alpha} vs {tgt.level}")
+    if not alpha < tree.params.eta:
+        raise ConditionError(f"alpha {alpha} is not below {tree.params.eta}")
+
+    params = tree.params
+    core = p.core()
+    i = core.index[tgt]
+    above = set(core.members(core.up[i] | 1 << i))
+    taken = set()
+
+    if p.dialect == "kappa":
+        try:
+            trail = tree.path(alpha)
+        except TreeError as err:
+            raise UnmaterializedLevelError(f"path({alpha}): {err}") from err
+        bound = params.eta if tgt.is_top else tgt.level
+        isolating = [iv for iv in trail[:-1] if iv.hi < bound]
+        s = _naive_fresh_column(p, alpha, nu_floor, params.kappa_w, taken)
+        taken.add(s)
+        chain = []
+        for iv in isolating:
+            c = _naive_fresh_column(p, iv.hi, 0, params.kappa_w, taken)
+            taken.add(c)
+            chain.append(c)
+        new_points = [s] + chain
+        rel = set(p.strict)
+        rel |= {(s, c) for c in chain}
+        rel |= {(w, y) for w in new_points for y in above}
+        rel |= {(chain[j], chain[i]) for i in range(len(chain)) for j in range(i + 1, len(chain))}
+        meets = dict(p.meets)
+        for c in chain:
+            meets[pair_key(s, c)] = frozenset({s})
+        for i, j in itertools.combinations(range(len(chain)), 2):
+            meets[pair_key(chain[i], chain[j])] = frozenset({chain[max(i, j)]})
+        for w in new_points:
+            for y in p.points:
+                meets[pair_key(w, y)] = frozenset({w}) if y in above else frozenset()
+        p2 = make_condition("kappa", set(p.points) | set(new_points), rel, meets)
+        return p2, s
+
+    ladder_levels = [alpha]
+    tlevel = tgt.level
+    if not tgt.is_top and tlevel.is_successor:
+        base = Ordinal(tlevel.terms[:-1])
+        steps = tlevel.terms[-1][1]
+        ladder_levels += [base + k for k in range(steps) if alpha < base + k]
+    rungs = []
+    for depth, lev in enumerate(ladder_levels):
+        floor = nu_floor if depth == 0 else 0
+        rung = _naive_fresh_column(p, lev, floor, params.kappa_w, taken)
+        taken.add(rung)
+        rungs.append(rung)
+    s = rungs[0]
+    rel = set(p.strict)
+    rel |= {(w, y) for w in rungs for y in above}
+    rel |= {(rungs[j], rungs[k]) for j in range(len(rungs)) for k in range(j + 1, len(rungs))}
+    meets = dict(p.meets)
+    for j, k in itertools.combinations(range(len(rungs)), 2):
+        meets[pair_key(rungs[j], rungs[k])] = frozenset({rungs[min(j, k)]})
+    for w in rungs:
+        for y in p.points:
+            meets[pair_key(w, y)] = frozenset({w}) if y in above else frozenset()
+    p2 = make_condition("omega", set(p.points) | set(rungs), rel, meets)
+    return p2, s

@@ -202,6 +202,16 @@ def test_extend_refuses_bad_target(kappa_doc, capsys):
     assert "extension failed" in err
 
 
+def test_extend_refuses_negative_floor(tmp_path, capsys):
+    golden = Path(__file__).resolve().parent / "golden"
+    out_path = tmp_path / "F.txt"
+    code, _, err = run(capsys, "extend", str(golden / "condition-kappa.txt"),
+                       "--target", "TOP:0", "--alpha", "w", "--xi-floor", "-5",
+                       "--out", str(out_path))
+    assert code == 1
+    assert "extension failed: column floor -5 is negative" in err
+    assert not out_path.exists()
+
 # --- amalgamate --------------------------------------------------------------------
 
 

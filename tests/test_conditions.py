@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scatterlab.conditions import (
     TOP,
@@ -22,6 +24,7 @@ from scatterlab.ordinals import parse
 from scatterlab.unbounded import UnboundedFn, f_generate
 
 from .corpus import damaged_documents
+from .oracles import naive_extend_below
 
 
 def pt(level: str, xi: int = 0) -> Point:
@@ -344,6 +347,13 @@ def test_extend_omega_limit_target(tree):
     assert validate(p2, tree) == []
 
 
+def test_extend_refuses_a_negative_floor(tree):
+    t = pt("TOP")
+    for dialect in ("omega", "kappa"):
+        p = make_condition(dialect, [t])
+        with pytest.raises(ConditionError, match="column floor -5 is negative"):
+            extend_below(p, t, parse("w"), -5, tree)
+
 def test_extend_rejects_bad_targets(tree):
     t = pt("w*2")
     p = make_condition("kappa", [t])
@@ -352,6 +362,50 @@ def test_extend_rejects_bad_targets(tree):
     with pytest.raises(ConditionError):
         extend_below(p, t, parse("w*3"), 0, tree)
 
+
+
+def _extension_outcome(extend, p, tgt, alpha, floor, tree):
+    try:
+        p2, s = extend(p, tgt, alpha, floor, tree)
+    except ConditionError as err:
+        return None, (type(err).__name__, str(err))
+    return p2, (condition_to_text(p2, tree.params), s)
+
+
+def test_extend_below_matches_two_branch_oracle():
+    seen = set()
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        dialect=st.sampled_from(["omega", "kappa"]),
+        kappa_w=st.integers(2, 8),
+        e_budget=st.integers(2, 16),
+        eta=st.sampled_from(["w^2", "w^3", "w^w"]),
+        top=st.integers(0, 8),
+        steps=st.lists(
+            st.tuples(
+                st.integers(0, 64), st.integers(0, 16), st.integers(0, 3), st.integers(0, 3)
+            ),
+            max_size=8,
+        ),
+    )
+    def walk(dialect, kappa_w, e_budget, eta, top, steps):
+        params = Params(eta=parse(eta), kappa_w=kappa_w, lambda_w=kappa_w + 1, e_budget=e_budget)
+        tree = IntervalTree(params)
+        eps = tree.root_eps()
+        p = make_condition(dialect, [Point(TOP, top % params.lambda_w)])
+        for pick, k, n, floor in steps:
+            pts = p.sorted_points()
+            tgt = pts[pick % len(pts)]
+            alpha = eps[k % len(eps)] + n
+            got, outcome = _extension_outcome(extend_below, p, tgt, alpha, floor, tree)
+            _, want = _extension_outcome(naive_extend_below, p, tgt, alpha, floor, tree)
+            assert outcome == want
+            seen.add(outcome[0] if got is None else "ok")
+            p = p if got is None else got
+
+    walk()
+    assert {"ok", "LevelBudgetError", "UnmaterializedLevelError"} <= seen
 
 def seeded_extension_walk(dialect, tree, seed, steps=4):
     rng = random.Random(seed)

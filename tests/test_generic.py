@@ -148,6 +148,12 @@ def test_schedule_error_bad_column(tree, F):
         run(tree, F, [RealizePoint(TOP, 12)])
 
 
+def test_schedule_error_negative_floor(tree, F):
+    steps = [RealizePoint(TOP, 0), PredecessorBelow(Point(TOP, 0), W, -5)]
+    with pytest.raises(ScheduleError, match="column floor -5 is negative") as err:
+        run(tree, F, steps)
+    assert err.value.step == 1
+
 def test_schedule_error_level_out_of_range(tree, F):
     with pytest.raises(ScheduleError):
         run(tree, F, [RealizePoint(parse("w^2"), 0)])

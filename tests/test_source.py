@@ -19,3 +19,21 @@ def test_package_holds_no_assert():
             if isinstance(node, ast.Assert)
         ]
     assert found == []
+
+
+def test_no_module_imports_a_private_name_from_another():
+    # underscore names stay inside their module; shared helpers get public names
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and (node.module or "").split(".")[0] != "scatterlab":
+                continue
+            found += [
+                f"{path.name}:{node.lineno} {alias.name}"
+                for alias in node.names
+                if alias.name.startswith("_")
+            ]
+    assert found == []
