@@ -100,6 +100,15 @@ class FGapError(AmalgamError):
     """The unbounded-function gap hypothesis fails for a column pair."""
 
 
+def _require_valid(
+    cond: Condition, tree: IntervalTree, F: Optional[UnboundedFn], what: str
+) -> None:
+    """Raise AmalgamError naming every clause `cond` violates."""
+    found = validate(cond, tree, F)
+    if found:
+        raise AmalgamError(f"{what} failed validation: " + "; ".join(str(v) for v in found))
+
+
 # ---------------------------------------------------------------------------
 # sunflower extraction
 
@@ -467,12 +476,7 @@ def amalgamate_omega(
     if not (leq(r, p) and leq(r, q)):
         raise AmalgamError("amalgam is not below both members")
     if tree is not None:
-        found = validate(r, tree, F)
-        if found:
-            raise AmalgamError(
-                "omega amalgam failed validation: "
-                + "; ".join(str(v) for v in found)
-            )
+        _require_valid(r, tree, F, "omega amalgam")
     return r
 
 
@@ -627,11 +631,7 @@ def push_down(r: Condition, zeta: int, tree: IntervalTree):
     for (s, t), value in r.meets:
         meets[(fwd[s], fwd[t])] = frozenset(fwd[v] for v in value)
     pushed = make_condition(r.dialect, points, rel, meets)
-    found = validate(pushed, tree)
-    if found:
-        raise AmalgamError(
-            "push-down failed validation: " + "; ".join(str(v) for v in found)
-        )
+    _require_valid(pushed, tree, None, "push-down")
     return pushed, back
 
 
@@ -929,11 +929,7 @@ def pull_back(
         meets[(s, t)] = frozenset(h[v] for v in value)
 
     r = make_condition("kappa", points, rel, meets)
-    found = validate(r, tree, F)
-    if found:
-        raise AmalgamError(
-            "pull-back failed validation: " + "; ".join(str(v) for v in found)
-        )
+    _require_valid(r, tree, F, "pull-back")
     for member, name in ((r_nu, "first"), (r_mu, "second")):
         if not leq(r, member):
             raise AmalgamError(f"pull-back is not below the {name} member")

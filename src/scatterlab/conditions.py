@@ -46,27 +46,6 @@ from .ordinals import Ordinal
 from .ordinals import parse as parse_ordinal
 from .unbounded import UnboundedFn
 
-__all__ = [
-    "TOP",
-    "Level",
-    "Point",
-    "Condition",
-    "Violation",
-    "ConditionError",
-    "UnmaterializedLevelError",
-    "LevelBudgetError",
-    "level_lt",
-    "point_key",
-    "make_condition",
-    "validate",
-    "leq",
-    "extend_below",
-    "level_token",
-    "parse_level",
-    "condition_to_text",
-    "condition_from_text",
-]
-
 FORMAT_HEADER = "# scatterlab-fmt 1 condition"
 
 
@@ -226,6 +205,30 @@ class Poset:
     __slots__ = ("dialect", "points", "strict", "meets", "_core", "_meet_map")
     _no_meet: Optional[FrozenSet[Point]] = None
 
+    def __init__(
+        self,
+        dialect: str,
+        points: FrozenSet[Point],
+        strict: FrozenSet[Tuple[Point, Point]],
+        meets: Tuple[Tuple[Tuple[Point, Point], FrozenSet[Point]], ...],
+        core: Optional[OrderIndex] = None,
+    ):
+        self.dialect = dialect
+        self.points = points
+        self.strict = strict
+        self.meets = meets
+        self._core = core
+        self._meet_map = None
+
+    def _fields(self) -> tuple:
+        """What equality compares, between posets of one exact type."""
+        return (self.dialect, self.points, self.strict, self.meets)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
     def core(self) -> OrderIndex:
         if self._core is None:
             self._core = OrderIndex(self.points, self.strict)
@@ -295,36 +298,12 @@ class Condition(Poset):
     __slots__ = ("_hash",)
     _no_meet = frozenset()
 
-    def __init__(
-        self,
-        dialect: str,
-        points: FrozenSet[Point],
-        strict: FrozenSet[Tuple[Point, Point]],
-        meets: Tuple[Tuple[Tuple[Point, Point], FrozenSet[Point]], ...],
-        core: Optional[OrderIndex] = None,
-    ):
-        self.dialect = dialect
-        self.points = points
-        self.strict = strict
-        self.meets = meets
-        self._core = core
-        self._meet_map = None
-        self._hash = None
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Condition):
-            return NotImplemented
-        return (
-            self.dialect == other.dialect
-            and self.points == other.points
-            and self.strict == other.strict
-            and self.meets == other.meets
-        )
-
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.dialect, self.points, self.strict, self.meets))
-        return self._hash
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash(self._fields())
+            return self._hash
 
     def __repr__(self) -> str:
         return f"<Condition {self.dialect} |X|={self.size}>"

@@ -17,7 +17,7 @@ kept), so the checkers see the relation the poset really holds.
 
 import itertools
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from . import fmt
 from .conditions import (
@@ -151,32 +151,18 @@ class FinitePoset(Poset):
     def __init__(
         self, dialect, points, strict, meets, targeted=(), provenance=(), core=None
     ):
-        self.dialect = dialect
-        self.points: FrozenSet[Point] = frozenset(points)
-        self.strict: FrozenSet[Tuple[Point, Point]] = frozenset(strict)
         if isinstance(meets, dict):
             meets = meets.items()
-        self.meets: Tuple = tuple(
-            sorted(meets, key=lambda kv: (point_key(kv[0][0]), point_key(kv[0][1])))
-        )
+        meets = sorted(meets, key=lambda kv: (point_key(kv[0][0]), point_key(kv[0][1])))
+        super().__init__(dialect, frozenset(points), frozenset(strict), tuple(meets), core)
         self.targeted: Tuple[Tuple[Level, Point], ...] = tuple(targeted)
         self.provenance: Tuple[Condition, ...] = tuple(provenance)
-        self._core = core
-        self._meet_map = None
+
+    def _fields(self) -> tuple:
+        return super()._fields() + (self.targeted,)
 
     def sub_top_levels(self) -> List[Ordinal]:
         return sorted(level for level in self.core().levels if level is not TOP)
-
-    def __eq__(self, other):
-        if not isinstance(other, FinitePoset):
-            return NotImplemented
-        return (
-            self.dialect == other.dialect
-            and self.points == other.points
-            and self.strict == other.strict
-            and self.meets == other.meets
-            and self.targeted == other.targeted
-        )
 
     def __repr__(self):
         return (
@@ -317,14 +303,10 @@ def sposet_check(T: FinitePoset, budget: int) -> SposetReport:
     core = T.core()
     pts, index, up, down = core.pts, core.index, core.up, core.down
 
-    seen: Set[Tuple[Level, int]] = set()
+    # points are equal exactly when they share a grid slot, so no slot repeats
     for x in pts:
         if x.xi < 0:
             partition.append(f"negative column: {x}")
-        key = (x.level, x.xi)
-        if key in seen:
-            partition.append(f"duplicate grid slot: {x}")
-        seen.add(key)
     # findings follow the iteration order of the strict set itself
     ids = [(index[s], index[t]) for s, t in T.strict]
     for i, j in ids:

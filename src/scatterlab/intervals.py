@@ -21,21 +21,9 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .ordinals import ONE, ZERO, Ordinal, OrdinalError, fundamental
-
-__all__ = [
-    "Interval",
-    "Params",
-    "IntervalTree",
-    "TreeError",
-    "BudgetExceededError",
-    "DegenerateIntervalError",
-    "DepthCapError",
-    "AxiomReport",
-    "tree_axiom_report",
-]
+from .ordinals import ONE, ZERO, Ordinal, fundamental
 
 
 class TreeError(ValueError):
@@ -213,14 +201,7 @@ class IntervalTree:
 
     def n_of(self, alpha: Ordinal) -> int:
         """Least depth at which alpha is a left endpoint."""
-        iv = self.root
-        for depth in range(self.depth_cap + 1):
-            if iv.lo == alpha:
-                return depth
-            iv = self._step(iv, alpha)
-        raise DepthCapError(
-            f"{alpha} did not become a left endpoint within depth {self.depth_cap}"
-        )
+        return len(self.path(alpha)) - 1
 
     def path(self, alpha: Ordinal) -> List[Interval]:
         """Containing intervals from the root down to the first one
@@ -359,12 +340,9 @@ def tree_axiom_report(
         if not ok:
             failures.append(f"{name}: {detail}")
 
-    frontier = [tree.root]
-    for _ in range(depth):
-        nxt: List[Interval] = []
-        for iv in frontier:
+    for stratum in tree.levels(depth, count)[:-1]:
+        for iv in stratum:
             if iv.is_singleton:
-                nxt.append(iv)
                 continue
             kids = tree.children(iv, count)
             note("child-start", kids[0].lo == iv.lo, f"{iv} first child {kids[0]}")
@@ -379,8 +357,6 @@ def tree_axiom_report(
                 )
                 if iv.hi.is_limit:
                     note("limit-endpoint-drop", kid.hi < iv.hi, f"{iv}: {kid}")
-            nxt.extend(kids)
-        frontier = nxt
 
     for alpha in sample_points:
         try:

@@ -23,22 +23,6 @@ from __future__ import annotations
 
 from typing import Iterable, Tuple
 
-__all__ = [
-    "Ordinal",
-    "OrdinalError",
-    "OrdinalParseError",
-    "ZERO",
-    "ONE",
-    "OMEGA",
-    "from_int",
-    "omega_pow",
-    "parse",
-    "compare",
-    "fundamental",
-    "cb_level",
-    "omega_quotient",
-]
-
 
 class OrdinalError(ValueError):
     """Malformed ordinal construction or an out-of-range request."""

@@ -26,20 +26,6 @@ from . import fmt
 from .intervals import Params
 from .ordinals import Ordinal
 
-__all__ = [
-    "UnboundedFn",
-    "StarOutcome",
-    "SearchResult",
-    "FamilyError",
-    "BlowupGuardError",
-    "GenerationError",
-    "star_verify",
-    "star_search",
-    "f_generate",
-    "save",
-    "load",
-]
-
 FORMAT_HEADER = "# scatterlab-fmt 1 unbounded"
 
 
@@ -97,7 +83,12 @@ class UnboundedFn:
     def index(self, i: int, j: int) -> int:
         if i == j:
             raise FamilyError(f"pair requires distinct indices, got {i},{j}")
-        return self._table[frozenset((i, j))]
+        try:
+            return self._table[frozenset((i, j))]
+        except KeyError:
+            raise FamilyError(
+                f"pair {i},{j} is outside the table's {self.lambda_w} columns"
+            ) from None
 
     def value(self, i: int, j: int) -> Ordinal:
         return self.eps[self.index(i, j)]
@@ -257,12 +248,10 @@ def f_generate(
     """Build a table over lambda_w indices with values among eps.
 
     "random" draws every entry from a seeded generator.  "greedy" starts
-    every entry at the top index and walks the pairs in lexicographic
-    order, lowering each entry from the top until all probes (m, nu, gammas
-    triples) pass; the report of a `GenerationError` lists every failing
-    index tried.  Each later pair first tries the top index, which leaves
-    the table the previous pair settled on, and that table passed; so only
-    the first pair is ever lowered, and the probes run only during its scan.
+    every pair at the top marker index and steps pair (0, 1) down while a
+    probe (an (m, nu, gammas) triple swept by `star_search`) fails; every
+    other pair stays at the top.  The report of a `GenerationError` lists
+    every failing index tried.
 
     When `eps` is strictly increasing, raising an entry never breaks the
     swept property, so a greedy failure means no table over these markers
@@ -279,32 +268,23 @@ def f_generate(
     if strategy != "greedy":
         raise ValueError(f"unknown strategy {strategy!r}")
 
+    # Lowering (0, 1) is the only choice: each later pair would first try
+    # the top index, which leaves the table as it stands, and that passed.
     top = len(eps) - 1
     entries = {pair: top for pair in pairs}
     report: List[str] = []
-
-    def passes() -> Optional[str]:
+    for idx in range(top, -1, -1):
+        entries[(0, 1)] = idx
         table = UnboundedFn(lam, eps, entries)
         for m, nu, gammas in probes:
             result = star_search(table, m, nu, list(gammas))
             if not result.ok:
-                family, gamma = result.counterexample
-                return f"probe m={m} nu={nu} fails at gamma={gamma}"
-        return None
-
-    for k, pair in enumerate(pairs):
-        chosen = None
-        for idx in range(top, -1, -1):
-            entries[pair] = idx
-            # Pair k > 0 at top sees the table pair k - 1 settled on, which passed.
-            failure = None if k and idx == top else passes()
-            if failure is None:
-                chosen = idx
+                failure = f"probe m={m} nu={nu} fails at gamma={result.counterexample[1]}"
+                report.append(f"pair (0, 1) index {idx}: {failure}")
                 break
-            report.append(f"pair {pair} index {idx}: {failure}")
-        if chosen is None:
-            raise GenerationError(f"no value for pair {pair} satisfies the probes", report)
-    return UnboundedFn(lam, eps, entries)
+        else:
+            return table
+    raise GenerationError("no value for pair (0, 1) satisfies the probes", report)
 
 
 def save(F: UnboundedFn, path) -> None:

@@ -491,3 +491,40 @@ def test_unknown_level_token_is_reported(capsys, kappa_doc):
                        "--alpha", "w")
     assert code == 2
     assert "error" in err
+
+
+# --- columns outside the pair coloring ---------------------------------------------
+
+
+def top_pair_document(dialect, tops):
+    """A condition at lambda_w=6 whose top points sit at the columns
+    `tops`, each above `w 0`, with every meet {w 0}."""
+    pts = ["w 0"] + [f"TOP {xi}" for xi in tops]
+    pairs = [(i, j) for i in range(len(pts)) for j in range(i + 1, len(pts))]
+    return "\n".join(
+        ["# scatterlab-fmt 1 condition", f"dialect {dialect}", "eta w^2",
+         "params kappa_w=3 lambda_w=6 e_budget=16 size_cap=32", f"points {len(pts)}"]
+        + [f"{i} {x}" for i, x in enumerate(pts)]
+        + [f"order {len(tops)}"] + [f"0 {i}" for i in range(1, len(pts))]
+        + [f"meets {len(pairs)}"] + [f"{i} {j} : 0" for i, j in pairs]
+    ) + "\n"
+
+
+@pytest.mark.parametrize("dialect", ["kappa", "omega"])
+def test_validate_column_outside_table_is_a_clean_error(tmp_path, capsys, dialect):
+    f, cond = tmp_path / "F.txt", tmp_path / "c.txt"
+    assert run(capsys, "unbounded", "gen", "--out", str(f))[0] == 0
+    cond.write_text(top_pair_document(dialect, [0, 9]))
+    code, _, err = run(capsys, "validate", str(cond), "--f", str(f))
+    assert code == 2
+    assert err == "error: FamilyError: pair 0,9 is outside the table's 6 columns\n"
+
+
+def test_amalgamate_column_outside_table_is_a_clean_error(tmp_path, capsys):
+    f, a, b = tmp_path / "F.txt", tmp_path / "a.txt", tmp_path / "b.txt"
+    assert run(capsys, "unbounded", "gen", "--out", str(f))[0] == 0
+    a.write_text(top_pair_document("omega", [9]))
+    b.write_text(top_pair_document("omega", [0]))
+    code, _, err = run(capsys, "amalgamate", str(a), str(b), "--f", str(f))
+    assert code == 2
+    assert err == "error: FamilyError: pair 9,0 is outside the table's 6 columns\n"

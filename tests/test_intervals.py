@@ -319,3 +319,11 @@ def test_failed_navigation_raises_again_when_repeated():
         for error, call in calls:
             with pytest.raises(error):
                 call()
+
+
+def test_n_of_stops_at_the_depth_cap_as_path_does():
+    t = IntervalTree(Params(parse("w^2")), depth_cap=1)
+    with pytest.raises(DepthCapError):
+        t.n_of(parse("w*3 + 20"))
+    with pytest.raises(DepthCapError):
+        t.path(parse("w*3 + 20"))

@@ -8,12 +8,15 @@ oracles in `tests/oracles.py` return, message text and order included.
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scatterlab.conditions import TOP, ConditionError, Point, make_condition, point_key, validate
 from scatterlab.generic import FinitePoset, skeleton_check, sposet_check
+from scatterlab.generic import poset_from_condition
 from scatterlab.intervals import TreeError
+from scatterlab.ordinals import parse
 
 from .corpus import drop_meet, drop_witness, flat_F, kappa_tree, omega_tree, walk_condition
 from .oracles import (
@@ -171,3 +174,20 @@ def test_poset_order_queries_keep_raw_semantics():
     assert T.down(c) == {b, c}
     outside = Point(TOP, 3)
     assert not T.le(outside, outside) and not T.lt(outside, a)
+
+
+def test_poset_equality_and_hashing():
+    """Equality compares the fields of one exact type; a Condition hashes
+    them, a FinitePoset is unhashable."""
+    a, b, w = Point(parse("w"), 0), Point(TOP, 0), parse("w")
+    p = make_condition("kappa", [a, b], [(a, b)], complete=True)
+    q = make_condition("kappa", [b, a], [(a, b)], complete=True)
+    assert p is not q and p == q and hash(p) == hash(q)
+    assert p != make_condition("omega", [a, b], [(a, b)], complete=True)
+    assert poset_from_condition(p) != p and p != poset_from_condition(p)
+    meets = {(a, b): frozenset({a})}
+    T = FinitePoset("kappa", [a, b], {(a, b)}, meets)
+    assert T == FinitePoset("kappa", [b, a], [(a, b)], meets)
+    assert T != FinitePoset("kappa", [a, b], {(a, b)}, meets, [(w, b)])
+    with pytest.raises(TypeError):
+        hash(T)

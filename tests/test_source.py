@@ -1,6 +1,7 @@
 """Guards over the package source itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import scatterlab
@@ -37,3 +38,42 @@ def test_no_module_imports_a_private_name_from_another():
                 if alias.name.startswith("_")
             ]
     assert found == []
+
+
+def test_every_imported_name_is_read():
+    # the repo runs no linter; the root of an attribute chain is an ast.Name
+    # too, so a name no ast.Name reads is an import nothing uses
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                found += [
+                    f"{path.name}:{node.lineno} {name}"
+                    for name in (a.asname or a.name.split(".")[0] for a in node.names)
+                    if name not in read
+                ]
+    assert found == []
+
+
+def test_the_package_keeps_the_one_public_name_list():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert sorted(scatterlab.__all__) == sorted(imported)
+    others = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+        and "__all__" in vars(importlib.import_module(f"scatterlab.{path.stem}"))
+    ]
+    assert others == []

@@ -301,3 +301,11 @@ def test_load_refuses_damaged_tables(tmp_path, eps):
         path.write_text(text)
         with pytest.raises(FamilyError):
             load(path, eps)
+
+
+def test_lookup_outside_the_table_is_a_family_error(eps):
+    F = f_generate(Params(eta=parse("w^2"), lambda_w=6), eps, seed=1)
+    with pytest.raises(FamilyError, match="pair 0,9 is outside the table's 6 columns"):
+        F.value(0, 9)
+    with pytest.raises(FamilyError, match="pair -1,0 is outside the table's 6 columns"):
+        F.value(-1, 0)
