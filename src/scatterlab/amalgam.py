@@ -109,6 +109,13 @@ def _require_valid(
         raise AmalgamError(f"{what} failed validation: " + "; ".join(str(v) for v in found))
 
 
+def _require_f_gap(F: UnboundedFn, left_cols, right_cols, bound: Ordinal, what: str):
+    """Raise FGapError at the first column pair whose F value is not above bound."""
+    for xi, xj in itertools.product(sorted(left_cols), sorted(right_cols)):
+        if not bound < F.value(xi, xj):
+            raise FGapError(f"F({xi},{xj}) = {F.value(xi, xj)} not above {what}")
+
+
 # ---------------------------------------------------------------------------
 # sunflower extraction
 
@@ -384,12 +391,14 @@ def kerneldown_check(fam: SeparatedFamily):
     counterexample as (member index, (s, t), meet value).
     """
     for idx, p in enumerate(fam.members):
+        index, below = p.core().index, p.core().below()
         for (s, t), value in p.meets:
             if s not in fam.root or t not in fam.root:
                 continue
             if s.is_top and t.is_top:
                 continue
-            if p.comparable(s, t) or not p.compatible(s, t):
+            i, j = index[s], index[t]
+            if (below[j] >> i | below[i] >> j) & 1 or not below[i] & below[j]:
                 continue
             if not value <= fam.root:
                 return idx, (s, t), value
@@ -456,13 +465,9 @@ def amalgamate_omega(
     if problems:
         raise HypothesisViolationError("omega amalgam hypotheses fail", problems)
 
-    a = sorted(x.xi for x in p.points - root if x.is_top)
-    b = sorted(x.xi for x in q.points - root if x.is_top)
-    for xi, xj in itertools.product(a, b):
-        if not delta < F.value(xi, xj):
-            raise FGapError(
-                f"F({xi},{xj}) = {F.value(xi, xj)} not above root top level {delta}"
-            )
+    a = [x.xi for x in p.points - root if x.is_top]
+    b = [x.xi for x in q.points - root if x.is_top]
+    _require_f_gap(F, a, b, delta, f"root top level {delta}")
 
     points = p.points | q.points
     rel = set(p.strict) | set(q.strict)
@@ -902,13 +907,8 @@ def pull_back(
     gamma0 = max(bar_levels, default=ZERO)
     if gamma is not None and gamma0 < gamma:
         gamma0 = gamma
-    for s in sorted(z_nu - z_mu, key=point_key):
-        for t in sorted(z_mu - z_nu, key=point_key):
-            if not gamma0 < F.value(s.xi, t.xi):
-                raise FGapError(
-                    f"F({s.xi},{t.xi}) = {F.value(s.xi, t.xi)} "
-                    f"not above {gamma0}"
-                )
+    a, b = [s.xi for s in z_nu - z_mu], [t.xi for t in z_mu - z_nu]
+    _require_f_gap(F, a, b, gamma0, str(gamma0))
 
     points = set(h.values())
     rel = set()

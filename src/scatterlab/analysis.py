@@ -16,7 +16,6 @@ from typing import FrozenSet, List, Optional, Sequence, Tuple
 from . import fmt
 from .generic import FinitePoset
 from .ordinals import (
-    ONE,
     ZERO,
     Ordinal,
     from_int,
@@ -96,11 +95,9 @@ class OrdinalLevels:
 def space_from_poset(T: FinitePoset) -> FiniteSpace:
     """Subbase of lower sets and their complements, two entries per
     point."""
-    subbase: List[FrozenSet] = []
-    for x in T.sorted_points():
-        down = frozenset(T.down(x))
-        subbase.append(down)
-    subbase += [T.points - s for s in list(subbase)]
+    core = T.core()
+    subbase = [frozenset(core.members(m)) for m in core.below()]
+    subbase += [T.points - s for s in subbase]
     return FiniteSpace(frozenset(T.points), tuple(subbase))
 
 
@@ -186,27 +183,14 @@ def finite_cb(space: FiniteSpace, cap: int = 16) -> LevelReport:
 W_TO_W = omega_pow(parse("w"))
 
 
-def _omega_times(g: Ordinal) -> Ordinal:
-    """w * g, term by term: each exponent e becomes 1 + e."""
-    out = []
-    for exp, coeff in g._terms:
-        shifted = exp if not exp.is_zero and not exp.leading_exponent.is_zero else exp + ONE
-        out.append((shifted, coeff))
-    return Ordinal(tuple(out))
-
-
 def omega_valuation(beta: Ordinal) -> int:
-    """Largest e with w^e dividing beta, counted by repeated left
-    division with a multiply-back check; 0 for beta = 0."""
-    e = 0
-    g = beta
-    while not g.is_zero:
-        q = omega_quotient(g)
-        if _omega_times(q) != g:
-            break
-        e += 1
-        g = q
-    return e
+    """Largest e with w^e dividing beta: the exponent of beta's last
+    Cantor-normal-form term, 0 for beta = 0.  Raises AnalysisError when
+    that exponent is infinite, since then no natural e is largest."""
+    exp = ZERO if beta.is_zero else beta.terms[-1][0]
+    if not _is_finite(exp):
+        raise AnalysisError(f"valuation of {beta} is not a natural number")
+    return exp.as_int()
 
 
 def _is_finite(q: Ordinal) -> bool:

@@ -43,7 +43,6 @@ from .conditions import (
 )
 from .generic import (
     GenericError,
-    Schedule,
     cardinal_profile,
     poset_from_text,
     poset_to_text,
@@ -334,8 +333,6 @@ def _check_report(T, budget: int) -> Tuple[str, bool]:
 def cmd_simulate(args) -> int:
     tree = IntervalTree(_params(args))
     sch = schedule_from_text(Path(args.schedule).read_text())
-    if args.seed:
-        sch = Schedule(sch.steps, args.seed)
     if args.f:
         F = load_table(args.f, tree.root_eps())
     else:
@@ -624,8 +621,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (OrdinalError, TreeError, FamilyError, ConditionError, GenericError,
-            AnalysisError, OSError) as err:
+    except (OrdinalError, TreeError, FamilyError, BlowupGuardError, ConditionError,
+            GenericError, AnalysisError, OSError) as err:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return 2
 

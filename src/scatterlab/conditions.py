@@ -269,14 +269,6 @@ class Poset:
     def comparable(self, s: Point, t: Point) -> bool:
         return self.le(s, t) or self.le(t, s)
 
-    def compatible(self, s: Point, t: Point) -> bool:
-        core = self.core()
-        i = core.index.get(s)
-        j = core.index.get(t)
-        if i is None or j is None:
-            return False
-        return (core.down[i] | 1 << i) & (core.down[j] | 1 << j) != 0
-
     def down(self, s: Point) -> Set[Point]:
         core = self.core()
         i = core.index.get(s)

@@ -29,7 +29,6 @@ from .conditions import (
     Poset,
     bits,
     extend_below,
-    leq,
     level_lt,
     level_token,
     make_condition,
@@ -215,7 +214,8 @@ def run_schedule(
     a valid condition, and return the union with the chain attached.
 
     Raises ScheduleError with the partial chain when a requirement cannot
-    be met inside the width caps or breaks validity.
+    be met inside the width caps, breaks validity, or cannot be validated
+    within the tree's budget.  Steps extend by construction; `leq` is a test gate.
     """
     params = tree.params
     p = make_condition(dialect, [])
@@ -257,11 +257,12 @@ def run_schedule(
         else:
             fail(f"unknown requirement kind {type(req).__name__}", k, req)
 
-        found = validate(p2, tree, F)
+        try:
+            found = validate(p2, tree, F)
+        except (ConditionError, TreeError) as err:
+            fail(str(err), k, req)
         if found:
             fail("; ".join(str(v) for v in found), k, req)
-        if not leq(p2, p):
-            fail("step does not extend the previous condition", k, req)
         p = p2
         chain.append(p)
 

@@ -292,19 +292,28 @@ def _tokenize(text: str):
     return tokens
 
 
+_MAX_NESTING = 100  # how deep exponents and parentheses may nest
+
+
+def _deeper(depth):
+    if depth >= _MAX_NESTING:
+        raise OrdinalParseError(f"exponents nest deeper than {_MAX_NESTING} levels")
+    return depth + 1
+
+
 def _peek(tokens, pos):
     return tokens[pos][0] if pos < len(tokens) else None
 
 
-def _parse_expr(tokens, pos):
-    value, pos = _parse_term(tokens, pos)
+def _parse_expr(tokens, pos, depth):
+    value, pos = _parse_term(tokens, pos, depth)
     while _peek(tokens, pos) == "+":
-        nxt, pos = _parse_term(tokens, pos + 1)
+        nxt, pos = _parse_term(tokens, pos + 1, depth)
         value = value + nxt
     return value, pos
 
 
-def _parse_term(tokens, pos):
+def _parse_term(tokens, pos, depth):
     tok = _peek(tokens, pos)
     if isinstance(tok, int):
         return from_int(tok), pos + 1
@@ -312,7 +321,7 @@ def _parse_term(tokens, pos):
         pos += 1
         exp = ONE
         if _peek(tokens, pos) == "^":
-            exp, pos = _parse_atom(tokens, pos + 1)
+            exp, pos = _parse_atom(tokens, pos + 1, _deeper(depth))
         coeff = 1
         if _peek(tokens, pos) == "*":
             nat = _peek(tokens, pos + 1)
@@ -323,18 +332,18 @@ def _parse_term(tokens, pos):
     raise OrdinalParseError(f"expected a term at token position {pos}")
 
 
-def _parse_atom(tokens, pos):
+def _parse_atom(tokens, pos, depth):
     tok = _peek(tokens, pos)
     if isinstance(tok, int):
         return from_int(tok), pos + 1
     if tok == "w":
         pos += 1
         if _peek(tokens, pos) == "^":
-            exp, pos = _parse_atom(tokens, pos + 1)
+            exp, pos = _parse_atom(tokens, pos + 1, _deeper(depth))
             return omega_pow(exp), pos
         return OMEGA, pos
     if tok == "(":
-        value, pos = _parse_expr(tokens, pos + 1)
+        value, pos = _parse_expr(tokens, pos + 1, _deeper(depth))
         if _peek(tokens, pos) != ")":
             raise OrdinalParseError("unbalanced parenthesis in exponent")
         return value, pos + 1
@@ -348,7 +357,7 @@ def parse(text: str) -> Ordinal:
     tokens = _tokenize(text)
     if not tokens:
         raise OrdinalParseError("empty ordinal text")
-    value, pos = _parse_expr(tokens, 0)
+    value, pos = _parse_expr(tokens, 0, 0)
     if pos != len(tokens):
         raise OrdinalParseError(f"trailing input at token position {pos}")
     return value

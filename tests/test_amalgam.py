@@ -63,6 +63,7 @@ from scatterlab.conditions import (
 )
 from scatterlab.intervals import Interval, IntervalTree, Params
 from scatterlab.ordinals import ONE, parse
+from scatterlab.unbounded import UnboundedFn
 
 
 def pt(level, xi=0):
@@ -326,6 +327,22 @@ def test_omega_amalgam_fgap(otree):
         low = flat_F(otree, otree.params.lambda_w, 0)
         with pytest.raises(FGapError):
             amalgamate_omega(p, q, root, low, otree)
+
+
+def test_omega_amalgam_fgap_names_the_first_failing_column_pair(otree):
+    # tops 0, 1 against 2, 3 over a root at w: F(0,2) = w*2 clears the gap,
+    # F(0,3) = w is the first pair in column order that does not
+    eps = otree.root_eps()
+    u = Point(eps[1], 0)
+    tops = [Point(TOP, xi) for xi in range(4)]
+    p = make_condition("omega", [u] + tops[:2], [(u, t) for t in tops[:2]], complete=True)
+    q = make_condition("omega", [u] + tops[2:], [(u, t) for t in tops[2:]], complete=True)
+    lam = otree.params.lambda_w
+    entries = {(i, j): 2 for i in range(lam) for j in range(i + 1, lam)}
+    entries.update({(0, 3): 1, (1, 2): 0})
+    with pytest.raises(FGapError) as err:
+        amalgamate_omega(p, q, frozenset({u}), UnboundedFn(lam, eps, entries), otree)
+    assert str(err.value) == "F(0,3) = w not above root top level w"
 
 
 # --- interval stamps ---------------------------------------------------------------

@@ -3,6 +3,8 @@ topology oracle, the lower-set space construction, and the symbolic
 ordinal reports."""
 
 import random
+import signal
+from contextlib import contextmanager
 
 import pytest
 
@@ -228,3 +230,34 @@ def test_finite_members_sit_on_their_level():
         for e, members in rep.finite_members:
             for beta in members:
                 assert omega_valuation(beta) == e or beta.is_zero
+
+
+@contextmanager
+def wall_clock(seconds):
+    """Fail with TimeoutError, not a hang, when the body overruns."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_valuation_refuses_an_infinite_last_exponent():
+    with wall_clock(5):
+        for text in ["w^w", "w^(w + 1)", "w^(w^2) + w^w*3"]:
+            with pytest.raises(AnalysisError, match="is not a natural number"):
+                omega_valuation(parse(text))
+
+
+def test_valuation_reads_only_the_last_term():
+    with wall_clock(5):
+        assert omega_valuation(parse("w^(w + 1) + w^2")) == 2
+        assert omega_valuation(parse("w^w*2 + w^5*3")) == 5
+        assert omega_valuation(parse("w^w + 7")) == 0
+        assert omega_valuation(parse("0")) == 0

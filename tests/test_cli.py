@@ -95,6 +95,18 @@ def test_gen_random_is_seeded(tmp_path, capsys):
     assert a.read_bytes() != c.read_bytes()
 
 
+def test_gen_probe_past_the_family_cap_is_a_clean_error(tmp_path, capsys):
+    table = tmp_path / "F.txt"
+    code, _, err = run(capsys, "unbounded", "gen", "--strategy", "greedy", "--probe",
+                       "3", "2", "0", "--lambda-w", "100", "--out", str(table))
+    assert code == 2
+    assert err == (
+        "error: BlowupGuardError: 17880786000 families exceeds the cap 10000000; "
+        "pass force to override\n"
+    )
+    assert not table.exists()
+
+
 # --- validate / extend -------------------------------------------------------------
 
 
@@ -308,6 +320,40 @@ def test_simulate_damaged_schedule_is_a_clean_error(tmp_path, capsys):
         code, _, err = run(capsys, "simulate", "--schedule", str(sched))
         assert code == 2
         assert err.startswith("error: GenericError")
+
+
+def test_simulate_step_past_the_budget_fails_the_run(tmp_path, capsys):
+    sched = tmp_path / "sched.txt"
+    sched.write_text(
+        "# scatterlab-fmt 1 schedule\nseed 0\nsteps 3\nrealize TOP 2\n"
+        "below TOP 2 w^4+2 0\nbelow TOP 2 w^7+1 2\n"
+    )
+    code, out, err = run(capsys, "simulate", "--schedule", str(sched), "--eta", "w^w",
+                         "--kappa-w", "7", "--lambda-w", "12", "--e-budget", "8")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("simulation failed: step 2 ")
+    assert err.endswith(
+        "split(w^7 + 1, w^8): w^8 lies past the materialized children of [0, w^w)\n"
+    )
+
+
+TOWER = "w^" * 1000 + "1"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["orbit", "w", "--eta", TOWER], ["simulate", "--schedule", "{sched}"]],
+    ids=["eta", "schedule-level"],
+)
+def test_deep_exponent_nesting_is_a_clean_error(tmp_path, capsys, argv):
+    sched = tmp_path / "sched.txt"
+    sched.write_text(
+        f"# scatterlab-fmt 1 schedule\nseed 0\nsteps 1\nrealize {TOWER} 0\n"
+    )
+    code, _, err = run(capsys, *(arg.format(sched=sched) for arg in argv))
+    assert code == 2
+    assert err == "error: OrdinalParseError: exponents nest deeper than 100 levels\n"
 
 
 # --- analyze -----------------------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from scatterlab.conditions import (
     TOP,
+    _marker_membership,
     Condition,
     ConditionError,
     LevelBudgetError,
@@ -472,3 +473,75 @@ def test_from_text_refuses_damaged_documents(tree):
 def test_from_text_rejects_garbage():
     with pytest.raises(ConditionError):
         condition_from_text("dialect kappa\n")
+
+
+@pytest.mark.parametrize(
+    "points, meets, message",
+    [
+        (["TOP 0"], {("TOP 0", "TOP 1"): []},
+         "meet entry ((TOP, 0), (TOP, 1)) mentions unknown points"),
+        (["TOP 0", "TOP 1"], {("TOP 0", "TOP 0"): []},
+         "meet entry for identical points (TOP, 0)"),
+        (["TOP 0", "TOP 1"], {("TOP 0", "TOP 1"): ["TOP 2"]},
+         "meet of ((TOP, 0), (TOP, 1)) has unknown points"),
+        (["TOP 0", "TOP 1", "w 0"], {("TOP 0", "TOP 1"): [], ("TOP 1", "TOP 0"): ["w 0"]},
+         "conflicting meet entries for ((TOP, 1), (TOP, 0))"),
+    ],
+    ids=["unknown-end", "identical", "unknown-value", "conflict"],
+)
+def test_make_condition_refuses_bad_meet_entries(points, meets, message):
+    def point(token):
+        level, xi = token.split()
+        return pt(level, int(xi))
+
+    table = {tuple(map(point, key)): [point(v) for v in value] for key, value in meets.items()}
+    with pytest.raises(ConditionError) as err:
+        make_condition("kappa", [point(x) for x in points], (), table)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (["0 0 :", "0 1 :"], "meet entry for identical points (TOP, 0)"),
+        (["0 1 :", "1 0 : 0"], "conflicting meet entries for ((TOP, 1), (TOP, 0))"),
+    ],
+    ids=["identical", "conflict"],
+)
+def test_from_text_refuses_bad_meet_rows(rows, message):
+    text = "\n".join(
+        ["# scatterlab-fmt 1 condition", "dialect kappa", "eta w^2",
+         "params kappa_w=3 lambda_w=6 e_budget=16 size_cap=32",
+         "points 2", "0 TOP 0", "1 TOP 1", "order 0", f"meets {len(rows)}"] + rows
+    ) + "\n"
+    with pytest.raises(ConditionError) as err:
+        condition_from_text(text)
+    assert str(err.value) == message
+
+
+def test_size_cap_is_reported():
+    tree = IntervalTree(Params(eta=parse("w^2"), kappa_w=3, lambda_w=6, e_budget=16, size_cap=2))
+    three_tops = make_condition("kappa", [pt("TOP", 0), pt("TOP", 1), pt("TOP", 2)])
+    assert [str(v) for v in validate(three_tops, tree, big_F(tree))] == [
+        "size-cap []: 3 points exceed cap 2"
+    ]
+
+
+def test_top_meet_off_the_root_markers(tree):
+    # w*3 + 1 sits between the root markers w*3 and w*4
+    v, s, t = pt("w*3 + 1"), pt("TOP", 0), pt("TOP", 1)
+    cond = make_condition("kappa", [v, s, t], [(v, s), (v, t)], complete=True)
+    found = [str(x) for x in validate(cond, tree, big_F(tree)) if x.clause == "meet-location"]
+    assert found == [
+        "meet-location [(TOP, 0), (TOP, 1)]: w*3 + 1 not a root marker below F value w*16"
+    ]
+
+
+def test_marker_membership_branches():
+    tree = IntervalTree(Params(eta=parse("w^2"), kappa_w=3, lambda_w=6, e_budget=4))
+    assert tree.root_eps()[-1] == parse("w*4")
+    assert _marker_membership(tree, parse("w*2"))
+    assert not _marker_membership(tree, parse("w*2 + 1"))
+    with pytest.raises(UnmaterializedLevelError) as err:
+        _marker_membership(tree, parse("w*4 + 1"))
+    assert str(err.value) == "w*4 + 1 is past the materialized root markers"

@@ -4,6 +4,8 @@ bone levels, tightness counting, and the refusal paths."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from .corpus import damaged_documents, damaged_schedules, flat_F
 from scatterlab.conditions import TOP, Point, pair_key, leq, validate
@@ -359,3 +361,78 @@ def test_kappa_interpolation_points_land_on_interval_ends(tree, F):
     ends = {iv.hi for iv in tree.path(alpha)}
     extra = {p.level for p in T.points if not p.is_top} - {alpha}
     assert extra and extra <= ends
+
+
+def test_validation_past_the_budget_is_a_schedule_error():
+    # the second extension plants an interpolant at w^8, the last root
+    # marker, whose split check needs a child the budget never made
+    tree = IntervalTree(Params(parse("w^w"), kappa_w=7, lambda_w=12, e_budget=8))
+    top = Point(TOP, 2)
+    steps = [
+        RealizePoint(TOP, 2),
+        PredecessorBelow(top, parse("w^4 + 2"), 0),
+        PredecessorBelow(top, parse("w^7 + 1"), 2),
+    ]
+    with pytest.raises(ScheduleError) as err:
+        run(tree, flat_F(tree, 12, 8), steps)
+    assert err.value.step == 2
+    assert len(err.value.trace) == 3
+    assert str(err.value).endswith(
+        "split(w^7 + 1, w^8): w^8 lies past the materialized children of [0, w^w)"
+    )
+
+
+def test_schedule_chains_descend():
+    """Every chain a run exposes, finished or cut short by a ScheduleError,
+    is a descending sequence of conditions."""
+    seen = set()
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        dialect=st.sampled_from(["omega", "kappa"]),
+        kappa_w=st.integers(2, 8),
+        e_budget=st.integers(2, 16),
+        eta=st.sampled_from(["w^2", "w^3", "w^w"]),
+        draws=st.lists(
+            st.tuples(
+                st.booleans(), st.integers(0, 16), st.integers(0, 16),
+                st.integers(0, 3), st.integers(0, 3),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    def walk(dialect, kappa_w, e_budget, eta, draws):
+        params = Params(parse(eta), kappa_w=kappa_w, lambda_w=kappa_w + 1, e_budget=e_budget)
+        tree = IntervalTree(params)
+        eps = tree.root_eps()
+        realized, steps = [], []
+        for below, pick, k, n, col in draws:
+            level = eps[k % len(eps)] + n
+            if below and realized:
+                steps.append(PredecessorBelow(realized[pick % len(realized)], level, col))
+            else:
+                x = Point(TOP, pick % params.lambda_w) if pick % 3 == 0 else Point(level, col)
+                realized.append(x)
+                steps.append(RealizePoint(x.level, x.xi))
+        try:
+            chain = run(tree, flat_F(tree, params.lambda_w, len(eps) - 1), steps, dialect).provenance
+            seen.add("done")
+        except ScheduleError as err:
+            chain = err.trace
+            seen.add("cut")
+        for earlier, later in zip(chain, chain[1:]):
+            assert leq(later, earlier)
+
+    walk()
+    assert seen == {"done", "cut"}
+
+
+def test_skeleton_routes_through_the_level():
+    # 3 < w < w + 1 passes through level w; 5 < w + 1 does not
+    y, z, x, y2 = (Point(parse(t), 0) for t in ("3", "w", "w + 1", "5"))
+    T = FinitePoset("kappa", [y, z, x, y2], [(y, z), (z, x), (y, x), (y2, x)], {})
+    rep = skeleton_check(T, [W])
+    assert rep.verdicts == (
+        (W, ("interpolant: no route for (5, 0) < (w + 1, 0) through level w",)),
+    )

@@ -334,3 +334,22 @@ def test_omega_quotient_sandwich(a):
 def test_sorting_uses_total_order(a):
     batch = [a + k for k in (3, 0, 2, 1)]
     assert sorted(batch) == [a, a + 1, a + 2, a + 3]
+
+
+def test_parse_nests_at_most_100_levels():
+    tower = parse("w^" * 100 + "1")
+    assert str(tower) == "w^" * 99 + "w"
+    assert parse("w^" * 99 + "(1)") == parse("w^" * 99 + "1")
+    for text in ["w^" * 101 + "1", "w^" * 100 + "(1)", "w^(" * 51 + "1" + ")" * 51,
+                 "w^" * 1000 + "1"]:
+        with pytest.raises(OrdinalParseError, match="nest deeper than 100 levels"):
+            parse(text)
+
+
+def test_int_comparisons_beyond_less_than():
+    w3 = parse("w + 3")
+    assert from_int(4) <= 4 and from_int(4) <= 5 and not from_int(4) <= 3
+    assert from_int(4) >= 4 and from_int(4) >= 3 and not from_int(4) >= 5
+    assert from_int(4) > 3 and not from_int(4) > 4
+    assert w3 > 1000 and w3 >= 1000 and not w3 <= 1000
+    assert ZERO <= 0 and ZERO >= 0 and not ZERO > 0
