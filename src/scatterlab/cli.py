@@ -6,10 +6,13 @@ Every subcommand is deterministic given its flags and seed.  Flags share
 a fixed set of names across subcommands and each one can be defaulted
 through an environment variable with the SCATTERLAB_ prefix (--kappa-w
 becomes SCATTERLAB_KAPPA_W); explicit flags win over the environment.
+`main` parses through a parser cached per snapshot of those variables'
+values, so an environment change takes effect on the next call.
 Documents written anywhere carry a `# scatterlab-fmt` header line.
 """
 
 import argparse
+import functools
 import itertools
 import os
 import random
@@ -70,21 +73,38 @@ REPORT_HEADER = "# scatterlab-fmt 1 report"
 TREE_HEADER = "# scatterlab-fmt 1 tree"
 
 
-def _env(name: str, fallback):
-    return os.environ.get(ENV_PREFIX + name.upper().replace("-", "_"), fallback)
+# the shared flags and their built-in defaults, in the order _param_parent takes them
+_SHARED_DEFAULTS = (
+    ("eta", "w^2"),
+    ("kappa-w", 3),
+    ("lambda-w", 6),
+    ("e-budget", 16),
+    ("seed", 0),
+    ("budget-n", 3),
+    ("dialect", "kappa"),
+)
 
 
-def _param_parent() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--eta", default=_env("eta", "w^2"), help="limit ordinal, e.g. w^2")
-    p.add_argument("--kappa-w", type=int, default=_env("kappa-w", 3))
-    p.add_argument("--lambda-w", type=int, default=_env("lambda-w", 6))
-    p.add_argument("--e-budget", type=int, default=_env("e-budget", 16))
-    p.add_argument("--seed", type=int, default=_env("seed", 0))
-    p.add_argument("--budget-n", type=int, default=_env("budget-n", 3))
-    p.add_argument(
-        "--dialect", choices=("omega", "kappa"), default=_env("dialect", "kappa")
+def _env_defaults() -> Tuple:
+    """The shared flags' defaults under the current environment, unconverted:
+    argparse converts a string default when it parses, so a bad value is
+    reported there."""
+    return tuple(
+        os.environ.get(ENV_PREFIX + name.upper().replace("-", "_"), fallback)
+        for name, fallback in _SHARED_DEFAULTS
     )
+
+
+def _param_parent(defaults: Tuple) -> argparse.ArgumentParser:
+    eta, kappa_w, lambda_w, e_budget, seed, budget_n, dialect = defaults
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--eta", default=eta, help="limit ordinal, e.g. w^2")
+    p.add_argument("--kappa-w", type=int, default=kappa_w)
+    p.add_argument("--lambda-w", type=int, default=lambda_w)
+    p.add_argument("--e-budget", type=int, default=e_budget)
+    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--budget-n", type=int, default=budget_n)
+    p.add_argument("--dialect", choices=("omega", "kappa"), default=dialect)
     return p
 
 
@@ -126,6 +146,8 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 def cmd_tree(args) -> int:
     tree = IntervalTree(_params(args))
+    if args.depth < 0:
+        raise TreeError(f"depth {args.depth} is negative")
     report = tree_axiom_report(tree, args.depth)
     lines = [TREE_HEADER, f"eta {args.eta} e_budget {args.e_budget} depth {args.depth}"]
     lines.append(tree.dump(args.depth))
@@ -473,6 +495,8 @@ def cmd_pipeline(args) -> int:
     params = _params(args)
     tree = IntervalTree(params)
     eps = tree.root_eps()
+    if args.count < 0:
+        raise ConditionError(f"count {args.count} is negative")
     corpus = Path(args.corpus)
     for sub in ("tree", "F", "conditions", "runs", "reports"):
         (corpus / sub).mkdir(parents=True, exist_ok=True)
@@ -533,20 +557,25 @@ def cmd_pipeline(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    shared = _param_parent()
+    """A fresh parser whose shared-flag defaults come from the environment."""
+    return _build_parser(_env_defaults())
+
+
+def _build_parser(defaults: Tuple) -> argparse.ArgumentParser:
+    shared = _param_parent(defaults)
     top = argparse.ArgumentParser(prog="scatterlab")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("tree", parents=[shared])
     p.add_argument("--depth", type=int, default=2)
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_tree)
+    p.set_defaults(fn="cmd_tree")
 
     p = sub.add_parser("orbit", parents=[shared])
     p.add_argument("alpha")
     p.add_argument("--beta")
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_orbit)
+    p.set_defaults(fn="cmd_orbit")
 
     p = sub.add_parser("unbounded")
     usub = p.add_subparsers(dest="subcommand", required=True)
@@ -556,26 +585,26 @@ def build_parser() -> argparse.ArgumentParser:
         "--probe", type=int, nargs=3, action="append", metavar=("M", "NU", "GAMMA")
     )
     g.add_argument("--out", required=True)
-    g.set_defaults(fn=cmd_unbounded_gen)
+    g.set_defaults(fn="cmd_unbounded_gen")
     v = usub.add_parser("verify", parents=[shared])
     v.add_argument("table")
     v.add_argument("--gamma", type=int, required=True, help="marker index")
     v.add_argument("--family", required=True, help="e.g. 0,1;2,3")
     v.add_argument("--out")
-    v.set_defaults(fn=cmd_unbounded_verify)
+    v.set_defaults(fn="cmd_unbounded_verify")
     s = usub.add_parser("search", parents=[shared])
     s.add_argument("table")
     s.add_argument("--m", type=int, required=True)
     s.add_argument("--nu", type=int, required=True)
     s.add_argument("--gammas", help="comma-separated marker indices")
     s.add_argument("--out")
-    s.set_defaults(fn=cmd_unbounded_search)
+    s.set_defaults(fn="cmd_unbounded_search")
 
     p = sub.add_parser("validate", parents=[shared])
     p.add_argument("condition")
     p.add_argument("--f")
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_validate)
+    p.set_defaults(fn="cmd_validate")
 
     p = sub.add_parser("extend", parents=[shared])
     p.add_argument("condition")
@@ -583,7 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", required=True)
     p.add_argument("--xi-floor", type=int, default=0)
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_extend)
+    p.set_defaults(fn="cmd_extend")
 
     p = sub.add_parser("amalgamate", parents=[shared])
     p.add_argument("first")
@@ -592,13 +621,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zeta-first", type=int)
     p.add_argument("--zeta-second", type=int)
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_amalgamate)
+    p.set_defaults(fn="cmd_amalgamate")
 
     p = sub.add_parser("simulate", parents=[shared])
     p.add_argument("--schedule", required=True)
     p.add_argument("--f")
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_simulate)
+    p.set_defaults(fn="cmd_simulate")
 
     p = sub.add_parser("analyze", parents=[shared])
     p.add_argument("--space")
@@ -606,21 +635,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ordinal")
     p.add_argument("--cap", type=int, default=16)
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_analyze)
+    p.set_defaults(fn="cmd_analyze")
 
     p = sub.add_parser("pipeline", parents=[shared])
     p.add_argument("--corpus", required=True)
     p.add_argument("--count", type=int, default=10)
     p.add_argument("--f-const", type=int)
-    p.set_defaults(fn=cmd_pipeline)
+    p.set_defaults(fn="cmd_pipeline")
 
     return top
 
 
+# parse_args leaves a parser as it found it, so one parser serves every call
+# under the same environment defaults.  The parser names each command's
+# function and main looks the name up when it runs, so a binding replaced on
+# the module after the parser was built (a tracer's wrapper) is the one called.
+_cached_parser = functools.lru_cache(maxsize=8)(_build_parser)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command line; the exit status is 2 for a typed error.
+
+    The parser is built on the first call under each snapshot of the
+    SCATTERLAB_* defaults and reused after, so an environment change takes
+    effect on the next call."""
+    args = _cached_parser(_env_defaults()).parse_args(argv)
     try:
-        return args.fn(args)
+        return globals()[args.fn](args)
     except (OrdinalError, TreeError, FamilyError, BlowupGuardError, ConditionError,
             GenericError, AnalysisError, OSError) as err:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)

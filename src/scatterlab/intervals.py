@@ -340,11 +340,16 @@ def tree_axiom_report(
         if not ok:
             failures.append(f"{name}: {detail}")
 
-    for stratum in tree.levels(depth, count)[:-1]:
+    # singletons have no children, so only the splittable nodes of each
+    # stratum are carried down, and the walk ends once none is left
+    stratum = [tree.root]
+    for _ in range(depth):
+        if not stratum:
+            break
+        nxt: List[Interval] = []
         for iv in stratum:
-            if iv.is_singleton:
-                continue
             kids = tree.children(iv, count)
+            nxt.extend(kid for kid in kids if not kid.is_singleton)
             note("child-start", kids[0].lo == iv.lo, f"{iv} first child {kids[0]}")
             for a, b in zip(kids, kids[1:]):
                 note("child-consecutive", a.hi == b.lo, f"{iv}: {a} then {b}")
@@ -357,6 +362,7 @@ def tree_axiom_report(
                 )
                 if iv.hi.is_limit:
                     note("limit-endpoint-drop", kid.hi < iv.hi, f"{iv}: {kid}")
+        stratum = nxt
 
     for alpha in sample_points:
         try:

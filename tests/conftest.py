@@ -1,7 +1,14 @@
+import random
+
+import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
+from scatterlab.conditions import condition_to_text
 from scatterlab.ordinals import Ordinal, from_int
+from scatterlab.unbounded import save
+
+from .corpus import kappa_instance, kappa_tree
 
 settings.register_profile(
     "suite",
@@ -37,3 +44,17 @@ def deep_ordinals(draw, depth: int = 2):
 
 def limit_ordinals(depth: int = 2):
     return deep_ordinals(depth=depth).filter(lambda a: a.is_limit)
+
+
+@pytest.fixture(scope="module")
+def kappa_doc(tmp_path_factory):
+    """A seeded root-sharing kappa pair stored as two condition documents,
+    their F table, and the pair's two push levels: (a, b, f, zn, zm)."""
+    tree = kappa_tree()
+    r_nu, r_mu, zn, zm, F = kappa_instance(tree, random.Random(7))
+    base = tmp_path_factory.mktemp("docs")
+    a, b, f = base / "a.txt", base / "b.txt", base / "F.txt"
+    a.write_text(condition_to_text(r_nu, tree.params))
+    b.write_text(condition_to_text(r_mu, tree.params))
+    save(F, f)
+    return a, b, f, zn, zm

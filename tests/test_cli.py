@@ -1,10 +1,12 @@
 """End-to-end exercises of the command line through main()."""
 
 import random
+import shutil
 from pathlib import Path
 
 import pytest
 
+from scatterlab import cli
 from scatterlab.cli import main
 from scatterlab.conditions import condition_from_text, condition_to_text
 from scatterlab.generic import poset_from_text
@@ -15,8 +17,6 @@ from .corpus import (
     damaged_documents,
     damaged_schedules,
     damaged_tables,
-    kappa_instance,
-    kappa_tree,
     omega_instance,
     omega_tree,
 )
@@ -108,20 +108,6 @@ def test_gen_probe_past_the_family_cap_is_a_clean_error(tmp_path, capsys):
 
 
 # --- validate / extend -------------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def kappa_doc(tmp_path_factory):
-    tree = kappa_tree()
-    r_nu, r_mu, zn, zm, F = kappa_instance(tree, random.Random(7))
-    base = tmp_path_factory.mktemp("docs")
-    a, b, f = base / "a.txt", base / "b.txt", base / "F.txt"
-    a.write_text(condition_to_text(r_nu, tree.params))
-    b.write_text(condition_to_text(r_mu, tree.params))
-    from scatterlab.unbounded import save
-
-    save(F, f)
-    return a, b, f, zn, zm
 
 
 def test_validate_accepts_corpus_member(kappa_doc, capsys):
@@ -574,3 +560,192 @@ def test_amalgamate_column_outside_table_is_a_clean_error(tmp_path, capsys):
     code, _, err = run(capsys, "amalgamate", str(a), str(b), "--f", str(f))
     assert code == 2
     assert err == "error: FamilyError: pair 9,0 is outside the table's 6 columns\n"
+
+
+# --- negative counts ---------------------------------------------------------------
+
+
+def test_tree_negative_depth_is_a_clean_error(capsys):
+    code, out, err = run(capsys, "tree", "--depth", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: TreeError: depth -1 is negative\n"
+
+
+def test_pipeline_negative_count_is_a_clean_error(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    code, out, err = run(capsys, "pipeline", "--corpus", str(corpus), "--count", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: ConditionError: count -1 is negative\n"
+    assert not corpus.exists()
+
+
+# --- one parser per environment ----------------------------------------------------
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+ENV_NAMES = [cli.ENV_PREFIX + flag.upper().replace("-", "_")
+             for flag, _ in cli._SHARED_DEFAULTS]
+INT_DEFAULTS = [(name, flag, default)
+                for name, (flag, default) in zip(ENV_NAMES, cli._SHARED_DEFAULTS)
+                if isinstance(default, int)]
+SUBCOMMANDS = [["tree"], ["orbit"], ["unbounded"], ["unbounded", "gen"],
+               ["unbounded", "verify"], ["unbounded", "search"], ["validate"],
+               ["extend"], ["amalgamate"], ["simulate"], ["analyze"], ["pipeline"]]
+
+# a failing probe twice, then none: no appended probe outlives its call
+PROBE_STEPS = [
+    ({}, ["unbounded", "gen", "--strategy", "greedy", "--probe", "1", "1", "0",
+          "--out", "{work}/F.txt"]),
+    ({}, ["unbounded", "gen", "--strategy", "greedy", "--probe", "1", "1", "0",
+          "--probe", "2", "2", "1", "--out", "{work}/F.txt"]),
+    ({}, ["unbounded", "gen", "--strategy", "greedy", "--out", "{work}/F.txt"]),
+]
+
+# (environment changes, argv): a change holds until a later step makes
+# another, and None unsets the variable; {work} is emptied after each step
+ORACLE_CORPUS = [
+    ({}, ["tree"]),
+    ({}, ["tree", "--depth", "0"]),
+    ({}, ["tree", "--depth", "-1"]),
+    ({}, ["tree", "--depth", "1", "--out", "{work}/tree.txt"]),
+    ({}, ["orbit", "w*4+2", "--beta", "w*5"]),
+    ({}, ["unbounded", "gen", "--strategy", "greedy", "--out", "{work}/F.txt"]),
+    ({}, ["unbounded", "gen", "--seed", "5", "--out", "{work}/F.txt"]),
+    *PROBE_STEPS,
+    ({}, ["unbounded", "verify", "{f}", "--gamma", "3", "--family", "0,1;2,3"]),
+    ({}, ["unbounded", "verify", "{f}", "--gamma", "99", "--family", "0,1;2,3"]),
+    ({}, ["unbounded", "search", "{f}", "--m", "2", "--nu", "2", "--gammas", "1,2,3",
+          "--out", "{work}/search.txt"]),
+    ({}, ["validate", "{a}", "--f", "{f}"]),
+    ({}, ["validate", "{golden}/condition-omega.txt", "--out", "{work}/v.txt"]),
+    ({}, ["validate", "{work}/absent.txt"]),
+    ({}, ["extend", "{a}", "--target", "TOP:6", "--alpha", "w*4", "--out", "{work}/e.txt"]),
+    ({}, ["extend", "{a}", "--target", "w*9:4", "--alpha", "w*3"]),
+    ({}, ["amalgamate", "{a}", "{b}", "--f", "{f}", "--zeta-first", "{zn}",
+          "--zeta-second", "{zm}", "--out", "{work}/r.txt"]),
+    ({}, ["amalgamate", "{a}", "{b}", "--f", "{f}"]),
+    ({}, ["simulate", "--schedule", "{golden}/schedule.txt", "--out", "{work}/sim"]),
+    ({}, ["simulate", "--schedule", "{golden}/schedule.txt", "--budget-n", "1",
+          "--dialect", "omega"]),
+    ({}, ["analyze", "--ordinal", "w^2*2+3"]),
+    ({}, ["analyze", "--poset", "{golden}/poset.txt", "--out", "{work}/a.txt"]),
+    ({}, ["analyze", "--space", "{golden}/space.txt", "--cap", "4"]),
+    ({}, ["analyze"]),
+    ({}, ["pipeline", "--corpus", "{work}/corpus", "--count", "2", "--seed", "3"]),
+    ({}, ["pipeline", "--corpus", "{work}/corpus", "--count", "0"]),
+    ({}, ["pipeline", "--corpus", "{work}/corpus", "--count", "-1"]),
+    ({}, ["pipeline", "--corpus", "{work}/corpus", "--count", "2", "--f-const", "0"]),
+    ({}, ["--help"]),
+    *(({}, argv + ["--help"]) for argv in SUBCOMMANDS),
+    ({}, []),
+    ({}, ["frobnicate"]),
+    ({}, ["unbounded"]),
+    ({}, ["tree", "--bogus"]),
+    ({}, ["tree", "--depth", "x"]),
+    ({}, ["orbit", "w", "--dialect", "zeta"]),
+    ({}, ["orbit", "w^^2"]),
+    ({}, ["unbounded", "search", "{f}", "--m", "x", "--nu", "2"]),
+    ({}, ["unbounded", "gen", "--probe", "1", "2", "--out", "{work}/F.txt"]),
+    ({}, ["extend", "{a}", "--target", "TOP:0"]),
+    # each integer variable set to x alone, then overridden by its flag
+    *(
+        step
+        for name, flag, default in INT_DEFAULTS
+        for step in (
+            ({**dict.fromkeys(ENV_NAMES), name: "x"}, ["tree", "--depth", "1"]),
+            ({}, ["tree", "--depth", "1", f"--{flag}", str(default)]),
+        )
+    ),
+    ({name: None for name in ENV_NAMES}, ["tree", "--depth", "1"]),
+    ({"SCATTERLAB_ETA": "w^^"}, ["orbit", "w"]),
+    ({"SCATTERLAB_ETA": "w^3"}, ["orbit", "w^2*2"]),
+    ({"SCATTERLAB_ETA": None, "SCATTERLAB_DIALECT": "zeta"}, ["orbit", "w"]),
+    ({"SCATTERLAB_DIALECT": "omega"},
+     ["simulate", "--schedule", "{golden}/schedule.txt", "--budget-n", "1"]),
+    ({"SCATTERLAB_DIALECT": None, "SCATTERLAB_SEED": "6"},
+     ["unbounded", "gen", "--out", "{work}/F.txt"]),
+    ({"SCATTERLAB_SEED": None}, ["unbounded", "gen", "--out", "{work}/F.txt"]),
+    # set, change and unset the marker budget between calls
+    ({"SCATTERLAB_E_BUDGET": "4"}, ["orbit", "w*3"]),
+    ({}, ["orbit", "w*5"]),
+    ({"SCATTERLAB_E_BUDGET": "8"}, ["orbit", "w*5"]),
+    ({}, ["orbit", "w*5", "--e-budget", "4"]),
+    ({"SCATTERLAB_E_BUDGET": None}, ["orbit", "w*5"]),
+    ({"SCATTERLAB_E_BUDGET": "4"}, ["orbit", "w*5"]),
+    ({"SCATTERLAB_E_BUDGET": "x"}, ["orbit", "w*5"]),
+    ({"SCATTERLAB_E_BUDGET": None}, ["pipeline", "--corpus", "{work}/corpus",
+                                     "--count", "1"]),
+]
+
+
+def replay(corpus, paths, monkeypatch, capsys):
+    """Exit code, stdout, stderr and the files written, for each step."""
+    for name in ENV_NAMES:
+        monkeypatch.delenv(name, raising=False)
+    work = paths["work"]
+    results = []
+    for env, argv in corpus:
+        for name, value in env.items():
+            if value is None:
+                monkeypatch.delenv(name, raising=False)
+            else:
+                monkeypatch.setenv(name, value)
+        try:
+            code = main([arg.format(**paths) for arg in argv])
+        except SystemExit as err:
+            code = err.code
+        out, err = capsys.readouterr()
+        written = {str(f.relative_to(work)): f.read_bytes()
+                   for f in sorted(work.rglob("*")) if f.is_file()}
+        shutil.rmtree(work)
+        work.mkdir()
+        results.append((argv, code, out, err, written))
+    return results
+
+
+def test_cached_parser_matches_a_fresh_parser(kappa_doc, tmp_path, monkeypatch, capsys):
+    """main through its cached parser and main through build_parser() on
+    every call give the same exit code, stdout, stderr and files for each
+    step of the corpus."""
+    a, b, f, zn, zm = kappa_doc
+    paths = {"a": a, "b": b, "f": f, "zn": zn, "zm": zm, "golden": GOLDEN,
+             "work": tmp_path / "work"}
+    paths["work"].mkdir()
+    monkeypatch.setenv("COLUMNS", "100")
+    cli._cached_parser.cache_clear()
+    cached = replay(ORACLE_CORPUS, paths, monkeypatch, capsys)
+    # the fresh side: main parses through build_parser() on every call
+    monkeypatch.setattr(cli, "_cached_parser", lambda defaults: cli.build_parser())
+    fresh = replay(ORACLE_CORPUS, paths, monkeypatch, capsys)
+    for got, want in zip(cached, fresh):
+        assert got == want
+    codes = {code for _, code, _, _, _ in cached}
+    assert codes == {0, 1, 2}
+    # the probe-less call after the failing probes generated its table
+    at = ORACLE_CORPUS.index(PROBE_STEPS[0])
+    assert [step[1] for step in cached[at : at + 3]] == [2, 2, 0]
+
+
+def test_one_parser_build_per_environment(monkeypatch, capsys):
+    builds = []
+    real = cli._param_parent
+
+    def counted(defaults):
+        builds.append(defaults)
+        return real(defaults)
+
+    monkeypatch.setattr(cli, "_param_parent", counted)
+    monkeypatch.delenv("SCATTERLAB_E_BUDGET", raising=False)
+    cli._cached_parser.cache_clear()
+    for _ in range(50):
+        assert run(capsys, "orbit", "w*3")[0] == 0
+    assert len(builds) == 1
+    cli._cached_parser.cache_clear()
+    builds.clear()
+    for i in range(50):
+        if i % 2:
+            monkeypatch.setenv("SCATTERLAB_E_BUDGET", "8")
+        else:
+            monkeypatch.delenv("SCATTERLAB_E_BUDGET", raising=False)
+        assert run(capsys, "orbit", "w*3")[0] == 0
+    assert len(builds) == 2
+    cli._cached_parser.cache_clear()
