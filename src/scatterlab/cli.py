@@ -32,6 +32,7 @@ from .analysis import (
     space_from_text,
 )
 from .conditions import (
+    DIALECTS,
     TOP,
     Condition,
     ConditionError,
@@ -95,6 +96,16 @@ def _env_defaults() -> Tuple:
     )
 
 
+def _dialect(value: str) -> str:
+    """`--dialect`'s conversion.  argparse checks `choices` only for a value
+    given as a flag, so a default read from SCATTERLAB_DIALECT is checked
+    here, with the message that check gives."""
+    if value not in DIALECTS:
+        choices = ", ".join(map(repr, DIALECTS))
+        raise argparse.ArgumentTypeError(f"invalid choice: {value!r} (choose from {choices})")
+    return value
+
+
 def _param_parent(defaults: Tuple) -> argparse.ArgumentParser:
     eta, kappa_w, lambda_w, e_budget, seed, budget_n, dialect = defaults
     p = argparse.ArgumentParser(add_help=False)
@@ -104,7 +115,7 @@ def _param_parent(defaults: Tuple) -> argparse.ArgumentParser:
     p.add_argument("--e-budget", type=int, default=e_budget)
     p.add_argument("--seed", type=int, default=seed)
     p.add_argument("--budget-n", type=int, default=budget_n)
-    p.add_argument("--dialect", choices=("omega", "kappa"), default=dialect)
+    p.add_argument("--dialect", type=_dialect, choices=DIALECTS, default=dialect)
     return p
 
 

@@ -14,7 +14,9 @@ related pair.
 `make_condition` normalizes and transitively closes input; `validate`
 reports every violated clause by name; `extend_below` is the point
 insertion that plants a fresh point under a target while preserving
-validity.
+validity.  `extend_condition` adds points below old ones without
+rebuilding the old part, and `violations_touching` checks only the pairs
+with a new end.
 
 `Poset` is the order core shared with `generic.FinitePoset`: each poset
 builds one `OrderIndex` on first use, its points sorted by `point_key`
@@ -26,6 +28,7 @@ query, clause check and meet completion here is a bit operation on it
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import FrozenInstanceError, dataclass
 from typing import (
     Dict,
@@ -47,6 +50,7 @@ from .ordinals import parse as parse_ordinal
 from .unbounded import UnboundedFn
 
 FORMAT_HEADER = "# scatterlab-fmt 1 condition"
+DIALECTS = ("omega", "kappa")
 
 
 class ConditionError(ValueError):
@@ -146,6 +150,26 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _spread(mask: int, slots: List[int]) -> int:
+    """`mask` with a zero bit opened at each of `slots`, ascending positions
+    of the merged order."""
+    for q in slots:
+        low = mask & (1 << q) - 1
+        mask = low | (mask ^ low) << 1
+    return mask
+
+
+def _partners(n: int, fresh: int) -> List[Iterable[int]]:
+    """For each position i < n, the positions j > i for which the pair
+    (i, j) has an end in the mask `fresh`."""
+    if fresh == -1:  # every validate call comes here: no test per row
+        return [range(i + 1, n) for i in range(n)]
+    return [
+        range(i + 1, n) if fresh >> i & 1 else list(bits(fresh >> i + 1 << i + 1))
+        for i in range(n)
+    ]
+
+
 class OrderIndex:
     """The indexed core of a finite strict order.
 
@@ -183,11 +207,41 @@ class OrderIndex:
         """`up` with each point's own bit added."""
         return [m | 1 << i for i, m in enumerate(self.up)]
 
-    def strict_pairs(self) -> Iterator[Tuple[int, int]]:
-        """The strict pairs as positions, in (point_key, point_key) order."""
-        for i, m in enumerate(self.up):
+    def strict_pairs(self, touching: int = -1) -> Iterator[Tuple[int, int]]:
+        """The strict pairs as positions, in (point_key, point_key) order;
+        only those with an end in the mask `touching`, when it is given."""
+        rows = enumerate(self.up)
+        if touching != -1:
+            rows = ((i, m if touching >> i & 1 else m & touching) for i, m in rows)
+        for i, m in rows:
             for j in bits(m):
                 yield i, j
+
+    def inserted(self, new_points: Iterable[Point]) -> Tuple["OrderIndex", int]:
+        """A copy with `new_points` sorted in, each with empty rows, and the
+        mask of their positions.  The old rows are moved to the merged
+        positions, not rebuilt."""
+        pts = list(self.pts)
+        slots: List[int] = []
+        for r, x in enumerate(sorted(set(new_points), key=point_key)):
+            at = bisect_left(self.pts, x._key, key=point_key)
+            if at < len(self.pts) and self.pts[at] == x:
+                raise ConditionError(f"point {x} is already in the condition")
+            slots.append(at + r)
+            pts.insert(at + r, x)
+        out = OrderIndex((), ())
+        out.pts = pts
+        out.index = {x: i for i, x in enumerate(pts)}
+        out.down = [_spread(m, slots) for m in self.down]
+        out.up = [_spread(m, slots) for m in self.up]
+        out.levels = {level: _spread(m, slots) for level, m in self.levels.items()}
+        fresh = 0
+        for q in slots:
+            out.down.insert(q, 0)
+            out.up.insert(q, 0)
+            out.levels[pts[q].level] = out.levels.get(pts[q].level, 0) | 1 << q
+            fresh |= 1 << q
+        return out, fresh
 
     def members(self, mask: int) -> List[Point]:
         return [self.pts[k] for k in bits(mask)]
@@ -343,7 +397,7 @@ def make_condition(
     comparable pairs, the maximal common lower bounds otherwise.  Meet
     CONTENT is not judged here; `validate` does that.
     """
-    if dialect not in ("omega", "kappa"):
+    if dialect not in DIALECTS:
         raise ConditionError(f"unknown dialect {dialect!r}")
     pts = frozenset(points)
     strict, core = _transitive_closure(pts, rel)
@@ -381,6 +435,78 @@ def make_condition(
                     value = frozenset(order[k] for k in bits(common) if not up[k] & common)
             rows.append(((s, t), value))
     return Condition(dialect, pts, strict, tuple(rows), core)
+
+
+def extend_condition(
+    p: Condition,
+    new_points: Iterable[Point],
+    new_pairs: Iterable[Tuple[Point, Point]],
+) -> Condition:
+    """`p` with `new_points` added, the strict pairs `new_pairs` closed in,
+    and the meet of every pair that touches a new point forced, as
+    `make_condition(..., complete=True)` forces it.
+
+    Every pair must start at a new point, so new points sit only below old
+    ones and an old point's rows, strict pairs and meet rows stand as they
+    are: only the new points' rows are closed, and `p`'s strict set, meet
+    map and row tuples are copied, not rebuilt.
+    """
+    core, fresh = p.core().inserted(new_points)
+    pts, index, up, down = core.pts, core.index, core.up, core.down
+    for s, t in new_pairs:
+        i = index.get(s)
+        j = index.get(t)
+        if i is None or j is None:
+            raise ConditionError(f"order pair ({s}, {t}) mentions unknown points")
+        if not fresh >> i & 1:
+            raise ConditionError(f"order pair ({s}, {t}) climbs from an old point")
+        up[i] |= 1 << j | up[j]
+    news = list(bits(fresh))
+    # Warshall over the new points alone: an old row is closed and reaches
+    # only old points
+    for k in news:
+        bit, reach = 1 << k, up[k]
+        for i in news:
+            if up[i] & bit:
+                up[i] |= reach
+    points = p.points.union(core.members(fresh))
+    if any(up[i] >> i & 1 for i in news):
+        s = next(x for x in points if up[index[x]] >> index[x] & 1)
+        raise ConditionError(f"order cycle through {s}")
+    strict = set(p.strict)
+    for i in news:
+        s = pts[i]
+        for j in bits(up[i]):
+            down[j] |= 1 << i
+            strict.add((s, pts[j]))
+
+    # old rows are read in order between the new ones; a comparable pair
+    # with a new end has the new point as its lower end
+    lone = {i: frozenset((pts[i],)) for i in news}
+    old, rows, at = p.meets, [], 0
+    table = p.meet_table().copy()
+    n, later = len(pts), _partners(len(pts), fresh)
+    for i, s in enumerate(pts):
+        prev = i
+        for j in later[i]:
+            rows += old[at : at + j - prev - 1]
+            at += j - prev - 1
+            prev = j
+            if up[i] >> j & 1:
+                value = lone[i]
+            elif up[j] >> i & 1:
+                value = lone[j]
+            else:
+                common = down[i] & down[j]
+                value = frozenset(pts[k] for k in bits(common) if not up[k] & common)
+            pair = (s, pts[j])
+            table[pair] = value
+            rows.append((pair, value))
+        rows += old[at : at + n - prev - 1]
+        at += n - prev - 1
+    out = Condition(p.dialect, points, frozenset(strict), tuple(rows), core)
+    out._meet_map = table
+    return out
 
 
 @dataclass(frozen=True)
@@ -428,6 +554,16 @@ def validate(
     Checks that would need tree structure past the budget raise
     UnmaterializedLevelError instead of reporting a violation.
     """
+    return violations_touching(p, tree, F, -1)
+
+
+def violations_touching(
+    p: Condition, tree: IntervalTree, F: Optional[UnboundedFn], fresh: int
+) -> List[Violation]:
+    """`validate`'s findings on the points in the mask `fresh` (positions in
+    `p.core()`, -1 for every point) and on the pairs with an end among
+    them, in `validate`'s order; the size cap is checked whatever `fresh`
+    holds."""
     params = tree.params
     out: List[Violation] = []
     core = p.core()
@@ -436,7 +572,7 @@ def validate(
     if p.size > params.size_cap:
         out.append(Violation("size-cap", (), f"{p.size} points exceed cap {params.size_cap}"))
 
-    for s in pts:
+    for s in pts if fresh == -1 else core.members(fresh):
         if s.is_top:
             if not 0 <= s.xi < params.lambda_w:
                 out.append(Violation("grid", (s,), f"top column {s.xi} out of range"))
@@ -446,7 +582,7 @@ def validate(
             elif not 0 <= s.xi < params.kappa_w:
                 out.append(Violation("grid", (s,), f"column {s.xi} out of range"))
 
-    for i, j in core.strict_pairs():
+    for i, j in core.strict_pairs(fresh):
         s, t = pts[i], pts[j]
         if not level_lt(s.level, t.level):
             out.append(Violation("level-monotone", (s, t), "related points must climb levels"))
@@ -454,8 +590,9 @@ def validate(
     # meet axiom: the points below both ends are exactly those below a meet point
     index, below, table = core.index, core.below(), p.meet_table()
     kappa = p.dialect == "kappa"
+    later = _partners(len(pts), fresh)
     for i, s in enumerate(pts):
-        for j in range(i + 1, len(pts)):
+        for j in later[i]:
             t = pts[j]
             value = table.get((s, t), frozenset())
             covered = 0
@@ -474,18 +611,18 @@ def validate(
                 out.append(Violation("meet-arity", (s, t), f"{len(value)} meet points"))
 
     if kappa:
-        _validate_kappa(p, tree, F, out)
+        _validate_kappa(p, tree, F, fresh, later, out)
     else:
-        _validate_omega(p, tree, F, out)
+        _validate_omega(p, tree, F, fresh, later, out)
     return out
 
 
-def _validate_kappa(p, tree, F, out):
+def _validate_kappa(p, tree, F, fresh, later, out):
     params = tree.params
     core = p.core()
     pts, below, table = core.pts, core.below(), p.meet_table()
     for i, s in enumerate(pts):
-        for j in range(i + 1, len(pts)):
+        for j in later[i]:
             # skip comparable pairs and pairs with no common lower bound
             if (below[j] >> i | below[i] >> j) & 1 or not below[i] & below[j]:
                 continue
@@ -514,7 +651,7 @@ def _validate_kappa(p, tree, F, out):
                     out.append(Violation("meet-location", (s, t), why))
 
     above = core.above()
-    for i, j in core.strict_pairs():
+    for i, j in core.strict_pairs(fresh):
         s, t = pts[i], pts[j]
         if s.is_top or not level_lt(s.level, t.level):
             continue
@@ -533,11 +670,11 @@ def _validate_kappa(p, tree, F, out):
             )
 
 
-def _validate_omega(p, tree, F, out):
+def _validate_omega(p, tree, F, fresh, later, out):
     core = p.core()
     pts, table = core.pts, p.meet_table()
     for i, s in enumerate(pts):
-        for j in range(i + 1, len(pts)):
+        for j in later[i]:
             t = pts[j]
             if s.is_top and t.is_top:
                 for v in table.get((s, t), ()):
@@ -559,7 +696,7 @@ def _validate_omega(p, tree, F, out):
                     )
 
     above = core.above()
-    for i, j in core.strict_pairs():
+    for i, j in core.strict_pairs(fresh):
         s, t = pts[i], pts[j]
         if t.is_top or not t.level.is_successor:
             continue
@@ -624,8 +761,16 @@ def extend_below(
     dialect adds the finite ladder filling the levels from which the
     target's successor level is reachable by finite steps.  The new points
     form one chain tied upward to everything at or above tgt, and
-    `make_condition` forces their meets: the lower point of a comparable
+    `extend_condition` forces their meets: the lower point of a comparable
     pair, and the empty set against every other old point.
+
+    The insertion is monotone, so no clause on a pair of old points changes
+    its verdict and only pairs touching a new point need checking.  A new
+    point sits below an old x exactly when tgt <= x.  A new common lower
+    bound of two old points therefore lies below tgt, and tgt, a common
+    lower bound already, lies below one of their old meet points, which
+    covers it.  New points are never above old ones, so no interpolant
+    witness for an old strict pair appears or disappears.
     """
     if tgt not in p.points:
         raise ConditionError(f"target {tgt} is not in the condition")
@@ -655,13 +800,8 @@ def extend_below(
         [s] + [_fresh_column(core, lev, 0, params.kappa_w) for lev in levels[1:]],
         key=point_key,
     )
-    i = core.index[tgt]
-    above = core.members(core.up[i] | 1 << i)
-    rel = set(p.strict)
-    rel.update(zip(chain, chain[1:]))
-    rel.update((w, y) for w in chain for y in above)
-    p2 = make_condition(p.dialect, p.points | set(chain), rel, p.meet_table(), complete=True)
-    return p2, s
+    rel = list(zip(chain, chain[1:])) + [(chain[-1], tgt)]
+    return extend_condition(p, chain, rel), s
 
 
 # --- document format -----------------------------------------------------------

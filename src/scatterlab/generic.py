@@ -21,6 +21,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from . import fmt
 from .conditions import (
+    DIALECTS,
     TOP,
     Condition,
     ConditionError,
@@ -29,6 +30,7 @@ from .conditions import (
     Poset,
     bits,
     extend_below,
+    extend_condition,
     level_lt,
     level_token,
     make_condition,
@@ -37,7 +39,7 @@ from .conditions import (
     point_key,
     poset_block,
     read_poset_block,
-    validate,
+    violations_touching,
 )
 from .intervals import IntervalTree, TreeError
 from .ordinals import ONE, Ordinal
@@ -189,7 +191,7 @@ def poset_to_text(T: FinitePoset) -> str:
 def poset_from_text(text: str) -> FinitePoset:
     lines = fmt.document_lines(text, FORMAT_HEADER_POSET, GenericError)
     dialect = fmt.value(lines, 1, "dialect", GenericError)
-    if dialect not in ("omega", "kappa"):
+    if dialect not in DIALECTS:
         raise GenericError(f"unknown dialect {dialect!r}")
     pts, rel, meets, at = read_poset_block(lines, 2, GenericError)
     body, _ = fmt.section(lines, at, "targeted", GenericError)
@@ -216,6 +218,16 @@ def run_schedule(
     Raises ScheduleError with the partial chain when a requirement cannot
     be met inside the width caps, breaks validity, or cannot be validated
     within the tree's budget.  Steps extend by construction; `leq` is a test gate.
+
+    Each step adds its points through `extend_condition` and checks only
+    the clauses that touch them, plus the size cap.  That is sound because
+    every step is monotone: a realized point is isolated, and the chain
+    `extend_below` plants sits below an old x exactly when the target is at
+    or below x.  A new common lower bound of two old points thus lies below
+    the target, which already lies below one of their old meet points; and
+    new points are never above old ones, so no interpolant witness of an
+    old pair changes.  The previous condition passed every clause, so the
+    old pairs still do.
     """
     params = tree.params
     p = make_condition(dialect, [])
@@ -240,12 +252,7 @@ def run_schedule(
                     tree.path(x.level)
                 except TreeError as err:
                     fail(f"level not materialized: {err}", k, req)
-            if x in p.points:
-                p2 = p
-            else:
-                p2 = make_condition(
-                    p.dialect, p.points | {x}, p.strict, p.meet_table(), complete=True
-                )
+            p2 = p if x in p.points else extend_condition(p, [x], ())
         elif isinstance(req, PredecessorBelow):
             if req.target not in p.points:
                 fail("target point has not been realized", k, req)
@@ -257,8 +264,11 @@ def run_schedule(
         else:
             fail(f"unknown requirement kind {type(req).__name__}", k, req)
 
+        index, fresh = p2.core().index, 0
+        for x in p2.points - p.points:
+            fresh |= 1 << index[x]
         try:
-            found = validate(p2, tree, F)
+            found = violations_touching(p2, tree, F, fresh)
         except (ConditionError, TreeError) as err:
             fail(str(err), k, req)
         if found:

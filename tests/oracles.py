@@ -875,3 +875,112 @@ def naive_extend_below(p, tgt, alpha, nu_floor, tree):
             meets[pair_key(w, y)] = frozenset({w}) if y in above else frozenset()
     p2 = make_condition("omega", set(p.points) | set(rungs), rel, meets)
     return p2, s
+
+
+# --- schedule steps rebuilt whole ----------------------------------------------
+# Each step as `generic.run_schedule` took it before steps went incremental:
+# the new condition rebuilt by `make_condition` from scratch and checked by
+# the full `validate`.  Conditions, findings and errors must match it.
+
+
+def full_extend_below(p, tgt, alpha, nu_floor, tree):
+    """`conditions.extend_below` with the whole condition rebuilt: the same
+    chain, closed and completed by `make_condition`."""
+    from scatterlab.conditions import (
+        ConditionError,
+        UnmaterializedLevelError,
+        _fresh_column,
+        level_lt,
+        make_condition,
+        point_key,
+    )
+    from scatterlab.intervals import TreeError
+
+    if tgt not in p.points:
+        raise ConditionError(f"target {tgt} is not in the condition")
+    if not level_lt(alpha, tgt.level):
+        raise ConditionError(f"need alpha below the target, got {alpha} vs {tgt.level}")
+    if not alpha < tree.params.eta:
+        raise ConditionError(f"alpha {alpha} is not below {tree.params.eta}")
+    if nu_floor < 0:
+        raise ConditionError(f"column floor {nu_floor} is negative")
+    params = tree.params
+    levels = [alpha]
+    if p.dialect == "kappa":
+        try:
+            trail = tree.path(alpha)
+        except TreeError as err:
+            raise UnmaterializedLevelError(f"path({alpha}): {err}") from err
+        bound = params.eta if tgt.is_top else tgt.level
+        levels += [iv.hi for iv in trail[:-1] if iv.hi < bound]
+    elif not tgt.is_top and tgt.level.is_successor:
+        base = Ordinal(tgt.level.terms[:-1])
+        levels += [base + k for k in range(tgt.level.terms[-1][1]) if alpha < base + k]
+    core = p.core()
+    s = _fresh_column(core, alpha, nu_floor, params.kappa_w)
+    chain = sorted(
+        [s] + [_fresh_column(core, lev, 0, params.kappa_w) for lev in levels[1:]],
+        key=point_key,
+    )
+    above = {y for (x, y) in p.strict if x == tgt} | {tgt}
+    rel = set(p.strict) | set(zip(chain, chain[1:]))
+    rel |= {(w, y) for w in chain for y in above}
+    p2 = make_condition(p.dialect, p.points | set(chain), rel, dict(p.meets), complete=True)
+    return p2, s
+
+
+def full_run_schedule(sch, tree, F, dialect, record):
+    """`generic.run_schedule` with every step rebuilt whole and checked by
+    `validate`.  Appends (condition, findings or the error raised) to
+    `record` for each step that reaches the check."""
+    from scatterlab.conditions import ConditionError, Point, make_condition, validate
+    from scatterlab.generic import (
+        PredecessorBelow,
+        RealizePoint,
+        ScheduleError,
+        poset_from_condition,
+    )
+    from scatterlab.intervals import TreeError
+
+    params = tree.params
+    p = make_condition(dialect, [])
+    chain, targeted = [p], []
+
+    def fail(msg, k, req):
+        raise ScheduleError(f"step {k} {req!r}: {msg}", trace=chain, step=k, requirement=req)
+
+    for k, req in enumerate(sch.steps):
+        if isinstance(req, RealizePoint):
+            x = Point(req.level, req.xi)
+            cap = params.lambda_w if x.is_top else params.kappa_w
+            if req.xi < 0 or req.xi >= cap:
+                fail(f"column {req.xi} outside width cap {cap}", k, req)
+            if not x.is_top:
+                if not x.level < params.eta:
+                    fail(f"level {x.level} is not below {params.eta}", k, req)
+                try:
+                    tree.path(x.level)
+                except TreeError as err:
+                    fail(f"level not materialized: {err}", k, req)
+            p2 = make_condition(dialect, p.points | {x}, p.strict, dict(p.meets), complete=True)
+        elif isinstance(req, PredecessorBelow):
+            if req.target not in p.points:
+                fail("target point has not been realized", k, req)
+            try:
+                p2, _ = full_extend_below(p, req.target, req.level, req.xi_floor, tree)
+            except (ConditionError, TreeError) as err:
+                fail(str(err), k, req)
+            targeted.append((req.level, req.target))
+        else:
+            fail(f"unknown requirement kind {type(req).__name__}", k, req)
+        try:
+            found = validate(p2, tree, F)
+        except (ConditionError, TreeError) as err:
+            record.append((p2, err))
+            fail(str(err), k, req)
+        record.append((p2, found))
+        if found:
+            fail("; ".join(str(v) for v in found), k, req)
+        p = p2
+        chain.append(p)
+    return poset_from_condition(p, targeted, chain)

@@ -72,7 +72,7 @@ from .oracles import (
     naive_star_search_by_verify,
     omega_cross_filter,
 )
-from .test_analysis import random_space
+from .test_analysis import random_space, wall_clock
 
 W = parse("w")
 
@@ -427,3 +427,24 @@ def test_acceptance_generic_runs_meet_budget_and_probes():
         assert len(probe.u_set) == k
         assert len({a for _, a in probe.witnesses}) == k
     clock.check()
+
+
+# 11. Long schedules: 300 steps to 300 points in each dialect, both under
+#     15 s, every step checked only on its new pairs; the last condition
+#     passes the full validate and the poset the graded check.
+
+
+def test_acceptance_long_schedules_run_step_by_step():
+    tree = IntervalTree(Params(parse("w^2"), kappa_w=32, lambda_w=40, e_budget=16, size_cap=400))
+    F = flat_F(tree, 40, 12)
+    eps = tree.root_eps()
+    # 20 tops, then 14 rounds of one predecessor below each, two tops to a level
+    steps = [RealizePoint(TOP, i) for i in range(20)]
+    steps += [PredecessorBelow(Point(TOP, i), eps[1 + i % 10], 0) for _ in range(14) for i in range(20)]
+    with wall_clock(15):
+        for dialect in ("omega", "kappa"):
+            T = run_schedule(Schedule(tuple(steps)), tree, F, dialect)
+            assert len(T.provenance) == 301 and len(T.points) >= 300
+            assert validate(T.provenance[-1], tree, F) == []
+            assert sposet_check(T, 14).ok
+            del T  # the chain of 301 conditions holds about 230 MB

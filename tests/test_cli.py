@@ -749,3 +749,24 @@ def test_one_parser_build_per_environment(monkeypatch, capsys):
         assert run(capsys, "orbit", "w*3")[0] == 0
     assert len(builds) == 2
     cli._cached_parser.cache_clear()
+
+
+# `unbounded` alone is the group of three commands and takes no shared flag
+@pytest.mark.parametrize("argv", [a for a in SUBCOMMANDS if a != ["unbounded"]], ids=" ".join)
+@pytest.mark.parametrize("value", ["zeta", ""])
+def test_bad_dialect_environment_default_is_refused_like_the_flag(
+    monkeypatch, capsys, argv, value
+):
+    # argparse checks choices only for a flag's value; the environment
+    # default goes through the same check, at parse time, with exit 2
+    def refused(*args):
+        with pytest.raises(SystemExit) as exit:
+            main(list(args))
+        return (exit.value.code,) + tuple(capsys.readouterr())
+
+    monkeypatch.delenv("SCATTERLAB_DIALECT", raising=False)
+    flag = refused(*argv, "--dialect", value)
+    monkeypatch.setenv("SCATTERLAB_DIALECT", value)
+    assert refused(*argv) == flag
+    assert flag[0] == 2 and flag[1] == ""
+    assert f"argument --dialect: invalid choice: {value!r}" in flag[2]

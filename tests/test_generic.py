@@ -2,13 +2,27 @@
 bone levels, tightness counting, and the refusal paths."""
 
 import random
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from .corpus import damaged_documents, damaged_schedules, flat_F
-from scatterlab.conditions import TOP, Point, pair_key, leq, validate
+from .oracles import full_run_schedule, naive_validate
+from scatterlab import generic
+from scatterlab.conditions import (
+    TOP,
+    ConditionError,
+    Point,
+    extend_condition,
+    leq,
+    make_condition,
+    pair_key,
+    validate,
+    violations_touching,
+)
 from scatterlab.generic import (
     CardinalProfile,
     FinitePoset,
@@ -28,10 +42,11 @@ from scatterlab.generic import (
     sposet_check,
     tightness_probe,
 )
-from scatterlab.intervals import IntervalTree, Params
+from scatterlab.intervals import IntervalTree, Params, TreeError
 from scatterlab.ordinals import ONE, from_int, parse
 
 W = parse("w")
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture(scope="module")
@@ -435,4 +450,215 @@ def test_skeleton_routes_through_the_level():
     rep = skeleton_check(T, [W])
     assert rep.verdicts == (
         (W, ("interpolant: no route for (5, 0) < (w + 1, 0) through level w",)),
+    )
+
+
+# --- incremental steps against the full rebuild --------------------------------
+
+
+def outcome(fn, *args, errors=(ConditionError, TreeError, ScheduleError)):
+    try:
+        return fn(*args)
+    except errors as err:
+        return err
+
+
+def shown(result):
+    """A result or error in a form that compares by value."""
+    if isinstance(result, ScheduleError):
+        return ("ScheduleError", str(result), result.step, result.trace)
+    if isinstance(result, Exception):
+        return (type(result).__name__, str(result))
+    if isinstance(result, FinitePoset):
+        return (result, result.provenance)
+    return result
+
+
+def same_condition(got, want):
+    assert got._fields() == want._fields()
+    assert got.meets == want.meets  # in pairs() order
+    a, b = got.core(), want.core()
+    assert (a.pts, a.index, a.up, a.down, a.levels) == (b.pts, b.index, b.up, b.down, b.levels)
+    assert got.meet_table() == dict(want.meets)
+
+
+def gated_run_schedule(sch, tree, F, dialect):
+    """`run_schedule`, with every step checked against the full rebuild: the
+    step's condition equals the one `make_condition` builds from scratch,
+    the findings on its new pairs equal `validate` and `naive_validate` on
+    the whole of it, and the run ends in the same poset or ScheduleError."""
+    steps = []
+
+    def spy(p, tree, F, fresh):
+        found = outcome(violations_touching, p, tree, F, fresh)
+        steps.append((p, found))
+        if isinstance(found, Exception):
+            raise found
+        return found
+
+    with mock.patch.object(generic, "violations_touching", spy):
+        got = outcome(generic.run_schedule, sch, tree, F, dialect)
+    record = []
+    want = outcome(full_run_schedule, sch, tree, F, dialect, record)
+    assert len(steps) == len(record)
+    for (p, found), (full, full_found) in zip(steps, record):
+        same_condition(p, full)
+        assert shown(found) == shown(full_found) == shown(outcome(naive_validate, full, tree, F))
+    assert shown(got) == shown(want)
+    if isinstance(got, ScheduleError):
+        raise got
+    return got
+
+
+# the tests above that run schedules on the module's tree and F
+SCHEDULE_TESTS = (
+    test_empty_schedule, test_two_chain_replay, test_determinism_and_round_trips,
+    test_poset_from_text_refuses_damaged_documents, test_realize_is_idempotent,
+    test_chain_is_descending_and_valid, test_schedule_error_unrealized_target,
+    test_schedule_error_caps_exhausted, test_schedule_error_bad_column,
+    test_schedule_error_negative_floor, test_schedule_error_level_out_of_range,
+    test_density_budget_met, test_skeleton_on_generic_runs, test_tightness_planted,
+    test_tightness_single_family_point, test_tightness_mutant_flagged,
+    test_tightness_preconditions, test_cardinal_profile_shape,
+    test_cardinal_profile_ignores_renaming, test_kappa_interpolation_points_land_on_interval_ends,
+)
+
+
+def test_incremental_steps_match_the_full_rebuild(tree, F):
+    """Every step of every schedule this module runs, of every draw of
+    test_schedule_chains_descend and of the golden schedule in both
+    dialects, gated against the full rebuild."""
+    with mock.patch(f"{__name__}.run_schedule", gated_run_schedule):
+        for test in SCHEDULE_TESTS:
+            test(tree, F)
+        test_validation_past_the_budget_is_a_schedule_error()
+        test_schedule_chains_descend()
+    sch = schedule_from_text((GOLDEN / "schedule.txt").read_text())
+    for dialect in ("omega", "kappa"):
+        gated_run_schedule(sch, tree, F, dialect)
+
+
+def test_incremental_steps_fail_as_the_full_rebuild_does():
+    """Small caps and budgets, so that steps fail on the size cap, the width
+    caps and unmaterialized levels; each failure is the full path's, byte
+    for byte."""
+    seen = set()
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        dialect=st.sampled_from(["omega", "kappa"]),
+        kappa_w=st.integers(2, 5),
+        size_cap=st.integers(1, 12),
+        e_budget=st.integers(2, 8),
+        eta=st.sampled_from(["w^2", "w^3", "w^w"]),
+        draws=st.lists(
+            st.tuples(
+                st.booleans(), st.integers(0, 16), st.integers(0, 16),
+                st.integers(0, 3), st.integers(0, 6),
+            ),
+            min_size=1,
+            max_size=10,
+        ),
+    )
+    def walk(dialect, kappa_w, size_cap, e_budget, eta, draws):
+        params = Params(
+            parse(eta), kappa_w=kappa_w, lambda_w=kappa_w + 1, e_budget=e_budget,
+            size_cap=size_cap,
+        )
+        tree = IntervalTree(params)
+        eps = tree.root_eps()
+        realized, steps = [], []
+        for below, pick, k, n, col in draws:
+            level = eps[k % len(eps)] + n if k < 14 else parse("w^9") + n
+            if below and realized:
+                steps.append(PredecessorBelow(realized[pick % len(realized)], level, col))
+            else:
+                x = Point(TOP, pick % (params.lambda_w + 1)) if pick % 3 == 0 else Point(level, col)
+                realized.append(x)
+                steps.append(RealizePoint(x.level, x.xi))
+        F = flat_F(tree, params.lambda_w, len(eps) - 1)
+        try:
+            gated_run_schedule(Schedule(tuple(steps)), tree, F, dialect)
+            seen.add("done")
+        except ScheduleError as err:
+            text = str(err)
+            for kind, mark in (
+                ("size", "size-cap"), ("width", "width cap"), ("column", "no free column"),
+                ("unmaterialized", "materialized"),
+            ):
+                if mark in text:
+                    seen.add(kind)
+
+    walk()
+    assert seen == {"done", "size", "width", "column", "unmaterialized"}
+
+
+def test_extend_condition_matches_make_condition():
+    """New points tied below one old target, or below nothing, at any level
+    and with any order among themselves: `extend_condition` builds what
+    `make_condition` builds from scratch, and the findings on the new pairs
+    are all of `validate`'s."""
+    tree = IntervalTree(Params(parse("w^2"), kappa_w=4, lambda_w=5, e_budget=8, size_cap=12))
+    F = flat_F(tree, 5, 7)
+    eps = tree.root_eps()
+    base = [RealizePoint(TOP, 0), RealizePoint(TOP, 2), RealizePoint(eps[5] + 1, 0)]
+    base += [PredecessorBelow(Point(TOP, 0), eps[3], 0), PredecessorBelow(Point(TOP, 2), eps[3], 1)]
+    base += [PredecessorBelow(Point(eps[5] + 1, 0), eps[5], 0)]
+    conds = {d: run(tree, F, base, d).provenance for d in ("omega", "kappa")}
+    seen = set()
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        dialect=st.sampled_from(["omega", "kappa"]),
+        at=st.integers(0, len(base)),
+        target=st.integers(0, 16),
+        news=st.lists(
+            st.tuples(st.integers(0, 7), st.integers(0, 2), st.integers(0, 4), st.booleans()),
+            min_size=1,
+            max_size=4,
+        ),
+        links=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=4),
+    )
+    def walk(dialect, at, target, news, links):
+        p = conds[dialect][at]
+        old = p.sorted_points()
+        tgt = old[target % len(old)] if old and target < 12 else None
+        fresh = []
+        for k, n, xi, tied in news:
+            x = Point(TOP, xi) if k == 7 else Point(eps[k] + n, xi)
+            if x not in p.points and x not in fresh:
+                fresh.append(x)
+        rel = [(x, tgt) for x, (_, _, _, tied) in zip(fresh, news) if tied and tgt]
+        rel += [(fresh[a % len(fresh)], fresh[b % len(fresh)]) for a, b in links if fresh]
+        got = outcome(extend_condition, p, fresh, rel)
+        want = outcome(make_condition, dialect, p.points | set(fresh), p.strict | set(rel),
+                       p.meet_table(), True)
+        if isinstance(want, Exception):
+            # a cycle is named through its first point in set order
+            assert type(got) is type(want)
+            assert str(got).split(" through ")[0] == str(want).split(" through ")[0]
+            seen.add("refused")
+            return
+        same_condition(got, want)
+        mask = 0
+        for x in fresh:
+            mask |= 1 << got.core().index[x]
+        found = shown(outcome(violations_touching, got, tree, F, mask))
+        assert found == shown(outcome(validate, want, tree, F))
+        assert found == shown(outcome(naive_validate, want, tree, F))
+        seen.add("flagged" if found else "valid")
+
+    walk()
+    assert seen == {"refused", "flagged", "valid"}
+
+
+def test_extend_condition_refuses_a_pair_from_an_old_point():
+    a, b = Point(W, 0), Point(TOP, 0)
+    p = make_condition("kappa", [b])
+    with pytest.raises(ConditionError, match="climbs from an old point"):
+        extend_condition(p, [a], [(b, a)])
+    with pytest.raises(ConditionError, match="already in the condition"):
+        extend_condition(p, [b], [])
+    assert extend_condition(p, [a], [(a, b)]) == make_condition(
+        "kappa", [a, b], [(a, b)], complete=True
     )
