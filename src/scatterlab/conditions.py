@@ -150,24 +150,10 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _spread(mask: int, slots: List[int]) -> int:
-    """`mask` with a zero bit opened at each of `slots`, ascending positions
-    of the merged order."""
-    for q in slots:
-        low = mask & (1 << q) - 1
-        mask = low | (mask ^ low) << 1
-    return mask
-
-
-def _partners(n: int, fresh: int) -> List[Iterable[int]]:
-    """For each position i < n, the positions j > i for which the pair
-    (i, j) has an end in the mask `fresh`."""
-    if fresh == -1:  # every validate call comes here: no test per row
-        return [range(i + 1, n) for i in range(n)]
-    return [
-        range(i + 1, n) if fresh >> i & 1 else list(bits(fresh >> i + 1 << i + 1))
-        for i in range(n)
-    ]
+def _spread(masks: Iterable[int], q: int) -> List[int]:
+    """`masks` with a zero bit opened at position `q`."""
+    low = (1 << q) - 1
+    return [m & low | (m & ~low) << 1 for m in masks]
 
 
 class OrderIndex:
@@ -207,15 +193,29 @@ class OrderIndex:
         """`up` with each point's own bit added."""
         return [m | 1 << i for i, m in enumerate(self.up)]
 
-    def strict_pairs(self, touching: int = -1) -> Iterator[Tuple[int, int]]:
+    def pairs(self, touching: int = -1) -> List[Tuple[int, int]]:
+        """Every pair of positions i < j, in order; only those with an end in
+        the mask `touching`, when it is given, listed from its points."""
+        n = len(self.pts)
+        if touching == -1:
+            return list(itertools.combinations(range(n), 2))
+        found = []
+        for f in bits(touching):
+            found += zip(range(f), itertools.repeat(f))
+            found += zip(itertools.repeat(f), range(f + 1, n))
+        return sorted(set(found))
+
+    def strict_pairs(self, touching: int = -1) -> Iterable[Tuple[int, int]]:
         """The strict pairs as positions, in (point_key, point_key) order;
-        only those with an end in the mask `touching`, when it is given."""
-        rows = enumerate(self.up)
-        if touching != -1:
-            rows = ((i, m if touching >> i & 1 else m & touching) for i, m in rows)
-        for i, m in rows:
-            for j in bits(m):
-                yield i, j
+        only those with an end in the mask `touching`, when it is given,
+        read from the `up` rows and `down` columns of its points."""
+        if touching == -1:
+            return ((i, j) for i, m in enumerate(self.up) for j in bits(m))
+        found = set()
+        for f in bits(touching):
+            found.update(zip(itertools.repeat(f), bits(self.up[f])))
+            found.update(zip(bits(self.down[f]), itertools.repeat(f)))
+        return sorted(found)
 
     def inserted(self, new_points: Iterable[Point]) -> Tuple["OrderIndex", int]:
         """A copy with `new_points` sorted in, each with empty rows, and the
@@ -229,16 +229,17 @@ class OrderIndex:
                 raise ConditionError(f"point {x} is already in the condition")
             slots.append(at + r)
             pts.insert(at + r, x)
+        down, up, marks = list(self.down), list(self.up), list(self.levels.values())
+        for q in slots:  # ascending, so the slots opened so far stay below q
+            down, up, marks = _spread(down, q), _spread(up, q), _spread(marks, q)
         out = OrderIndex((), ())
-        out.pts = pts
+        out.pts, out.down, out.up = pts, down, up
         out.index = {x: i for i, x in enumerate(pts)}
-        out.down = [_spread(m, slots) for m in self.down]
-        out.up = [_spread(m, slots) for m in self.up]
-        out.levels = {level: _spread(m, slots) for level, m in self.levels.items()}
+        out.levels = dict(zip(self.levels, marks))
         fresh = 0
         for q in slots:
-            out.down.insert(q, 0)
-            out.up.insert(q, 0)
+            down.insert(q, 0)
+            up.insert(q, 0)
             out.levels[pts[q].level] = out.levels.get(pts[q].level, 0) | 1 << q
             fresh |= 1 << q
         return out, fresh
@@ -254,6 +255,12 @@ class Poset:
     `le` is reflexive on the points and false for any point outside them;
     every query reads the strict set as given.  A pair without a meet
     entry reads `_no_meet`.
+
+    `meets` holds the meet rows `((s, t), value)` in `pairs()` order.  It
+    is given to the constructor, or, passed as None, left unset for the
+    caller to fill `_meet_map` with an entry for every pair; the first read
+    of `meets` then builds the rows from that map (see `__getattr__`), and
+    hashing, equality, `leq`, `poset_block` and pickling all read them so.
     """
 
     __slots__ = ("dialect", "points", "strict", "meets", "_core", "_meet_map")
@@ -264,15 +271,24 @@ class Poset:
         dialect: str,
         points: FrozenSet[Point],
         strict: FrozenSet[Tuple[Point, Point]],
-        meets: Tuple[Tuple[Tuple[Point, Point], FrozenSet[Point]], ...],
+        meets: Optional[Tuple[Tuple[Tuple[Point, Point], FrozenSet[Point]], ...]],
         core: Optional[OrderIndex] = None,
     ):
         self.dialect = dialect
         self.points = points
         self.strict = strict
-        self.meets = meets
+        if meets is not None:
+            self.meets = meets
         self._core = core
         self._meet_map = None
+
+    def __getattr__(self, name):
+        # runs only for an unset slot: `meets` is built here on first read
+        if name != "meets":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        pairs = self.pairs()
+        self.meets = tuple(zip(pairs, map(self._meet_map.__getitem__, pairs)))
+        return self.meets
 
     def _fields(self) -> tuple:
         """What equality compares, between posets of one exact type."""
@@ -338,7 +354,10 @@ class Condition(Poset):
     Assumes normalized input: build through `make_condition`.  The strict
     set is transitively closed and irreflexive; the meet table has exactly
     one entry per unordered pair, canonically keyed, in `pairs()` order.
-    A missing entry reads as the empty meet.
+    A missing entry reads as the empty meet.  `make_condition` fills the
+    rows at once; `extend_condition` fills only the meet map, so a
+    condition of a schedule chain builds its rows on first read, while its
+    strict set and meet map are still its own copies.
     """
 
     __slots__ = ("_hash",)
@@ -447,9 +466,11 @@ def extend_condition(
     `make_condition(..., complete=True)` forces it.
 
     Every pair must start at a new point, so new points sit only below old
-    ones and an old point's rows, strict pairs and meet rows stand as they
-    are: only the new points' rows are closed, and `p`'s strict set, meet
-    map and row tuples are copied, not rebuilt.
+    ones and an old point's rows, strict pairs and meet entries stand as
+    they are: only the new points' rows are closed, and `p`'s strict set
+    and meet map are copied (C-level copies, no rehashing) with the entries
+    of the pairs that have a new end added.  The meet-row tuple `meets` is
+    left unbuilt; it is built once, from the map, on first read.
     """
     core, fresh = p.core().inserted(new_points)
     pts, index, up, down = core.pts, core.index, core.up, core.down
@@ -473,38 +494,28 @@ def extend_condition(
     if any(up[i] >> i & 1 for i in news):
         s = next(x for x in points if up[index[x]] >> index[x] & 1)
         raise ConditionError(f"order cycle through {s}")
-    strict = set(p.strict)
+    added = []
     for i in news:
         s = pts[i]
         for j in bits(up[i]):
             down[j] |= 1 << i
-            strict.add((s, pts[j]))
+            added.append((s, pts[j]))
 
-    # old rows are read in order between the new ones; a comparable pair
-    # with a new end has the new point as its lower end
-    lone = {i: frozenset((pts[i],)) for i in news}
-    old, rows, at = p.meets, [], 0
+    # a comparable pair with a new end has the new point as its lower end
+    lone, none = {i: frozenset((pts[i],)) for i in news}, frozenset()
     table = p.meet_table().copy()
-    n, later = len(pts), _partners(len(pts), fresh)
-    for i, s in enumerate(pts):
-        prev = i
-        for j in later[i]:
-            rows += old[at : at + j - prev - 1]
-            at += j - prev - 1
-            prev = j
-            if up[i] >> j & 1:
-                value = lone[i]
-            elif up[j] >> i & 1:
-                value = lone[j]
-            else:
-                common = down[i] & down[j]
-                value = frozenset(pts[k] for k in bits(common) if not up[k] & common)
-            pair = (s, pts[j])
-            table[pair] = value
-            rows.append((pair, value))
-        rows += old[at : at + n - prev - 1]
-        at += n - prev - 1
-    out = Condition(p.dialect, points, frozenset(strict), tuple(rows), core)
+    for i, j in core.pairs(fresh):
+        common = down[i] & down[j]
+        if up[i] >> j & 1:
+            value = lone[i]
+        elif up[j] >> i & 1:
+            value = lone[j]
+        elif common:
+            value = frozenset(pts[k] for k in bits(common) if not up[k] & common)
+        else:
+            value = none
+        table[pts[i], pts[j]] = value
+    out = Condition(p.dialect, points, p.strict.union(added), None, core)
     out._meet_map = table
     return out
 
@@ -567,7 +578,8 @@ def violations_touching(
     params = tree.params
     out: List[Violation] = []
     core = p.core()
-    pts = core.pts
+    pts, below = core.pts, core.below()
+    pairs, strict = core.pairs(fresh), list(core.strict_pairs(fresh))
 
     if p.size > params.size_cap:
         out.append(Violation("size-cap", (), f"{p.size} points exceed cap {params.size_cap}"))
@@ -582,76 +594,73 @@ def violations_touching(
             elif not 0 <= s.xi < params.kappa_w:
                 out.append(Violation("grid", (s,), f"column {s.xi} out of range"))
 
-    for i, j in core.strict_pairs(fresh):
+    for i, j in strict:
         s, t = pts[i], pts[j]
         if not level_lt(s.level, t.level):
             out.append(Violation("level-monotone", (s, t), "related points must climb levels"))
 
     # meet axiom: the points below both ends are exactly those below a meet point
-    index, below, table = core.index, core.below(), p.meet_table()
+    index, table, none = core.index, p.meet_table(), frozenset()
     kappa = p.dialect == "kappa"
-    later = _partners(len(pts), fresh)
-    for i, s in enumerate(pts):
-        for j in later[i]:
-            t = pts[j]
-            value = table.get((s, t), frozenset())
-            covered = 0
-            for v in value:
-                covered |= below[index[v]]
-            missed = (below[i] & below[j]) ^ covered
-            if missed:
-                out.append(
-                    Violation(
-                        "meet-axiom",
-                        (s, t),
-                        f"lower-bound set mismatch at {{{', '.join(str(x) for x in core.members(missed))}}}",
-                    )
+    for i, j in pairs:
+        s, t = pts[i], pts[j]
+        value = table.get((s, t), none)
+        covered = 0
+        for v in value:
+            covered |= below[index[v]]
+        missed = (below[i] & below[j]) ^ covered
+        if missed:
+            out.append(
+                Violation(
+                    "meet-axiom",
+                    (s, t),
+                    f"lower-bound set mismatch at {{{', '.join(str(x) for x in core.members(missed))}}}",
                 )
-            if kappa and len(value) > 1:
-                out.append(Violation("meet-arity", (s, t), f"{len(value)} meet points"))
+            )
+        if kappa and len(value) > 1:
+            out.append(Violation("meet-arity", (s, t), f"{len(value)} meet points"))
 
     if kappa:
-        _validate_kappa(p, tree, F, fresh, later, out)
+        _validate_kappa(p, tree, F, pairs, strict, below, out)
     else:
-        _validate_omega(p, tree, F, fresh, later, out)
+        _validate_omega(p, tree, F, pairs, strict, out)
     return out
 
 
-def _validate_kappa(p, tree, F, fresh, later, out):
+def _validate_kappa(p, tree, F, pairs, strict, below, out):
     params = tree.params
     core = p.core()
-    pts, below, table = core.pts, core.below(), p.meet_table()
-    for i, s in enumerate(pts):
-        for j in later[i]:
-            # skip comparable pairs and pairs with no common lower bound
-            if (below[j] >> i | below[i] >> j) & 1 or not below[i] & below[j]:
+    pts, table = core.pts, p.meet_table()
+    for i, j in pairs:
+        # skip comparable pairs and pairs with no common lower bound
+        if (below[j] >> i | below[i] >> j) & 1 or not below[i] & below[j]:
+            continue
+        s, t = pts[i], pts[j]
+        for v in table.get((s, t), ()):
+            if v.is_top:
+                out.append(Violation("meet-location", (s, t), "meet point at the top level"))
                 continue
-            t = pts[j]
-            for v in table.get((s, t), ()):
-                if v.is_top:
-                    out.append(Violation("meet-location", (s, t), "meet point at the top level"))
-                    continue
-                beta = v.level
-                if not s.is_top and not t.is_top:
-                    ok = beta in _tree_orbit(tree, s.level) and beta in _tree_orbit(tree, t.level)
-                    why = "below both paths" if ok else f"{beta} outside orbit overlap"
-                elif s.is_top and t.is_top:
-                    if F is None:
-                        raise ConditionError("top-top meet check needs the pair coloring F")
-                    bound = F.value(s.xi, t.xi)
-                    ok = beta < bound and _marker_membership(tree, beta)
-                    why = f"{beta} not a root marker below F value {bound}" if not ok else ""
-                else:
-                    ordinary = t if s.is_top else s
-                    ok = beta in _tree_orbit(tree, ordinary.level) and _marker_membership(
-                        tree, beta
-                    )
-                    why = f"{beta} not a shared root marker on the path" if not ok else ""
-                if not ok:
-                    out.append(Violation("meet-location", (s, t), why))
+            beta = v.level
+            if not s.is_top and not t.is_top:
+                ok = beta in _tree_orbit(tree, s.level) and beta in _tree_orbit(tree, t.level)
+                why = "below both paths" if ok else f"{beta} outside orbit overlap"
+            elif s.is_top and t.is_top:
+                if F is None:
+                    raise ConditionError("top-top meet check needs the pair coloring F")
+                bound = F.value(s.xi, t.xi)
+                ok = beta < bound and _marker_membership(tree, beta)
+                why = f"{beta} not a root marker below F value {bound}" if not ok else ""
+            else:
+                ordinary = t if s.is_top else s
+                ok = beta in _tree_orbit(tree, ordinary.level) and _marker_membership(
+                    tree, beta
+                )
+                why = f"{beta} not a shared root marker on the path" if not ok else ""
+            if not ok:
+                out.append(Violation("meet-location", (s, t), why))
 
     above = core.above()
-    for i, j in core.strict_pairs(fresh):
+    for i, j in strict:
         s, t = pts[i], pts[j]
         if s.is_top or not level_lt(s.level, t.level):
             continue
@@ -670,33 +679,32 @@ def _validate_kappa(p, tree, F, fresh, later, out):
             )
 
 
-def _validate_omega(p, tree, F, fresh, later, out):
+def _validate_omega(p, tree, F, pairs, strict, out):
     core = p.core()
     pts, table = core.pts, p.meet_table()
-    for i, s in enumerate(pts):
-        for j in later[i]:
-            t = pts[j]
-            if s.is_top and t.is_top:
-                for v in table.get((s, t), ()):
-                    if F is None:
-                        raise ConditionError("top-top meet check needs the pair coloring F")
-                    bound = F.value(s.xi, t.xi)
-                    if v.is_top or not v.level < bound:
-                        out.append(
-                            Violation(
-                                "top-meet-bound",
-                                (s, t),
-                                f"meet point {v} not below F value {bound}",
-                            )
-                        )
-            elif not s.is_top and not t.is_top and s.level == t.level:
-                if table.get((s, t)):
+    for i, j in pairs:
+        s, t = pts[i], pts[j]
+        if s.is_top and t.is_top:
+            for v in table.get((s, t), ()):
+                if F is None:
+                    raise ConditionError("top-top meet check needs the pair coloring F")
+                bound = F.value(s.xi, t.xi)
+                if v.is_top or not v.level < bound:
                     out.append(
-                        Violation("same-level-meet", (s, t), "same-level pairs meet nothing")
+                        Violation(
+                            "top-meet-bound",
+                            (s, t),
+                            f"meet point {v} not below F value {bound}",
+                        )
                     )
+        elif not s.is_top and not t.is_top and s.level == t.level:
+            if table.get((s, t)):
+                out.append(
+                    Violation("same-level-meet", (s, t), "same-level pairs meet nothing")
+                )
 
     above = core.above()
-    for i, j in core.strict_pairs(fresh):
+    for i, j in strict:
         s, t = pts[i], pts[j]
         if t.is_top or not t.level.is_successor:
             continue

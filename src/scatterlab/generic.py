@@ -149,13 +149,11 @@ class FinitePoset(Poset):
 
     __slots__ = ("targeted", "provenance")
 
-    def __init__(
-        self, dialect, points, strict, meets, targeted=(), provenance=(), core=None
-    ):
+    def __init__(self, dialect, points, strict, meets, targeted=(), provenance=()):
         if isinstance(meets, dict):
             meets = meets.items()
         meets = sorted(meets, key=lambda kv: (point_key(kv[0][0]), point_key(kv[0][1])))
-        super().__init__(dialect, frozenset(points), frozenset(strict), tuple(meets), core)
+        super().__init__(dialect, frozenset(points), frozenset(strict), tuple(meets))
         self.targeted: Tuple[Tuple[Level, Point], ...] = tuple(targeted)
         self.provenance: Tuple[Condition, ...] = tuple(provenance)
 
@@ -175,9 +173,15 @@ class FinitePoset(Poset):
 def poset_from_condition(
     p: Condition, targeted=(), provenance=()
 ) -> FinitePoset:
-    return FinitePoset(
-        p.dialect, p.points, p.strict, p.meets, targeted, provenance, p.core()
-    )
+    """`p` as a FinitePoset.  A condition's parts are normalized already, so
+    they are taken as they are, its order index and meet map too, and not
+    sorted again."""
+    T = FinitePoset.__new__(FinitePoset)
+    Poset.__init__(T, p.dialect, p.points, p.strict, p.meets, p.core())
+    T._meet_map = p.meet_table()
+    T.targeted = tuple(targeted)
+    T.provenance = tuple(provenance)
+    return T
 
 
 def poset_to_text(T: FinitePoset) -> str:
@@ -220,7 +224,10 @@ def run_schedule(
     within the tree's budget.  Steps extend by construction; `leq` is a test gate.
 
     Each step adds its points through `extend_condition` and checks only
-    the clauses that touch them, plus the size cap.  That is sound because
+    the clauses that touch them, plus the size cap.  A step's condition
+    copies the previous strict set and meet map and adds the entries of
+    its new pairs; its meet-row tuple is built only if something reads it
+    (here, once, for the returned union).  That is sound because
     every step is monotone: a realized point is isolated, and the chain
     `extend_below` plants sits below an old x exactly when the target is at
     or below x.  A new common lower bound of two old points thus lies below

@@ -1,6 +1,8 @@
 """Schedule runs and the poset checkers: replay, determinism, densities,
 bone levels, tightness counting, and the refusal paths."""
 
+import copy
+import pickle
 import random
 from pathlib import Path
 from unittest import mock
@@ -16,6 +18,8 @@ from scatterlab.conditions import (
     TOP,
     ConditionError,
     Point,
+    Poset,
+    condition_to_text,
     extend_condition,
     leq,
     make_condition,
@@ -662,3 +666,49 @@ def test_extend_condition_refuses_a_pair_from_an_old_point():
     assert extend_condition(p, [a], [(a, b)]) == make_condition(
         "kappa", [a, b], [(a, b)], complete=True
     )
+
+
+def test_meet_rows_built_on_first_read_match_the_rebuild(tree, F):
+    """Every condition of a schedule chain, from `T.provenance` and from
+    `ScheduleError.trace`, matches its `make_condition(..., complete=True)`
+    rebuild on equality, hash, document bytes and pickle and deepcopy round
+    trips, each check starting from rows not yet built; and its rows read
+    the same whether `meet_table()` was read first or not."""
+    sch = schedule_from_text((GOLDEN / "schedule.txt").read_text())
+    failing = [RealizePoint(TOP, 0)] + [PredecessorBelow(Point(TOP, 0), W, 0)] * 9
+
+    def chains():
+        """Fresh runs, so that no row tuple of a later condition is built
+        yet, each with the laziness expected along it: the empty start is
+        made whole, and a finished run reads its last condition's rows for
+        the union it returns."""
+        for dialect in ("omega", "kappa"):
+            chain = run_schedule(sch, tree, F, dialect).provenance
+            yield chain, [False] + [True] * (len(chain) - 2) + [False]
+            with pytest.raises(ScheduleError) as err:
+                run(tree, F, failing, dialect)
+            yield err.value.trace, [False] + [True] * (len(err.value.trace) - 1)
+
+    def unbuilt(p):
+        try:
+            Poset.meets.__get__(p)
+        except AttributeError:
+            return True
+        return False
+
+    def rebuild(p):
+        return make_condition(p.dialect, p.points, p.strict, complete=True)
+
+    checks = (
+        lambda p, q: p == q and q == p and hash(p) == hash(q),
+        lambda p, q: condition_to_text(p, tree.params) == condition_to_text(q, tree.params),
+        lambda p, q: pickle.loads(pickle.dumps(p)) == q and hash(pickle.loads(pickle.dumps(p))) == hash(q),
+        lambda p, q: copy.deepcopy(p) == q and copy.deepcopy(p).meets == q.meets,
+        lambda p, q: p.meets == q.meets and p.meet_table() == q.meet_table(),
+        lambda p, q: p.meet_table() == q.meet_table() and p.meets == q.meets,
+    )
+    for check in checks:
+        for chain, lazy in chains():
+            assert len(chain) > 2 and [unbuilt(p) for p in chain] == lazy
+            for p in chain:
+                assert check(p, rebuild(p))

@@ -6,6 +6,7 @@ are neither transitive nor antisymmetric, they must return exactly what the
 oracles in `tests/oracles.py` return, message text and order included.
 """
 
+import itertools
 import random
 
 import pytest
@@ -161,6 +162,24 @@ def test_sposet_check_matches_oracle_on_raw_posets(T, budget):
 def test_skeleton_check_matches_oracle_on_raw_posets(T):
     levels = sorted({x.level for x in T.points if not x.is_top})
     assert skeleton_check(T, levels) == naive_skeleton_check(T, levels)
+
+
+@settings(max_examples=200)
+@given(st.one_of(raw_posets(), st.sampled_from(["kappa", "omega"]).flatmap(conditions)), st.data())
+def test_touching_pairs_are_the_full_listing_filtered(p, data):
+    """`strict_pairs(touching)` and `pairs(touching)`, listed from the
+    points of the mask, are the full listings filtered to the pairs with an
+    end in it, in the same order; raw orders (cycles, reflexive pairs)
+    included."""
+    core = p.core()
+    n = len(core.pts)
+    strict, every = list(core.strict_pairs()), list(itertools.combinations(range(n), 2))
+    masks = [-1, 0, (1 << n) - 1, data.draw(st.integers(0, (1 << n) - 1))]
+    for mask in masks + [1 << k for k in range(n)]:
+        keep = [(i, j) for i, j in every if (mask >> i | mask >> j) & 1]
+        assert core.pairs(mask) == keep
+        keep = [(i, j) for i, j in strict if (mask >> i | mask >> j) & 1]
+        assert list(core.strict_pairs(mask)) == keep
 
 
 def test_poset_order_queries_keep_raw_semantics():

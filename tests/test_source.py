@@ -77,3 +77,20 @@ def test_the_package_keeps_the_one_public_name_list():
         and "__all__" in vars(importlib.import_module(f"scatterlab.{path.stem}"))
     ]
     assert others == []
+
+
+def test_every_private_module_name_is_used_in_its_module():
+    # an underscore def or class is read nowhere else, so one its own
+    # module does not read is dead code
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [
+            f"{path.name}:{node.lineno} {node.name}"
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_")
+            and node.name not in read
+        ]
+    assert found == []
