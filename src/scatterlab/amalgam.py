@@ -214,9 +214,7 @@ def check_adequate(g: Mapping[Point, Point]) -> List[str]:
     for s, gs in items:
         if s.is_top != gs.is_top:
             out.append(f"strata: {s} maps across the top boundary")
-    # the pairwise scan runs only to name the pairs of a clause that fails
-    pairs = () if _orders_kept(items) else itertools.combinations(items, 2)
-    for (s, gs), (t, gt) in pairs:
+    for (s, gs), (t, gt) in itertools.combinations(items, 2):
         if level_lt(s.level, t.level) != level_lt(gs.level, gt.level):
             out.append(f"level-order: ({s}, {t}) reordered")
         if s.is_top and t.is_top and ((s.xi < t.xi) != (gs.xi < gt.xi)):
@@ -225,27 +223,6 @@ def check_adequate(g: Mapping[Point, Point]) -> List[str]:
         if not s.is_top and s.xi != gs.xi:
             out.append(f"column-preserved: {s} maps to column {gs.xi}")
     return out
-
-
-def _orders_kept(items: List[Tuple[Point, Point]]) -> bool:
-    """Whether no pair of `items`, (point, image) sorted by point, breaks
-    level-order or top-column-order, decided in one walk: within one
-    source level the image levels never increase, the highest image level
-    of each source level lies below the lowest of the next, and the images
-    of top points climb columns."""
-    blocks: List[List[Point]] = []  # the images, one list per source level
-    for k, (s, gs) in enumerate(items):
-        if k and not level_lt(items[k - 1][0].level, s.level):
-            if level_lt(blocks[-1][-1].level, gs.level):
-                return False
-            blocks[-1].append(gs)
-        else:
-            blocks.append([gs])
-    # with each block non-increasing, its first image is its highest
-    if any(not level_lt(a[0].level, b[-1].level) for a, b in zip(blocks, blocks[1:])):
-        return False
-    tops = [gs for s, gs in items if s.is_top]
-    return all(u.xi < v.xi for u, v in zip(tops, tops[1:]))
 
 
 def canonical_pairing(p: Condition, q: Condition) -> Dict[Point, Point]:

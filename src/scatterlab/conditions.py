@@ -256,14 +256,14 @@ class Poset:
     every query reads the strict set as given.  A pair without a meet
     entry reads `_no_meet`.
 
-    `meets` holds the meet rows `((s, t), value)` in `pairs()` order.  It
-    is given to the constructor, or, passed as None, left unset for the
+    `meets` holds the meet rows `((s, t), value)` in `pairs()` order.  They
+    are given to the constructor, or, passed as None, left unbuilt for the
     caller to fill `_meet_map` with an entry for every pair; the first read
-    of `meets` then builds the rows from that map (see `__getattr__`), and
-    hashing, equality, `leq`, `poset_block` and pickling all read them so.
+    of `meets` then builds the rows from that map, and hashing, equality,
+    `leq` and `poset_block` all read them so.
     """
 
-    __slots__ = ("dialect", "points", "strict", "meets", "_core", "_meet_map")
+    __slots__ = ("dialect", "points", "strict", "_rows", "_core", "_meet_map")
     _no_meet: Optional[FrozenSet[Point]] = None
 
     def __init__(
@@ -277,18 +277,16 @@ class Poset:
         self.dialect = dialect
         self.points = points
         self.strict = strict
-        if meets is not None:
-            self.meets = meets
+        self._rows = meets
         self._core = core
         self._meet_map = None
 
-    def __getattr__(self, name):
-        # runs only for an unset slot: `meets` is built here on first read
-        if name != "meets":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        pairs = self.pairs()
-        self.meets = tuple(zip(pairs, map(self._meet_map.__getitem__, pairs)))
-        return self.meets
+    @property
+    def meets(self) -> Tuple[Tuple[Tuple[Point, Point], FrozenSet[Point]], ...]:
+        if self._rows is None:
+            pairs = self.pairs()
+            self._rows = tuple(zip(pairs, map(self._meet_map.__getitem__, pairs)))
+        return self._rows
 
     def _fields(self) -> tuple:
         """What equality compares, between posets of one exact type."""

@@ -145,15 +145,16 @@ class FinitePoset(Poset):
     (level, target) pairs the schedule aimed predecessors at.
 
     The order is read exactly as given (the checkers below judge it), and
-    `meet` returns None for a pair with no entry."""
+    `meet` returns None for a pair with no entry.  Takes normalized parts:
+    the points and strict pairs as frozensets, the meet rows as a tuple
+    sorted by pair in `point_key` order, as `poset_from_text` builds them."""
 
     __slots__ = ("targeted", "provenance")
 
-    def __init__(self, dialect, points, strict, meets, targeted=(), provenance=()):
-        if isinstance(meets, dict):
-            meets = meets.items()
-        meets = sorted(meets, key=lambda kv: (point_key(kv[0][0]), point_key(kv[0][1])))
-        super().__init__(dialect, frozenset(points), frozenset(strict), tuple(meets))
+    def __init__(
+        self, dialect, points, strict, meets, targeted=(), provenance=(), core=None
+    ):
+        super().__init__(dialect, points, strict, meets, core)
         self.targeted: Tuple[Tuple[Level, Point], ...] = tuple(targeted)
         self.provenance: Tuple[Condition, ...] = tuple(provenance)
 
@@ -173,15 +174,11 @@ class FinitePoset(Poset):
 def poset_from_condition(
     p: Condition, targeted=(), provenance=()
 ) -> FinitePoset:
-    """`p` as a FinitePoset.  A condition's parts are normalized already, so
-    they are taken as they are, its order index and meet map too, and not
-    sorted again."""
-    T = FinitePoset.__new__(FinitePoset)
-    Poset.__init__(T, p.dialect, p.points, p.strict, p.meets, p.core())
-    T._meet_map = p.meet_table()
-    T.targeted = tuple(targeted)
-    T.provenance = tuple(provenance)
-    return T
+    """`p` as a FinitePoset, from its parts and order index as they are:
+    a condition's meet rows are in `pairs()` order already."""
+    return FinitePoset(
+        p.dialect, p.points, p.strict, p.meets, targeted, provenance, p.core()
+    )
 
 
 def poset_to_text(T: FinitePoset) -> str:
@@ -204,7 +201,8 @@ def poset_from_text(text: str) -> FinitePoset:
         level, _, i = line.partition(" ")
         targeted.append((parse_level(level), *fmt.indexed(pts, [i.strip()], GenericError)))
     meets = {pair_key(s, t): value for (s, t), value in meets.items()}
-    return FinitePoset(dialect, pts, rel, meets, targeted)
+    rows = sorted(meets.items(), key=lambda kv: (point_key(kv[0][0]), point_key(kv[0][1])))
+    return FinitePoset(dialect, frozenset(pts), frozenset(rel), tuple(rows), targeted)
 
 
 # --- running a schedule ----------------------------------------------------------

@@ -19,9 +19,11 @@ from scatterlab.conditions import (
     Point,
     extend_below,
     make_condition,
+    point_key,
     validate,
 )
 from scatterlab.cli import pair_instance
+from scatterlab.generic import FinitePoset
 from scatterlab.intervals import IntervalTree, Params
 from scatterlab.ordinals import Ordinal, parse
 from scatterlab.unbounded import UnboundedFn
@@ -34,6 +36,13 @@ def flat_F(tree, lambda_w, index):
         (i, j): index for i in range(lambda_w) for j in range(i + 1, lambda_w)
     }
     return UnboundedFn(lambda_w, eps, entries)
+
+
+def finite_poset(dialect, points, strict, meets, targeted=()):
+    """A FinitePoset from raw parts in any order: the points and strict
+    pairs frozen, the meet entries (a mapping) sorted by pair."""
+    rows = sorted(meets.items(), key=lambda kv: (point_key(kv[0][0]), point_key(kv[0][1])))
+    return FinitePoset(dialect, frozenset(points), frozenset(strict), tuple(rows), targeted)
 
 
 # --- omega pairs -------------------------------------------------------------

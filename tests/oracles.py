@@ -272,29 +272,6 @@ def omega_cross_filter(p, q, root):
 # completed meet table instead; the messages and their order must match.
 
 
-def naive_check_adequate(g):
-    """`amalgam.check_adequate` with level-order and top-column-order tested
-    on every pair of points, one `level_lt` pair at a time."""
-    from scatterlab.conditions import level_lt, point_key
-
-    out = []
-    items = sorted(g.items(), key=lambda kv: point_key(kv[0]))
-    if len(set(g.values())) != len(g):
-        out.append("strata: mapping not injective")
-    for s, gs in items:
-        if s.is_top != gs.is_top:
-            out.append(f"strata: {s} maps across the top boundary")
-    for (s, gs), (t, gt) in itertools.combinations(items, 2):
-        if level_lt(s.level, t.level) != level_lt(gs.level, gt.level):
-            out.append(f"level-order: ({s}, {t}) reordered")
-        if s.is_top and t.is_top and ((s.xi < t.xi) != (gs.xi < gt.xi)):
-            out.append(f"top-column-order: ({s}, {t}) reordered")
-    for s, gs in items:
-        if not s.is_top and s.xi != gs.xi:
-            out.append(f"column-preserved: {s} maps to column {gs.xi}")
-    return out
-
-
 def naive_separated_report(fam):
     """`amalgam.separated_report` by point-pair membership tests."""
     from scatterlab.amalgam import check_adequate

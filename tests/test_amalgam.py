@@ -21,7 +21,6 @@ from .corpus import (
     order_mismatch_family,
 )
 from .oracles import (
-    naive_check_adequate,
     naive_deficient,
     naive_eta_search,
     naive_r2_report,
@@ -150,43 +149,6 @@ def test_adequate_clause_names():
     # collapsing two points
     squash = check_adequate({a: pt("w*3", 0), b: pt("w*3", 0)})
     assert any("injective" in c for c in squash)
-
-
-def test_check_adequate_matches_the_pairwise_scan():
-    """Maps that mostly keep the level order, with some images drawn at
-    random: equal levels, repeated images, crossings of the top boundary
-    and reordered tops.  The one-walk decision gives the pairwise scan's
-    messages, in its order."""
-    levels = [parse(x) for x in ("1", "2", "w", "w + 1", "w*2")] + [TOP]
-    images = [parse(x) for x in ("1", "2", "3", "w", "w + 1", "w + 2", "w*2", "w*3")] + [TOP]
-    seen = set()
-
-    @settings(max_examples=600, derandomize=True, deadline=None)
-    @given(
-        rows=st.lists(
-            st.tuples(
-                st.integers(0, 5), st.integers(0, 3), st.integers(0, 4),
-                st.integers(0, 8), st.integers(0, 4),
-            ),
-            max_size=8,
-        ),
-        spread=st.lists(st.integers(0, 7), min_size=5, max_size=5, unique=True).map(sorted),
-        flip=st.booleans(),
-    )
-    def walk(rows, spread, flip):
-        g = {}
-        for k, xi, keep, k2, xi2 in rows:
-            image = Point(TOP, 3 - xi if flip else xi) if k == 5 else Point(images[spread[k]], xi)
-            g[Point(levels[k], xi)] = image if keep else Point(images[k2], xi2)
-        got = check_adequate(g)
-        assert got == naive_check_adequate(g)
-        seen.update(clause.partition(":")[0] for clause in got)
-        seen.add("adequate" if not got else "refused")
-
-    walk()
-    assert seen == {
-        "adequate", "refused", "strata", "level-order", "top-column-order", "column-preserved",
-    }
 
 
 def test_canonical_pairing_requires_matching_strata():

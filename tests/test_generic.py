@@ -11,14 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from .corpus import damaged_documents, damaged_schedules, flat_F
+from .corpus import damaged_documents, damaged_schedules, finite_poset, flat_F
 from .oracles import full_run_schedule, naive_validate
 from scatterlab import generic
 from scatterlab.conditions import (
     TOP,
     ConditionError,
     Point,
-    Poset,
     condition_to_text,
     extend_condition,
     leq,
@@ -219,7 +218,7 @@ def test_density_budget_met(tree, F):
 
 def test_sposet_mutations():
     a, b, x = Point(from_int(2), 0), Point(from_int(3), 0), Point(W, 0)
-    broken_meet = FinitePoset(
+    broken_meet = finite_poset(
         "kappa",
         {a, b, x},
         {(a, x), (a, b)},
@@ -233,13 +232,13 @@ def test_sposet_mutations():
     assert rep.meet_witness and not rep.partition and not rep.level_order
     assert "meet axiom" in rep.meet_witness[0]
 
-    cyc = FinitePoset("kappa", {a, b}, {(a, b), (b, a)}, {pair_key(a, b): frozenset()})
+    cyc = finite_poset("kappa", {a, b}, {(a, b), (b, a)}, {pair_key(a, b): frozenset()})
     assert sposet_check(cyc, 0).partition
 
-    down = FinitePoset("kappa", {a, x}, {(x, a)}, {pair_key(a, x): frozenset({x})})
+    down = finite_poset("kappa", {a, x}, {(x, a)}, {pair_key(a, x): frozenset({x})})
     assert sposet_check(down, 0).level_order
 
-    missing = FinitePoset("kappa", {a, b}, set(), {})
+    missing = finite_poset("kappa", {a, b}, set(), {})
     rep = sposet_check(missing, 0)
     assert any("no recorded meet" in line for line in rep.meet_witness)
 
@@ -261,7 +260,7 @@ def test_skeleton_on_generic_runs(tree, F):
 
 def test_skeleton_same_level_meet_flagged():
     s, t, v = Point(W, 0), Point(W, 1), Point(from_int(0), 0)
-    T = FinitePoset(
+    T = finite_poset(
         "kappa",
         {s, t, v},
         {(v, s), (v, t)},
@@ -278,7 +277,7 @@ def test_skeleton_same_level_meet_flagged():
 
 def test_skeleton_missing_interpolant_flagged():
     x, y, z = Point(W + ONE, 0), Point(from_int(0), 0), Point(W, 0)
-    T = FinitePoset(
+    T = finite_poset(
         "kappa",
         {x, y, z},
         {(y, x)},
@@ -319,7 +318,7 @@ def test_tightness_mutant_flagged(tree, F):
     meets = dict(T.meets)
     for t in T.sorted_points():
         meets[pair_key(y, t)] = frozenset()
-    T2 = FinitePoset("kappa", set(T.points) | {y}, rel, meets)
+    T2 = finite_poset("kappa", set(T.points) | {y}, rel, meets)
     rep = tightness_probe(T2, x, A)
     assert not rep.ok
     (bad_y, hits), = rep.violations
@@ -333,7 +332,7 @@ def test_tightness_preconditions(tree, F):
     with pytest.raises(GenericError):
         tightness_probe(T, x, [x])  # not strictly below x
     a, xx = Point(from_int(2), 0), Point(W + ONE, 0)
-    lone = FinitePoset("kappa", {a, xx}, {(a, xx)}, {pair_key(a, xx): frozenset({a})})
+    lone = finite_poset("kappa", {a, xx}, {(a, xx)}, {pair_key(a, xx): frozenset({a})})
     with pytest.raises(ProbeInconclusiveError):
         tightness_probe(lone, xx, [a])
 
@@ -359,7 +358,7 @@ def test_cardinal_profile_ignores_renaming(tree, F):
 
 def test_cardinal_profile_refuses_broken_meets():
     a, b, x = Point(from_int(2), 0), Point(from_int(3), 0), Point(W, 0)
-    T = FinitePoset(
+    T = finite_poset(
         "kappa",
         {a, b, x},
         {(a, x), (a, b)},
@@ -450,7 +449,7 @@ def test_schedule_chains_descend():
 def test_skeleton_routes_through_the_level():
     # 3 < w < w + 1 passes through level w; 5 < w + 1 does not
     y, z, x, y2 = (Point(parse(t), 0) for t in ("3", "w", "w + 1", "5"))
-    T = FinitePoset("kappa", [y, z, x, y2], [(y, z), (z, x), (y, x), (y2, x)], {})
+    T = finite_poset("kappa", [y, z, x, y2], [(y, z), (z, x), (y, x), (y2, x)], {})
     rep = skeleton_check(T, [W])
     assert rep.verdicts == (
         (W, ("interpolant: no route for (5, 0) < (w + 1, 0) through level w",)),
@@ -689,13 +688,6 @@ def test_meet_rows_built_on_first_read_match_the_rebuild(tree, F):
                 run(tree, F, failing, dialect)
             yield err.value.trace, [False] + [True] * (len(err.value.trace) - 1)
 
-    def unbuilt(p):
-        try:
-            Poset.meets.__get__(p)
-        except AttributeError:
-            return True
-        return False
-
     def rebuild(p):
         return make_condition(p.dialect, p.points, p.strict, complete=True)
 
@@ -709,6 +701,6 @@ def test_meet_rows_built_on_first_read_match_the_rebuild(tree, F):
     )
     for check in checks:
         for chain, lazy in chains():
-            assert len(chain) > 2 and [unbuilt(p) for p in chain] == lazy
+            assert len(chain) > 2 and [p._rows is None for p in chain] == lazy
             for p in chain:
                 assert check(p, rebuild(p))

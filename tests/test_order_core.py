@@ -14,12 +14,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scatterlab.conditions import TOP, ConditionError, Point, make_condition, point_key, validate
-from scatterlab.generic import FinitePoset, skeleton_check, sposet_check
+from scatterlab.generic import skeleton_check, sposet_check
 from scatterlab.generic import poset_from_condition
 from scatterlab.intervals import TreeError
 from scatterlab.ordinals import parse
 
-from .corpus import drop_meet, drop_witness, flat_F, kappa_tree, omega_tree, walk_condition
+from .corpus import (
+    drop_meet,
+    drop_witness,
+    finite_poset,
+    flat_F,
+    kappa_tree,
+    omega_tree,
+    walk_condition,
+)
 from .oracles import (
     naive_complete_meets,
     naive_skeleton_check,
@@ -148,7 +156,7 @@ def raw_posets(draw):
     targeted = [
         (pts[a].level, pts[b]) for a, b in draw(st.lists(st.tuples(index, index), max_size=3))
     ]
-    return FinitePoset("kappa", pts, strict, meets, targeted)
+    return finite_poset("kappa", pts, strict, meets, targeted)
 
 
 @settings(max_examples=200)
@@ -186,7 +194,7 @@ def test_poset_order_queries_keep_raw_semantics():
     """Masks come from the raw strict set: no closure, no antisymmetry,
     and a missing meet entry reads None."""
     a, b, c = Point(TOP, 0), Point(TOP, 1), Point(TOP, 2)
-    T = FinitePoset("kappa", [a, b, c], {(a, b), (b, a), (b, c)}, {})
+    T = finite_poset("kappa", [a, b, c], {(a, b), (b, a), (b, c)}, {})
     assert T.lt(a, b) and T.lt(b, a) and T.lt(b, c) and not T.lt(a, c)
     assert T.le(a, a) and not T.le(a, c)
     assert T.meet(a, b) is None
@@ -205,8 +213,8 @@ def test_poset_equality_and_hashing():
     assert p != make_condition("omega", [a, b], [(a, b)], complete=True)
     assert poset_from_condition(p) != p and p != poset_from_condition(p)
     meets = {(a, b): frozenset({a})}
-    T = FinitePoset("kappa", [a, b], {(a, b)}, meets)
-    assert T == FinitePoset("kappa", [b, a], [(a, b)], meets)
-    assert T != FinitePoset("kappa", [a, b], {(a, b)}, meets, [(w, b)])
+    T = finite_poset("kappa", [a, b], {(a, b)}, meets)
+    assert T == finite_poset("kappa", [b, a], [(a, b)], meets)
+    assert T != finite_poset("kappa", [a, b], {(a, b)}, meets, [(w, b)])
     with pytest.raises(TypeError):
         hash(T)
