@@ -271,7 +271,8 @@ def _pairing_clauses(
     moved = {pair_key(back[a], back[b]) for a, b in image ^ q.strict}
     for s, t in sorted(moved, key=lambda st: (point_key(st[0]), point_key(st[1]))):
         out.append(f"order: ({s}, {t}) not preserved")
-    if any(frozenset(h[v] for v in value) != q.meet(h[s], h[t]) for (s, t), value in p.meets):
+    table = p.meet_table().items()
+    if any(frozenset(h[v] for v in value) != q.meet(h[s], h[t]) for (s, t), value in table):
         out.append("meets: not transported")
     return out
 
@@ -471,7 +472,7 @@ def amalgamate_omega(
 
     points = p.points | q.points
     rel = set(p.strict) | set(q.strict)
-    meets = dict(p.meets + q.meets)
+    meets = p.meet_table() | q.meet_table()
     q_low = {y: q.down(y) & root for y in q.points - root}
     for x in p.points - root:
         x_low = p.down(x) & root
@@ -633,7 +634,7 @@ def push_down(r: Condition, zeta: int, tree: IntervalTree):
     points = set(back)
     rel = {(fwd[s], fwd[t]) for s, t in r.strict}
     meets = {}
-    for (s, t), value in r.meets:
+    for (s, t), value in r.meet_table().items():
         meets[(fwd[s], fwd[t])] = frozenset(fwd[v] for v in value)
     pushed = make_condition(r.dialect, points, rel, meets)
     _require_valid(pushed, tree, None, "push-down")
@@ -760,8 +761,8 @@ def amalgamate_eta(
     rel = set(pp.strict) | set(qq.strict) | _cross_order(pp, qq, root)
     for s, t in _root_meet_conflicts(pp, qq, root):
         raise HypothesisViolationError(f"members disagree on the root meet of ({s}, {t})")
-    # meet rows are keyed in point_key order, so a shared pair has one key
-    base_meets = dict(pp.meets + qq.meets)
+    # meet maps are keyed in point_key order, so a shared pair has one key
+    base_meets = pp.meet_table() | qq.meet_table()
     blocked = []
 
     def attempt(points, rel_now, fresh):

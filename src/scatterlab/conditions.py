@@ -38,6 +38,7 @@ from typing import (
     List,
     Mapping,
     Optional,
+    Sequence,
     Set,
     Tuple,
     Union,
@@ -253,17 +254,15 @@ class Poset:
     answered from one `OrderIndex` built on first use.
 
     `le` is reflexive on the points and false for any point outside them;
-    every query reads the strict set as given.  A pair without a meet
-    entry reads `_no_meet`.
-
-    `meets` holds the meet rows `((s, t), value)` in `pairs()` order.  They
-    are given to the constructor, or, passed as None, left unbuilt for the
-    caller to fill `_meet_map` with an entry for every pair; the first read
-    of `meets` then builds the rows from that map, and hashing, equality,
-    `leq` and `poset_block` all read them so.
+    every query reads the strict set as given.  The meet table is one map
+    from canonical pairs `pair_key(s, t)` of distinct points to meet sets,
+    and is the only stored form of the meets: `meet_table()` returns it,
+    and `meets` lists its entries as rows `((s, t), value)` in `pairs()`
+    order, built afresh on each read.  A pair without an entry reads
+    `_no_meet`.
     """
 
-    __slots__ = ("dialect", "points", "strict", "_rows", "_core", "_meet_map")
+    __slots__ = ("dialect", "points", "strict", "_meet_map", "_core")
     _no_meet: Optional[FrozenSet[Point]] = None
 
     def __init__(
@@ -271,26 +270,26 @@ class Poset:
         dialect: str,
         points: FrozenSet[Point],
         strict: FrozenSet[Tuple[Point, Point]],
-        meets: Optional[Tuple[Tuple[Tuple[Point, Point], FrozenSet[Point]], ...]],
+        meets: Dict[Tuple[Point, Point], FrozenSet[Point]],
         core: Optional[OrderIndex] = None,
     ):
         self.dialect = dialect
         self.points = points
         self.strict = strict
-        self._rows = meets
+        self._meet_map = meets
         self._core = core
-        self._meet_map = None
 
     @property
     def meets(self) -> Tuple[Tuple[Tuple[Point, Point], FrozenSet[Point]], ...]:
-        if self._rows is None:
-            pairs = self.pairs()
-            self._rows = tuple(zip(pairs, map(self._meet_map.__getitem__, pairs)))
-        return self._rows
+        table = self._meet_map
+        pairs = self.pairs()
+        if len(table) < len(pairs):
+            pairs = list(filter(table.__contains__, pairs))
+        return tuple(zip(pairs, map(table.__getitem__, pairs)))
 
     def _fields(self) -> tuple:
         """What equality compares, between posets of one exact type."""
-        return (self.dialect, self.points, self.strict, self.meets)
+        return (self.dialect, self.points, self.strict, self._meet_map)
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -304,8 +303,6 @@ class Poset:
 
     def meet_table(self) -> Dict[Tuple[Point, Point], FrozenSet[Point]]:
         """The meet entries by canonical pair."""
-        if self._meet_map is None:
-            self._meet_map = dict(self.meets)
         return self._meet_map
 
     @property
@@ -343,19 +340,17 @@ class Poset:
         return set() if i is None else set(core.members(core.down[i] | 1 << i))
 
     def meet(self, s: Point, t: Point) -> Optional[FrozenSet[Point]]:
-        return self.meet_table().get(pair_key(s, t), self._no_meet)
+        return self._meet_map.get(pair_key(s, t), self._no_meet)
 
 
 class Condition(Poset):
     """Immutable points + strict order + total meet table.
 
-    Assumes normalized input: build through `make_condition`.  The strict
-    set is transitively closed and irreflexive; the meet table has exactly
-    one entry per unordered pair, canonically keyed, in `pairs()` order.
-    A missing entry reads as the empty meet.  `make_condition` fills the
-    rows at once; `extend_condition` fills only the meet map, so a
-    condition of a schedule chain builds its rows on first read, while its
-    strict set and meet map are still its own copies.
+    Assumes normalized input: build through `make_condition` or
+    `extend_condition`.  The strict set is transitively closed and
+    irreflexive; the meet map has exactly one entry per pair of distinct
+    points, canonically keyed.  Conditions of a schedule chain each own a
+    copy of the strict set and meet map, the values shared.
     """
 
     __slots__ = ("_hash",)
@@ -365,37 +360,60 @@ class Condition(Poset):
         try:
             return self._hash
         except AttributeError:
-            self._hash = hash(self._fields())
+            self._hash = hash(
+                (self.dialect, self.points, self.strict, frozenset(self._meet_map.items()))
+            )
             return self._hash
 
     def __repr__(self) -> str:
         return f"<Condition {self.dialect} |X|={self.size}>"
 
 
-def _transitive_closure(
-    points: FrozenSet[Point], rel: Iterable[Tuple[Point, Point]]
-) -> Tuple[FrozenSet[Tuple[Point, Point]], OrderIndex]:
-    """The closed strict set and its index, by Warshall's algorithm on the
-    `up` masks; a cycle is reported through the first of its points in
-    `points` order."""
-    core = OrderIndex(points, rel)
+def _close(
+    core: OrderIndex, rows: Sequence[int], points: FrozenSet[Point]
+) -> List[Tuple[Point, Point]]:
+    """Close the `up` masks of the positions `rows` by Warshall's algorithm,
+    pivoting on those rows alone (every other row must be closed already
+    and reach none of them), add the closed pairs to `down`, and return
+    them as point pairs.  A cycle is reported through the first of its
+    points in `points` order."""
     up = core.up
-    for k in range(len(up)):
+    for k in rows:
         bit, reach = 1 << k, up[k]
-        for i, m in enumerate(up):
-            if m & bit:
-                up[i] = m | reach
-    for s in points:
-        i = core.index[s]
-        if up[i] >> i & 1:
-            raise ConditionError(f"order cycle through {s}")
-    pts = core.pts
-    down = core.down
-    pairs = []
-    for i, j in core.strict_pairs():
-        down[j] |= 1 << i
-        pairs.append((pts[i], pts[j]))
-    return frozenset(pairs), core
+        for i in rows:
+            if up[i] & bit:
+                up[i] |= reach
+    if any(up[i] >> i & 1 for i in rows):
+        index = core.index
+        s = next(x for x in points if up[index[x]] >> index[x] & 1)
+        raise ConditionError(f"order cycle through {s}")
+    pts, down, pairs = core.pts, core.down, []
+    for i in rows:
+        s = pts[i]
+        for j in bits(up[i]):
+            down[j] |= 1 << i
+            pairs.append((s, pts[j]))
+    return pairs
+
+
+def _force(core: OrderIndex, pairs: Iterable[Tuple[int, int]], table: dict) -> None:
+    """Enter in `table` the forced meet of each position pair i < j: the
+    lower point of a comparable pair, the maximal common lower bounds
+    otherwise.  A lower point's singleton is made once and shared."""
+    pts, up, down = core.pts, core.up, core.down
+    lone: Dict[int, FrozenSet[Point]] = {}
+    none = frozenset()
+    for i, j in pairs:
+        if up[i] >> j & 1:
+            value = lone.get(i) or lone.setdefault(i, frozenset((pts[i],)))
+        elif up[j] >> i & 1:
+            value = lone.get(j) or lone.setdefault(j, frozenset((pts[j],)))
+        else:
+            common = down[i] & down[j]
+            value = none
+            if common:
+                value = frozenset(pts[k] for k in bits(common) if not up[k] & common)
+        table[pts[i], pts[j]] = value
 
 
 def make_condition(
@@ -417,10 +435,11 @@ def make_condition(
     if dialect not in DIALECTS:
         raise ConditionError(f"unknown dialect {dialect!r}")
     pts = frozenset(points)
-    strict, core = _transitive_closure(pts, rel)
-    index, order, up, down = core.index, core.pts, core.up, core.down
+    core = OrderIndex(pts, rel)
+    strict = frozenset(_close(core, range(len(core.pts)), pts))
+    index, order = core.index, core.pts
 
-    table: Dict[Tuple[int, int], FrozenSet[Point]] = {}
+    given: Dict[Tuple[int, int], FrozenSet[Point]] = {}
     for key, val in (meets or {}).items():
         s, t = tuple(key)
         i = index.get(s)
@@ -432,26 +451,17 @@ def make_condition(
         value = frozenset(val)
         if not value <= pts:
             raise ConditionError(f"meet of ({s}, {t}) has unknown points")
-        if table.setdefault((i, j) if i < j else (j, i), value) != value:
+        if given.setdefault((i, j) if i < j else (j, i), value) != value:
             raise ConditionError(f"conflicting meet entries for ({s}, {t})")
 
-    rows = []
-    for i, s in enumerate(order):
-        for j in range(i + 1, len(order)):
-            t = order[j]
-            value = table.get((i, j))
-            if value is None:
-                if not complete:
-                    value = frozenset()
-                elif up[i] >> j & 1:
-                    value = frozenset({s})
-                elif up[j] >> i & 1:
-                    value = frozenset({t})
-                else:
-                    common = down[i] & down[j]
-                    value = frozenset(order[k] for k in bits(common) if not up[k] & common)
-            rows.append(((s, t), value))
-    return Condition(dialect, pts, strict, tuple(rows), core)
+    if complete:
+        table: Dict[Tuple[Point, Point], FrozenSet[Point]] = {}
+        _force(core, [ij for ij in core.pairs() if ij not in given], table)
+        table.update(((order[i], order[j]), value) for (i, j), value in given.items())
+    else:
+        values = map(given.get, core.pairs(), itertools.repeat(frozenset()))
+        table = dict(zip(itertools.combinations(order, 2), values))
+    return Condition(dialect, pts, strict, table, core)
 
 
 def extend_condition(
@@ -467,11 +477,10 @@ def extend_condition(
     ones and an old point's rows, strict pairs and meet entries stand as
     they are: only the new points' rows are closed, and `p`'s strict set
     and meet map are copied (C-level copies, no rehashing) with the entries
-    of the pairs that have a new end added.  The meet-row tuple `meets` is
-    left unbuilt; it is built once, from the map, on first read.
+    of the pairs that have a new end added.
     """
     core, fresh = p.core().inserted(new_points)
-    pts, index, up, down = core.pts, core.index, core.up, core.down
+    index, up = core.index, core.up
     for s, t in new_pairs:
         i = index.get(s)
         j = index.get(t)
@@ -480,42 +489,12 @@ def extend_condition(
         if not fresh >> i & 1:
             raise ConditionError(f"order pair ({s}, {t}) climbs from an old point")
         up[i] |= 1 << j | up[j]
-    news = list(bits(fresh))
-    # Warshall over the new points alone: an old row is closed and reaches
-    # only old points
-    for k in news:
-        bit, reach = 1 << k, up[k]
-        for i in news:
-            if up[i] & bit:
-                up[i] |= reach
     points = p.points.union(core.members(fresh))
-    if any(up[i] >> i & 1 for i in news):
-        s = next(x for x in points if up[index[x]] >> index[x] & 1)
-        raise ConditionError(f"order cycle through {s}")
-    added = []
-    for i in news:
-        s = pts[i]
-        for j in bits(up[i]):
-            down[j] |= 1 << i
-            added.append((s, pts[j]))
-
-    # a comparable pair with a new end has the new point as its lower end
-    lone, none = {i: frozenset((pts[i],)) for i in news}, frozenset()
+    # an old row is closed and reaches only old points
+    added = _close(core, list(bits(fresh)), points)
     table = p.meet_table().copy()
-    for i, j in core.pairs(fresh):
-        common = down[i] & down[j]
-        if up[i] >> j & 1:
-            value = lone[i]
-        elif up[j] >> i & 1:
-            value = lone[j]
-        elif common:
-            value = frozenset(pts[k] for k in bits(common) if not up[k] & common)
-        else:
-            value = none
-        table[pts[i], pts[j]] = value
-    out = Condition(p.dialect, points, p.strict.union(added), None, core)
-    out._meet_map = table
-    return out
+    _force(core, core.pairs(fresh), table)
+    return Condition(p.dialect, points, p.strict.union(added), table, core)
 
 
 @dataclass(frozen=True)
@@ -737,7 +716,7 @@ def leq(q: Condition, p: Condition) -> bool:
         if qc.up[at[i]] & inside != want:
             return False
     table = q.meet_table()
-    return all(table.get(key, frozenset()) == value for key, value in p.meets)
+    return all(table.get(key, frozenset()) == value for key, value in p.meet_table().items())
 
 
 def _fresh_column(core: OrderIndex, level: Level, floor: int, cap: int) -> Point:
@@ -834,8 +813,9 @@ def poset_block(p: Poset) -> List[str]:
     order = list(core.strict_pairs())
     lines.append(f"order {len(order)}")
     lines.extend(f"{i} {j}" for i, j in order)
-    lines.append(f"meets {len(p.meets)}")
-    for (s, t), value in p.meets:
+    meets = p.meets
+    lines.append(f"meets {len(meets)}")
+    for (s, t), value in meets:
         ids = " ".join(str(k) for k in sorted(index[v] for v in value))
         lines.append(f"{index[s]} {index[t]} : {ids}".rstrip())
     return lines

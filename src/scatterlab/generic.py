@@ -146,8 +146,9 @@ class FinitePoset(Poset):
 
     The order is read exactly as given (the checkers below judge it), and
     `meet` returns None for a pair with no entry.  Takes normalized parts:
-    the points and strict pairs as frozensets, the meet rows as a tuple
-    sorted by pair in `point_key` order, as `poset_from_text` builds them."""
+    the points and strict pairs as frozensets, and the meet map keyed by
+    canonical pairs of distinct points, as `poset_from_text` builds them;
+    it may leave pairs out."""
 
     __slots__ = ("targeted", "provenance")
 
@@ -174,10 +175,10 @@ class FinitePoset(Poset):
 def poset_from_condition(
     p: Condition, targeted=(), provenance=()
 ) -> FinitePoset:
-    """`p` as a FinitePoset, from its parts and order index as they are:
-    a condition's meet rows are in `pairs()` order already."""
+    """`p` as a FinitePoset, from its parts, meet map and order index as
+    they are."""
     return FinitePoset(
-        p.dialect, p.points, p.strict, p.meets, targeted, provenance, p.core()
+        p.dialect, p.points, p.strict, p.meet_table(), targeted, provenance, p.core()
     )
 
 
@@ -200,9 +201,13 @@ def poset_from_text(text: str) -> FinitePoset:
     for line in body:
         level, _, i = line.partition(" ")
         targeted.append((parse_level(level), *fmt.indexed(pts, [i.strip()], GenericError)))
-    meets = {pair_key(s, t): value for (s, t), value in meets.items()}
-    rows = sorted(meets.items(), key=lambda kv: (point_key(kv[0][0]), point_key(kv[0][1])))
-    return FinitePoset(dialect, frozenset(pts), frozenset(rel), tuple(rows), targeted)
+    table = {}
+    for (s, t), value in meets.items():
+        if s == t:
+            raise GenericError(f"meet entry for identical points {s}")
+        if table.setdefault(pair_key(s, t), value) != value:
+            raise GenericError(f"conflicting meet entries for ({s}, {t})")
+    return FinitePoset(dialect, frozenset(pts), frozenset(rel), table, targeted)
 
 
 # --- running a schedule ----------------------------------------------------------
@@ -224,15 +229,14 @@ def run_schedule(
     Each step adds its points through `extend_condition` and checks only
     the clauses that touch them, plus the size cap.  A step's condition
     copies the previous strict set and meet map and adds the entries of
-    its new pairs; its meet-row tuple is built only if something reads it
-    (here, once, for the returned union).  That is sound because
-    every step is monotone: a realized point is isolated, and the chain
-    `extend_below` plants sits below an old x exactly when the target is at
-    or below x.  A new common lower bound of two old points thus lies below
-    the target, which already lies below one of their old meet points; and
-    new points are never above old ones, so no interpolant witness of an
-    old pair changes.  The previous condition passed every clause, so the
-    old pairs still do.
+    its new pairs; the returned union shares the last condition's map.
+    That is sound because every step is monotone: a realized point is
+    isolated, and the chain `extend_below` plants sits below an old x
+    exactly when the target is at or below x.  A new common lower bound of
+    two old points thus lies below the target, which already lies below
+    one of their old meet points; and new points are never above old ones,
+    so no interpolant witness of an old pair changes.  The previous
+    condition passed every clause, so the old pairs still do.
     """
     params = tree.params
     p = make_condition(dialect, [])

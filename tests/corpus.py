@@ -40,9 +40,8 @@ def flat_F(tree, lambda_w, index):
 
 def finite_poset(dialect, points, strict, meets, targeted=()):
     """A FinitePoset from raw parts in any order: the points and strict
-    pairs frozen, the meet entries (a mapping) sorted by pair."""
-    rows = sorted(meets.items(), key=lambda kv: (point_key(kv[0][0]), point_key(kv[0][1])))
-    return FinitePoset(dialect, frozenset(points), frozenset(strict), tuple(rows), targeted)
+    pairs frozen, the meet map (keyed by canonical pairs) passed through."""
+    return FinitePoset(dialect, frozenset(points), frozenset(strict), meets, targeted)
 
 
 # --- omega pairs -------------------------------------------------------------

@@ -20,6 +20,7 @@ from scatterlab.conditions import (
     point_key,
     validate,
 )
+from scatterlab.generic import GenericError, poset_from_text
 from scatterlab.intervals import IntervalTree, Params
 from scatterlab.ordinals import parse
 from scatterlab.unbounded import UnboundedFn, f_generate
@@ -509,13 +510,18 @@ def test_make_condition_refuses_bad_meet_entries(points, meets, message):
     ids=["identical", "conflict"],
 )
 def test_from_text_refuses_bad_meet_rows(rows, message):
+    block = ["points 2", "0 TOP 0", "1 TOP 1", "order 0", f"meets {len(rows)}"] + rows
     text = "\n".join(
         ["# scatterlab-fmt 1 condition", "dialect kappa", "eta w^2",
-         "params kappa_w=3 lambda_w=6 e_budget=16 size_cap=32",
-         "points 2", "0 TOP 0", "1 TOP 1", "order 0", f"meets {len(rows)}"] + rows
+         "params kappa_w=3 lambda_w=6 e_budget=16 size_cap=32"] + block
     ) + "\n"
     with pytest.raises(ConditionError) as err:
         condition_from_text(text)
+    assert str(err.value) == message
+    # a poset document refuses the same rows with the same message
+    text = "\n".join(["# scatterlab-fmt 1 poset", "dialect kappa"] + block + ["targeted 0"])
+    with pytest.raises(GenericError) as err:
+        poset_from_text(text + "\n")
     assert str(err.value) == message
 
 

@@ -115,6 +115,23 @@ def test_determinism_and_round_trips(tree, F):
     assert text == poset_to_text(poset_from_text(text))
 
 
+def test_poset_document_with_pairs_left_out_reads_only_its_entries():
+    """A poset document may leave meet pairs out: `meets` lists exactly the
+    entries given, in `pairs()` order, `meet` reads None elsewhere, and the
+    document is written back byte for byte."""
+    text = "\n".join([
+        "# scatterlab-fmt 1 poset", "dialect kappa", "points 3",
+        "0 w 0", "1 w*2 0", "2 TOP 0", "order 2", "0 2", "1 2",
+        "meets 2", "0 2 : 0", "1 2 : 1", "targeted 0",
+    ]) + "\n"
+    T = poset_from_text(text)
+    a, b, top = T.sorted_points()
+    assert T.meets == (((a, top), frozenset({a})), ((b, top), frozenset({b})))
+    assert T.meet(top, b) == frozenset({b})
+    assert T.meet(a, b) is None and T.meet(b, a) is None
+    assert poset_to_text(T) == text
+
+
 def test_poset_from_text_refuses_damaged_documents(tree, F):
     steps = [RealizePoint(TOP, 0), PredecessorBelow(Point(TOP, 0), parse("w*2"), 0)]
     T = run_schedule(Schedule(tuple(steps)), tree, F, "kappa")
@@ -667,26 +684,22 @@ def test_extend_condition_refuses_a_pair_from_an_old_point():
     )
 
 
-def test_meet_rows_built_on_first_read_match_the_rebuild(tree, F):
+def test_schedule_chain_conditions_match_the_rebuild(tree, F):
     """Every condition of a schedule chain, from `T.provenance` and from
     `ScheduleError.trace`, matches its `make_condition(..., complete=True)`
     rebuild on equality, hash, document bytes and pickle and deepcopy round
-    trips, each check starting from rows not yet built; and its rows read
-    the same whether `meet_table()` was read first or not."""
+    trips, each check on a fresh run; and its rows read the same whether
+    `meet_table()` was read first or not."""
     sch = schedule_from_text((GOLDEN / "schedule.txt").read_text())
     failing = [RealizePoint(TOP, 0)] + [PredecessorBelow(Point(TOP, 0), W, 0)] * 9
 
     def chains():
-        """Fresh runs, so that no row tuple of a later condition is built
-        yet, each with the laziness expected along it: the empty start is
-        made whole, and a finished run reads its last condition's rows for
-        the union it returns."""
+        """Fresh runs, so that no hash of a chain condition is cached yet."""
         for dialect in ("omega", "kappa"):
-            chain = run_schedule(sch, tree, F, dialect).provenance
-            yield chain, [False] + [True] * (len(chain) - 2) + [False]
+            yield run_schedule(sch, tree, F, dialect).provenance
             with pytest.raises(ScheduleError) as err:
                 run(tree, F, failing, dialect)
-            yield err.value.trace, [False] + [True] * (len(err.value.trace) - 1)
+            yield err.value.trace
 
     def rebuild(p):
         return make_condition(p.dialect, p.points, p.strict, complete=True)
@@ -700,7 +713,7 @@ def test_meet_rows_built_on_first_read_match_the_rebuild(tree, F):
         lambda p, q: p.meet_table() == q.meet_table() and p.meets == q.meets,
     )
     for check in checks:
-        for chain, lazy in chains():
-            assert len(chain) > 2 and [p._rows is None for p in chain] == lazy
+        for chain in chains():
+            assert len(chain) > 2
             for p in chain:
                 assert check(p, rebuild(p))

@@ -94,3 +94,27 @@ def test_every_private_module_name_is_used_in_its_module():
             and node.name not in read
         ]
     assert found == []
+
+
+def test_no_module_assigns_a_private_attribute_of_another_object():
+    # an object's underscore state is set by its own methods, through self or cls
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno} {ast.unparse(target)}"
+                for root in targets
+                for target in ast.walk(root)
+                if isinstance(target, ast.Attribute)
+                and isinstance(target.ctx, ast.Store)
+                and target.attr.startswith("_")
+                and not (isinstance(target.value, ast.Name) and target.value.id in ("self", "cls"))
+            ]
+    assert found == []
