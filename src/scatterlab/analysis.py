@@ -11,7 +11,7 @@ below w^w, where the derivative sequence is computable exactly."""
 
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
 from . import fmt
 from .generic import FinitePoset
@@ -115,36 +115,18 @@ def _mask_of(sets, index) -> List[int]:
     return out
 
 
-def _basis_closure(masks: Sequence[int], full: int) -> set:
-    """Close the subbase under pairwise intersection; includes the whole
-    space as the empty intersection."""
-    known = {full}
-    queue = [full]
-    for m in masks:
-        if m not in known:
-            known.add(m)
-            queue.append(m)
-    while queue:
-        m = queue.pop()
-        fresh = []
-        for other in known:
-            cut = m & other
-            if cut not in known:
-                fresh.append(cut)
-        for cut in fresh:
-            known.add(cut)
-            queue.append(cut)
-    return known
-
-
 def finite_cb(space: FiniteSpace, cap: int = 16) -> LevelReport:
     """Iterated removal of isolated points against the exact topology,
     relativized to each remainder.
 
-    A point is isolated in the remainder Y exactly when {x} is open in
-    Y, i.e. when the intersection closure of the restricted subbase
-    contains the singleton.  The closure can be exponential in the worst
-    case, hence the cap on points."""
+    A point x is isolated in the remainder Y exactly when its smallest
+    basic open set, Y intersected with every subbase set that holds x, is
+    {x}: every basic set holding x is an intersection of such sets, so it
+    contains this one, and this one is itself basic.  That set is Y's
+    part of x's smallest basic open set in the whole space, built once,
+    so a round costs one mask AND per point.  The cap only bounds the
+    input size; it stays because lifting it would change which inputs
+    the CLI refuses."""
     if len(space.points) > cap:
         raise CapExceededError(
             f"{len(space.points)} points exceed the exact-topology cap {cap}"
@@ -153,16 +135,21 @@ def finite_cb(space: FiniteSpace, cap: int = 16) -> LevelReport:
     index = {x: i for i, x in enumerate(pts)}
     sub_masks = _mask_of(space.subbase, index)
     current = (1 << len(pts)) - 1
+    smallest = []
+    for i in range(len(pts)):
+        around = current
+        for m in sub_masks:
+            if m >> i & 1:
+                around &= m
+        smallest.append(around)
 
     levels: List[Tuple[int, Tuple]] = []
     k = 0
     while current:
-        basis = _basis_closure([m & current for m in sub_masks], current)
         isolated = 0
-        for i in range(len(pts)):
-            bit = 1 << i
-            if current & bit and bit in basis:
-                isolated |= bit
+        for i, around in enumerate(smallest):
+            if around & current == 1 << i:
+                isolated |= 1 << i
         if not isolated:
             break
         members = tuple(x for x in pts if isolated & (1 << index[x]))
@@ -261,6 +248,7 @@ def space_from_text(text: str) -> FiniteSpace:
     lines = fmt.document_lines(text, FORMAT_HEADER_SPACE, AnalysisError)
     body, at = fmt.section(lines, 1, "points", AnalysisError)
     pts = fmt.numbered(body, AnalysisError)
+    fmt.distinct(pts, AnalysisError)
     body, _ = fmt.section(lines, at, "subbase", AnalysisError)
     subbase = []
     for line in body:

@@ -822,13 +822,17 @@ def poset_block(p: Poset) -> List[str]:
 
 
 def read_poset_block(lines: List[str], at: int, error):
-    """The points, strict pairs and meet entries of the block that
-    `poset_block` writes, starting at line `at`, and the line after it."""
+    """The points, strict pairs and meet map (keyed by `pair_key`) of the
+    block that `poset_block` writes, starting at line `at`, and the line
+    after it.  A repeated point, a meet row on identical points and two
+    rows for one pair with different values raise `error`, with
+    `make_condition`'s messages for the rows."""
     body, at = fmt.section(lines, at, "points", error)
     pts = [
         Point(parse_level(level), fmt.integer(xi, "column", error))
         for level, xi in fmt.numbered(body, error, 2)
     ]
+    fmt.distinct(pts, error)
     body, at = fmt.section(lines, at, "order", error)
     rel = [tuple(fmt.pair(pts, line, error)) for line in body]
     body, at = fmt.section(lines, at, "meets", error)
@@ -836,7 +840,11 @@ def read_poset_block(lines: List[str], at: int, error):
     for line in body:
         head, _, tail = line.partition(":")
         value = frozenset(fmt.indexed(pts, tail.split(), error))
-        meets[tuple(fmt.pair(pts, head, error))] = value
+        s, t = fmt.pair(pts, head, error)
+        if s == t:
+            raise error(f"meet entry for identical points {s}")
+        if meets.setdefault(pair_key(s, t), value) != value:
+            raise error(f"conflicting meet entries for ({s}, {t})")
     return pts, rel, meets, at
 
 

@@ -63,6 +63,15 @@ def numbered(body: List[str], error, fields: int = 0) -> list:
     return rows
 
 
+def distinct(points: Iterable, error) -> None:
+    """Raises `error` when `points` lists a point twice."""
+    seen = set()
+    for x in points:
+        if x in seen:
+            raise error(f"point {x} is listed twice")
+        seen.add(x)
+
+
 def indexed(items: Sequence, tokens: Iterable[str], error) -> list:
     """The items at the given index tokens, each checked to be in range."""
     out = []

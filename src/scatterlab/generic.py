@@ -34,7 +34,6 @@ from .conditions import (
     level_lt,
     level_token,
     make_condition,
-    pair_key,
     parse_level,
     point_key,
     poset_block,
@@ -201,13 +200,7 @@ def poset_from_text(text: str) -> FinitePoset:
     for line in body:
         level, _, i = line.partition(" ")
         targeted.append((parse_level(level), *fmt.indexed(pts, [i.strip()], GenericError)))
-    table = {}
-    for (s, t), value in meets.items():
-        if s == t:
-            raise GenericError(f"meet entry for identical points {s}")
-        if table.setdefault(pair_key(s, t), value) != value:
-            raise GenericError(f"conflicting meet entries for ({s}, {t})")
-    return FinitePoset(dialect, frozenset(pts), frozenset(rel), table, targeted)
+    return FinitePoset(dialect, frozenset(pts), frozenset(rel), meets, targeted)
 
 
 # --- running a schedule ----------------------------------------------------------
@@ -231,12 +224,9 @@ def run_schedule(
     copies the previous strict set and meet map and adds the entries of
     its new pairs; the returned union shares the last condition's map.
     That is sound because every step is monotone: a realized point is
-    isolated, and the chain `extend_below` plants sits below an old x
-    exactly when the target is at or below x.  A new common lower bound of
-    two old points thus lies below the target, which already lies below
-    one of their old meet points; and new points are never above old ones,
-    so no interpolant witness of an old pair changes.  The previous
-    condition passed every clause, so the old pairs still do.
+    isolated, and `extend_below`'s insertion is monotone (its docstring
+    gives the argument).  The previous condition passed every clause, so
+    the old pairs still do.
     """
     params = tree.params
     p = make_condition(dialect, [])

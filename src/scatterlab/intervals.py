@@ -102,10 +102,10 @@ class IntervalTree:
     """Memoized lazy refinement of [0, eta).
 
     The marker, path, orbit and split caches are insert-only and every
-    entry is a deterministic function of its key, so racing computations
-    of the same entry agree; behavior is as-if single-threaded.  Only
-    successful navigation results are cached, so a request that raises
-    raises again when repeated.
+    entry is a deterministic function of its key, so a cached answer is
+    the one a fresh tree would compute.  Only successful navigation
+    results are cached, so a request that raises raises again when
+    repeated.
     """
 
     def __init__(self, params: Params, depth_cap: int = 32):
@@ -272,30 +272,16 @@ class IntervalTree:
 
     # -- truncations ------------------------------------------------------
 
-    def levels(self, depth: int, count: Optional[int] = None) -> List[List[Interval]]:
-        """Full truncation: the materialized strata 0..depth, singletons
-        carried forward."""
-        strata = [[self.root]]
-        for _ in range(depth):
-            nxt: List[Interval] = []
-            for iv in strata[-1]:
-                if iv.is_singleton:
-                    nxt.append(iv)
-                else:
-                    nxt.extend(self.children(iv, count))
-            strata.append(nxt)
-        return strata
-
-    def dump(self, depth: int, count: Optional[int] = None) -> str:
+    def dump(self, depth: int) -> str:
         """Indented text truncation, one `I=[lo,hi) depth=n E=[...]` line
         per node."""
         lines: List[str] = []
 
         def walk(iv: Interval, d: int):
-            marks = ", ".join(str(m) for m in self.e_set(iv, count))
+            marks = ", ".join(str(m) for m in self.e_set(iv))
             lines.append("  " * d + f"I={iv} depth={d} E=[{marks}]")
             if d < depth and not iv.is_singleton:
-                for child in self.children(iv, count):
+                for child in self.children(iv):
                     walk(child, d + 1)
 
         walk(self.root, 0)
@@ -312,7 +298,6 @@ class AxiomReport:
 def tree_axiom_report(
     tree: IntervalTree,
     depth: int,
-    count: Optional[int] = None,
     sample_points: Sequence[Ordinal] = (),
 ) -> AxiomReport:
     """Check the tree laws on a full truncation.
@@ -348,7 +333,7 @@ def tree_axiom_report(
             break
         nxt: List[Interval] = []
         for iv in stratum:
-            kids = tree.children(iv, count)
+            kids = tree.children(iv)
             nxt.extend(kid for kid in kids if not kid.is_singleton)
             note("child-start", kids[0].lo == iv.lo, f"{iv} first child {kids[0]}")
             for a, b in zip(kids, kids[1:]):

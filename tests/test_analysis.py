@@ -7,8 +7,10 @@ import signal
 from contextlib import contextmanager
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from .corpus import damaged_documents, flat_F
+from .corpus import damaged_documents, finite_poset, flat_F
 from .oracles import naive_cb
 from scatterlab.analysis import (
     AnalysisError,
@@ -103,6 +105,70 @@ def test_levels_partition_points():
         assert all(w >= 1 for w in rep.widths)
 
 
+def small_subbases(max_points=6):
+    """A point count and a dense subbase over range(n): up to 2n sets."""
+    return st.integers(1, max_points).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.frozensets(st.integers(0, n - 1)), max_size=2 * n),
+        )
+    )
+
+
+def raw_posets(max_points=5):
+    """Tops 0..n-1 and any strict pairs among them: no closure, no meets."""
+    return st.integers(1, max_points).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))),
+        )
+    )
+
+
+def assert_matches_oracle(sp):
+    want_levels, want_residual = naive_cb(sp.points, sp.subbase)
+    rep = finite_cb(sp)
+    assert [frozenset(m) for _, m in rep.levels] == want_levels
+    assert frozenset(rep.residual) == want_residual
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(small_subbases())
+def test_dense_subbases_match_naive_oracle(drawn):
+    n, subbase = drawn
+    assert_matches_oracle(FiniteSpace(frozenset(range(n)), tuple(subbase)))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(raw_posets())
+def test_raw_poset_spaces_match_naive_oracle(drawn):
+    n, pairs = drawn
+    tops = [Point(TOP, i) for i in range(n)]
+    strict = [(tops[i], tops[j]) for i, j in pairs if i != j]
+    assert_matches_oracle(space_from_poset(finite_poset("kappa", tops, strict, {})))
+
+
+def test_forest_space_above_the_default_cap():
+    # each node's open set is itself with its descendants; with three
+    # children a node over four ranks, the leaves go first and the root last
+    ranks = [["r3n0"]]
+    children = {}
+    for r in (2, 1, 0):
+        row = []
+        for parent in ranks[-1]:
+            children[parent] = [f"r{r}n{len(row) + k}" for k in range(3)]
+            row += children[parent]
+        ranks.append(row)
+
+    def below(x):
+        return frozenset({x}).union(*(below(kid) for kid in children.get(x, ())))
+
+    points = frozenset(x for row in ranks for x in row)
+    rep = finite_cb(FiniteSpace(points, tuple(below(x) for x in points)), cap=64)
+    assert rep.widths == (27, 9, 3, 1) and rep.height == 4
+    assert [set(m) for _, m in rep.levels] == [set(row) for row in reversed(ranks)]
+
+
 # --- spaces from posets --------------------------------------------------------
 
 
@@ -147,6 +213,21 @@ def test_poset_space_degenerates_to_discrete(tree):
         assert rep.widths == (len(sp.points),)
 
 
+def test_sixteen_point_poset_space_at_the_default_cap(tree):
+    F = flat_F(tree, 12, 12)
+    steps = [RealizePoint(TOP, i) for i in range(4)]
+    steps += [PredecessorBelow(Point(TOP, i % 4), parse(f"w*{i + 2}"), 0) for i in range(12)]
+    for dialect in ("omega", "kappa"):
+        sp = space_from_poset(run_schedule(Schedule(tuple(steps)), tree, F, dialect))
+        assert len(sp.points) == 16
+        try:
+            with wall_clock(1):
+                rep = finite_cb(sp)
+        except TimeoutError as err:  # the interrupted frame has no line number
+            pytest.fail(str(err), pytrace=False)
+        assert rep.levels == ((0, tuple(sorted(sp.points, key=str))),)
+
+
 def test_space_text_round_trip(tree):
     sch = Schedule(
         (RealizePoint(TOP, 0), PredecessorBelow(Point(TOP, 0), parse("w*3"), 0))
@@ -167,6 +248,13 @@ def test_space_from_text_refuses_damaged_documents():
     for bad in damaged_documents(space_to_text(space), "subbase"):
         with pytest.raises(AnalysisError):
             space_from_text(bad)
+
+
+def test_space_from_text_refuses_a_repeated_point():
+    text = "# scatterlab-fmt 1 space\npoints 2\n0 a\n1 a\nsubbase 0\n"
+    with pytest.raises(AnalysisError) as err:
+        space_from_text(text)
+    assert str(err.value) == "point a is listed twice"
 
 
 # --- symbolic ordinal reports ----------------------------------------------------

@@ -506,8 +506,9 @@ def test_make_condition_refuses_bad_meet_entries(points, meets, message):
     [
         (["0 0 :", "0 1 :"], "meet entry for identical points (TOP, 0)"),
         (["0 1 :", "1 0 : 0"], "conflicting meet entries for ((TOP, 1), (TOP, 0))"),
+        (["0 1 : 0", "0 1 :"], "conflicting meet entries for ((TOP, 0), (TOP, 1))"),
     ],
-    ids=["identical", "conflict"],
+    ids=["identical", "conflict", "conflict-same-orientation"],
 )
 def test_from_text_refuses_bad_meet_rows(rows, message):
     block = ["points 2", "0 TOP 0", "1 TOP 1", "order 0", f"meets {len(rows)}"] + rows
@@ -523,6 +524,21 @@ def test_from_text_refuses_bad_meet_rows(rows, message):
     with pytest.raises(GenericError) as err:
         poset_from_text(text + "\n")
     assert str(err.value) == message
+
+
+def test_from_text_refuses_a_repeated_point():
+    block = ["points 2", "0 w 0", "1 w 0", "order 0", "meets 0"]
+    text = "\n".join(
+        ["# scatterlab-fmt 1 condition", "dialect kappa", "eta w^2",
+         "params kappa_w=3 lambda_w=6 e_budget=16 size_cap=32"] + block
+    ) + "\n"
+    with pytest.raises(ConditionError) as err:
+        condition_from_text(text)
+    assert str(err.value) == "point (w, 0) is listed twice"
+    text = "\n".join(["# scatterlab-fmt 1 poset", "dialect kappa"] + block + ["targeted 0"])
+    with pytest.raises(GenericError) as err:
+        poset_from_text(text + "\n")
+    assert str(err.value) == "point (w, 0) is listed twice"
 
 
 def test_size_cap_is_reported():

@@ -134,7 +134,11 @@ def test_j_and_J_examples():
 
 def scan_locate(tree: IntervalTree, alpha: Ordinal, depth: int) -> Interval:
     """Independent route: enumerate the whole stratum and scan for membership."""
-    stratum = tree.levels(depth)[-1]
+    stratum = [tree.root]
+    for _ in range(depth):
+        stratum = [
+            kid for iv in stratum for kid in ([iv] if iv.is_singleton else tree.children(iv))
+        ]
     hits = [node for node in stratum if node.contains(alpha)]
     assert len(hits) == 1
     return hits[0]

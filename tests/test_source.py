@@ -118,3 +118,64 @@ def test_no_module_assigns_a_private_attribute_of_another_object():
                 and not (isinstance(target.value, ast.Name) and target.value.id in ("self", "cls"))
             ]
     assert found == []
+
+
+def _calls_passing():
+    # (callee name, keyword or position) for every call in the project; a
+    # call that spreads *args or **kwargs passes everything ("*")
+    passed = set()
+    root = PACKAGE.parents[1]
+    for top in ("src", "tests", "bench", "demos"):
+        for path in sorted((root / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                passed.update((name, k.arg or "*") for k in node.keywords)
+                passed.update((name, k) for k in range(len(node.args)))
+                if any(isinstance(arg, ast.Starred) for arg in node.args):
+                    passed.add((name, "*"))
+    return passed
+
+
+def test_every_optional_parameter_is_passed_somewhere():
+    # a default no call overrides is a knob nobody turns; calls are matched
+    # by function name, and a class's __init__ by calls to it or a subclass
+    passed = _calls_passing()
+    modules = [ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))]
+    classes = [node for tree in modules for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    subclasses = {cls.name: {cls.name} for cls in classes}
+    for _ in classes:  # one pass per class reaches every depth of the hierarchy
+        for cls in classes:
+            for base in cls.bases:
+                subclasses.get(getattr(base, "id", None), set()).update(subclasses[cls.name])
+    found = []
+    for owner in (node for tree in modules for node in ast.walk(tree)):
+        body = owner.body if isinstance(getattr(owner, "body", None), list) else []
+        for fn in body:
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            names = {fn.name}
+            if isinstance(owner, ast.ClassDef) and fn.name == "__init__":
+                names = subclasses[owner.name]
+            elif fn.name.startswith("__") and fn.name.endswith("__"):
+                continue
+            args = fn.args.posonlyargs + fn.args.args
+            if isinstance(owner, ast.ClassDef) and not any(
+                getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list
+            ):
+                args = args[1:]
+            optional = [
+                (arg.arg, k) for k, arg in enumerate(args) if k >= len(args) - len(fn.args.defaults)
+            ]
+            optional += [
+                (arg.arg, arg.arg)
+                for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                if default is not None
+            ]
+            found += [
+                f"{fn.name}({param})"
+                for param, position in optional
+                if not any({(n, param), (n, position), (n, "*")} & passed for n in names)
+            ]
+    assert found == []
