@@ -424,7 +424,7 @@ def amalgamate_omega(
     q: Condition,
     root: FrozenSet[Point],
     F: UnboundedFn,
-    tree: Optional[IntervalTree] = None,
+    tree: IntervalTree,
 ) -> Condition:
     """Union amalgam for the top-heavy dialect.
 
@@ -432,8 +432,7 @@ def amalgamate_omega(
     {u in root: u below both}.  All hypotheses (sunflower root, level
     exclusivity, initial-segment root levels, root agreement, F gap
     over the top root level) are checked and raise
-    HypothesisViolationError; the result is re-validated when a tree
-    is supplied.
+    HypothesisViolationError; the result is re-validated against tree.
     """
     if p.dialect != "omega" or q.dialect != "omega":
         raise HypothesisViolationError("both members must use the omega dialect")
@@ -481,8 +480,7 @@ def amalgamate_omega(
     r = make_condition("omega", points, rel, meets)
     if not (leq(r, p) and leq(r, q)):
         raise AmalgamError("amalgam is not below both members")
-    if tree is not None:
-        _require_valid(r, tree, F, "omega amalgam")
+    _require_valid(r, tree, F, "omega amalgam")
     return r
 
 
@@ -515,19 +513,13 @@ def _interval_data(tree: IntervalTree, iv: Interval, root_levels, cache):
     if iv in cache:
         return cache[iv]
     kw = tree.params.kappa_w
-    inside = [b for b in root_levels if iv.contains(b)]
-    count = kw + 1
-    eps = tree.e_set(iv, count)
-    xi = 0
-    if inside:
-        top = max(inside)
-        while not top < eps[-1]:
-            count += 1
-            eps = tree.e_set(iv, count)
-        xi = next(i for i, e in enumerate(eps) if top < e)
-    if len(eps) < xi + kw + 1:
-        eps = tree.e_set(iv, xi + kw + 1)
-    data = (xi, eps[xi + kw], tuple(eps[xi : xi + kw]))
+    top = max((b for b in root_levels if iv.contains(b)), default=None)
+    # xi counts the markers at or below top; the shorter request goes first,
+    # so an overrun names it (e_budget + 2 when top passes every marker)
+    xi = 0 if top is None else sum(not top < e for e in tree.markers_to(iv, top))
+    tree.e_set(iv, max(kw, xi) + 1)
+    eps = tree.e_set(iv, xi + kw + 1)
+    data = (xi, eps[xi + kw], eps[xi : xi + kw])
     cache[iv] = data
     return data
 

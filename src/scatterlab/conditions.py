@@ -523,7 +523,7 @@ def _tree_split(tree: IntervalTree, alpha: Ordinal, beta: Ordinal):
 
 
 def _marker_membership(tree: IntervalTree, beta: Ordinal) -> bool:
-    eps = tree.root_eps()
+    eps = tree.markers_to(tree.root, beta)
     if beta in eps:
         return True
     if beta < eps[-1]:

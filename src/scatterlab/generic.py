@@ -480,8 +480,8 @@ class CardinalProfile:
 def cardinal_profile(T: FinitePoset) -> CardinalProfile:
     """Point counts per materialized level, the top level kept separate.
 
-    Refuses when the meet-witness clause fails: levels of a poset without
-    coherent meets do not track anything."""
+    Refuses when any core clause fails (partition, level-order or
+    meet-witness): the levels of such a poset do not track anything."""
     report = sposet_check(T, 0)
     if not report.core_ok:
         raise GenericError(

@@ -13,8 +13,9 @@ happens, the markers passed on the way, and the interval where two points'
 paths split are the navigation quantities the rest of the package consumes.
 
 The tree is conceptually infinite along limit directions; `e_budget` caps
-how many children a node materializes and `depth_cap` caps path length, so
-out-of-range requests raise reproducible errors instead of diverging.
+how many markers (and so children) a node may have and `depth_cap` caps
+path length, so out-of-range requests raise reproducible errors instead of
+diverging.  A query materializes only the prefix of markers it reads.
 """
 
 from __future__ import annotations
@@ -101,11 +102,12 @@ class Params:
 class IntervalTree:
     """Memoized lazy refinement of [0, eta).
 
-    The marker, path, orbit and split caches are insert-only and every
-    entry is a deterministic function of its key, so a cached answer is
-    the one a fresh tree would compute.  Only successful navigation
-    results are cached, so a request that raises raises again when
-    repeated.
+    A node has at most e_budget + 1 markers, and a query materializes only
+    the prefix it reads.  The marker, path, orbit and split caches are
+    insert-only and every entry is a deterministic function of its key, so
+    a cached answer is the one a fresh tree would compute.  Only successful
+    navigation results are cached, so a request that raises raises again
+    when repeated.
     """
 
     def __init__(self, params: Params, depth_cap: int = 32):
@@ -140,13 +142,26 @@ class IntervalTree:
             raise BudgetExceededError(
                 f"requested {count} markers of {iv}, budget is {budget}"
             )
+        return tuple(self._grow(iv, count)[:count])
+
+    def markers_to(self, iv: Interval, alpha: Ordinal) -> Tuple[Ordinal, ...]:
+        """A node's markers up to the first one above alpha, or all of them
+        when none is; only the first when alpha is outside the node."""
+        if iv.is_empty or not iv.hi.is_limit:
+            return self.e_set(iv)
+        if not alpha < iv.hi:
+            return (iv.lo,)
+        seq = self._grow(iv, self.params.e_budget + 1, alpha)
+        return tuple(seq[: bisect.bisect_right(seq, alpha) + 1])
+
+    def _grow(self, iv: Interval, count: int, alpha: Optional[Ordinal] = None) -> List[Ordinal]:
+        """A limit-ended node's memo, grown to `count` markers or past alpha."""
         seq = self._markers.setdefault(iv, [iv.lo])
-        while len(seq) < count:
-            k = len(seq)
-            step = fundamental(iv.hi, k)
+        while len(seq) < count and (alpha is None or not alpha < seq[-1]):
+            step = fundamental(iv.hi, len(seq))
             nxt = seq[-1] + ONE
             seq.append(step if step > nxt else nxt)
-        return tuple(seq[:count])
+        return seq
 
     def root_eps(self, count: Optional[int] = None) -> Tuple[Ordinal, ...]:
         return self.e_set(self.root, count)
@@ -191,13 +206,12 @@ class IntervalTree:
             if alpha < prior:
                 return Interval(iv.lo, prior)
             return Interval(prior, iv.hi)
-        marks = self.e_set(iv)
+        marks = self.markers_to(iv, alpha)
         if not alpha < marks[-1]:
             raise BudgetExceededError(
                 f"{alpha} lies past the materialized children of {iv}"
             )
-        k = bisect.bisect_right(marks, alpha) - 1
-        return Interval(marks[k], marks[k + 1])
+        return Interval(marks[-2], marks[-1])
 
     def n_of(self, alpha: Ordinal) -> int:
         """Least depth at which alpha is a left endpoint."""
@@ -229,7 +243,7 @@ class IntervalTree:
         if orb is None:
             seen = set()
             for iv in self.path(alpha)[:-1]:
-                seen.update(m for m in self.e_set(iv) if m < alpha)
+                seen.update(m for m in self.markers_to(iv, alpha) if m < alpha)
             orb = self._orbits[alpha] = tuple(sorted(seen))
         return orb
 

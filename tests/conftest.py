@@ -1,4 +1,6 @@
 import random
+import signal
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -44,6 +46,27 @@ def deep_ordinals(draw, depth: int = 2):
 
 def limit_ordinals(depth: int = 2):
     return deep_ordinals(depth=depth).filter(lambda a: a.is_limit)
+
+
+@contextmanager
+def wall_clock(seconds):
+    """Fail the test, not the session, when the body overruns.
+
+    The overrun is reported through `pytest.fail`, whose exception is not
+    an `Exception`, so package code that catches errors cannot swallow it
+    and the interrupted frame needs no traceback.
+    """
+
+    def expire(signum, frame):
+        pytest.fail(f"no answer within {seconds} s", pytrace=False)
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 @pytest.fixture(scope="module")

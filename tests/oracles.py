@@ -984,3 +984,76 @@ def full_run_schedule(sch, tree, F, dialect, record):
         p = p2
         chain.append(p)
     return poset_from_condition(p, targeted, chain)
+
+
+# --- interval-tree prefix questions ------------------------------------------
+#
+# `_step`, `orbit`, root-marker membership and the amalgam's interval data
+# computed from each node's full marker list: every one takes all e_budget + 1
+# markers from `e_set`, and the interval data grows its request one marker at
+# a time, where the package reads only the prefix a question reaches.  Only
+# `e_set` and `root_eps` of the tree are used, so the tree's navigation memos
+# play no part.
+
+
+def full_step(tree, iv, alpha):
+    import bisect
+
+    from scatterlab.intervals import BudgetExceededError, Interval
+
+    if iv.is_singleton:
+        return iv
+    if iv.hi.is_successor:
+        prior = iv.hi.predecessor()
+        if alpha < prior:
+            return Interval(iv.lo, prior)
+        return Interval(prior, iv.hi)
+    marks = tree.e_set(iv)
+    if not alpha < marks[-1]:
+        raise BudgetExceededError(f"{alpha} lies past the materialized children of {iv}")
+    k = bisect.bisect_right(marks, alpha) - 1
+    return Interval(marks[k], marks[k + 1])
+
+
+def full_orbit(tree, alpha):
+    from scatterlab.intervals import DepthCapError
+
+    trail = [tree.root]
+    while trail[-1].lo != alpha:
+        if len(trail) > tree.depth_cap:
+            raise DepthCapError(
+                f"{alpha} did not become a left endpoint within depth {tree.depth_cap}"
+            )
+        trail.append(full_step(tree, trail[-1], alpha))
+    seen = set()
+    for iv in trail[:-1]:
+        seen.update(m for m in tree.e_set(iv) if m < alpha)
+    return tuple(sorted(seen))
+
+
+def full_marker_membership(tree, beta):
+    from scatterlab.conditions import UnmaterializedLevelError
+
+    eps = tree.root_eps()
+    if beta in eps:
+        return True
+    if beta < eps[-1]:
+        return False
+    raise UnmaterializedLevelError(f"{beta} is past the materialized root markers")
+
+
+def full_interval_data(tree, iv, root_levels):
+    kw = tree.params.kappa_w
+    inside = [b for b in root_levels if iv.contains(b)]
+    count = kw + 1
+    eps = tree.e_set(iv, count)
+    xi = 0
+    if inside:
+        top = max(inside)
+        while not top < eps[-1]:
+            count += 1
+            eps = tree.e_set(iv, count)
+        xi = next(i for i, e in enumerate(eps) if top < e)
+    if len(eps) < xi + kw + 1:
+        eps = tree.e_set(iv, xi + kw + 1)
+    return (xi, eps[xi + kw], tuple(eps[xi : xi + kw]))

@@ -55,6 +55,7 @@ from scatterlab.ordinals import (
 )
 from scatterlab.unbounded import UnboundedFn, f_generate, star_search
 
+from .conftest import wall_clock
 from .corpus import (
     drop_meet,
     drop_witness,
@@ -72,7 +73,7 @@ from .oracles import (
     naive_star_search_by_verify,
     omega_cross_filter,
 )
-from .test_analysis import random_space, wall_clock
+from .test_analysis import random_space
 
 W = parse("w")
 

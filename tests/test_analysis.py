@@ -3,13 +3,12 @@ topology oracle, the lower-set space construction, and the symbolic
 ordinal reports."""
 
 import random
-import signal
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from .conftest import wall_clock
 from .corpus import damaged_documents, finite_poset, flat_F
 from .oracles import naive_cb
 from scatterlab.analysis import (
@@ -220,11 +219,8 @@ def test_sixteen_point_poset_space_at_the_default_cap(tree):
     for dialect in ("omega", "kappa"):
         sp = space_from_poset(run_schedule(Schedule(tuple(steps)), tree, F, dialect))
         assert len(sp.points) == 16
-        try:
-            with wall_clock(1):
-                rep = finite_cb(sp)
-        except TimeoutError as err:  # the interrupted frame has no line number
-            pytest.fail(str(err), pytrace=False)
+        with wall_clock(1):
+            rep = finite_cb(sp)
         assert rep.levels == ((0, tuple(sorted(sp.points, key=str))),)
 
 
@@ -318,22 +314,6 @@ def test_finite_members_sit_on_their_level():
         for e, members in rep.finite_members:
             for beta in members:
                 assert omega_valuation(beta) == e or beta.is_zero
-
-
-@contextmanager
-def wall_clock(seconds):
-    """Fail with TimeoutError, not a hang, when the body overruns."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"no answer within {seconds} s")
-
-    old = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, old)
 
 
 def test_valuation_refuses_an_infinite_last_exponent():

@@ -13,6 +13,7 @@ from scatterlab.generic import poset_from_text
 from scatterlab.intervals import IntervalTree
 from scatterlab.unbounded import load as load_table
 
+from .conftest import wall_clock
 from .corpus import (
     damaged_documents,
     damaged_schedules,
@@ -66,6 +67,20 @@ def test_orbit_with_beta_reports_interval(capsys):
     code, out, _ = run(capsys, "orbit", "w*4+2", "--beta", "w*5")
     assert code == 0
     assert "J [w*4, w*5)" in out
+
+
+def test_orbit_under_a_huge_budget_reads_only_the_markers_it_needs(monkeypatch, capsys):
+    # a million markers take tens of seconds to build; the answer needs three
+    argv = ["orbit", "w*3", "--beta", "w*5"]
+    expected = run(capsys, *argv)
+    assert expected[0] == 0
+    with wall_clock(5):
+        assert run(capsys, *argv, "--e-budget", "1000000") == expected
+        monkeypatch.setenv("SCATTERLAB_E_BUDGET", "1000000")
+        assert run(capsys, *argv) == expected
+        assert run(capsys, "orbit", "w^2")[1:] == (
+            "", "error: BudgetExceededError: w^2 lies past the materialized children of [0, w^2)\n"
+        )
 
 
 # --- unbounded --------------------------------------------------------------------

@@ -9,9 +9,11 @@ bounded by the program's own caps (the lambda_w cap, the family cap of
 cap of `analyze`), and each example runs under a wall-clock guard.
 
 Two edge draws are left out because nothing in the program bounds them
-and the work they ask for is real: `--e-budget 1000000` materializes a
-million root markers in any command that builds a tree from its flags,
-and `pipeline --count 1000000` runs a million instances.
+and the work they ask for is real.  An e_budget of 10^6, by flag or by
+environment, is left out for the commands that still materialize every
+root marker: `tree`, `unbounded`, `simulate` and `pipeline`.  `orbit`
+draws it, since a tree query materializes only the markers it reads.
+And `pipeline --count 1000000` runs a million instances.
 """
 
 import contextlib
@@ -26,15 +28,17 @@ from hypothesis import strategies as st
 
 from scatterlab.cli import main
 
-from .test_analysis import wall_clock
+from .conftest import wall_clock
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 BIG = 10**6
 EDGES = (0, -1, 1, BIG)
 
 
-# subcommands that build their tree from the shared flags, not from a document
+# subcommands that build their tree from the shared flags, not from a document,
+# and of those the ones that materialize every root marker
 FROM_FLAGS = {"tree", "orbit", "gen", "verify", "search", "simulate", "pipeline"}
+ALL_MARKERS = FROM_FLAGS - {"orbit"}
 COMMANDS = sorted(FROM_FLAGS | {"validate", "extend", "amalgamate", "analyze"})
 
 
@@ -42,7 +46,7 @@ COMMANDS = sorted(FROM_FLAGS | {"validate", "extend", "amalgamate", "analyze"})
 def cases(draw):
     """(argv with {placeholders}, SCATTERLAB_* environment)."""
     command = draw(st.sampled_from(COMMANDS))
-    from_flags = command in FROM_FLAGS
+    all_markers = command in ALL_MARKERS
 
     def pick(values):
         return draw(st.sampled_from(values))
@@ -101,7 +105,7 @@ def cases(draw):
         "--eta": ("w^2", "w^3", "w*4", "5", "w^^"),
         "--kappa-w": (2, 3, 4) + EDGES,
         "--lambda-w": (6, 8, 12) + EDGES,
-        "--e-budget": (4, 8, 16) + (EDGES if not from_flags else (0, -1, 1)),
+        "--e-budget": (4, 8, 16) + ((0, -1, 1) if all_markers else EDGES),
         "--seed": (0, 5) + EDGES,
         "--budget-n": (1, 3) + EDGES,
         "--dialect": ("omega", "kappa"),
@@ -114,7 +118,7 @@ def cases(draw):
         "ETA": ("w^2", "w^3", "x", "w^^", "5", ""),
         "KAPPA_W": ("2", "3") + bad_ints,
         "LAMBDA_W": ("6", "12", str(BIG)) + bad_ints,
-        "E_BUDGET": ("4", "16") + bad_ints + (() if from_flags else (str(BIG),)),
+        "E_BUDGET": ("4", "16") + bad_ints + (() if all_markers else (str(BIG),)),
         "SEED": ("0", "7", str(BIG)) + bad_ints,
         "BUDGET_N": ("1", "3", str(BIG)) + bad_ints,
         "DIALECT": ("omega", "kappa", "zeta", ""),

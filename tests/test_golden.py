@@ -122,7 +122,7 @@ def amalgam_document() -> str:
     p = make_condition("omega", [c, u1, u2], [(c, u1), (c, u2)], complete=True)
     q = make_condition("omega", [c, u1, u2], [(c, u1)], complete=True)
     with pytest.raises(HypothesisViolationError) as err:
-        amalgamate_omega(p, q, p.points, flat_F(otree, otree.params.lambda_w, 12))
+        amalgamate_omega(p, q, p.points, flat_F(otree, otree.params.lambda_w, 12), otree)
     reports = {
         "level-sharing": separated_report(level_sharing_family(tree)),
         "order-mismatch": separated_report(order_mismatch_family(tree)),

@@ -1,9 +1,11 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scatterlab.amalgam import _interval_data
+from scatterlab.conditions import _marker_membership
 from scatterlab.intervals import (
     BudgetExceededError,
     DegenerateIntervalError,
@@ -14,7 +16,10 @@ from scatterlab.intervals import (
     TreeError,
     tree_axiom_report,
 )
-from scatterlab.ordinals import ZERO, Ordinal, from_int, parse
+from scatterlab.ordinals import ONE, ZERO, Ordinal, from_int, parse
+
+from .conftest import deep_ordinals, limit_ordinals, wall_clock
+from .oracles import full_interval_data, full_marker_membership, full_orbit, full_step
 
 
 def iv(lo: str, hi: str) -> Interval:
@@ -331,3 +336,87 @@ def test_n_of_stops_at_the_depth_cap_as_path_does():
         t.n_of(parse("w*3 + 20"))
     with pytest.raises(DepthCapError):
         t.path(parse("w*3 + 20"))
+
+
+def _outcome(ask, *args):
+    try:
+        return ask(*args)
+    except Exception as err:
+        return type(err), str(err)
+
+
+@st.composite
+def prefix_questions(draw):
+    """(params, questions) for the tree's prefix queries: orbits and root
+    memberships of any ordinal, steps from a node at an ordinal at or above
+    its start, and interval data of a limit-ended node.  The ordinals sit on
+    the nodes' markers, just above them, past them, past eta, or anywhere."""
+    kappa_w = draw(st.integers(2, 4))
+    params = Params(
+        draw(limit_ordinals()), kappa_w=kappa_w, lambda_w=kappa_w + 3,
+        e_budget=draw(st.integers(2, 20)),
+    )
+    full = IntervalTree(params)
+    nodes = [full.root] + full.children(full.root)
+    nodes += [kid for node in nodes[1:4] if not node.is_singleton for kid in full.children(node)]
+
+    def near(node):
+        return st.sampled_from(sorted({m + d for m in full.e_set(node) for d in (ZERO, ONE)}))
+
+    def ordinal(*pools):
+        return st.one_of(near(full.root), st.sampled_from([params.eta, params.eta + ONE]),
+                         deep_ordinals(), *pools)
+
+    def step(node):
+        return st.tuples(st.just("step"), st.just(node), ordinal(near(node)))
+
+    def interval(node):
+        levels = st.lists(ordinal(near(node)), max_size=4).map(lambda bs: tuple(sorted(set(bs))))
+        return st.tuples(st.just("interval"), st.just(node), levels)
+
+    kinds = [
+        st.tuples(st.just("orbit"), ordinal()),
+        st.tuples(st.just("member"), ordinal()),
+        st.sampled_from(nodes).flatmap(step),
+        st.sampled_from([n for n in nodes if n.hi.is_limit]).flatmap(interval),
+    ]
+    return params, draw(st.lists(st.one_of(kinds), min_size=1, max_size=8))
+
+
+def _ask(tree, question, oracle=False):
+    kind, *args = question
+    if kind == "orbit":
+        return _outcome(full_orbit if oracle else IntervalTree.orbit, tree, *args)
+    if kind == "member":
+        return _outcome(full_marker_membership if oracle else _marker_membership, tree, *args)
+    if kind == "step":
+        node, alpha = args
+        alpha = alpha if node.lo <= alpha else node.lo
+        return _outcome(full_step if oracle else IntervalTree._step, tree, node, alpha)
+    if oracle:
+        return _outcome(full_interval_data, tree, *args)
+    return _outcome(_interval_data, tree, *args, {})
+
+
+@settings(max_examples=200)
+@given(case=prefix_questions(), data=st.data())
+def test_prefix_queries_answer_like_the_full_marker_oracles(case, data):
+    params, questions = case
+    oracle = IntervalTree(params)
+    expected = [_ask(oracle, q, oracle=True) for q in questions]
+    assert [_ask(IntervalTree(params), q) for q in questions] == expected
+    warm = IntervalTree(params)
+    for i in data.draw(st.permutations(range(len(questions)))):
+        assert _ask(warm, questions[i]) == expected[i], questions[i]
+    for i in reversed(range(len(questions))):
+        assert _ask(warm, questions[i]) == expected[i], questions[i]
+
+
+def test_a_huge_budget_costs_only_the_markers_read():
+    t = make_tree("w^2", e_budget=10**6)
+    with wall_clock(5):
+        assert t.orbit(parse("w*3")) == tuple(parse(s) for s in ["0", "w", "w*2"])
+        assert t.j_and_J(parse("w*3"), parse("w*5")) == (0, iv("w*3", "w*4"))
+        for alpha in ("w^2", "w^w"):
+            with pytest.raises(BudgetExceededError, match="lies past the materialized"):
+                t.orbit(parse(alpha))
