@@ -48,9 +48,10 @@ class GenerationError(ValueError):
 class UnboundedFn:
     """Total symmetric table on unordered pairs below lambda_w.
 
-    Entries are indices into `eps`, the materialized marker list supplying
-    the actual ordinal values.  The order of `eps` is not enforced: a larger
-    index need not name a larger value, so code reading the table compares
+    Its one table, `_rows`, is dense and symmetric: `_rows[i][j]` is the
+    index into `eps`, the materialized marker list, of F(i, j), and the
+    diagonal is None.  The order of `eps` is not enforced: a larger index
+    need not name a larger value, so code reading the table compares
     values, not indices.  Instances are immutable after construction.
     """
 
@@ -66,29 +67,32 @@ class UnboundedFn:
             raise FamilyError("no materialized marker values")
         self.lambda_w = lambda_w
         self.eps = tuple(eps)
-        table: Dict[FrozenSet[int], int] = {}
+        rows: List[List[Optional[int]]] = [[None] * lambda_w for _ in range(lambda_w)]
+        filled = 0
         for key, idx in entries.items():
             pair = frozenset(key)
             if len(pair) != 2 or not all(0 <= i < lambda_w for i in pair):
                 raise FamilyError(f"bad pair {set(key)}")
             if not 0 <= idx < len(self.eps):
                 raise FamilyError(f"marker index {idx} out of range for pair {set(key)}")
-            if table.setdefault(pair, idx) != idx:
+            i, j = pair
+            if rows[i][j] not in (None, idx):
                 raise FamilyError(f"conflicting entries for pair {set(key)}")
+            filled += rows[i][j] is None
+            rows[i][j] = rows[j][i] = idx
         expected = lambda_w * (lambda_w - 1) // 2
-        if len(table) != expected:
-            raise FamilyError(f"table has {len(table)} pairs, needs {expected}")
-        self._table = table
+        if filled != expected:
+            raise FamilyError(f"table has {filled} pairs, needs {expected}")
+        # tuple() of an iterator resizes a guessed tuple, and the resized ones pile
+        # up on CPython's tuple free lists; from a list it allocates exactly
+        self._rows = tuple([tuple(row) for row in rows])
 
     def index(self, i: int, j: int) -> int:
         if i == j:
             raise FamilyError(f"pair requires distinct indices, got {i},{j}")
-        try:
-            return self._table[frozenset((i, j))]
-        except KeyError:
-            raise FamilyError(
-                f"pair {i},{j} is outside the table's {self.lambda_w} columns"
-            ) from None
+        if i in range(self.lambda_w) and j in range(self.lambda_w):
+            return self._rows[i][j]
+        raise FamilyError(f"pair {i},{j} is outside the table's {self.lambda_w} columns")
 
     def value(self, i: int, j: int) -> Ordinal:
         return self.eps[self.index(i, j)]
@@ -99,11 +103,7 @@ class UnboundedFn:
     def __eq__(self, other) -> bool:
         if not isinstance(other, UnboundedFn):
             return NotImplemented
-        return (
-            self.lambda_w == other.lambda_w
-            and self.eps == other.eps
-            and self._table == other._table
-        )
+        return self.eps == other.eps and self._rows == other._rows
 
 
 @dataclass(frozen=True)
@@ -153,7 +153,7 @@ def star_verify(
     is deterministic.  A False outcome means the whole family was swept
     with no qualifying pair.
     """
-    members = _check_family(F, [frozenset(a) for a in family], max_size)
+    members = _check_family(F, family, max_size)
     checked = 0
     for a, b in combinations(members, 2):
         checked += 1
@@ -172,23 +172,18 @@ def family_count(lambda_w: int, m: int, nu: int) -> int:
     return total // math.factorial(m)
 
 
-def _families(lambda_w: int, m: int, nu: int):
-    """Canonical enumeration: families as lex-increasing tuples of sorted
-    nu-subsets."""
-    subsets = list(combinations(range(lambda_w), nu))
-
-    def extend(prefix: List[Tuple[int, ...]], used: set, start: int):
-        if len(prefix) == m:
-            yield tuple(frozenset(s) for s in prefix)
-            return
-        for idx in range(start, len(subsets)):
-            s = subsets[idx]
-            if used.isdisjoint(s):
-                prefix.append(s)
-                yield from extend(prefix, used | set(s), idx + 1)
-                prefix.pop()
-
-    yield from extend([], set(), 0)
+def _families(left: Sequence[int], m: int, nu: int):
+    """Canonical enumeration (see `star_search`) of the families of m
+    disjoint nu-subsets of `left`, an increasing index sequence.  Each member
+    after the first is drawn from the indices left above the previous one's
+    first index: disjoint members compare by their first index."""
+    for member in combinations(left, nu):
+        if m == 1:
+            yield (member,)
+            continue
+        rest = [k for k in left if k > member[0] and k not in member]
+        for tail in _families(rest, m - 1, nu):
+            yield (member,) + tail
 
 
 def star_search(
@@ -203,9 +198,11 @@ def star_search(
     threshold.
 
     Returns a certificate (every instance had a witness pair) or the first
-    failing instance in canonical order; `instances` counts the (family,
-    threshold) pairs checked, up to and including that failure.  Instances
-    whose family count exceeds family_cap are refused unless force is set.
+    failing instance in canonical order: families lexicographic over their
+    tuples of sorted nu-tuple members, members increasing, then thresholds
+    as given.  `instances` counts the (family, threshold) pairs checked, up
+    to and including that failure.  Instances whose family count exceeds
+    family_cap are refused unless force is set.
     """
     if m < 2:
         raise FamilyError("family size m must be at least 2")
@@ -219,18 +216,16 @@ def star_search(
     # star_verify(F, gamma, family) holds iff the family's bottleneck, the
     # best over member pairs of the smallest cross value, is above gamma.
     # Families from _families are disjoint, so no _check_family is needed.
-    lam = F.lambda_w
-    value = [[None] * lam for _ in range(lam)]
-    for i, j in F.pairs():
-        value[i][j] = value[j][i] = F.value(i, j)
+    eps, rows = F.eps, F._rows
     instances = 0
-    for family in _families(lam, m, nu):
+    for family in _families(range(F.lambda_w), m, nu):
         neck = max(
-            min(value[i][j] for i in a for j in b) for a, b in combinations(family, 2)
+            min(eps[rows[i][j]] for i in a for j in b) for a, b in combinations(family, 2)
         )
         for position, gamma in enumerate(gammas):
             if not neck > gamma:
-                return SearchResult(False, instances + position + 1, (family, gamma))
+                found = (tuple(map(frozenset, family)), gamma)
+                return SearchResult(False, instances + position + 1, found)
         instances += len(gammas)
     return SearchResult(True, instances, None)
 

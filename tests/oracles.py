@@ -379,17 +379,12 @@ def naive_deficient(cond, base_keys, tree):
 # membership of its output here is the completeness/soundness check.
 
 
-def naive_eta_search(pp, qq, pairing, stamps, tree, max_fresh=3):
-    import itertools as it
-
-    from scatterlab.conditions import Point, leq, make_condition, point_key, validate
+def _naive_eta_start(pp, qq):
+    """The union's cross order from root interpolants, and the members'
+    meets keyed by unordered pair."""
+    from scatterlab.conditions import point_key
 
     root = pp.points & qq.points
-    mirror = {}
-    for s in pp.points:
-        mirror[s] = pairing[s]
-        mirror[pairing[s]] = s
-
     rel0 = set(pp.strict) | set(qq.strict)
     for s in sorted(pp.points - root, key=point_key):
         for t in sorted(qq.points - root, key=point_key):
@@ -400,10 +395,37 @@ def naive_eta_search(pp, qq, pairing, stamps, tree, max_fresh=3):
     meets0 = {}
     for (a, b), v in list(pp.meets) + list(qq.meets):
         meets0[frozenset((a, b))] = v
+    return rel0, meets0
+
+
+def _naive_eta_build(points, rel, meets0):
+    from scatterlab.conditions import make_condition, point_key
+
+    table = {tuple(sorted(k, key=point_key)): v for k, v in meets0.items()}
+    return make_condition("kappa", points, rel, table, complete=True)
+
+
+def naive_eta_base(pp, qq):
+    """The condition the grid amalgam search starts from: the union of the
+    members with the root-interpolant cross order, completed."""
+    rel0, meets0 = _naive_eta_start(pp, qq)
+    return _naive_eta_build(pp.points | qq.points, rel0, meets0)
+
+
+def naive_eta_search(pp, qq, pairing, stamps, tree, max_fresh=3):
+    import itertools as it
+
+    from scatterlab.conditions import Point, leq, validate
+
+    mirror = {}
+    for s in pp.points:
+        mirror[s] = pairing[s]
+        mirror[pairing[s]] = s
+
+    rel0, meets0 = _naive_eta_start(pp, qq)
 
     def build(points, rel):
-        table = {tuple(sorted(k, key=point_key)): v for k, v in meets0.items()}
-        return make_condition("kappa", points, rel, table, complete=True)
+        return _naive_eta_build(points, rel, meets0)
 
     def orbit(level):
         return set(tree.orbit(level))

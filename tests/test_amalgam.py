@@ -22,6 +22,7 @@ from .corpus import (
 )
 from .oracles import (
     naive_deficient,
+    naive_eta_base,
     naive_eta_search,
     naive_r2_report,
     naive_separated_report,
@@ -572,6 +573,175 @@ def test_eta_matches_exhaustive_oracle(ktree):
         assert any(res.condition == c for c in successes)
         agreements += 1
     assert agreements >= 30
+
+
+# --- eta search branches ---------------------------------------------------------
+# Each instance below steers the search into one branch: a cut-off, a skipped
+# candidate level, or a leaf refused after placement.  The seeded inputs reach
+# the first two kinds through hand-built stamps; the leaf refusals need
+# members whose pairing keeps levels and columns but not the order.
+
+
+def restamped(stamps, window=None, gamma=None):
+    """`stamps` with every marker window replaced by `window`, or its bound
+    by `gamma`."""
+    d_of = stamps.d_of if window is None else {iv: tuple(window) for iv in stamps.d_of}
+    return EquivalenceStamp(
+        stamps.tags, stamps.intervals, stamps.xi_of, stamps.gamma_of, d_of,
+        stamps.gamma if gamma is None else gamma, stamps.root_levels,
+    )
+
+
+def flat_stamps(points, window, gamma):
+    """One tag over every point, whose fresh-point window is `window`."""
+    iv = Interval(parse("0"), parse("w^2"))
+    return EquivalenceStamp(
+        {x: iv for x in points}, (iv,), {iv: 0}, {iv: gamma}, {iv: tuple(window)}, gamma, ()
+    )
+
+
+def eta_against_oracle(pp, qq, pairing, stamps, tree, max_fresh=3):
+    """`amalgamate_eta`'s answer, checked against `naive_eta_search`: a result
+    is one of the oracle's successes; exhaustion needs the oracle to have
+    none, and a named constraint is the first pair its partial must fix."""
+    successes = naive_eta_search(pp, qq, pairing, stamps, tree, max_fresh=max_fresh)
+    try:
+        res = amalgamate_eta(pp, qq, pairing, stamps, tree, max_fresh=max_fresh)
+    except SearchExhaustedError as err:
+        assert successes == []
+        if err.partial is not None:
+            keys = {frozenset(k) for k in pp.meet_table() | qq.meet_table()}
+            assert err.constraint == naive_deficient(err.partial, keys, tree)[0]
+        return err
+    assert any(res.condition == c for c in successes)
+    return res
+
+
+NEEDS_FRESH = (0, 1, 3)  # seeds whose amalgam places one fresh point at w*3
+
+
+def test_eta_max_fresh_zero_blocks_the_first_deficient_pair(ktree):
+    for seed in NEEDS_FRESH:
+        _, _, pp, qq, _, _, pairing, stamps, _ = eta_inputs(ktree, seed)
+        err = eta_against_oracle(pp, qq, pairing, stamps, ktree, max_fresh=0)
+        assert isinstance(err, SearchExhaustedError)
+        assert err.partial == naive_eta_base(pp, qq)
+        assert err.constraint is not None
+
+
+def test_eta_skips_window_levels_not_above_every_lower_bound(ktree):
+    # the root points sit at w and w*2 below the blocked pair, so the search
+    # passes over both levels and places at w*3 as the true windows do
+    eps = ktree.root_eps()
+    for seed in NEEDS_FRESH:
+        _, _, pp, qq, _, _, pairing, stamps, _ = eta_inputs(ktree, seed)
+        low = restamped(stamps, window=eps[1:4])
+        res = eta_against_oracle(pp, qq, pairing, low, ktree)
+        assert res.fresh_points == (Point(eps[3], 0),)
+
+
+def test_eta_skips_window_levels_outside_the_corner_orbits(ktree):
+    # w*10 and w*11 lie above a corner, so nothing is placed at all
+    eps = ktree.root_eps()
+    for seed in NEEDS_FRESH:
+        _, _, pp, qq, _, _, pairing, stamps, _ = eta_inputs(ktree, seed)
+        high = restamped(stamps, window=eps[10:12])
+        err = eta_against_oracle(pp, qq, pairing, high, ktree)
+        assert isinstance(err, SearchExhaustedError)
+        assert err.partial == naive_eta_base(pp, qq)
+
+
+def test_eta_refuses_leaves_with_a_fresh_level_at_gamma(ktree):
+    eps = ktree.root_eps()
+    for seed in NEEDS_FRESH:
+        _, _, pp, qq, _, _, pairing, stamps, _ = eta_inputs(ktree, seed)
+        res = amalgamate_eta(pp, qq, pairing, stamps, ktree)
+        assert res.fresh_points == (Point(eps[3], 0),)
+        err = eta_against_oracle(pp, qq, pairing, restamped(stamps, gamma=eps[3]), ktree)
+        assert isinstance(err, SearchExhaustedError)
+
+
+def test_eta_skips_a_full_level(ktree):
+    # pp fills all kappa_w = 3 columns of w*4, its image fills w*3; the pair
+    # (a, b) over the two incomparable roots needs a fresh point
+    eps = ktree.root_eps()
+    u1, u2, a, b = Point(eps[1], 0), Point(eps[2], 0), Point(eps[6], 0), Point(eps[7], 0)
+    cs = [Point(eps[4], k) for k in range(3)]
+    ds = [Point(eps[3], k) for k in range(3)]
+    pp = make_condition("kappa", [u1, u2, a, *cs], [(u1, a), (u2, a)], complete=True)
+    qq = make_condition("kappa", [u1, u2, b, *ds], [(u1, b), (u2, b)], complete=True)
+    pairing = {u1: u1, u2: u2, a: b, **dict(zip(cs, ds))}
+    points, gamma = pp.points | qq.points, eps[13]
+    res = eta_against_oracle(pp, qq, pairing, flat_stamps(points, eps[4:6], gamma), ktree)
+    assert res.fresh_points == (Point(eps[5], 0),)
+    err = eta_against_oracle(pp, qq, pairing, flat_stamps(points, eps[4:5], gamma), ktree)
+    assert isinstance(err, SearchExhaustedError)
+    assert err.partial == naive_eta_base(pp, qq)
+    assert err.constraint == (a, b)
+
+
+def test_eta_refuses_a_leaf_that_fails_validation(ktree):
+    # the pairing maps a1, above both roots, to the isolated b1; the one
+    # placement under (a1, b2) and its mirror puts both roots below b1, whose
+    # recorded meets with them stay empty
+    eps = ktree.root_eps()
+    u1, u2 = Point(eps[1], 0), Point(eps[2], 0)
+    a1, a2, b1, b2 = (Point(eps[k], 0) for k in (6, 11, 5, 12))
+    pp = make_condition("kappa", [u1, u2, a1, a2], [(u1, a1), (u2, a1)], complete=True)
+    qq = make_condition("kappa", [u1, u2, b1, b2], [(u1, b2), (u2, b2)], complete=True)
+    pairing = {u1: u1, u2: u2, a1: b1, a2: b2}
+    stamps = flat_stamps(pp.points | qq.points, eps[3:4], eps[5])
+    err = eta_against_oracle(pp, qq, pairing, stamps, ktree)
+    assert isinstance(err, SearchExhaustedError)
+    base, v = naive_eta_base(pp, qq), Point(eps[3], 0)
+    rel = set(base.strict) | {(u1, v), (u2, v)} | {(v, c) for c in (a1, a2, b1, b2)}
+    meets = pp.meet_table() | qq.meet_table()
+    leaf = make_condition("kappa", base.points | {v}, rel, meets, complete=True)
+    assert "meet-axiom" in {found.clause for found in validate(leaf, ktree)}
+
+
+def r2_instance(ktree):
+    """Members whose pairing sends x, below the root u, to y, below u and
+    alone under b; (a, b) is deficient over r and y.  Returns pp, qq, the
+    pairing, and the one leaf the search builds: v at w*4 under a and b."""
+    eps = ktree.root_eps()
+    r, u, x, a, y, b = (Point(eps[k], c) for k, c in ((3, 0), (5, 1), (2, 0), (8, 2), (1, 0), (6, 2)))
+    pp = make_condition("kappa", [r, u, x, a], [(x, u), (x, a), (r, a), (u, a)], complete=True)
+    qq = make_condition("kappa", [r, u, y, b], [(r, b), (y, u), (y, b)], complete=True)
+    base, v = naive_eta_base(pp, qq), Point(eps[4], 0)
+    rel = set(base.strict) | {(r, v), (y, v), (v, a), (v, b)}
+    meets = pp.meet_table() | qq.meet_table()
+    leaf = make_condition("kappa", base.points | {v}, rel, meets, complete=True)
+    return pp, qq, {r: r, u: u, x: y, a: b}, leaf
+
+
+def test_eta_refuses_a_leaf_that_breaks_the_cross_structure(ktree):
+    pp, qq, pairing, leaf = r2_instance(ktree)
+    stamps = flat_stamps(pp.points | qq.points, [ktree.root_eps()[4]], ktree.root_eps()[13])
+    err = eta_against_oracle(pp, qq, pairing, stamps, ktree)
+    assert isinstance(err, SearchExhaustedError)
+    assert validate(leaf, ktree) == []
+    assert r2_report(leaf, pp, qq, mirror_of(pp, pairing))
+
+
+def test_r2_report_names_mirror_down_root_passage_and_cross_order(ktree):
+    pp, qq, pairing, leaf = r2_instance(ktree)
+    mirror = mirror_of(pp, pairing)
+    eps = ktree.root_eps()
+    x, y, v = Point(eps[2], 0), Point(eps[1], 0), Point(eps[4], 0)
+    assert r2_report(leaf, pp, qq, mirror) == [
+        f"mirror-down: ({x}, {v}) breaks the pairing",
+        f"root-passage: {y} reaches {v} off the root",
+    ]
+    # x lies under the root u, which does not lie under b in qq
+    b = Point(eps[6], 2)
+    base = naive_eta_base(pp, qq)
+    crossed = make_condition("kappa", base.points, set(base.strict) | {(x, b)}, dict(base.meets))
+    assert r2_report(crossed, pp, qq, mirror) == [
+        f"cross-order: ({x}, {b}) disagrees with interpolants",
+    ]
+    for r in (leaf, crossed):
+        assert r2_report(r, pp, qq, mirror) == naive_r2_report(r, pp, qq, mirror)
 
 
 def test_r2_report_flags_broken_mirror(ktree):

@@ -2,6 +2,7 @@
 
 import random
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -277,6 +278,27 @@ def test_amalgamate_needs_f(kappa_doc, tmp_path, capsys):
     code, _, err = run(capsys, "amalgamate", str(a), str(b))
     assert code == 1
     assert err == "the omega route needs --f\n"
+
+
+def test_amalgamate_refuses_documents_with_different_params(kappa_doc, tmp_path, capsys):
+    a, b, f, zn, zm = kappa_doc
+    q, params = condition_from_text(b.read_text())
+    wider = tmp_path / "wider.txt"
+    wider.write_text(condition_to_text(q, replace(params, lambda_w=params.lambda_w + 1)))
+    code, out, err = run(capsys, "amalgamate", str(a), str(wider), "--f", str(f),
+                         "--zeta-first", str(zn), "--zeta-second", str(zm))
+    assert (code, out, err) == (1, "", "conditions carry different parameters\n")
+
+
+def test_amalgamate_refuses_documents_with_different_dialects(kappa_doc, tmp_path, capsys):
+    a, _, f, zn, zm = kappa_doc
+    _, params = condition_from_text(a.read_text())
+    p, _, _, _ = omega_instance(omega_tree(), random.Random(5))
+    omega = tmp_path / "omega.txt"
+    omega.write_text(condition_to_text(p, params))
+    code, out, err = run(capsys, "amalgamate", str(a), str(omega), "--f", str(f),
+                         "--zeta-first", str(zn), "--zeta-second", str(zm))
+    assert (code, out, err) == (1, "", "conditions carry different dialects\n")
 
 
 # --- simulate ----------------------------------------------------------------------

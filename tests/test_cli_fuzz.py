@@ -12,7 +12,9 @@ Two edge draws are left out because nothing in the program bounds them
 and the work they ask for is real.  An e_budget of 10^6, by flag or by
 environment, is left out for the commands that still materialize every
 root marker: `tree`, `unbounded`, `simulate` and `pipeline`.  `orbit`
-draws it, since a tree query materializes only the markers it reads.
+draws it, since a tree query materializes only the markers it reads; the
+derandomized draw never reaches it, so two pinned examples run it, by
+flag and by environment.
 And `pipeline --count 1000000` runs a million instances.
 """
 
@@ -23,7 +25,7 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scatterlab.cli import main
@@ -130,6 +132,8 @@ def cases(draw):
 
 @settings(max_examples=400, derandomize=True)
 @given(case=cases())
+@example(case=(["orbit", "w*3", "--e-budget", str(BIG)], {}))
+@example(case=(["orbit", "w*3"], {"SCATTERLAB_E_BUDGET": str(BIG)}))
 def test_main_answers_every_vector_with_an_exit_status(kappa_doc, case):
     argv, env = case
     a, b, f, zn, zm = kappa_doc

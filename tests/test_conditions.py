@@ -1,4 +1,5 @@
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
@@ -63,6 +64,17 @@ def test_empty_condition_ok(tree):
 def test_point_ordering():
     a, b, c = pt("w", 0), pt("w", 1), pt("TOP", 0)
     assert sorted([c, b, a], key=point_key) == [a, b, c]
+
+
+def test_point_fields_cannot_be_set_or_deleted():
+    a = pt("w", 1)
+    with pytest.raises(FrozenInstanceError, match="cannot assign to field 'xi'"):
+        a.xi = 2
+    with pytest.raises(FrozenInstanceError, match="cannot assign to field 'tag'"):
+        a.tag = 0
+    with pytest.raises(FrozenInstanceError, match="cannot delete field 'level'"):
+        del a.level
+    assert a == pt("w", 1) and hash(a) == hash(pt("w", 1))
 
 
 def test_make_condition_closure_and_cycles():

@@ -20,6 +20,7 @@ from scatterlab.unbounded import (
     star_verify,
 )
 
+from .conftest import wall_clock
 from .corpus import damaged_tables
 from .oracles import naive_f_generate_greedy, naive_star_search, naive_star_search_by_verify
 
@@ -115,6 +116,17 @@ def test_star_search_counterexample(eps):
     result = star_search(F, 2, 1, [eps[1]])
     assert not result.ok
     assert result.counterexample == ((frozenset({0}), frozenset({1})), eps[1])
+
+
+@pytest.mark.parametrize("m, nu", [(4, 3), (3, 4)])
+def test_star_search_sweep_costs_its_families_not_their_tuples(eps, m, nu):
+    # a certificate visits every family; lambda 12 holds 15,400 families of
+    # four disjoint 3-subsets among C(220, 4), about 96M 4-tuples of
+    # 3-subsets, so a sweep that filters those tuples cannot finish in time
+    F = constant(12, eps, len(eps) - 1)
+    with wall_clock(5):
+        result = star_search(F, m, nu, [eps[1], eps[2]])
+    assert result == unbounded.SearchResult(True, family_count(12, m, nu) * 2, None)
 
 
 def test_star_search_guards(eps):
