@@ -67,22 +67,22 @@ class UnboundedFn:
             raise FamilyError("no materialized marker values")
         self.lambda_w = lambda_w
         self.eps = tuple(eps)
-        rows: List[List[Optional[int]]] = [[None] * lambda_w for _ in range(lambda_w)]
-        filled = 0
+        # a table too short for its lambda_w is refused before the rows are allocated
+        table: Dict[FrozenSet[int], int] = {}
         for key, idx in entries.items():
             pair = frozenset(key)
             if len(pair) != 2 or not all(0 <= i < lambda_w for i in pair):
                 raise FamilyError(f"bad pair {set(key)}")
             if not 0 <= idx < len(self.eps):
                 raise FamilyError(f"marker index {idx} out of range for pair {set(key)}")
-            i, j = pair
-            if rows[i][j] not in (None, idx):
+            if table.setdefault(pair, idx) != idx:
                 raise FamilyError(f"conflicting entries for pair {set(key)}")
-            filled += rows[i][j] is None
-            rows[i][j] = rows[j][i] = idx
         expected = lambda_w * (lambda_w - 1) // 2
-        if filled != expected:
-            raise FamilyError(f"table has {filled} pairs, needs {expected}")
+        if len(table) != expected:
+            raise FamilyError(f"table has {len(table)} pairs, needs {expected}")
+        rows: List[List[Optional[int]]] = [[None] * lambda_w for _ in range(lambda_w)]
+        for (i, j), idx in table.items():
+            rows[i][j] = rows[j][i] = idx
         # tuple() of an iterator resizes a guessed tuple, and the resized ones pile
         # up on CPython's tuple free lists; from a list it allocates exactly
         self._rows = tuple([tuple(row) for row in rows])

@@ -123,6 +123,20 @@ def test_gen_probe_past_the_family_cap_is_a_clean_error(tmp_path, capsys):
     assert not table.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["search", "--m", "2", "--nu", "2", "--gammas", "1"],
+    ["verify", "--gamma", "3", "--family", "0,1;2,3"],
+])
+def test_table_too_short_for_its_width_is_refused_before_allocating(argv, tmp_path, capsys):
+    # a dense million-wide table would need about 10^12 slots
+    table = tmp_path / "F.txt"
+    table.write_text("# scatterlab-fmt 1 unbounded\nlambda_w 1000000\n")
+    with wall_clock(5):
+        code, _, err = run(capsys, "unbounded", argv[0], str(table), *argv[1:])
+    assert code == 2
+    assert err == "error: FamilyError: table has 0 pairs, needs 499999500000\n"
+
+
 # --- validate / extend -------------------------------------------------------------
 
 
