@@ -727,8 +727,11 @@ def amalgamate_eta(
     pairs whose common lower bounds lack a unique, orbit-compatible
     maximum receive one fresh point placed at the least admissible
     marker level from the stamp windows; placement backtracks on any
-    downstream validation failure and raises SearchExhaustedError with
-    the blocking pair when no placement survives.
+    downstream validation failure.  When no placement survives it raises
+    SearchExhaustedError with the first blocked partial condition and its
+    deficient pair (no admissible placement, or `max_fresh` reached) as
+    `partial` and `constraint`; when nothing was blocked, because every
+    leaf reached was refused, both are None.
     """
     if pp.dialect != "kappa" or qq.dialect != "kappa":
         raise HypothesisViolationError("grid amalgamation expects the kappa dialect")

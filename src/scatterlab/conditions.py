@@ -805,20 +805,27 @@ def parse_level(token: str) -> Level:
 
 def poset_block(p: Poset) -> List[str]:
     """The points, order and meets sections of a condition or poset
-    document: points by `point_key`, then every pair by point index."""
+    document: points by `point_key`, then every pair by point index.  A
+    meet row's tail is written once per distinct meet value."""
     core = p.core()
-    index = core.index
-    lines = [f"points {len(core.pts)}"]
-    lines.extend(f"{i} {level_token(x.level)} {x.xi}" for i, x in enumerate(core.pts))
+    pts, index = core.pts, core.index
+    tokens = {level: level_token(level) for level in core.levels}
+    lines = [f"points {len(pts)}"]
+    lines.extend(f"{i} {tokens[x.level]} {x.xi}" for i, x in enumerate(pts))
     order = list(core.strict_pairs())
     lines.append(f"order {len(order)}")
     lines.extend(f"{i} {j}" for i, j in order)
-    meets = p.meets
-    lines.append(f"meets {len(meets)}")
-    for (s, t), value in meets:
-        ids = " ".join(str(k) for k in sorted(index[v] for v in value))
-        lines.append(f"{index[s]} {index[t]} : {ids}".rstrip())
-    return lines
+    table, tails, rows = p.meet_table(), {}, []
+    for i, j in itertools.combinations(range(len(pts)), 2):
+        value = table.get((pts[i], pts[j]))
+        if value is None:
+            continue
+        tail = tails.get(value)
+        if tail is None:
+            tail = tails[value] = "".join(f" {k}" for k in sorted(index[v] for v in value))
+        rows.append(f"{i} {j} :{tail}")
+    lines.append(f"meets {len(rows)}")
+    return lines + rows
 
 
 def read_poset_block(lines: List[str], at: int, error):

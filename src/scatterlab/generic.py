@@ -147,9 +147,11 @@ class FinitePoset(Poset):
     `meet` returns None for a pair with no entry.  Takes normalized parts:
     the points and strict pairs as frozensets, and the meet map keyed by
     canonical pairs of distinct points, as `poset_from_text` builds them;
-    it may leave pairs out."""
+    it may leave pairs out.  Immutable after construction: the order index
+    and the core verdict (slot `_verdict`, read by `sposet_check` and
+    `cardinal_profile`) are kept from first use, outside `_fields()`."""
 
-    __slots__ = ("targeted", "provenance")
+    __slots__ = ("targeted", "provenance", "_verdict")
 
     def __init__(
         self, dialect, points, strict, meets, targeted=(), provenance=(), core=None
@@ -163,6 +165,61 @@ class FinitePoset(Poset):
 
     def sub_top_levels(self) -> List[Ordinal]:
         return sorted(level for level in self.core().levels if level is not TOP)
+
+    def _core_verdict(self) -> Tuple[Tuple[str, ...], Tuple[str, ...], Tuple[str, ...]]:
+        """The partition, level-order and meet-witness findings, judged once."""
+        if not hasattr(self, "_verdict"):
+            self._verdict = self._judge()
+        return self._verdict
+
+    def _judge(self) -> Tuple[Tuple[str, ...], Tuple[str, ...], Tuple[str, ...]]:
+        partition, level_order, meet_witness = [], [], []
+        core = self.core()
+        pts, index, up = core.pts, core.index, core.up
+
+        # points are equal exactly when they share a grid slot, so no slot repeats
+        for x in pts:
+            if x.xi < 0:
+                partition.append(f"negative column: {x}")
+        # findings follow the iteration order of the strict set itself
+        ids = [(index[s], index[t]) for s, t in self.strict]
+        for i, j in ids:
+            if i == j:
+                partition.append(f"reflexive strict pair: {pts[i]}")
+            if up[j] >> i & 1:
+                partition.append(f"two-cycle: {pts[i]} / {pts[j]}")
+        for i, j in ids:
+            missed = up[j] & ~up[i]
+            if missed:
+                for u in self.points:
+                    if missed >> index[u] & 1:
+                        partition.append(f"not transitive: {pts[i]} < {pts[j]} < {u}")
+
+        for i, j in core.strict_pairs():
+            if not level_lt(pts[i].level, pts[j].level):
+                level_order.append(f"order does not climb levels: {pts[i]} < {pts[j]}")
+
+        below, table = core.below(), self.meet_table()
+        for i, s in enumerate(pts):
+            for j in range(i + 1, len(pts)):
+                t = pts[j]
+                value = table.get((s, t))
+                if value is None:
+                    meet_witness.append(f"no recorded meet for {s}, {t}")
+                    continue
+                common = below[i] & below[j]
+                covered = 0
+                for v in value:
+                    k = index.get(v)
+                    if k is None or not common >> k & 1:
+                        meet_witness.append(f"meet point {v} of {s}, {t} is not below both")
+                    if k is not None:
+                        covered |= below[k]
+                missed = common ^ covered
+                if missed:
+                    u = pts[(missed & -missed).bit_length() - 1]
+                    meet_witness.append(f"meet axiom fails at {u} for pair {s}, {t}")
+        return tuple(partition), tuple(level_order), tuple(meet_witness)
 
     def __repr__(self):
         return (
@@ -307,68 +364,16 @@ class SposetReport:
 
 
 def sposet_check(T: FinitePoset, budget: int) -> SposetReport:
-    partition: List[str] = []
-    level_order: List[str] = []
-    meet_witness: List[str] = []
+    """The core verdict that `T` keeps in its `_verdict` slot, judged on
+    first use (a FinitePoset is immutable after construction), with the
+    density rows of this budget added."""
     core = T.core()
-    pts, index, up, down = core.pts, core.index, core.up, core.down
-
-    # points are equal exactly when they share a grid slot, so no slot repeats
-    for x in pts:
-        if x.xi < 0:
-            partition.append(f"negative column: {x}")
-    # findings follow the iteration order of the strict set itself
-    ids = [(index[s], index[t]) for s, t in T.strict]
-    for i, j in ids:
-        if i == j:
-            partition.append(f"reflexive strict pair: {pts[i]}")
-        if up[j] >> i & 1:
-            partition.append(f"two-cycle: {pts[i]} / {pts[j]}")
-    for i, j in ids:
-        missed = up[j] & ~up[i]
-        if missed:
-            for u in T.points:
-                if missed >> index[u] & 1:
-                    partition.append(f"not transitive: {pts[i]} < {pts[j]} < {u}")
-
-    for i, j in core.strict_pairs():
-        if not level_lt(pts[i].level, pts[j].level):
-            level_order.append(f"order does not climb levels: {pts[i]} < {pts[j]}")
-
-    below, table = core.below(), T.meet_table()
-    for i, s in enumerate(pts):
-        for j in range(i + 1, len(pts)):
-            t = pts[j]
-            value = table.get((s, t))
-            if value is None:
-                meet_witness.append(f"no recorded meet for {s}, {t}")
-                continue
-            common = below[i] & below[j]
-            covered = 0
-            for v in value:
-                k = index.get(v)
-                if k is None or not common >> k & 1:
-                    meet_witness.append(f"meet point {v} of {s}, {t} is not below both")
-                if k is not None:
-                    covered |= below[k]
-            missed = common ^ covered
-            if missed:
-                u = pts[(missed & -missed).bit_length() - 1]
-                meet_witness.append(f"meet axiom fails at {u} for pair {s}, {t}")
-
     density: List[Tuple[Level, Point, int]] = []
     for level, tgt in dict.fromkeys(T.targeted):
-        k = index.get(tgt)
-        count = 0 if k is None else (core.levels.get(level, 0) & down[k]).bit_count()
+        k = core.index.get(tgt)
+        count = 0 if k is None else (core.levels.get(level, 0) & core.down[k]).bit_count()
         density.append((level, tgt, count))
-
-    return SposetReport(
-        tuple(partition),
-        tuple(level_order),
-        tuple(meet_witness),
-        tuple(density),
-        budget,
-    )
+    return SposetReport(*T._core_verdict(), tuple(density), budget)
 
 
 # --- bone levels -----------------------------------------------------------------
@@ -481,13 +486,13 @@ def cardinal_profile(T: FinitePoset) -> CardinalProfile:
     """Point counts per materialized level, the top level kept separate.
 
     Refuses when any core clause fails (partition, level-order or
-    meet-witness): the levels of such a poset do not track anything."""
-    report = sposet_check(T, 0)
-    if not report.core_ok:
-        raise GenericError(
-            "profile refused: "
-            + "; ".join(report.partition + report.level_order + report.meet_witness)
-        )
+    meet-witness): the levels of such a poset do not track anything.  Reads
+    the core verdict that `T` keeps in its `_verdict` slot (a FinitePoset
+    is immutable after construction), so it judges `T` only when no
+    `sposet_check` has."""
+    findings = sum(T._core_verdict(), ())
+    if findings:
+        raise GenericError("profile refused: " + "; ".join(findings))
     widths = tuple(
         (level, len(T.points_at(level))) for level in T.sub_top_levels()
     )

@@ -728,6 +728,26 @@ def naive_sposet_check(T, budget):
     )
 
 
+def naive_poset_block(p):
+    """`conditions.poset_block` as it read before row tails were shared:
+    each meet row formats its own indices, listed from `p.meets`."""
+    from scatterlab.conditions import level_token
+
+    core = p.core()
+    index = core.index
+    lines = [f"points {len(core.pts)}"]
+    lines.extend(f"{i} {level_token(x.level)} {x.xi}" for i, x in enumerate(core.pts))
+    order = list(core.strict_pairs())
+    lines.append(f"order {len(order)}")
+    lines.extend(f"{i} {j}" for i, j in order)
+    meets = p.meets
+    lines.append(f"meets {len(meets)}")
+    for (s, t), value in meets:
+        ids = " ".join(str(k) for k in sorted(index[v] for v in value))
+        lines.append(f"{index[s]} {index[t]} : {ids}".rstrip())
+    return lines
+
+
 def naive_skeleton_check(T, levels):
     """`generic.skeleton_check` by point-pair membership tests, no masks."""
     from scatterlab.conditions import point_key

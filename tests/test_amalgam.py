@@ -680,10 +680,11 @@ def test_eta_skips_a_full_level(ktree):
     assert err.constraint == (a, b)
 
 
-def test_eta_refuses_a_leaf_that_fails_validation(ktree):
-    # the pairing maps a1, above both roots, to the isolated b1; the one
-    # placement under (a1, b2) and its mirror puts both roots below b1, whose
-    # recorded meets with them stay empty
+def validation_instance(ktree):
+    """Members whose pairing maps a1, above both roots, to the isolated b1;
+    the one placement under (a1, b2) and its mirror puts both roots below
+    b1, whose recorded meets with them stay empty.  Returns pp, qq, the
+    pairing, the stamps, and that one leaf: v at w*3."""
     eps = ktree.root_eps()
     u1, u2 = Point(eps[1], 0), Point(eps[2], 0)
     a1, a2, b1, b2 = (Point(eps[k], 0) for k in (6, 11, 5, 12))
@@ -691,12 +692,17 @@ def test_eta_refuses_a_leaf_that_fails_validation(ktree):
     qq = make_condition("kappa", [u1, u2, b1, b2], [(u1, b2), (u2, b2)], complete=True)
     pairing = {u1: u1, u2: u2, a1: b1, a2: b2}
     stamps = flat_stamps(pp.points | qq.points, eps[3:4], eps[5])
-    err = eta_against_oracle(pp, qq, pairing, stamps, ktree)
-    assert isinstance(err, SearchExhaustedError)
     base, v = naive_eta_base(pp, qq), Point(eps[3], 0)
     rel = set(base.strict) | {(u1, v), (u2, v)} | {(v, c) for c in (a1, a2, b1, b2)}
     meets = pp.meet_table() | qq.meet_table()
     leaf = make_condition("kappa", base.points | {v}, rel, meets, complete=True)
+    return pp, qq, pairing, stamps, leaf
+
+
+def test_eta_refuses_a_leaf_that_fails_validation(ktree):
+    pp, qq, pairing, stamps, leaf = validation_instance(ktree)
+    err = eta_against_oracle(pp, qq, pairing, stamps, ktree)
+    assert isinstance(err, SearchExhaustedError)
     assert "meet-axiom" in {found.clause for found in validate(leaf, ktree)}
 
 
@@ -722,6 +728,20 @@ def test_eta_refuses_a_leaf_that_breaks_the_cross_structure(ktree):
     assert isinstance(err, SearchExhaustedError)
     assert validate(leaf, ktree) == []
     assert r2_report(leaf, pp, qq, mirror_of(pp, pairing))
+
+
+def test_eta_leaf_refusals_name_no_blocking_pair(ktree):
+    """When every placement is refused at a leaf, no task was blocked, so
+    the exhaustion carries neither a partial condition nor a constraint."""
+    eps = ktree.root_eps()
+    pp, qq, pairing, stamps, _ = validation_instance(ktree)
+    instances = [(pp, qq, pairing, stamps)]
+    pp, qq, pairing, _ = r2_instance(ktree)
+    instances.append((pp, qq, pairing, flat_stamps(pp.points | qq.points, [eps[4]], eps[13])))
+    for pp, qq, pairing, stamps in instances:
+        with pytest.raises(SearchExhaustedError) as err:
+            amalgamate_eta(pp, qq, pairing, stamps, ktree)
+        assert err.value.partial is None and err.value.constraint is None
 
 
 def test_r2_report_names_mirror_down_root_passage_and_cross_order(ktree):

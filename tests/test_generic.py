@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from .corpus import damaged_documents, damaged_schedules, finite_poset, flat_F
-from .oracles import full_run_schedule, naive_validate
+from .oracles import full_run_schedule, naive_sposet_check, naive_validate
 from scatterlab import generic
 from scatterlab.conditions import (
     TOP,
@@ -717,3 +717,82 @@ def test_schedule_chain_conditions_match_the_rebuild(tree, F):
             assert len(chain) > 2
             for p in chain:
                 assert check(p, rebuild(p))
+
+
+# --- the kept core verdict ---------------------------------------------------------
+
+
+def broken_posets():
+    """Fresh posets that each fail one core clause: the meet axiom, a
+    two-cycle, an order going down a level, and a pair with no meet."""
+    a, b, x = Point(from_int(2), 0), Point(from_int(3), 0), Point(W, 0)
+    meets = {
+        pair_key(a, x): frozenset({a}),
+        pair_key(a, b): frozenset({a}),
+        pair_key(b, x): frozenset(),
+    }
+    return [
+        finite_poset("kappa", {a, b, x}, {(a, x), (a, b)}, meets),
+        finite_poset("kappa", {a, b}, {(a, b), (b, a)}, {pair_key(a, b): frozenset()}),
+        finite_poset("kappa", {a, x}, {(x, a)}, {pair_key(a, x): frozenset({x})}),
+        finite_poset("kappa", {a, b}, set(), {}),
+    ]
+
+
+def some_posets(tree, F):
+    """Fresh posets, broken ones and finished schedule runs in both dialects."""
+    T, _, _ = planted(tree, F)
+    steps = [RealizePoint(TOP, 0), PredecessorBelow(Point(TOP, 0), parse("w*2 + 1"), 0)]
+    return broken_posets() + [T] + [run(tree, F, steps, d) for d in ("omega", "kappa")]
+
+
+def refusal(T):
+    with pytest.raises(GenericError) as err:
+        cardinal_profile(T)
+    return str(err.value)
+
+
+def test_cardinal_profile_refuses_alike_after_a_check():
+    for unchecked, checked in zip(broken_posets(), broken_posets()):
+        sposet_check(checked, 3)
+        rep = naive_sposet_check(unchecked, 0)
+        want = "profile refused: " + "; ".join(
+            rep.partition + rep.level_order + rep.meet_witness
+        )
+        assert refusal(unchecked) == refusal(checked) == want
+
+
+def test_a_checked_poset_is_not_judged_again(tree, F, monkeypatch):
+    judged = []
+    judge = FinitePoset._judge
+
+    def counted(T):
+        judged.append(T)
+        return judge(T)
+
+    monkeypatch.setattr(FinitePoset, "_judge", counted)
+    for T in some_posets(tree, F):
+        judged.clear()
+        sposet_check(T, 2)
+        outcome(cardinal_profile, T, errors=GenericError)
+        sposet_check(T, 0)
+        assert len(judged) == 1 and judged[0] is T
+    for T in some_posets(tree, F):
+        judged.clear()
+        outcome(cardinal_profile, T, errors=GenericError)
+        sposet_check(T, 1)
+        assert len(judged) == 1
+
+
+def test_checked_and_unchecked_posets_compare_equal(tree, F):
+    for checked, unchecked in zip(some_posets(tree, F), some_posets(tree, F)):
+        sposet_check(checked, 1)
+        outcome(cardinal_profile, checked, errors=GenericError)
+        assert checked == unchecked and unchecked == checked
+        assert poset_to_text(checked) == poset_to_text(unchecked)
+
+
+def test_repeated_sposet_checks_match_the_oracle(tree, F):
+    for T in some_posets(tree, F):
+        for budget in (0, 2, 0, 5):
+            assert sposet_check(T, budget) == naive_sposet_check(T, budget)

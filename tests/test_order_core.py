@@ -4,18 +4,43 @@
 meets of `make_condition` answer from int masks over the sorted points.  On random small conditions, on mutated ones and on raw posets that
 are neither transitive nor antisymmetric, they must return exactly what the
 oracles in `tests/oracles.py` return, message text and order included.
+The document writers, which read the same index, must write the bytes that
+the oracle's `naive_poset_block` writes.
 """
 
 import itertools
 import random
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scatterlab.conditions import TOP, ConditionError, Point, make_condition, point_key, validate
-from scatterlab.generic import skeleton_check, sposet_check
-from scatterlab.generic import poset_from_condition
+import scatterlab.conditions
+import scatterlab.generic
+from scatterlab.conditions import (
+    TOP,
+    ConditionError,
+    Point,
+    condition_to_text,
+    make_condition,
+    point_key,
+    validate,
+)
+from scatterlab.generic import (
+    PredecessorBelow,
+    RealizePoint,
+    Schedule,
+    ScheduleError,
+    poset_from_condition,
+    poset_from_text,
+    poset_to_text,
+    run_schedule,
+    schedule_from_text,
+    skeleton_check,
+    sposet_check,
+)
 from scatterlab.intervals import TreeError
 from scatterlab.ordinals import parse
 
@@ -30,6 +55,7 @@ from .corpus import (
 )
 from .oracles import (
     naive_complete_meets,
+    naive_poset_block,
     naive_skeleton_check,
     naive_sposet_check,
     naive_transitive_closure,
@@ -218,3 +244,96 @@ def test_poset_equality_and_hashing():
     assert T != finite_poset("kappa", [a, b], {(a, b)}, meets, [(w, b)])
     with pytest.raises(TypeError):
         hash(T)
+
+
+# --- the document writers ------------------------------------------------------
+
+
+def same_bytes(write, module, *args):
+    """`write(*args)` reads the same with the oracle's `poset_block` patched
+    into `module`, the module that `write` finds it in."""
+    text = write(*args)
+    with mock.patch.object(module, "poset_block", naive_poset_block):
+        assert write(*args) == text
+
+
+def writers_agree(cond):
+    same_bytes(condition_to_text, scatterlab.conditions, cond, TREES[cond.dialect].params)
+    same_bytes(poset_to_text, scatterlab.generic, poset_from_condition(cond))
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(["kappa", "omega"]).flatmap(conditions))
+def test_writers_match_the_oracle_on_random_conditions(cond):
+    writers_agree(cond)
+
+
+@settings(max_examples=40)
+@given(st.sampled_from(["kappa", "omega"]), st.integers(0, 10**6))
+def test_writers_match_the_oracle_on_walks(dialect, seed):
+    rng = random.Random(seed)
+    writers_agree(walk_condition(TREES[dialect], dialect, rng, steps=rng.randint(1, 6)))
+
+
+def test_writers_match_the_oracle_on_schedule_runs():
+    """Runs that finish and runs cut short, in both dialects, the golden
+    schedule among them: the returned poset and every chain member."""
+    seen = set()
+
+    def agree_on_run(sch, dialect):
+        tree, F = TREES[dialect], FS[dialect]
+        try:
+            T = run_schedule(sch, tree, F, dialect)
+            chain = T.provenance
+            seen.add("done")
+        except ScheduleError as err:
+            T, chain = poset_from_condition(err.trace[-1]), err.trace
+            seen.add("cut")
+        same_bytes(poset_to_text, scatterlab.generic, T)
+        for cond in chain:
+            writers_agree(cond)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(
+        dialect=st.sampled_from(["omega", "kappa"]),
+        draws=st.lists(
+            st.tuples(st.booleans(), st.integers(0, 16), st.integers(1, 8), st.integers(0, 3)),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    def walk(dialect, draws):
+        eps = TREES[dialect].root_eps()
+        realized, steps = [], []
+        for below, pick, k, n in draws:
+            level = eps[k] + n
+            if below and realized:
+                steps.append(PredecessorBelow(realized[pick % len(realized)], level, 0))
+            else:
+                x = Point(TOP, pick % 4) if pick % 3 == 0 else Point(level, pick % 3)
+                realized.append(x)
+                steps.append(RealizePoint(x.level, x.xi))
+        agree_on_run(Schedule(tuple(steps)), dialect)
+
+    walk()
+    golden = schedule_from_text((Path(__file__).parent / "golden" / "schedule.txt").read_text())
+    for dialect in ("omega", "kappa"):
+        agree_on_run(golden, dialect)
+    assert seen == {"done", "cut"}
+
+
+@st.composite
+def poset_documents(draw):
+    """A raw poset in either dialect, written with the oracle's block: its
+    meet rows leave pairs out and may name two points."""
+    T = draw(raw_posets())
+    dialect = draw(st.sampled_from(["kappa", "omega"]))
+    T = finite_poset(dialect, T.points, T.strict, T.meet_table(), T.targeted)
+    with mock.patch.object(scatterlab.generic, "poset_block", naive_poset_block):
+        return poset_to_text(T)
+
+
+@settings(max_examples=200)
+@given(poset_documents())
+def test_writers_match_the_oracle_on_poset_documents(text):
+    assert poset_to_text(poset_from_text(text)) == text
