@@ -44,6 +44,7 @@ from .conditions import (
     pair_key,
     point_key,
     validate,
+    violations_touching,
 )
 from .intervals import Interval, IntervalTree, TreeError
 from .ordinals import ONE, ZERO, Ordinal
@@ -279,6 +280,13 @@ def _pairing_clauses(
 
 def separated_report(fam: SeparatedFamily) -> List[str]:
     """Re-verify every separatedness clause from scratch; empty means ok."""
+    return _separated_findings(fam, frozenset())
+
+
+def _separated_findings(fam: SeparatedFamily, clean) -> List[str]:
+    """`separated_report`'s findings, with the pairs of members in `clean`
+    taken as found clean already: their bijection and pairing clauses are
+    not judged again."""
     out = []
     members = fam.members
     root = fam.root
@@ -303,6 +311,8 @@ def separated_report(fam: SeparatedFamily) -> List[str]:
                     )
 
     for i, j in itertools.combinations(range(len(members)), 2):
+        if (i, j) in clean:
+            continue
         h = fam.pairing(i, j)
         p, q = members[i], members[j]
         if set(h) != p.points or set(h.values()) != q.points or len(p.points) != len(q.points):
@@ -317,7 +327,9 @@ def separated_refine(family: Sequence[Condition], target: int) -> SeparatedFamil
 
     Steps: sunflower extraction over point sets, per-level exclusivity
     filter, then grouping by canonical-pairing compatibility.  Raises
-    RefineError with the failure report when target cannot be met.
+    RefineError with the failure report when target cannot be met.  The
+    closing re-verification judges every clause except the pairings from
+    the first member, which the grouping has just found clean.
     """
     if not family:
         raise RefineError("empty family", ["no members"])
@@ -354,18 +366,20 @@ def separated_refine(family: Sequence[Condition], target: int) -> SeparatedFamil
         used_levels |= levels
         kept.append(p)
 
-    classes: List[List[Condition]] = []
+    # each class holds its first member and, for every later one, the
+    # canonical pairing from the first that was found clean
+    classes: List[List[Tuple[Condition, Dict[Point, Point]]]] = []
     for p in kept:
         for cls in classes:
             try:
-                h = canonical_pairing(cls[0], p)
+                h = canonical_pairing(cls[0][0], p)
             except AmalgamError:
                 continue
-            if not _pairing_clauses(cls[0], p, h, root):
-                cls.append(p)
+            if not _pairing_clauses(cls[0][0], p, h, root):
+                cls.append((p, h))
                 break
         else:
-            classes.append([p])
+            classes.append([(p, {})])
 
     best = max(classes, key=len, default=[])
     if len(best) < target:
@@ -374,12 +388,13 @@ def separated_refine(family: Sequence[Condition], target: int) -> SeparatedFamil
         )
         raise RefineError("refinement fell short", report)
 
-    members = tuple(best)
-    bijections = {}
-    for i, j in itertools.combinations(range(len(members)), 2):
+    members = tuple(p for p, _ in best)
+    bijections = {(0, j): h for j, (_, h) in enumerate(best) if j}
+    clean = frozenset(bijections)
+    for i, j in itertools.combinations(range(1, len(members)), 2):
         bijections[(i, j)] = canonical_pairing(members[i], members[j])
     fam = SeparatedFamily(members, frozenset(root), bijections)
-    residue = separated_report(fam)
+    residue = _separated_findings(fam, clean)
     if residue:
         raise RefineError("refined family fails re-verification", residue)
     return fam
@@ -656,8 +671,14 @@ def r2_report(
     old point below a fresh one must pass through a root point, and
     cross order must be exactly the root-interpolant relation.
     """
-    out = []
     root = pp.points & qq.points
+    return _r2_findings(r, pp, qq, pairing, root, _cross_order(pp, qq, root))
+
+
+def _r2_findings(r, pp, qq, pairing, root, cross) -> List[str]:
+    """`r2_report`'s findings, given the members' `root` and `cross`, their
+    `_cross_order`."""
+    out = []
     core = r.core()
     index, up, down = core.index, core.up, core.down
     above = core.above()
@@ -674,7 +695,6 @@ def r2_report(
             i = index[s]
             if down[j] >> i & 1 and not rootmask & above[i] & down[j]:
                 out.append(f"root-passage: {s} reaches {y} off the root")
-    cross = _cross_order(pp, qq, root)
     for s in sorted(pp.points - root, key=point_key):
         for t in sorted(qq.points - root, key=point_key):
             for a, b in ((s, t), (t, s)):
@@ -732,6 +752,14 @@ def amalgamate_eta(
     deficient pair (no admissible placement, or `max_fresh` reached) as
     `partial` and `constraint`; when nothing was blocked, because every
     leaf reached was refused, both are None.
+
+    A leaf, a placement with no deficient pair left, is judged in this
+    order: `leq` below both members; then, when both members are
+    `judged_valid` for `tree` (push_down leaves them so), only what the
+    leaf adds to them (`violations_touching` with the members), else a
+    full `validate`; then `r2_report`'s cross-structure contract; then the
+    fresh levels against the stamp bound gamma.  A leaf that fails `leq`
+    still runs the full `validate`, so a check it would raise from raises.
     """
     if pp.dialect != "kappa" or qq.dialect != "kappa":
         raise HypothesisViolationError("grid amalgamation expects the kappa dialect")
@@ -753,22 +781,25 @@ def amalgamate_eta(
         mirror[s] = pairing[s]
         mirror[pairing[s]] = s
 
-    rel = set(pp.strict) | set(qq.strict) | _cross_order(pp, qq, root)
+    cross = _cross_order(pp, qq, root)
+    rel = set(pp.strict) | set(qq.strict) | cross
     for s, t in _root_meet_conflicts(pp, qq, root):
         raise HypothesisViolationError(f"members disagree on the root meet of ({s}, {t})")
     # meet maps are keyed in point_key order, so a shared pair has one key
     base_meets = pp.meet_table() | qq.meet_table()
+    settled = pp.judged_valid(tree, None) and qq.judged_valid(tree, None)
     blocked = []
 
     def attempt(points, rel_now, fresh):
         cond = make_condition("kappa", points, rel_now, base_meets, complete=True)
         task = _first_deficient(cond, base_meets, tree)
         if task is None:
-            if validate(cond, tree):
-                return None
-            if r2_report(cond, pp, qq, mirror):
-                return None
-            if not (leq(cond, pp) and leq(cond, qq)):
+            extends = leq(cond, pp) and leq(cond, qq)
+            if extends and settled:
+                found = violations_touching(cond, tree, None, -1, (pp, qq))
+            else:
+                found = validate(cond, tree)
+            if found or not extends or _r2_findings(cond, pp, qq, mirror, root, cross):
                 return None
             if any(not v.level < stamps.gamma for v in fresh):
                 return None

@@ -16,7 +16,7 @@ reports every violated clause by name; `extend_below` is the point
 insertion that plants a fresh point under a target while preserving
 validity.  `extend_condition` adds points below old ones without
 rebuilding the old part, and `violations_touching` checks only the pairs
-with a new end.
+with a new end, or only what a condition adds to valid members it extends.
 
 `Poset` is the order core shared with `generic.FinitePoset`: each poset
 builds one `OrderIndex` on first use, its points sorted by `point_key`
@@ -350,11 +350,23 @@ class Condition(Poset):
     `extend_condition`.  The strict set is transitively closed and
     irreflexive; the meet map has exactly one entry per pair of distinct
     points, canonically keyed.  Conditions of a schedule chain each own a
-    copy of the strict set and meet map, the values shared.
+    copy of the strict set and meet map, the values shared.  The verdict
+    of a `validate` that found nothing is kept in the slot `_valid_for`,
+    outside `_fields()` and the hash, as the tree's params and depth cap
+    and the F object it was judged against.
     """
 
-    __slots__ = ("_hash",)
+    __slots__ = ("_hash", "_valid_for")
     _no_meet = frozenset()
+
+    def judged_valid(self, tree: IntervalTree, F: Optional[UnboundedFn]) -> bool:
+        """True when a full `validate` against `tree`'s params and depth cap
+        and this very `F` object has found nothing."""
+        kept = getattr(self, "_valid_for", None)
+        return kept is not None and kept[2] is F and kept[:2] == (tree.params, tree.depth_cap)
+
+    def _keep_verdict(self, tree: IntervalTree, F: Optional[UnboundedFn]) -> None:
+        self._valid_for = (tree.params, tree.depth_cap, F)
 
     def __hash__(self) -> int:
         try:
@@ -541,27 +553,72 @@ def validate(
     top-meet-bound / same-level-meet / successor-interpolant (omega).
     Checks that would need tree structure past the budget raise
     UnmaterializedLevelError instead of reporting a violation.
+
+    A check that finds nothing is kept on the condition, and a later call
+    with a tree of equal params and depth cap and the same F object (by
+    identity) answers [] from it at once: conditions are immutable, and a
+    tree's answers are a function of its params and depth cap.  A check
+    that raises or finds a violation is never kept.
     """
-    return violations_touching(p, tree, F, -1)
+    if p.judged_valid(tree, F):
+        return []
+    found = violations_touching(p, tree, F, -1)
+    if not found:
+        p._keep_verdict(tree, F)
+    return found
 
 
 def violations_touching(
-    p: Condition, tree: IntervalTree, F: Optional[UnboundedFn], fresh: int
+    p: Condition,
+    tree: IntervalTree,
+    F: Optional[UnboundedFn],
+    fresh: int,
+    members: Sequence[Condition] = (),
 ) -> List[Violation]:
     """`validate`'s findings on the points in the mask `fresh` (positions in
     `p.core()`, -1 for every point) and on the pairs with an end among
     them, in `validate`'s order; the size cap is checked whatever `fresh`
-    holds."""
+    holds.
+
+    `members` are conditions that `p` extends (`leq`), each `judged_valid`
+    for `tree` and `F`.  Among the points and pairs above, the meet axiom
+    is still checked on every pair, and every other clause only on the
+    points in no member and the pairs inside no member (cross pairs
+    included).  Nothing stops early, so a check that `validate` would
+    raise from raises here too.  A pair inside a member keeps the verdict
+    it had there, clause by clause, because `leq` pins its order and its
+    meet value and the tree answers as it did:
+    - grid and level-monotone read one point or one strict pair;
+    - meet-arity and every meet-location clause read the pair, its
+      comparability and its meet value; a pair that newly gains a common
+      lower bound had none in the valid member, so its meet is empty;
+    - the interpolant clauses ask for a witness between the ends of a
+      strict pair, and the member's witness stays between them.
+    The meet axiom is the one exception: a new point can sit below both
+    ends of an old pair.
+    """
     params = tree.params
     out: List[Violation] = []
     core = p.core()
-    pts, below = core.pts, core.below()
-    pairs, strict = core.pairs(fresh), list(core.strict_pairs(fresh))
+    pts, index, below = core.pts, core.index, core.below()
+    meet_pairs = pairs = core.pairs(fresh)
+    strict = list(core.strict_pairs(fresh))
+    points = pts if fresh == -1 else core.members(fresh)
+    owners: Optional[List[int]] = None
+    if members:
+        # bit k of a position's owners: its point lies in members[k]
+        owners = [0] * len(pts)
+        for k, m in enumerate(members):
+            for x in m.points:
+                owners[index[x]] |= 1 << k
+        pairs = [(i, j) for i, j in pairs if not owners[i] & owners[j]]
+        strict = [(i, j) for i, j in strict if not owners[i] & owners[j]]
+        points = [x for x in points if not owners[index[x]]]
 
     if p.size > params.size_cap:
         out.append(Violation("size-cap", (), f"{p.size} points exceed cap {params.size_cap}"))
 
-    for s in pts if fresh == -1 else core.members(fresh):
+    for s in points:
         if s.is_top:
             if not 0 <= s.xi < params.lambda_w:
                 out.append(Violation("grid", (s,), f"top column {s.xi} out of range"))
@@ -577,9 +634,9 @@ def violations_touching(
             out.append(Violation("level-monotone", (s, t), "related points must climb levels"))
 
     # meet axiom: the points below both ends are exactly those below a meet point
-    index, table, none = core.index, p.meet_table(), frozenset()
+    table, none = p.meet_table(), frozenset()
     kappa = p.dialect == "kappa"
-    for i, j in pairs:
+    for i, j in meet_pairs:
         s, t = pts[i], pts[j]
         value = table.get((s, t), none)
         covered = 0
@@ -594,7 +651,7 @@ def violations_touching(
                     f"lower-bound set mismatch at {{{', '.join(str(x) for x in core.members(missed))}}}",
                 )
             )
-        if kappa and len(value) > 1:
+        if kappa and len(value) > 1 and not (owners and owners[i] & owners[j]):
             out.append(Violation("meet-arity", (s, t), f"{len(value)} meet points"))
 
     if kappa:

@@ -3,9 +3,10 @@ amalgams, the push/pull pipeline, and their failure modes."""
 
 import itertools
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from .corpus import (
@@ -27,8 +28,10 @@ from .oracles import (
     naive_r2_report,
     naive_separated_report,
     naive_sunflower,
+    naive_validate,
     omega_cross_filter,
 )
+from scatterlab import amalgam
 from scatterlab.amalgam import (
     AmalgamError,
     EquivalenceStamp,
@@ -61,6 +64,7 @@ from scatterlab.conditions import (
     make_condition,
     point_key,
     validate,
+    violations_touching,
 )
 from scatterlab.intervals import Interval, IntervalTree, Params
 from scatterlab.ordinals import ONE, parse
@@ -259,6 +263,76 @@ def test_separated_refine_keeps_input_order(ktree):
     ]
     fam = separated_refine(twins, 2)
     assert is_subsequence(fam.members, twins)
+
+
+def refine_families(ktree):
+    """(family, target) pairs of two and three members: seeded pushed pairs,
+    seeded pairs with a third pushed member from another seed, members
+    over one root point of which all but one share a shape, and level
+    twins."""
+    out = []
+    for seed in range(12):
+        fam, _ = two_member_family(ktree, seed)
+        other, _ = two_member_family(ktree, seed + 12)
+        out.append((list(fam.members), 2))
+        out += [(list(fam.members) + [other.members[k]], t) for k in (0, 1) for t in (2, 3)]
+    eps = ktree.root_eps()
+    u = Point(eps[1], 0)
+    shaped = [
+        make_condition("kappa", [u, Point(eps[4 + k], 0)], [(u, Point(eps[4 + k], 0))] if k != 1 else [])
+        for k in range(4)
+    ]
+    out += [(shaped, 3), (shaped, 4), (shaped[1:], 2), (shaped[1:], 3)]
+    twins = [make_condition("kappa", [u, Point(eps[5], k)], [(u, Point(eps[5], k))]) for k in (0, 1)]
+    out += [(twins, 2), (twins + [shaped[0]], 2)]
+    return out
+
+
+def test_separated_refine_rejudges_all_but_the_pairings_its_grouping_found_clean(
+    ktree, monkeypatch
+):
+    """The closing check skips exactly the pairings from the first member,
+    judges every other pair, and reports what `naive_separated_report`
+    reports on the whole family; the family is the one built from scratch."""
+    judged, closing = [], []
+    clauses, findings = amalgam._pairing_clauses, amalgam._separated_findings
+
+    def clauses_spy(p, q, h, root):
+        judged.append((p, q))
+        return clauses(p, q, h, root)
+
+    def findings_spy(fam, clean):
+        start = len(judged)
+        found = findings(fam, clean)
+        closing.append((fam, clean, judged[start:], found))
+        return found
+
+    monkeypatch.setattr(amalgam, "_pairing_clauses", clauses_spy)
+    monkeypatch.setattr(amalgam, "_separated_findings", findings_spy)
+    outcomes = set()
+    for family, target in refine_families(ktree):
+        closing.clear()
+        try:
+            fam = separated_refine(family, target)
+        except RefineError as err:
+            outcomes.add(err.args[0])
+            assert len(closing) <= 1
+            if closing:
+                assert err.report == closing[0][3]
+        else:
+            outcomes.add(len(fam.members))
+            m = fam.members
+            pairs = list(itertools.combinations(range(len(m)), 2))
+            assert fam.bijections == {(i, j): canonical_pairing(m[i], m[j]) for i, j in pairs}
+            assert len(closing) == 1
+        for fam, clean, pairs_judged, found in closing:
+            m = fam.members
+            assert clean == {(0, j) for j in range(1, len(m))}
+            assert found == naive_separated_report(fam)
+            later = [(m[i], m[j]) for i, j in itertools.combinations(range(1, len(m)), 2)]
+            assert len(pairs_judged) == len(later)
+            assert all(p is a and q is b for (p, q), (a, b) in zip(pairs_judged, later))
+    assert {2, 3, "refinement fell short"} <= outcomes
 
 
 def test_kerneldown_clean(ktree):
@@ -762,6 +836,93 @@ def test_r2_report_names_mirror_down_root_passage_and_cross_order(ktree):
     ]
     for r in (leaf, crossed):
         assert r2_report(r, pp, qq, mirror) == naive_r2_report(r, pp, qq, mirror)
+
+
+def full_level_instance(ktree):
+    """The members of `test_eta_skips_a_full_level` and their pairing."""
+    eps = ktree.root_eps()
+    u1, u2, a, b = Point(eps[1], 0), Point(eps[2], 0), Point(eps[6], 0), Point(eps[7], 0)
+    cs = [Point(eps[4], k) for k in range(3)]
+    ds = [Point(eps[3], k) for k in range(3)]
+    pp = make_condition("kappa", [u1, u2, a, *cs], [(u1, a), (u2, a)], complete=True)
+    qq = make_condition("kappa", [u1, u2, b, *ds], [(u1, b), (u2, b)], complete=True)
+    return pp, qq, {u1: u1, u2: u2, a: b, **dict(zip(cs, ds))}
+
+
+def leaf_instance(ktree, source):
+    """(pp, qq, pairing, stamps, max_fresh) for one drawn source: a seeded
+    pushed pair under its own stamps, a low window or a bound gamma at the
+    level the seed places at; the full-level members under a two- or
+    one-level window; or the hand-built validation and cross-structure
+    refusals."""
+    eps = ktree.root_eps()
+    kind = source[0]
+    if kind == "seed":
+        _, seed, window, max_fresh = source
+        _, _, pp, qq, _, _, pairing, stamps, _ = eta_inputs(ktree, seed)
+        if window == "low":
+            stamps = restamped(stamps, window=eps[1:4])
+        elif window == "gamma":
+            stamps = restamped(stamps, gamma=eps[3])
+        return pp, qq, pairing, stamps, max_fresh
+    if kind == "full-level":
+        pp, qq, pairing = full_level_instance(ktree)
+        window = eps[4:4 + source[1]]
+        return pp, qq, pairing, flat_stamps(pp.points | qq.points, window, eps[13]), 3
+    if kind == "validation":
+        pp, qq, pairing, stamps, _ = validation_instance(ktree)
+        return pp, qq, pairing, stamps, 3
+    pp, qq, pairing, _ = r2_instance(ktree)
+    return pp, qq, pairing, flat_stamps(pp.points | qq.points, [eps[4]], eps[13]), 3
+
+
+LEAF_SOURCES = st.one_of(
+    st.tuples(
+        st.just("seed"),
+        st.integers(0, 39),
+        st.sampled_from(["stamps", "low", "gamma"]),
+        st.integers(0, 3),
+    ),
+    st.sampled_from([("full-level", 2), ("full-level", 1), ("validation",), ("r2",)]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(source=LEAF_SOURCES)
+@example(source=("validation",))
+@example(source=("r2",))
+@example(source=("full-level", 2))
+@example(source=("seed", 0, "stamps", 3))
+def test_a_leaf_judged_by_what_it_adds_gets_the_full_verdict(ktree, source):
+    """With both members validated first, every leaf that extends both is
+    judged only on what it adds, and one that does not (the validation
+    refusal's) by the full `validate`; either way the findings are
+    `naive_validate`'s, and the search answers as `naive_eta_search`."""
+    pp, qq, pairing, stamps, max_fresh = leaf_instance(ktree, source)
+    for member in (pp, qq):
+        assert validate(member, ktree) == [] and member.judged_valid(ktree, None)
+    leaves = []
+
+    def added(cond, tree, F, fresh, members=()):
+        found = violations_touching(cond, tree, F, fresh, members)
+        leaves.append(("added", cond, found))
+        return found
+
+    def full(cond, tree, F=None):
+        found = validate(cond, tree, F)
+        leaves.append(("full", cond, found))
+        return found
+
+    with mock.patch.object(amalgam, "violations_touching", added):
+        with mock.patch.object(amalgam, "validate", full):
+            eta_against_oracle(pp, qq, pairing, stamps, ktree, max_fresh)
+    for path, leaf, found in leaves:
+        assert found == naive_validate(leaf, ktree)
+        assert path == ("added" if leq(leaf, pp) and leq(leaf, qq) else "full")
+    if source[0] == "validation":
+        assert [path for path, _, _ in leaves] == ["full"] and leaves[0][2]
+    if source[0] == "r2":
+        assert [(path, found) for path, _, found in leaves] == [("added", [])]
 
 
 def test_r2_report_flags_broken_mirror(ktree):

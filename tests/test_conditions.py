@@ -1,3 +1,6 @@
+import copy
+import itertools
+import pickle
 import random
 from dataclasses import FrozenInstanceError
 
@@ -5,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scatterlab import conditions
 from scatterlab.conditions import (
     TOP,
     _marker_membership,
@@ -26,8 +30,8 @@ from scatterlab.intervals import IntervalTree, Params
 from scatterlab.ordinals import parse
 from scatterlab.unbounded import UnboundedFn, f_generate
 
-from .corpus import damaged_documents
-from .oracles import naive_extend_below
+from .corpus import damaged_documents, kappa_tree
+from .oracles import naive_extend_below, naive_validate
 
 
 def pt(level: str, xi: int = 0) -> Point:
@@ -579,3 +583,171 @@ def test_marker_membership_branches():
     with pytest.raises(UnmaterializedLevelError) as err:
         _marker_membership(tree, parse("w*4 + 1"))
     assert str(err.value) == "w*4 + 1 is past the materialized root markers"
+
+
+# --- the kept verdict --------------------------------------------------------------
+
+
+def full_checks(monkeypatch):
+    """The conditions that `validate` checks in full from here on, in call
+    order."""
+    checked = []
+    inner = conditions.violations_touching
+
+    def spy(p, tree, F, fresh, members=()):
+        checked.append(p)
+        return inner(p, tree, F, fresh, members)
+
+    monkeypatch.setattr(conditions, "violations_touching", spy)
+    return checked
+
+
+def top_pair(tree):
+    """A kappa condition whose two tops meet at the root marker 0, valid
+    under `big_F`, and an equal copy read back from its document."""
+    v, s, t = pt("0"), pt("TOP", 0), pt("TOP", 1)
+    cond = make_condition("kappa", [v, s, t], [(v, s), (v, t)], {(s, t): {v}}, complete=True)
+    return cond, condition_from_text(condition_to_text(cond, tree.params))[0]
+
+
+def test_validate_answers_from_the_kept_verdict_for_equal_params_depth_and_F(tree, monkeypatch):
+    cond, _ = top_pair(tree)
+    F = big_F(tree)
+    checked = full_checks(monkeypatch)
+    assert not cond.judged_valid(tree, F)
+    assert validate(cond, tree, F) == [] and cond.judged_valid(tree, F)
+    assert validate(cond, tree, F) == []
+    assert validate(cond, IntervalTree(tree.params), F) == []
+    assert checked == [cond]
+
+
+def test_a_kept_verdict_is_checked_in_full_under_other_params(tree, monkeypatch):
+    cond, _ = top_pair(tree)
+    F = big_F(tree)
+    assert validate(cond, tree, F) == []
+    checked = full_checks(monkeypatch)
+    capped = IntervalTree(Params(eta=parse("w^2"), kappa_w=3, lambda_w=6, e_budget=16, size_cap=2))
+    assert [str(v) for v in validate(cond, capped, F)] == ["size-cap []: 3 points exceed cap 2"]
+    assert [str(v) for v in validate(cond, capped, F)] == ["size-cap []: 3 points exceed cap 2"]
+    assert checked == [cond, cond]
+    # a smaller marker budget raises as it does on a condition never judged
+    s, t = pt("w*5"), pt("TOP")
+    deep = make_condition("kappa", [s, t], [(s, t)], complete=True)
+    twin = condition_from_text(condition_to_text(deep, tree.params))[0]
+    tiny = IntervalTree(Params(eta=parse("w^2"), e_budget=2))
+    with pytest.raises(UnmaterializedLevelError) as want:
+        validate(twin, tiny)
+    assert validate(deep, tree) == []
+    for _ in range(2):
+        with pytest.raises(UnmaterializedLevelError) as got:
+            validate(deep, tiny)
+        assert str(got.value) == str(want.value)
+    assert not deep.judged_valid(tiny, None) and deep.judged_valid(tree, None)
+
+
+def test_a_kept_verdict_is_checked_in_full_under_another_depth_cap(tree, monkeypatch):
+    cond, _ = top_pair(tree)
+    F = big_F(tree)
+    assert validate(cond, tree, F) == []
+    checked = full_checks(monkeypatch)
+    shallow = IntervalTree(tree.params, depth_cap=8)
+    assert not cond.judged_valid(shallow, F)
+    assert validate(cond, shallow, F) == []
+    assert checked == [cond]
+
+
+def test_a_kept_verdict_is_checked_in_full_under_another_F_object(tree, monkeypatch):
+    cond, _ = top_pair(tree)
+    F = big_F(tree)
+    assert validate(cond, tree, F) == []
+    checked = full_checks(monkeypatch)
+    # an equal table is another object: F matches by identity
+    assert validate(cond, tree, big_F(tree)) == []
+    low_F = UnboundedFn(tree.params.lambda_w, tree.root_eps(), {p: 0 for p in F.pairs()})
+    assert clauses(validate(cond, tree, low_F)) == ["meet-location"]
+    assert checked == [cond, cond]
+    # a check that raised is not kept, so it raises again
+    for _ in range(2):
+        with pytest.raises(ConditionError, match="needs the pair coloring F"):
+            validate(cond, tree)
+    assert checked == [cond] * 4
+
+
+def test_the_kept_verdict_leaves_equality_hash_text_and_copies_alone(tree):
+    cond, twin = top_pair(tree)
+    F = big_F(tree)
+    assert validate(cond, tree, F) == []
+    assert cond.judged_valid(tree, F) and not twin.judged_valid(tree, F)
+    assert cond == twin and hash(cond) == hash(twin)
+    assert condition_to_text(cond, tree.params) == condition_to_text(twin, tree.params)
+    for copied in (pickle.loads(pickle.dumps(cond)), copy.deepcopy(cond)):
+        assert copied == cond and hash(copied) == hash(cond) and copied.meets == cond.meets
+        assert condition_to_text(copied, tree.params) == condition_to_text(cond, tree.params)
+        # the copy's verdict names a copy of F, so this F is checked in full
+        assert not copied.judged_valid(tree, F)
+        assert validate(copied, tree, F) == [] and copied.judged_valid(tree, F)
+
+
+@st.composite
+def extensions(draw):
+    """A condition over points at marker and near-marker levels, its order
+    acyclic along a random permutation, and one or two members: the order
+    restricted to a random subset of its points, with forced meets.  The
+    condition is built with `make_condition(complete=True)` from the
+    members' meets, as the grid amalgam builds a leaf, so new points can
+    sit under old pairs that their meets do not cover."""
+    dialect = draw(st.sampled_from(("kappa", "omega")))
+    eps = kappa_tree().root_eps()[:6]
+    levels = list(eps) + [e + 1 for e in eps[:4]]
+    # column 3 lies off the kappa_w = 3 grid
+    cells = st.tuples(st.sampled_from(range(len(levels))), st.integers(0, 3))
+    picked = draw(st.lists(cells, min_size=2, max_size=8, unique=True))
+    pts = [Point(levels[i], xi) for i, xi in picked]
+    perm = draw(st.permutations(range(len(pts))))
+    density = draw(st.integers(1, 7))
+    rel = {
+        (pts[perm[a]], pts[perm[b]])
+        for a, b in itertools.combinations(range(len(pts)), 2)
+        if draw(st.integers(0, 9)) < density
+    }
+    whole = make_condition(dialect, pts, rel)
+    members, meets = [], {}
+    for _ in range(draw(st.integers(1, 2))):
+        inside = draw(st.lists(st.sampled_from(pts), min_size=1, unique=True))
+        strict = [(s, t) for s, t in whole.strict if s in inside and t in inside]
+        member = make_condition(dialect, inside, strict, complete=True)
+        members.append(member)
+        meets.update(member.meet_table())
+    return make_condition(dialect, pts, whole.strict, meets, complete=True), members
+
+
+def outcome(check, *args):
+    try:
+        return check(*args)
+    except ConditionError as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(extensions())
+def test_the_check_of_what_an_extension_adds_matches_the_full_oracle(drawn):
+    """Given the members that a condition extends and that are judged
+    valid, `violations_touching` reports, or raises, exactly what the full
+    check does."""
+    cond, members = drawn
+    tree = kappa_tree()
+    settled = [m for m in members if leq(cond, m) and outcome(validate, m, tree) == []]
+    assert all(m.judged_valid(tree, None) for m in settled)
+    want = outcome(naive_validate, cond, tree)
+    assert outcome(conditions.violations_touching, cond, tree, None, -1, settled) == want
+
+
+def test_the_check_of_what_an_extension_adds_keeps_the_meet_axiom_on_old_pairs(tree):
+    # v is new under the old pair (a, b), whose recorded meet stays empty
+    a, b, v = pt("w*3"), pt("w*4"), pt("w")
+    member = make_condition("kappa", [a, b], complete=True)
+    cond = make_condition("kappa", [a, b, v], [(v, a), (v, b)], member.meet_table(), complete=True)
+    assert validate(member, tree) == [] and leq(cond, member)
+    found = conditions.violations_touching(cond, tree, None, -1, (member,))
+    assert [str(x) for x in found] == ["meet-axiom [(w*3, 0), (w*4, 0)]: lower-bound set mismatch at {(w, 0)}"]
+    assert found == validate(cond, tree)
