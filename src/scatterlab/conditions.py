@@ -890,21 +890,28 @@ def read_poset_block(lines: List[str], at: int, error):
     block that `poset_block` writes, starting at line `at`, and the line
     after it.  A repeated point, a meet row on identical points and two
     rows for one pair with different values raise `error`, with
-    `make_condition`'s messages for the rows."""
+    `make_condition`'s messages for the rows.  Each distinct level token
+    and meet-row tail is read once."""
     body, at = fmt.section(lines, at, "points", error)
-    pts = [
-        Point(parse_level(level), fmt.integer(xi, "column", error))
-        for level, xi in fmt.numbered(body, error, 2)
-    ]
+    levels: Dict[str, Level] = {}
+    pts = []
+    for token, xi in fmt.numbered(body, error, 2):
+        level = levels.get(token)
+        if level is None:
+            level = levels[token] = parse_level(token)
+        pts.append(Point(level, fmt.integer(xi, "column", error)))
     fmt.distinct(pts, error)
+    lookup = fmt.by_token(pts)
     body, at = fmt.section(lines, at, "order", error)
-    rel = [tuple(fmt.pair(pts, line, error)) for line in body]
+    rel = [tuple(fmt.pair(pts, line, error, lookup)) for line in body]
     body, at = fmt.section(lines, at, "meets", error)
-    meets = {}
+    meets, tails = {}, {}
     for line in body:
         head, _, tail = line.partition(":")
-        value = frozenset(fmt.indexed(pts, tail.split(), error))
-        s, t = fmt.pair(pts, head, error)
+        value = tails.get(tail)
+        if value is None:
+            value = tails[tail] = frozenset(fmt.indexed(pts, tail.split(), error, lookup))
+        s, t = fmt.pair(pts, head, error, lookup)
         if s == t:
             raise error(f"meet entry for identical points {s}")
         if meets.setdefault(pair_key(s, t), value) != value:

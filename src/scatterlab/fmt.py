@@ -72,8 +72,23 @@ def distinct(points: Iterable, error) -> None:
         seen.add(x)
 
 
-def indexed(items: Sequence, tokens: Iterable[str], error) -> list:
-    """The items at the given index tokens, each checked to be in range."""
+def by_token(items: Sequence) -> Dict[str, object]:
+    """The `{str(k): item}` map that `indexed` and `pair` can resolve
+    canonical index tokens through."""
+    return {str(k): x for k, x in enumerate(items)}
+
+
+def indexed(items: Sequence, tokens: Sequence[str], error, lookup=None) -> list:
+    """The items at the given index tokens, each checked to be in range.
+
+    With `lookup` from `by_token(items)`, tokens are read from that map,
+    and only when one is missing from it (out of range, not decimal, or
+    written like "01") are all of them checked one by one."""
+    if lookup is not None:
+        try:
+            return [lookup[tok] for tok in tokens]
+        except KeyError:
+            pass
     out = []
     for tok in tokens:
         if not tok.isdecimal() or int(tok) >= len(items):
@@ -82,9 +97,9 @@ def indexed(items: Sequence, tokens: Iterable[str], error) -> list:
     return out
 
 
-def pair(items: Sequence, line: str, error) -> list:
+def pair(items: Sequence, line: str, error, lookup=None) -> list:
     """The two items whose index tokens make up `line`."""
-    out = indexed(items, line.split(), error)
+    out = indexed(items, line.split(), error, lookup)
     if len(out) != 2:
         raise error(f"expected two point indices, got {line.strip()!r}")
     return out

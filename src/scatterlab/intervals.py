@@ -60,7 +60,7 @@ class Interval:
 
     @property
     def is_singleton(self) -> bool:
-        return self.hi == self.lo + ONE
+        return self.hi.is_successor_of(self.lo)
 
     def contains(self, alpha: Ordinal) -> bool:
         return self.lo <= alpha < self.hi
@@ -158,9 +158,9 @@ class IntervalTree:
         """A limit-ended node's memo, grown to `count` markers or past alpha."""
         seq = self._markers.setdefault(iv, [iv.lo])
         while len(seq) < count and (alpha is None or not alpha < seq[-1]):
-            step = fundamental(iv.hi, len(seq))
-            nxt = seq[-1] + ONE
-            seq.append(step if step > nxt else nxt)
+            # a step above the last marker is at least one past it
+            step, last = fundamental(iv.hi, len(seq)), seq[-1]
+            seq.append(step if step > last else last + ONE)
         return seq
 
     def root_eps(self, count: Optional[int] = None) -> Tuple[Ordinal, ...]:

@@ -16,11 +16,19 @@ written "w", coefficient 1 omitted, and compound exponents parenthesized
 so that re-parsing the rendered text is the identity.  Parsing normalizes,
 so "1 + w" is accepted and denotes w.
 
+Coefficients must be integers: a float or any other value without
+`operator.index` raises `OrdinalError`, as a coefficient below 1 does.  The
+public constructor checks every term.  Arithmetic (`+`, `predecessor`,
+`omega_pow`, `from_int`, `fundamental`, `omega_quotient`) builds its results
+from normal-form parts it already holds, through `_normal`, which skips
+those checks.
+
 Everything in this module is immutable and pure.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Tuple
 
 
@@ -47,7 +55,7 @@ class Ordinal:
     __slots__ = ("_terms", "_key", "_hash")
 
     def __init__(self, terms: Iterable[Tuple["Ordinal", int]] = ()):
-        terms = tuple((exp, int(coeff)) for exp, coeff in terms)
+        terms = tuple((exp, _integer(coeff, "coefficient")) for exp, coeff in terms)
         key = []
         for exp, coeff in terms:
             if not isinstance(exp, Ordinal):
@@ -57,8 +65,11 @@ class Ordinal:
             if key and exp._key >= key[-1][0]:
                 raise OrdinalError("exponents must strictly decrease")
             key.append((exp._key, coeff))
+        self._set(terms, tuple(key))
+
+    def _set(self, terms, key) -> None:
         self._terms = terms
-        self._key = key = tuple(key)
+        self._key = key
         # a finite ordinal hashes as its int, since it compares equal to it
         if not key:
             self._hash = 0
@@ -98,13 +109,23 @@ class Ordinal:
     def predecessor(self) -> "Ordinal":
         if not self.is_successor:
             raise OrdinalError(f"{self} is not a successor")
-        head, (exp, coeff) = self._terms[:-1], self._terms[-1]
+        head, key, coeff = self._terms[:-1], self._key[:-1], self._terms[-1][1]
         if coeff > 1:
-            return Ordinal(head + ((exp, coeff - 1),))
-        return Ordinal(head)
+            return _normal(head + ((ZERO, coeff - 1),), key + (((), coeff - 1),))
+        return _normal(head, key)
 
     def successor(self) -> "Ordinal":
         return self + ONE
+
+    def is_successor_of(self, other: "Ordinal") -> bool:
+        """Whether self == other + 1, without building other + 1."""
+        key = self._key
+        if not key or key[-1][0]:
+            return False
+        coeff = key[-1][1]
+        if coeff == 1:
+            return other._key == key[:-1]
+        return other._key == key[:-1] + (((), coeff - 1),)
 
     def as_int(self) -> int:
         """The natural-number value, if this ordinal is finite."""
@@ -153,26 +174,30 @@ class Ordinal:
         return self._hash
 
     def __add__(self, other) -> "Ordinal":
-        if isinstance(other, int):
-            other = from_int(other)
-        if not isinstance(other, Ordinal):
-            return NotImplemented
-        if other.is_zero:
+        if other.__class__ is not Ordinal:
+            if isinstance(other, int):
+                other = from_int(other)
+            elif not isinstance(other, Ordinal):
+                return NotImplemented
+        if not other._key:
             return self
-        if self.is_zero:
+        if not self._key:
             return other
-        lead = other._terms[0][0]
-        keep = []
-        for exp, coeff in self._terms:
-            rel = compare(exp, lead)
-            if rel > 0:
-                keep.append((exp, coeff))
-            elif rel == 0:
-                merged = (lead, coeff + other._terms[0][1])
-                return Ordinal(tuple(keep) + (merged,) + other._terms[1:])
-            else:
-                break
-        return Ordinal(tuple(keep) + other._terms)
+        # the terms of self with exponents above other's leading one are kept;
+        # a term with that very exponent merges into other's leading term
+        terms, key = self._terms, self._key
+        (lead, lead_coeff), lead_key = other._terms[0], other._key[0][0]
+        for n, (exp_key, coeff) in enumerate(key):
+            if exp_key > lead_key:
+                continue
+            if exp_key == lead_key:
+                merged = coeff + lead_coeff
+                return _normal(
+                    terms[:n] + ((lead, merged),) + other._terms[1:],
+                    key[:n] + ((lead_key, merged),) + other._key[1:],
+                )
+            return _normal(terms[:n] + other._terms, key[:n] + other._key)
+        return _normal(terms + other._terms, key + other._key)
 
     def __radd__(self, other) -> "Ordinal":
         if isinstance(other, int):
@@ -201,22 +226,45 @@ def compare(a: Ordinal, b: Ordinal) -> int:
     return (ka > kb) - (ka < kb)
 
 
+def _normal(terms, key) -> Ordinal:
+    """The Ordinal whose terms, already in Cantor normal form, are `terms`
+    and whose key is `key`; nothing is checked."""
+    out = object.__new__(Ordinal)
+    out._set(terms, key)
+    return out
+
+
+def _integer(value, what: str) -> int:
+    """`value` as an int by `operator.index`, so a bool passes and a float
+    raises `OrdinalError`."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise OrdinalError(f"{what} must be an integer, got {value!r}") from None
+
+
 ZERO = Ordinal()
 ONE = Ordinal(((ZERO, 1),))
 OMEGA = Ordinal(((ONE, 1),))
 
 
 def from_int(n: int) -> Ordinal:
+    n = _integer(n, "natural number")
     if n < 0:
         raise OrdinalError(f"ordinals are nonnegative, got {n}")
-    return Ordinal(((ZERO, n),)) if n else ZERO
+    return _normal(((ZERO, n),), (((), n),)) if n else ZERO
 
 
 def omega_pow(exp: Ordinal, coeff: int = 1) -> Ordinal:
     """w^exp * coeff (coeff 0 gives 0)."""
+    coeff = _integer(coeff, "coefficient")
     if coeff == 0:
         return ZERO
-    return Ordinal(((exp, coeff),))
+    if not isinstance(exp, Ordinal):
+        raise OrdinalError(f"exponent must be an Ordinal, got {exp!r}")
+    if coeff < 1:
+        raise OrdinalError(f"coefficient must be positive, got {coeff}")
+    return _normal(((exp, coeff),), ((exp._key, coeff),))
 
 
 def fundamental(lam: Ordinal, k: int) -> Ordinal:
@@ -228,15 +276,22 @@ def fundamental(lam: Ordinal, k: int) -> Ordinal:
     """
     if not isinstance(lam, Ordinal) or not lam.is_limit:
         raise OrdinalError(f"fundamental sequence requires a limit ordinal, got {lam!r}")
+    k = _integer(k, "sequence index")
     if k < 0:
         raise OrdinalError(f"sequence index must be >= 0, got {k}")
-    head, (exp, coeff) = lam._terms[:-1], lam._terms[-1]
+    # every exponent of the head is at least exp, and the tail's is below it,
+    # so head and tail concatenate into normal form
+    head, key = lam._terms[:-1], lam._key[:-1]
+    exp, coeff = lam._terms[-1]
     if coeff > 1:
-        head = head + ((exp, coeff - 1),)
-    base = Ordinal(head)
-    if exp.is_successor:
-        return base + omega_pow(exp.predecessor(), k)
-    return base + omega_pow(fundamental(exp, k))
+        head, key = head + ((exp, coeff - 1),), key + ((exp._key, coeff - 1),)
+    if not exp.is_successor:
+        tail = fundamental(exp, k)
+        return _normal(head + ((tail, 1),), key + ((tail._key, 1),))
+    if k == 0:
+        return _normal(head, key)
+    tail = exp.predecessor()
+    return _normal(head + ((tail, k),), key + ((tail._key, k),))
 
 
 def cb_level(b: Ordinal) -> int:
@@ -263,7 +318,8 @@ def omega_quotient(a: Ordinal) -> Ordinal:
         # for infinite ones
         g = from_int(exp.as_int() - 1) if compare(exp, OMEGA) < 0 else exp
         out.append((g, coeff))
-    return Ordinal(tuple(out))
+    # exponents above w stay and finite ones drop by one, so they still decrease
+    return _normal(tuple(out), tuple((g._key, coeff) for g, coeff in out))
 
 
 # --- parsing ---------------------------------------------------------------

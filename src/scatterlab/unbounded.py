@@ -68,14 +68,20 @@ class UnboundedFn:
         self.lambda_w = lambda_w
         self.eps = tuple(eps)
         # a table too short for its lambda_w is refused before the rows are allocated
-        table: Dict[FrozenSet[int], int] = {}
+        table: Dict[Tuple[int, int], int] = {}
         for key, idx in entries.items():
-            pair = frozenset(key)
-            if len(pair) != 2 or not all(0 <= i < lambda_w for i in pair):
+            # a key of another length names the set of its members
+            pair = key if len(key) == 2 else frozenset(key)
+            if len(pair) != 2:
+                raise FamilyError(f"bad pair {set(key)}")
+            i, j = pair
+            if j < i:
+                i, j = j, i
+            if not 0 <= i < j < lambda_w:
                 raise FamilyError(f"bad pair {set(key)}")
             if not 0 <= idx < len(self.eps):
                 raise FamilyError(f"marker index {idx} out of range for pair {set(key)}")
-            if table.setdefault(pair, idx) != idx:
+            if table.setdefault((i, j), idx) != idx:
                 raise FamilyError(f"conflicting entries for pair {set(key)}")
         expected = lambda_w * (lambda_w - 1) // 2
         if len(table) != expected:
@@ -305,6 +311,9 @@ def load(path, eps: Sequence[Ordinal]) -> UnboundedFn:
         row = line.split()
         if len(row) != 3:
             raise error(f"table line takes 'i j index': {line!r}")
-        i, j, idx = (fmt.integer(tok, "table entry", error) for tok in row)
+        try:
+            i, j, idx = map(int, row)
+        except ValueError:
+            i, j, idx = (fmt.integer(tok, "table entry", error) for tok in row)
         entries[(i, j)] = idx
     return UnboundedFn(lam, eps, entries)

@@ -46,6 +46,21 @@ def word_sum(a: Ordinal, b: Ordinal) -> Ordinal:
     return rebuild(survivors)
 
 
+def naive_fundamental(lam: Ordinal, k: int) -> Ordinal:
+    """`ordinals.fundamental` as it read before results were built from their
+    normal form: the head through the checking constructor, the last term's
+    part added to it."""
+    from scatterlab.ordinals import omega_pow
+
+    head, (exp, coeff) = lam.terms[:-1], lam.terms[-1]
+    if coeff > 1:
+        head = head + ((exp, coeff - 1),)
+    base = Ordinal(head)
+    if exp.is_successor:
+        return base + omega_pow(exp.predecessor(), k)
+    return base + omega_pow(naive_fundamental(exp, k))
+
+
 # --- ordinal comparison, term by term ----------------------------------------
 #
 # The textbook Cantor-normal-form comparison: walk both term lists together,
@@ -1099,3 +1114,101 @@ def full_interval_data(tree, iv, root_levels):
     if len(eps) < xi + kw + 1:
         eps = tree.e_set(iv, xi + kw + 1)
     return (xi, eps[xi + kw], tuple(eps[xi : xi + kw]))
+
+
+def naive_markers(hi, lo, count):
+    """The first `count` markers of a limit-ended node [lo, hi) by the rule
+    that always builds the last marker's successor: each next marker is
+    the larger of the fundamental step and one past the last."""
+    from scatterlab.ordinals import ONE
+
+    seq = [lo]
+    while len(seq) < count:
+        step = naive_fundamental(hi, len(seq))
+        nxt = seq[-1] + ONE
+        seq.append(step if step > nxt else nxt)
+    return seq
+
+
+# --- document readers -----------------------------------------------------------
+#
+# The readers as they were before each token's work was shared: every level
+# token parsed where it stands, every index token checked on its own by
+# `fmt.indexed`, every table token through `fmt.integer`, and every table
+# entry checked as a frozenset of its indices.
+
+
+def naive_read_poset_block(lines, at, error):
+    from scatterlab import fmt
+    from scatterlab.conditions import Point, pair_key, parse_level
+
+    body, at = fmt.section(lines, at, "points", error)
+    pts = [
+        Point(parse_level(level), fmt.integer(xi, "column", error))
+        for level, xi in fmt.numbered(body, error, 2)
+    ]
+    fmt.distinct(pts, error)
+    body, at = fmt.section(lines, at, "order", error)
+    rel = [tuple(fmt.pair(pts, line, error)) for line in body]
+    body, at = fmt.section(lines, at, "meets", error)
+    meets = {}
+    for line in body:
+        head, _, tail = line.partition(":")
+        value = frozenset(fmt.indexed(pts, tail.split(), error))
+        s, t = fmt.pair(pts, head, error)
+        if s == t:
+            raise error(f"meet entry for identical points {s}")
+        if meets.setdefault(pair_key(s, t), value) != value:
+            raise error(f"conflicting meet entries for ({s}, {t})")
+    return pts, rel, meets, at
+
+
+def naive_table_rows(lambda_w, eps, entries):
+    """The dense rows `UnboundedFn(lambda_w, eps, entries)` keeps, or the
+    `FamilyError` it raises."""
+    from scatterlab.unbounded import FamilyError
+
+    if lambda_w < 2:
+        raise FamilyError("lambda_w must be at least 2")
+    if not eps:
+        raise FamilyError("no materialized marker values")
+    table = {}
+    for key, idx in entries.items():
+        pair = frozenset(key)
+        if len(pair) != 2 or not all(0 <= i < lambda_w for i in pair):
+            raise FamilyError(f"bad pair {set(key)}")
+        if not 0 <= idx < len(eps):
+            raise FamilyError(f"marker index {idx} out of range for pair {set(key)}")
+        if table.setdefault(pair, idx) != idx:
+            raise FamilyError(f"conflicting entries for pair {set(key)}")
+    expected = lambda_w * (lambda_w - 1) // 2
+    if len(table) != expected:
+        raise FamilyError(f"table has {len(table)} pairs, needs {expected}")
+    rows = [[None] * lambda_w for _ in range(lambda_w)]
+    for (i, j), idx in table.items():
+        rows[i][j] = rows[j][i] = idx
+    return tuple(tuple(row) for row in rows)
+
+
+def naive_load(path, eps):
+    """The rows of the table document at `path`, as `unbounded.load` reads
+    it, or the `FamilyError` it raises."""
+    from scatterlab import fmt
+    from scatterlab.unbounded import FORMAT_HEADER, FamilyError
+
+    with open(path) as fh:
+        text = fh.read()
+
+    def error(msg):
+        return FamilyError(f"{path}: {msg}")
+
+    lines = fmt.document_lines(text, FORMAT_HEADER, error)
+    lam = fmt.integer(fmt.value(lines, 1, "lambda_w", error), "lambda_w", error)
+    entries = {}
+    for line in lines[2:]:
+        row = line.split()
+        if len(row) != 3:
+            raise error(f"table line takes 'i j index': {line!r}")
+        i, j, idx = (fmt.integer(tok, "table entry", error) for tok in row)
+        entries[(i, j)] = idx
+    return naive_table_rows(lam, eps, entries)

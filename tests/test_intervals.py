@@ -19,7 +19,13 @@ from scatterlab.intervals import (
 from scatterlab.ordinals import ONE, ZERO, Ordinal, from_int, parse
 
 from .conftest import deep_ordinals, limit_ordinals, wall_clock
-from .oracles import full_interval_data, full_marker_membership, full_orbit, full_step
+from .oracles import (
+    full_interval_data,
+    full_marker_membership,
+    full_orbit,
+    full_step,
+    naive_markers,
+)
 
 
 def iv(lo: str, hi: str) -> Interval:
@@ -38,6 +44,24 @@ def test_interval_basics():
     assert not iv("w", "w*2").contains(parse("w*2"))
     with pytest.raises(TreeError):
         iv("w", "3")
+
+
+@given(deep_ordinals(), deep_ordinals(), st.sampled_from(["+0", "+1", "+2", "+b", "+1+b"]))
+def test_is_singleton_is_one_step_up(lo, b, how):
+    hi = {"+0": lo, "+1": lo + ONE, "+2": lo + 2, "+b": lo + b, "+1+b": lo + ONE + b}[how]
+    assert Interval(lo, hi).is_singleton == (hi == lo + ONE)
+
+
+@pytest.mark.parametrize("e_budget", [16, 64])
+@pytest.mark.parametrize("eta", ["w^2", "w^3*2", "w^w"])
+def test_markers_follow_the_successor_building_rule(eta, e_budget):
+    tree = make_tree(eta, e_budget)
+    count = e_budget + 1
+    assert list(tree.root_eps()) == naive_markers(tree.root.hi, ZERO, count)
+    # nodes whose left end passes the first steps take the successor branch
+    for lo in ("w + 5", "w*3 + 2", "w*40 + 1"):
+        node = Interval(parse(lo), tree.root.hi)
+        assert list(tree.e_set(node)) == naive_markers(node.hi, node.lo, count)
 
 
 def test_params_validation():

@@ -19,7 +19,15 @@ from scatterlab.ordinals import (
 )
 
 from .conftest import deep_ordinals, flat_ordinals, limit_ordinals
-from .oracles import cnf_compare, omega_times, shift_down, strip_rank, vector_compare, word_sum
+from .oracles import (
+    cnf_compare,
+    naive_fundamental,
+    omega_times,
+    shift_down,
+    strip_rank,
+    vector_compare,
+    word_sum,
+)
 
 
 def test_constants():
@@ -41,6 +49,51 @@ def test_construction_rejects_bad_terms():
         Ordinal(((ONE, 0),))  # zero coefficient
     with pytest.raises(OrdinalError):
         from_int(-3)
+
+
+def test_non_integral_coefficients_are_refused():
+    with pytest.raises(OrdinalError, match="coefficient must be an integer, got 2.7"):
+        Ordinal(((ONE, 2.7),))
+    with pytest.raises(OrdinalError, match="coefficient must be an integer, got 2.5"):
+        omega_pow(ONE, 2.5)
+    with pytest.raises(OrdinalError, match="sequence index must be an integer, got 2.5"):
+        fundamental(OMEGA, 2.5)
+    with pytest.raises(OrdinalError, match="natural number must be an integer, got 2.5"):
+        from_int(2.5)
+    with pytest.raises(OrdinalError, match="coefficient must be positive, got -1"):
+        omega_pow(ONE, -1)
+    with pytest.raises(OrdinalError, match="exponent must be an Ordinal, got 1"):
+        omega_pow(1, 2)
+    # operator.index semantics: ints and bools pass
+    assert Ordinal(((ONE, True),)) == omega_pow(ONE, True) == OMEGA
+    assert fundamental(OMEGA, True) == ONE
+    assert omega_pow(1, 0) == ZERO
+
+
+def checked_copy(a):
+    """`a` rebuilt from its terms by the checking constructor."""
+    return Ordinal(a.terms)
+
+
+def assert_normal(a):
+    b = checked_copy(a)
+    assert a._key == b._key
+    assert hash(a) == hash(b)
+    assert a.terms == b.terms
+    assert str(a) == str(b)
+
+
+@given(deep_ordinals(), deep_ordinals(), st.integers(0, 4), st.integers(0, 6))
+def test_arithmetic_matches_the_checking_constructor(a, b, n, k):
+    for result in (a + b, b + a, n + a, a + n, a.successor(), from_int(n), omega_pow(a, n),
+                   omega_quotient(a)):
+        assert_normal(result)
+    if a.is_successor:
+        assert_normal(a.predecessor())
+        assert a.predecessor().successor() == a
+    if a.is_limit:
+        assert_normal(fundamental(a, k))
+        assert fundamental(a, k) == naive_fundamental(a, k)
 
 
 def test_parse_canonical_forms():
@@ -247,6 +300,7 @@ FUNDAMENTAL_CASES = [
 @pytest.mark.parametrize("lam,k,expected", FUNDAMENTAL_CASES)
 def test_fundamental_frozen(lam, k, expected):
     assert fundamental(parse(lam), k) == parse(expected)
+    assert naive_fundamental(parse(lam), k) == parse(expected)
 
 
 def test_fundamental_rejects_non_limits():
