@@ -3,7 +3,7 @@
 Everything in this module is about taking two (or a family of) valid
 conditions and producing a common extension, the way a chain-condition
 argument would at full cardinality, except here every step is a finite
-computation that gets re-verified after construction.
+computation whose result is judged before it is returned.
 
 The module provides, in dependency order:
 
@@ -24,8 +24,12 @@ The module provides, in dependency order:
 The pairing clauses, the root-interpolant cross order and the root meet
 disagreements each have one helper, shared by the builders and reports that
 decide them; order is read from the ``OrderIndex`` masks.  Construction
-functions never return silently-wrong output: each one re-validates its
-result and raises with the offending clause otherwise.
+functions never return silently-wrong output, and none rebuilds a condition
+it already holds in normal form: ``push_down`` and ``pull_back`` rename
+their input's order index, and ``amalgamate_eta`` grows each search node
+from its parent.  Each judges its result and raises with the offending
+clause, in full unless a kept verdict covers a part: an eta leaf is judged
+on what it adds to members judged valid, a pull-back on its returned tops.
 """
 
 from __future__ import annotations
@@ -35,9 +39,13 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from .conditions import (
+    TOP,
     Condition,
     ConditionError,
+    OrderIndex,
     Point,
+    bits,
+    condition_from_index,
     leq,
     level_lt,
     make_condition,
@@ -101,11 +109,9 @@ class FGapError(AmalgamError):
     """The unbounded-function gap hypothesis fails for a column pair."""
 
 
-def _require_valid(
-    cond: Condition, tree: IntervalTree, F: Optional[UnboundedFn], what: str
-) -> None:
-    """Raise AmalgamError naming every clause `cond` violates."""
-    found = validate(cond, tree, F)
+def _require_valid(found, what: str) -> None:
+    """Raise AmalgamError naming every clause in `found`, a condition's
+    validation findings."""
     if found:
         raise AmalgamError(f"{what} failed validation: " + "; ".join(str(v) for v in found))
 
@@ -425,6 +431,11 @@ def kerneldown_check(fam: SeparatedFamily):
 # top-heavy dialect amalgamation
 
 
+def _root_order(p: Condition, root: FrozenSet[Point]):
+    """The strict pairs of p between root points."""
+    return {(s, t) for s, t in p.strict if s in root and t in root}
+
+
 def _root_meet_conflicts(p: Condition, q: Condition, root: FrozenSet[Point]):
     """The root pairs, in point_key order, whose meets p and q disagree on."""
     return [
@@ -447,7 +458,7 @@ def amalgamate_omega(
     {u in root: u below both}.  All hypotheses (sunflower root, level
     exclusivity, initial-segment root levels, root agreement, F gap
     over the top root level) are checked and raise
-    HypothesisViolationError; the result is re-validated against tree.
+    HypothesisViolationError; the result is validated in full against tree.
     """
     if p.dialect != "omega" or q.dialect != "omega":
         raise HypothesisViolationError("both members must use the omega dialect")
@@ -471,9 +482,7 @@ def amalgamate_omega(
                 problems.append(
                     f"initial-segment: {name} member point {x} below root top level"
                 )
-    rp = {(s, t) for (s, t) in p.strict if s in root and t in root}
-    rq = {(s, t) for (s, t) in q.strict if s in root and t in root}
-    if rp != rq:
+    if _root_order(p, root) != _root_order(q, root):
         problems.append("root order disagrees between the members")
     for s, t in _root_meet_conflicts(p, q, root):
         problems.append(f"root meet disagrees at ({s}, {t})")
@@ -493,9 +502,7 @@ def amalgamate_omega(
         for y, y_low in q_low.items():
             meets[(x, y)] = frozenset(x_low & y_low)
     r = make_condition("omega", points, rel, meets)
-    if not (leq(r, p) and leq(r, q)):
-        raise AmalgamError("amalgam is not below both members")
-    _require_valid(r, tree, F, "omega amalgam")
+    _require_valid(validate(r, tree, F), "omega amalgam")
     return r
 
 
@@ -610,6 +617,12 @@ def push_down(r: Condition, zeta: int, tree: IntervalTree):
     which keeps the witness level of any isolated pair strictly below the
     landing level.  Returns (r', g) with g mapping the points of r' to
     the points of r; g is the identity off the pushed points.
+
+    r' is r's order index renamed in place.  The tops sort last in r, by
+    column, and the landing points sort last in r', in the same column
+    order, since eps[zeta] lies above the fence: every position keeps its
+    rows and its meets.  Nothing is sorted, closed or re-checked before
+    r' is validated in full.
     """
     params = tree.params
     kw = params.kappa_w
@@ -628,23 +641,24 @@ def push_down(r: Condition, zeta: int, tree: IntervalTree):
             "sub-top levels reach the landing fence",
             offenders,
         )
-    tops = sorted((x for x in r.points if x.is_top), key=lambda x: x.xi)
+    core = r.core()
+    tops = core.members(core.levels.get(TOP, 0))
     if len(tops) > kw:
         raise HypothesisViolationError(
             f"{len(tops)} top points exceed the column budget {kw}"
         )
 
-    fwd = {x: x for x in r.points if not x.is_top}
-    for i, x in enumerate(tops):
-        fwd[x] = Point(landing, i)
-    back = {v: k for k, v in fwd.items()}
-    points = set(back)
-    rel = {(fwd[s], fwd[t]) for s, t in r.strict}
+    fwd = {x: Point(landing, i) for i, x in enumerate(tops)}
+    back = {x: x for x in r.points if not x.is_top}
+    back.update((v, k) for k, v in fwd.items())
+    rel = frozenset((fwd.get(s, s), fwd.get(t, t)) for s, t in r.strict)
     meets = {}
     for (s, t), value in r.meet_table().items():
-        meets[(fwd[s], fwd[t])] = frozenset(fwd[v] for v in value)
-    pushed = make_condition(r.dialect, points, rel, meets)
-    _require_valid(pushed, tree, None, "push-down")
+        if not value.isdisjoint(fwd):
+            value = frozenset(fwd.get(v, v) for v in value)
+        meets[fwd.get(s, s), fwd.get(t, t)] = value
+    pushed = condition_from_index(r.dialect, core.renamed(fwd), rel, meets)
+    _require_valid(validate(pushed, tree), "push-down")
     return pushed, back
 
 
@@ -753,50 +767,125 @@ def amalgamate_eta(
     `partial` and `constraint`; when nothing was blocked, because every
     leaf reached was refused, both are None.
 
+    Each search node equals `make_condition(..., complete=True)` on its
+    parts without being rebuilt from them.  The base node takes the
+    members' meets as they stand and forces only the cross pairs'; a child
+    grows from its parent's order index with the fresh point v inserted,
+    and only the pairs off the members with an end at v or above it are
+    forced again: no other pair's down-sets, comparability or maximal
+    common lower bounds change.
+
     A leaf, a placement with no deficient pair left, is judged in this
     order: `leq` below both members; then, when both members are
     `judged_valid` for `tree` (push_down leaves them so), only what the
-    leaf adds to them (`violations_touching` with the members), else a
-    full `validate`; then `r2_report`'s cross-structure contract; then the
+    leaf adds to them (`violations_touching` with the members), whose
+    clean verdict the leaf keeps as `validate` would, else a full
+    `validate`; then `r2_report`'s cross-structure contract; then the
     fresh levels against the stamp bound gamma.  A leaf that fails `leq`
     still runs the full `validate`, so a check it would raise from raises.
     """
+    _require_grid_members(pp, qq)
+    if pp != qq:
+        bad = check_adequate(dict(pairing))
+        if bad:
+            raise HypothesisViolationError("pairing is not adequate", bad)
+        if any(pairing[s] != s for s in pp.points & qq.points):
+            raise HypothesisViolationError("pairing moves a root point")
+    return _grid_amalgam(pp, qq, pairing, stamps, tree, max_fresh)
+
+
+def _require_grid_members(pp: Condition, qq: Condition) -> None:
     if pp.dialect != "kappa" or qq.dialect != "kappa":
         raise HypothesisViolationError("grid amalgamation expects the kappa dialect")
     for cond, name in ((pp, "first"), (qq, "second")):
         if any(x.is_top for x in cond.points):
             raise HypothesisViolationError(f"{name} member is not top-free")
+
+
+def _grid_base(pp: Condition, qq: Condition, root, cross, base_meets) -> Condition:
+    """The search's first node: the members' union with the cross order.
+    When the members' root orders agree, the union is closed: a chain
+    that leaves one member through a root point and comes back climbs
+    between root points, which both members order alike."""
+    points = pp.points | qq.points
+    rel = pp.strict | qq.strict | cross
+    if _root_order(pp, root) != _root_order(qq, root):
+        return make_condition("kappa", points, rel, base_meets, complete=True)
+    core = OrderIndex(points, rel)
+    index = core.index
+    off = [
+        (i, j) if i < j else (j, i)
+        for i in (index[x] for x in pp.points - root)
+        for j in (index[y] for y in qq.points - root)
+    ]
+    return condition_from_index("kappa", core, rel, dict(base_meets), off)
+
+
+def _grown(cond: Condition, v: Point, lower, ups, owner) -> Condition:
+    """`cond` with the fresh point v placed above `lower` and below `ups`;
+    `owner` maps each member point to its member bits, and the pairs of
+    one member keep their meets.  No cycle can close: `lower` is a
+    down-set, sitting below v's level, and every point of `ups` above it."""
+    core, bit = cond.core().inserted([v])
+    index, up, down = core.index, core.up, core.down
+    low = high = 0
+    for w in lower:
+        low |= down[index[w]] | 1 << index[w]
+    for c in ups:
+        high |= up[index[c]] | 1 << index[c]
+    for i in bits(low):
+        up[i] |= high | bit
+    for j in bits(high):
+        down[j] |= low | bit
+    q = bit.bit_length() - 1
+    down[q], up[q] = low, high
+    below, above = core.members(low), core.members(high)
+    added = [(w, v) for w in below] + [(v, c) for c in above]
+    added += [(w, c) for w in below for c in above]
+    own = [owner.get(x, 0) for x in core.pts]
+    force = [(i, j) for i, j in core.pairs(high | bit) if not own[i] & own[j]]
+    meets = cond.meet_table().copy()
+    return condition_from_index("kappa", core, cond.strict.union(added), meets, force)
+
+
+def _grid_amalgam(
+    pp: Condition,
+    qq: Condition,
+    pairing: Mapping[Point, Point],
+    stamps: EquivalenceStamp,
+    tree: IntervalTree,
+    max_fresh: int,
+) -> AmalgamResult:
+    """`amalgamate_eta` past its checks on the members and the pairing."""
     if pp == qq:
         return AmalgamResult(pp, stamps.gamma, ())
 
     root = pp.points & qq.points
-    bad = check_adequate(dict(pairing))
-    if bad:
-        raise HypothesisViolationError("pairing is not adequate", bad)
-    if any(pairing[s] != s for s in root):
-        raise HypothesisViolationError("pairing moves a root point")
-
     mirror: Dict[Point, Point] = {}
     for s in pp.points:
         mirror[s] = pairing[s]
         mirror[pairing[s]] = s
 
     cross = _cross_order(pp, qq, root)
-    rel = set(pp.strict) | set(qq.strict) | cross
     for s, t in _root_meet_conflicts(pp, qq, root):
         raise HypothesisViolationError(f"members disagree on the root meet of ({s}, {t})")
     # meet maps are keyed in point_key order, so a shared pair has one key
     base_meets = pp.meet_table() | qq.meet_table()
+    # bit 0: the point lies in pp, bit 1: in qq; fresh points own neither
+    owner = dict.fromkeys(pp.points, 1)
+    for x in qq.points:
+        owner[x] = owner.get(x, 0) | 2
     settled = pp.judged_valid(tree, None) and qq.judged_valid(tree, None)
     blocked = []
 
-    def attempt(points, rel_now, fresh):
-        cond = make_condition("kappa", points, rel_now, base_meets, complete=True)
+    def attempt(cond, fresh):
         task = _first_deficient(cond, base_meets, tree)
         if task is None:
             extends = leq(cond, pp) and leq(cond, qq)
             if extends and settled:
                 found = violations_touching(cond, tree, None, -1, (pp, qq))
+                if not found:
+                    cond.keep_verdict(tree, None)
             else:
                 found = validate(cond, tree)
             if found or not extends or _r2_findings(cond, pp, qq, mirror, root, cross):
@@ -849,15 +938,14 @@ def amalgamate_eta(
                 ):
                     continue
                 placed_any = True
-                grown = rel_now | {(w, v) for w in lower} | {(v, c) for c in ups}
-                hit = attempt(points | {v}, grown, fresh + (v,))
+                hit = attempt(_grown(cond, v, lower, ups, owner), fresh + (v,))
                 if hit is not None:
                     return hit
         if not placed_any:
             blocked.append((cond, task))
         return None
 
-    hit = attempt(pp.points | qq.points, rel, ())
+    hit = attempt(_grid_base(pp, qq, root, cross, base_meets), ())
     if hit is None:
         partial, task = blocked[0] if blocked else (None, None)
         raise SearchExhaustedError(
@@ -912,14 +1000,26 @@ def pull_back(
     sits above it, and each meet is the unique maximum of the preimage
     meets (MaxUndefinedError otherwise).  The gap hypothesis on F is
     checked over max(gamma, root top level) before anything is built.
+
+    When no landing point has a point above it in rp and no returned top
+    is a kept point, the result's order index is rp's with each landing
+    point renamed to its top (the tops sort last, and the landing points of
+    a shared top merge), and the kept points' down-sets, order, meets and
+    interpolant witnesses are rp's own; otherwise the result is built
+    through `make_condition`.  With that index and rp a kappa condition
+    `judged_valid` for `tree`, only the returned tops and the pairs with an
+    end among them are checked, and a clean check keeps the result's
+    verdict as a full one would; otherwise the result is validated in
+    full.  Last, it must lie below both members.
     """
     pushed_nu = {k: v for k, v in g_nu.items() if k != v}
     pushed_mu = {k: v for k, v in g_mu.items() if k != v}
-    missing = (set(pushed_nu) | set(pushed_mu)) - rp.points
+    landed = set(pushed_nu) | set(pushed_mu)
+    missing = landed - rp.points
     if missing:
         raise AmalgamError(f"pushed points missing from the amalgam: {missing}")
 
-    keep = rp.points - set(pushed_nu) - set(pushed_mu)
+    keep = rp.points - landed
     h: Dict[Point, Point] = {x: x for x in keep}
     h.update(pushed_nu)
     h.update(pushed_mu)
@@ -948,15 +1048,22 @@ def pull_back(
     below = core.below()
     ordered = sorted(points, key=point_key)
     for s, t in itertools.combinations(ordered, 2):
-        cands = []
-        for sp in preimages[s]:
-            for tp in preimages[t]:
-                cands.append(rp.meet(sp, tp))
-        value = _meet_max(core, below, cands, (s, t))
+        cands = [rp.meet(sp, tp) for sp in preimages[s] for tp in preimages[t]]
+        value = cands[0] if len(cands) == 1 else _meet_max(core, below, cands, (s, t))
         meets[(s, t)] = frozenset(h[v] for v in value)
 
-    r = make_condition("kappa", points, rel, meets)
-    _require_valid(r, tree, F, "pull-back")
+    tops, unjudged = z_nu | z_mu, -1
+    if keep.isdisjoint(tops) and not any(core.up[core.index[x]] for x in landed):
+        # nothing sits above a landing point, so rp's order index is r's
+        # with each landing point renamed to its top: the kept points' rows,
+        # meets and interpolant witnesses are rp's own
+        r = condition_from_index("kappa", core.renamed(h), frozenset(rel), meets)
+        if rp.dialect == "kappa" and rp.judged_valid(tree, None):
+            index = r.core().index
+            unjudged = sum(1 << index[z] for z in tops)
+    else:
+        r = make_condition("kappa", points, rel, meets)
+    _require_valid(validate(r, tree, F, unjudged), "pull-back")
     for member, name in ((r_nu, "first"), (r_mu, "second")):
         if not leq(r, member):
             raise AmalgamError(f"pull-back is not below the {name} member")
@@ -991,7 +1098,9 @@ def amalgamate_kappa(
         fam = separated_refine([pp, qq], 2)
         stage = "eta"
         stamps = equivalence_stamp(fam, tree)
-        res = amalgamate_eta(pp, qq, fam.pairing(0, 1), stamps, tree)
+        # separated_refine has judged the pairing: adequate and root-fixing
+        _require_grid_members(pp, qq)
+        res = _grid_amalgam(pp, qq, fam.pairing(0, 1), stamps, tree, 8)
         stage = "pull"
         return pull_back(res.condition, p, q, g_p, g_q, tree, F, res.gamma)
     except (AmalgamError, ConditionError, TreeError) as err:

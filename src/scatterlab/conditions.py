@@ -15,7 +15,8 @@ related pair.
 reports every violated clause by name; `extend_below` is the point
 insertion that plants a fresh point under a target while preserving
 validity.  `extend_condition` adds points below old ones without
-rebuilding the old part, and `violations_touching` checks only the pairs
+rebuilding the old part, `condition_from_index` wraps an order index its
+caller has already closed, and `violations_touching` checks only the pairs
 with a new end, or only what a condition adds to valid members it extends.
 
 `Poset` is the order core shared with `generic.FinitePoset`: each poset
@@ -245,6 +246,32 @@ class OrderIndex:
             fresh |= 1 << q
         return out, fresh
 
+    def renamed(self, new: Mapping[Point, Point]) -> "OrderIndex":
+        """A copy with each point x in `new` renamed to `new[x]`, points
+        renamed alike merged into one with their rows ORed, and every row
+        moved to its point's position among the renamed points.  Where no
+        position moves, the rows are copied as they are.  A merged point
+        must hold no strict pair inside it."""
+        out = OrderIndex((), ())
+        names = [new.get(x, x) for x in self.pts]
+        keys = [x._key for x in names]
+        if all(a < b for a, b in zip(keys, keys[1:])):
+            out.pts, out.down, out.up = names, list(self.down), list(self.up)
+            out.index = {x: i for i, x in enumerate(names)}
+        else:
+            out.pts = sorted(set(names), key=point_key)
+            out.index = index = {x: i for i, x in enumerate(out.pts)}
+            at = [index[x] for x in names]
+            out.down, out.up = [0] * len(out.pts), [0] * len(out.pts)
+            for k, j in enumerate(at):
+                for b in bits(self.down[k]):
+                    out.down[j] |= 1 << at[b]
+                for b in bits(self.up[k]):
+                    out.up[j] |= 1 << at[b]
+        for i, x in enumerate(out.pts):
+            out.levels[x.level] = out.levels.get(x.level, 0) | 1 << i
+        return out
+
     def members(self, mask: int) -> List[Point]:
         return [self.pts[k] for k in bits(mask)]
 
@@ -346,14 +373,15 @@ class Poset:
 class Condition(Poset):
     """Immutable points + strict order + total meet table.
 
-    Assumes normalized input: build through `make_condition` or
-    `extend_condition`.  The strict set is transitively closed and
-    irreflexive; the meet map has exactly one entry per pair of distinct
-    points, canonically keyed.  Conditions of a schedule chain each own a
-    copy of the strict set and meet map, the values shared.  The verdict
-    of a `validate` that found nothing is kept in the slot `_valid_for`,
-    outside `_fields()` and the hash, as the tree's params and depth cap
-    and the F object it was judged against.
+    Assumes normalized input: build through `make_condition` from raw
+    parts, `extend_condition` below an old condition, or
+    `condition_from_index` from an order index already closed.  The strict
+    set is transitively closed and irreflexive; the meet map has exactly
+    one entry per pair of distinct points, canonically keyed.  Conditions
+    of a schedule chain each own a copy of the strict set and meet map, the
+    values shared.  The verdict of a `validate` that found nothing is kept
+    in the slot `_valid_for`, outside `_fields()` and the hash, as the
+    tree's params and depth cap and the F object it was judged against.
     """
 
     __slots__ = ("_hash", "_valid_for")
@@ -365,7 +393,10 @@ class Condition(Poset):
         kept = getattr(self, "_valid_for", None)
         return kept is not None and kept[2] is F and kept[:2] == (tree.params, tree.depth_cap)
 
-    def _keep_verdict(self, tree: IntervalTree, F: Optional[UnboundedFn]) -> None:
+    def keep_verdict(self, tree: IntervalTree, F: Optional[UnboundedFn]) -> None:
+        """Record that a full `validate` against `tree` and `F` finds
+        nothing: for `validate` itself, or for a caller whose
+        `violations_touching` with judged members found nothing."""
         self._valid_for = (tree.params, tree.depth_cap, F)
 
     def __hash__(self) -> int:
@@ -476,6 +507,23 @@ def make_condition(
     return Condition(dialect, pts, strict, table, core)
 
 
+def condition_from_index(
+    dialect: str,
+    core: OrderIndex,
+    strict: FrozenSet[Tuple[Point, Point]],
+    meets: Dict[Tuple[Point, Point], FrozenSet[Point]],
+    force: Iterable[Tuple[int, int]] = (),
+) -> Condition:
+    """A Condition over the order index `core`, whose masks must be
+    transitively closed and acyclic with `strict` as their pairs, and the
+    canonically keyed map `meets`, into which the meet of each position
+    pair in `force` is entered first, as `make_condition(...,
+    complete=True)` forces it.  `meets` is filled in place and must end
+    with one entry per pair.  Nothing is sorted, closed or checked here."""
+    _force(core, force, meets)
+    return Condition(dialect, frozenset(core.pts), strict, meets, core)
+
+
 def extend_condition(
     p: Condition,
     new_points: Iterable[Point],
@@ -544,7 +592,7 @@ def _marker_membership(tree: IntervalTree, beta: Ordinal) -> bool:
 
 
 def validate(
-    p: Condition, tree: IntervalTree, F: Optional[UnboundedFn] = None
+    p: Condition, tree: IntervalTree, F: Optional[UnboundedFn] = None, fresh: int = -1
 ) -> List[Violation]:
     """Every violated clause, empty iff the condition is valid.
 
@@ -559,12 +607,18 @@ def validate(
     identity) answers [] from it at once: conditions are immutable, and a
     tree's answers are a function of its params and depth cap.  A check
     that raises or finds a violation is never kept.
+
+    A mask `fresh` of positions in `p.core()` narrows the check to its
+    points and the pairs with an end among them (`violations_touching`),
+    for a caller that vouches that every other point and pair was judged
+    valid already, as they stand in `p`; a narrowed check that finds
+    nothing is kept all the same.
     """
     if p.judged_valid(tree, F):
         return []
-    found = violations_touching(p, tree, F, -1)
+    found = violations_touching(p, tree, F, fresh)
     if not found:
-        p._keep_verdict(tree, F)
+        p.keep_verdict(tree, F)
     return found
 
 

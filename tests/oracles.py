@@ -387,6 +387,55 @@ def naive_deficient(cond, base_keys, tree):
     return out
 
 
+def naive_push_down(r, zeta, tree):
+    """`amalgam.push_down`'s (r', g) rebuilt through `make_condition`: the
+    top points renamed to the landing level in column order, the order and
+    meets carried over, nothing judged."""
+    from scatterlab.conditions import Point, make_condition
+
+    landing = tree.root_eps(zeta + 1)[zeta]
+    tops = sorted((x for x in r.points if x.is_top), key=lambda x: x.xi)
+    fwd = {x: x for x in r.points if not x.is_top}
+    fwd.update((x, Point(landing, i)) for i, x in enumerate(tops))
+    rel = {(fwd[s], fwd[t]) for s, t in r.strict}
+    meets = {
+        (fwd[s], fwd[t]): frozenset(fwd[v] for v in value)
+        for (s, t), value in r.meets
+    }
+    pushed = make_condition(r.dialect, set(fwd.values()), rel, meets, complete=True)
+    return pushed, {v: k for k, v in fwd.items()}
+
+
+def naive_pull_back(rp, g_nu, g_mu):
+    """`amalgam.pull_back`'s condition before it is judged, rebuilt through
+    `make_condition` by point tests: each pushed point returned to its
+    top, the order of the strict pairs that start at a kept point, and each
+    meet the preimage meet whose down-set holds every other one's (None
+    when no preimage meet does)."""
+    from scatterlab.conditions import make_condition, point_key
+
+    pushed = {k: v for g in (g_nu, g_mu) for k, v in g.items() if k != v}
+    keep = rp.points - set(pushed)
+    h = {x: x for x in keep} | pushed
+    rel = {(s, h[t]) for s, t in rp.strict if s in keep}
+
+    def hull(value):
+        return {y for y in rp.points if any(_raw_le(rp, y, v) for v in value)}
+
+    meets = {}
+    for s, t in itertools.combinations(sorted(set(h.values()), key=point_key), 2):
+        cands = [
+            _raw_meet(rp, a, b, frozenset())
+            for a in h if h[a] == s
+            for b in h if h[b] == t
+        ]
+        top = [c for c in cands if all(hull(d) <= hull(c) for d in cands)]
+        if not top:
+            return None
+        meets[(s, t)] = frozenset(h[v] for v in top[0])
+    return make_condition("kappa", set(h.values()), rel, meets)
+
+
 # --- grid amalgam: full placement enumeration ----------------------------------
 # Breadth-first over every (deficient pair, window level, attachment shape)
 # choice, collecting every terminal condition that passes the full contract.

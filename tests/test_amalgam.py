@@ -25,6 +25,8 @@ from .oracles import (
     naive_deficient,
     naive_eta_base,
     naive_eta_search,
+    naive_pull_back,
+    naive_push_down,
     naive_r2_report,
     naive_separated_report,
     naive_sunflower,
@@ -73,6 +75,15 @@ from scatterlab.unbounded import UnboundedFn
 
 def pt(level, xi=0):
     return Point(TOP if level == "top" else parse(level), xi)
+
+
+def assert_rebuilt(cond, want):
+    """`cond` equals `want`, built by `make_condition`, down to the order
+    index: the same sorted points, masks and level masks."""
+    assert cond == want
+    got, ref = cond.core(), want.core()
+    assert (got.pts, got.index, got.up, got.down) == (ref.pts, ref.index, ref.up, ref.down)
+    assert got.levels == ref.levels
 
 
 @pytest.fixture(scope="module")
@@ -511,6 +522,50 @@ def test_push_down_rejects_top_overflow(ktree):
         push_down(r, 6, ktree)
 
 
+def push_source(ktree, source):
+    """(r, zeta): a seeded pair's member and its push level, or a hand-built
+    condition whose tops sit in the drawn columns, each above the root
+    point u when its flag is set, with no sub-top point but u."""
+    if source[0] == "seed":
+        _, seed, side = source
+        r_nu, r_mu, zn, zm, _ = kappa_instance(ktree, random.Random(seed))
+        return (r_nu, zn) if side == 0 else (r_mu, zm)
+    _, cols, flags = source
+    u = Point(ktree.root_eps()[1], 0)
+    tops = [Point(TOP, c) for c in cols]
+    rel = [(u, z) for z, flag in zip(tops, flags) if flag]
+    return make_condition("kappa", [u, *tops], rel, complete=True), 9
+
+
+PUSH_SOURCES = st.one_of(
+    st.tuples(st.just("seed"), st.integers(0, 59), st.integers(0, 1)),
+    st.tuples(
+        st.just("tops"),
+        st.lists(st.integers(0, 7), max_size=3, unique=True),
+        st.lists(st.booleans(), min_size=3, max_size=3),
+    ),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(source=PUSH_SOURCES)
+@example(source=("tops", [5, 2, 7], [True, False, True]))
+@example(source=("tops", [], [False] * 3))
+def test_push_down_renames_the_order_index_in_place(ktree, source):
+    """The pushed condition is `make_condition`'s rebuild of the renamed
+    parts, index and all, and a refusal names the rebuild's findings."""
+    r, zeta = push_source(ktree, source)
+    want, want_g = naive_push_down(r, zeta, ktree)
+    try:
+        pushed, g = push_down(r, zeta, ktree)
+    except AmalgamError as err:
+        found = "; ".join(str(v) for v in naive_validate(want, ktree))
+        assert str(err) == f"push-down failed validation: {found}"
+        return
+    assert g == want_g
+    assert_rebuilt(pushed, want)
+
+
 # --- grid amalgamation ----------------------------------------------------------
 
 
@@ -925,6 +980,70 @@ def test_a_leaf_judged_by_what_it_adds_gets_the_full_verdict(ktree, source):
         assert [(path, found) for path, _, found in leaves] == [("added", [])]
 
 
+def root_order_instance(ktree):
+    """Members over the roots u1, u2 that agree on the root meet {u1} but
+    not on the root order: u1 < u2 in pp only, and qq puts u2 alone under
+    b, so the union needs closing (u1 < b)."""
+    eps = ktree.root_eps()
+    u1, u2, a, b = Point(eps[1], 0), Point(eps[2], 0), Point(eps[6], 0), Point(eps[7], 0)
+    pp = make_condition("kappa", [u1, u2, a], [(u1, u2), (u2, a)], complete=True)
+    qq = make_condition(
+        "kappa", [u1, u2, b], [(u2, b)], {(u1, u2): frozenset({u1})}, complete=True
+    )
+    stamps = flat_stamps(pp.points | qq.points, eps[3:5], eps[13])
+    return pp, qq, {u1: u1, u2: u2, a: b}, stamps, 3
+
+
+def search_nodes(pp, qq, pairing, stamps, tree, max_fresh):
+    """Every node `amalgamate_eta` builds, in the order it judges them."""
+    nodes = []
+    first = amalgam._first_deficient
+
+    def spy(cond, base_meets, tree):
+        nodes.append(cond)
+        return first(cond, base_meets, tree)
+
+    with mock.patch.object(amalgam, "_first_deficient", spy):
+        try:
+            amalgamate_eta(pp, qq, pairing, stamps, tree, max_fresh)
+        except SearchExhaustedError:
+            pass
+    return nodes
+
+
+@settings(max_examples=100, deadline=None)
+@given(source=st.one_of(LEAF_SOURCES, st.just(("root-order",))))
+@example(source=("root-order",))
+@example(source=("seed", 0, "stamps", 3))
+@example(source=("full-level", 2))
+def test_search_nodes_equal_their_rebuild(ktree, source):
+    """The base node is `naive_eta_base`, and each child equals
+    `make_condition(..., complete=True)` on its parent's order with the
+    fresh point's pairs added and the members' meets, index and all."""
+    if source[0] == "root-order":
+        pp, qq, pairing, stamps, max_fresh = root_order_instance(ktree)
+    else:
+        pp, qq, pairing, stamps, max_fresh = leaf_instance(ktree, source)
+    nodes = search_nodes(pp, qq, pairing, stamps, ktree, max_fresh)
+    assert_rebuilt(nodes[0], naive_eta_base(pp, qq))
+    base = pp.meet_table() | qq.meet_table()
+    for k, node in enumerate(nodes[1:], 1):
+        # depth-first: the parent is the last node one point smaller
+        parent = next(p for p in reversed(nodes[:k]) if p.size == node.size - 1)
+        (v,) = node.points - parent.points
+        rel = set(parent.strict) | {(a, b) for a, b in node.strict if v in (a, b)}
+        want = make_condition("kappa", parent.points | {v}, rel, base, complete=True)
+        assert_rebuilt(node, want)
+
+
+def test_root_order_disagreement_is_closed_as_the_oracle_closes_it(ktree):
+    pp, qq, pairing, stamps, max_fresh = root_order_instance(ktree)
+    base = naive_eta_base(pp, qq)
+    u1, b = Point(ktree.root_eps()[1], 0), Point(ktree.root_eps()[7], 0)
+    assert (u1, b) in base.strict and (u1, b) not in pp.strict | qq.strict
+    eta_against_oracle(pp, qq, pairing, stamps, ktree, max_fresh)
+
+
 def test_r2_report_flags_broken_mirror(ktree):
     for seed in range(40):
         _, _, pp, qq, _, _, pairing, stamps, _ = eta_inputs(ktree, seed)
@@ -1102,6 +1221,174 @@ def test_pull_back_fgap(ktree):
     } - r_nu.points:
         with pytest.raises(FGapError):
             pull_back(res.condition, r_nu, r_mu, g_nu, g_mu, ktree, low, res.gamma)
+
+
+def judged_pull_back(rp, *args):
+    """`pull_back(rp, *args)`'s result or AmalgamError, and every `validate`
+    it ran as (mask, condition, findings)."""
+    calls = []
+
+    def spy(cond, tree, F=None, fresh=-1):
+        found = validate(cond, tree, F, fresh)
+        calls.append((fresh, cond, found))
+        return found
+
+    with mock.patch.object(amalgam, "validate", spy):
+        try:
+            return pull_back(rp, *args), calls
+        except AmalgamError as err:
+            return err, calls
+
+
+def unjudged(cond):
+    """An equal condition with no kept verdict."""
+    return make_condition(cond.dialect, cond.points, cond.strict, cond.meet_table())
+
+
+def tops_mask(cond):
+    core = cond.core()
+    return core.levels.get(TOP, 0)
+
+
+PULL_TABLES = st.one_of(st.none(), st.integers(1, 12))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 59), flat=PULL_TABLES)
+@example(seed=5, flat=6)
+@example(seed=10, flat=7)
+@example(seed=0, flat=None)
+def test_pull_back_judges_the_returned_tops_as_validate_judges_all(ktree, seed, flat):
+    """With the amalgam's verdict kept, pull_back checks only the returned
+    tops and their pairs, and answers as the full check of an unjudged
+    twin: the same condition, or the same refusal; the narrowed findings
+    are `naive_validate`'s, and the condition judged, built from the
+    amalgam's order index, is `naive_pull_back`'s, index and all."""
+    r_nu, r_mu, pp, qq, g_nu, g_mu, pairing, stamps, F = eta_inputs(ktree, seed)
+    if flat is not None:
+        F = flat_F(ktree, ktree.params.lambda_w, flat)
+    res = amalgamate_eta(pp, qq, pairing, stamps, ktree)
+    assert res.condition.judged_valid(ktree, None)
+    args = (r_nu, r_mu, g_nu, g_mu, ktree, F, res.gamma)
+    fast, narrowed = judged_pull_back(res.condition, *args)
+    full, whole = judged_pull_back(unjudged(res.condition), *args)
+    assert [fresh for fresh, _, _ in whole] == [-1] * len(whole)
+    assert len(narrowed) == len(whole) <= 1
+    for (fresh, r, found), (_, twin, want) in zip(narrowed, whole):
+        assert fresh == tops_mask(r) and r == twin
+        assert found == want == naive_validate(r, ktree, F)
+        assert_rebuilt(r, naive_pull_back(res.condition, g_nu, g_mu))
+    if isinstance(full, AmalgamError):
+        assert type(fast) is type(full) and str(fast) == str(full)
+    else:
+        assert fast == full and fast.judged_valid(ktree, F)
+
+
+def pushed_top(ktree, col):
+    """r: the root point u under one top in column `col`, and its
+    push-down to eps[9] with the bijection."""
+    u, z = Point(ktree.root_eps()[1], 0), Point(TOP, col)
+    r = make_condition("kappa", [u, z], [(u, z)], complete=True)
+    pp, g = push_down(r, 9, ktree)
+    return r, pp, g
+
+
+def test_pull_back_refuses_pushed_points_missing_from_the_amalgam(ktree):
+    r, pp, g = pushed_top(ktree, 0)
+    landed = Point(ktree.root_eps()[9], 0)
+    rp = make_condition("kappa", pp.points - {landed})
+    F = flat_F(ktree, ktree.params.lambda_w, 12)
+    with pytest.raises(AmalgamError) as err:
+        pull_back(rp, r, r, g, g, ktree, F)
+    assert str(err.value) == f"pushed points missing from the amalgam: {{{landed!r}}}"
+
+
+@pytest.mark.parametrize("name", ["first", "second"])
+def test_pull_back_refuses_a_result_not_below_a_member(ktree, name):
+    # u < a in the related member only; the amalgam keeps u and a apart
+    eps = ktree.root_eps()
+    u, a = Point(eps[1], 0), Point(eps[6], 0)
+    related = make_condition("kappa", [u, a], [(u, a)], complete=True)
+    apart = make_condition("kappa", [u, a])
+    assert validate(apart, ktree) == []
+    members = (related, apart) if name == "first" else (apart, related)
+    ident = {x: x for x in apart.points}
+    F = flat_F(ktree, ktree.params.lambda_w, 12)
+    with pytest.raises(AmalgamError) as err:
+        pull_back(apart, *members, ident, ident, ktree, F)
+    assert str(err.value) == f"pull-back is not below the {name} member"
+
+
+def test_pull_back_without_a_kept_verdict_validates_in_full(ktree):
+    r_nu, r_mu, pp, qq, g_nu, g_mu, pairing, stamps, F = eta_inputs(ktree, 0)
+    res = amalgamate_eta(pp, qq, pairing, stamps, ktree)
+    args = (r_nu, r_mu, g_nu, g_mu, ktree, F, res.gamma)
+    r, calls = judged_pull_back(unjudged(res.condition), *args)
+    assert [(fresh, found) for fresh, _, found in calls] == [(-1, [])]
+    assert r == judged_pull_back(res.condition, *args)[0]
+
+
+def test_pull_back_with_a_point_above_a_landing_point_validates_in_full(ktree):
+    # w sits above the landing point, so its pair with the returned top
+    # takes the landing point's meet, the top itself
+    r, pp, g = pushed_top(ktree, 0)
+    eps = ktree.root_eps()
+    u, landed, w = Point(eps[1], 0), Point(eps[9], 0), Point(eps[10], 0)
+    rp = make_condition("kappa", [u, landed, w], [(u, landed), (landed, w)], complete=True)
+    assert validate(rp, ktree) == []
+    F = flat_F(ktree, ktree.params.lambda_w, 12)
+    err, calls = judged_pull_back(rp, r, r, g, g, ktree, F)
+    assert [fresh for fresh, _, _ in calls] == [-1]
+    assert str(err) == (
+        "pull-back failed validation: "
+        "meet-axiom [(w*10, 0), (TOP, 0)]: lower-bound set mismatch at {(TOP, 0)}; "
+        "meet-location [(w*10, 0), (TOP, 0)]: meet point at the top level"
+    )
+
+
+def test_pull_back_onto_a_kept_point_validates_in_full(ktree):
+    # the bijection returns the landing point onto w, a point the amalgam
+    # keeps, so w's pairs take the landing point's meets as candidates
+    eps = ktree.root_eps()
+    u, w, landed = Point(eps[1], 0), Point(eps[2], 0), Point(eps[9], 0)
+    rp = make_condition("kappa", [u, w, landed], [(u, landed)], complete=True)
+    assert validate(rp, ktree) == []
+    r = make_condition("kappa", [u, w], [(u, w)], complete=True)
+    g = {u: u, w: w, landed: w}
+    F = flat_F(ktree, ktree.params.lambda_w, 12)
+    out, calls = judged_pull_back(rp, r, r, g, g, ktree, F)
+    assert [(fresh, found) for fresh, _, found in calls] == [(-1, [])]
+    assert out == r
+
+
+def test_pull_back_from_an_omega_amalgam_validates_in_full(ktree):
+    # the omega amalgam is valid with a two-point meet, which the kappa
+    # pull-back may not keep
+    eps = ktree.root_eps()
+    c1, c2, a, b = (Point(eps[k], 0) for k in (1, 2, 5, 6))
+    landed, z = Point(eps[9], 0), Point(TOP, 0)
+    rel = [(c, x) for c in (c1, c2) for x in (a, b)]
+    rp = make_condition("omega", [c1, c2, a, b, landed], rel, complete=True)
+    assert validate(rp, ktree) == [] and rp.meet(a, b) == {c1, c2}
+    r = make_condition("kappa", [z])
+    g = {landed: z}
+    F = flat_F(ktree, ktree.params.lambda_w, 12)
+    err, calls = judged_pull_back(rp, r, r, g, g, ktree, F)
+    assert [fresh for fresh, _, _ in calls] == [-1]
+    assert str(err).startswith("pull-back failed validation: meet-arity [(w*5, 0), (w*6, 0)]")
+
+
+def test_pull_back_names_what_the_returned_tops_break(ktree):
+    # the top's column is past lambda_w = 8; the amalgam itself is valid
+    # and judged, so only the top and its pairs are checked
+    r, pp, g = pushed_top(ktree, 8)
+    assert pp.judged_valid(ktree, None)
+    F = flat_F(ktree, ktree.params.lambda_w, 12)
+    err, calls = judged_pull_back(pp, r, r, g, g, ktree, F)
+    assert [fresh for fresh, _, _ in calls] == [tops_mask(calls[0][1])] != [-1]
+    want = "pull-back failed validation: grid [(TOP, 8)]: top column 8 out of range"
+    assert str(err) == want
+    assert str(judged_pull_back(unjudged(pp), r, r, g, g, ktree, F)[0]) == want
 
 
 # --- the kappa route end to end ------------------------------------------------

@@ -1,10 +1,12 @@
-"""The benchmark's four output digests at seed 5.
+"""The benchmark's four output digests at seed 5, and the pipeline's at a
+second seed.
 
 Each workload's input pool is built with the package this session has
 already imported and run once through `bench/run.py`'s `Checker`, the
 judge of a benchmark run: every op must pass its check, and the digest of
-the outputs must match the one every benchmark run at seed 5 prints.  A
-change that moves a digest changes what the library computes.
+the outputs must match the one every benchmark run at that seed prints.  A
+change that moves a digest changes what the library computes; the second
+pipeline seed catches a change that shows only on other pairs.
 """
 
 import sys
@@ -29,9 +31,13 @@ DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(DIGESTS))
-def test_one_pass_reproduces_the_pinned_digest(name, tmp_path):
-    wl = WORKLOADS[name](scatterlab, 5, tmp_path)
+# the pipeline digest at a second seed, so that a change which shows only
+# on pairs that seed 5 does not draw still moves a pinned digest
+PIPELINE_SEED_11 = "f3db7772e8bd725e"
+
+
+def one_pass_digest(name, seed, tmp_path):
+    wl = WORKLOADS[name](scatterlab, seed, tmp_path)
     check = run.Checker(wl)
     problems = []
     for index, item in enumerate(wl.pool):
@@ -44,4 +50,13 @@ def test_one_pass_reproduces_the_pinned_digest(name, tmp_path):
             problems.append((index, item.kind, problem))
     assert problems == []
     assert len(check.seen) == len(wl.pool)
-    assert check.digest() == DIGESTS[name]
+    return check.digest()
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_one_pass_reproduces_the_pinned_digest(name, tmp_path):
+    assert one_pass_digest(name, 5, tmp_path) == DIGESTS[name]
+
+
+def test_the_pipeline_digest_holds_at_a_second_seed(tmp_path):
+    assert one_pass_digest("pipeline", 11, tmp_path) == PIPELINE_SEED_11
