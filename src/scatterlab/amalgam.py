@@ -257,7 +257,7 @@ class SeparatedFamily:
 
     def pairing(self, i: int, j: int) -> Dict[Point, Point]:
         if i == j:
-            return {s: s for s in self.members[i].points}
+            return {s: s for s in self.members[i].sorted_points()}
         if (i, j) in self.bijections:
             return self.bijections[(i, j)]
         back = self.bijections[(j, i)]
@@ -270,7 +270,7 @@ def _pairing_clauses(
     """The clauses that the bijection h: X_p -> X_q breaks: adequacy, fixing
     the root, carrying p's order onto q's and p's meets onto q's."""
     out = check_adequate(h)
-    out.extend(f"root-fixing: moves {s}" for s in root if h[s] != s)
+    out.extend(f"root-fixing: moves {s}" for s in sorted(root, key=point_key) if h[s] != s)
     # h is a bijection, so the pairs it fails to carry are the preimages of
     # the pairs in one of h(p.strict) and q.strict but not the other
     back = {v: k for k, v in h.items()}
@@ -304,7 +304,7 @@ def _separated_findings(fam: SeparatedFamily, clean) -> List[str]:
     root_levels = {x.level for x in root if not x.is_top}
     owners: Dict = {}
     for i, m in enumerate(members):
-        for x in m.points:
+        for x in m.sorted_points():
             if x.is_top or x in root:
                 continue
             if x.level in root_levels:
@@ -475,7 +475,7 @@ def amalgamate_omega(
     if {x.level for x in p_extra} & {x.level for x in q_extra}:
         problems.append("level-sharing: members reuse a sub-top level")
     for name, extra in (("first", p_extra), ("second", q_extra)):
-        for x in extra:
+        for x in sorted(extra, key=point_key):
             if x.level in root_levels:
                 problems.append(f"{name} member adds {x} at a root level")
             elif root_levels and not delta < x.level:
@@ -731,19 +731,29 @@ def _cross_order(pp: Condition, qq: Condition, root: FrozenSet[Point]):
 
 
 def _first_deficient(cond: Condition, base_meets, tree: IntervalTree):
-    """The first incomparable pair off the base pairs whose meet is neither
-    empty nor one point inside both orbits.  `cond` comes from
-    `make_condition(complete=True)`: off the base pairs, a comparable pair's
-    meet holds one of its own points, an incomparable pair's the maximal
-    common strict lower bounds."""
-    for (s, t), value in cond.meets:
-        if not value or (s, t) in base_meets or s in value or t in value:
-            continue
-        if len(value) == 1:
-            (m,) = value
-            if m.level in tree.orbit(s.level) and m.level in tree.orbit(t.level):
+    """The first incomparable pair off the base pairs, in position order,
+    whose meet is neither empty nor one point inside both orbits.  `cond`
+    comes from `make_condition(complete=True)`, so off the base pairs only
+    an incomparable pair with a common lower bound has a meet that can
+    fail: those pairs are found from the order masks, and only their meets
+    are read."""
+    core = cond.core()
+    pts, up, down, table = core.pts, core.up, core.down, cond.meet_table()
+    for i, low in enumerate(down):
+        shared = 0
+        for k in bits(low):
+            shared |= up[k]
+        # the later points that share a lower bound with pts[i], off its order
+        for j in bits(shared & ~(up[i] | low) & -2 << i):
+            s, t = pts[i], pts[j]
+            if (s, t) in base_meets:
                 continue
-        return s, t
+            value = table[s, t]
+            if len(value) == 1:
+                (m,) = value
+                if m.level in tree.orbit(s.level) and m.level in tree.orbit(t.level):
+                    continue
+            return s, t
     return None
 
 
@@ -1015,9 +1025,10 @@ def pull_back(
     pushed_nu = {k: v for k, v in g_nu.items() if k != v}
     pushed_mu = {k: v for k, v in g_mu.items() if k != v}
     landed = set(pushed_nu) | set(pushed_mu)
-    missing = landed - rp.points
+    missing = sorted(landed - rp.points, key=point_key)
     if missing:
-        raise AmalgamError(f"pushed points missing from the amalgam: {missing}")
+        names = ", ".join(map(repr, missing))
+        raise AmalgamError(f"pushed points missing from the amalgam: {{{names}}}")
 
     keep = rp.points - landed
     h: Dict[Point, Point] = {x: x for x in keep}

@@ -19,6 +19,10 @@ rebuilding the old part, `condition_from_index` wraps an order index its
 caller has already closed, and `violations_touching` checks only the pairs
 with a new end, or only what a condition adds to valid members it extends.
 
+Points are hash-consed (see `Point`) and hash by identity, which changes
+from run to run, so messages, reports and documents list points by
+`point_key`, never in the iteration order of a set of points.
+
 `Poset` is the order core shared with `generic.FinitePoset`: each poset
 builds one `OrderIndex` on first use, its points sorted by `point_key`
 with the strict order as int masks over their positions, and every order
@@ -29,6 +33,8 @@ query, clause check and meet completion here is a bit operation on it
 from __future__ import annotations
 
 import itertools
+import operator
+import weakref
 from bisect import bisect_left
 from dataclasses import FrozenInstanceError, dataclass
 from typing import (
@@ -94,19 +100,29 @@ def level_lt(a: Level, b: Level) -> bool:
 class Point:
     """A grid point: ordinal level (or TOP) and column index.
 
-    Immutable.  ``_key`` is the sort key ``(0, level._key, xi)``, or
-    ``(1, (), xi)`` at the top level, computed once together with its
-    hash; equality and hashing go through it.
+    Hash-consed: `Point(level, xi)` returns the one live instance of that
+    value from a weak table keyed by ``_key``, the sort key ``(0,
+    level._key, xi)``, or ``(1, (), xi)`` at the top level, so equality and
+    hashing are `object`'s, by identity, in C; pickle and copy return the
+    table's instance.  A `bool` column is stored as its `int`, and a
+    non-integer one is refused.  Immutable: ``level``, ``xi``, ``is_top``
+    and ``_key`` are slots filled once at creation.
     """
 
-    __slots__ = ("level", "xi", "_key", "_hash")
+    __slots__ = ("level", "xi", "is_top", "_key", "__weakref__")
 
-    def __init__(self, level: Level, xi: int):
+    def __new__(cls, level: Level, xi: int):
+        xi = operator.index(xi)
         key = (1, (), xi) if level is TOP else (0, level._key, xi)
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "xi", xi)
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
+        p = _interned.get(key)
+        if p is None:
+            p = object.__new__(cls)
+            object.__setattr__(p, "level", level)
+            object.__setattr__(p, "xi", xi)
+            object.__setattr__(p, "is_top", level is TOP)
+            object.__setattr__(p, "_key", key)
+            p = _interned.setdefault(key, p)
+        return p
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -117,23 +133,14 @@ class Point:
     def __reduce__(self):
         return (Point, (self.level, self.xi))
 
-    @property
-    def is_top(self) -> bool:
-        return self.level is TOP
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is Point:
-            return self._key == other._key
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return self._hash
-
     def __repr__(self) -> str:
         return f"Point(level={self.level!r}, xi={self.xi!r})"
 
     def __str__(self) -> str:
         return f"({'TOP' if self.is_top else self.level}, {self.xi})"
+
+
+_interned = weakref.WeakValueDictionary()  # _key -> the live Point of that value
 
 
 def point_key(p: Point):
@@ -142,6 +149,12 @@ def point_key(p: Point):
 
 def pair_key(s: Point, t: Point) -> Tuple[Point, Point]:
     return (s, t) if point_key(s) <= point_key(t) else (t, s)
+
+
+def _least_pair(pairs: Iterable[Tuple[Point, Point]]) -> Tuple[Point, Point]:
+    """The pair an error names among several offending ones: the least by
+    `point_key` of its ends, whatever order the caller listed them in."""
+    return min(pairs, key=lambda st: (st[0]._key, st[1]._key))
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -176,13 +189,18 @@ class OrderIndex:
         self.index: Dict[Point, int] = {x: i for i, x in enumerate(self.pts)}
         self.down: List[int] = [0] * len(self.pts)
         self.up: List[int] = [0] * len(self.pts)
+        unknown = []
         for s, t in strict:
             i = self.index.get(s)
             j = self.index.get(t)
             if i is None or j is None:
-                raise ConditionError(f"order pair ({s}, {t}) mentions unknown points")
-            self.down[j] |= 1 << i
-            self.up[i] |= 1 << j
+                unknown.append((s, t))
+            else:
+                self.down[j] |= 1 << i
+                self.up[i] |= 1 << j
+        if unknown:
+            s, t = _least_pair(unknown)
+            raise ConditionError(f"order pair ({s}, {t}) mentions unknown points")
         self.levels: Dict[Level, int] = {}
         for i, x in enumerate(self.pts):
             self.levels[x.level] = self.levels.get(x.level, 0) | 1 << i
@@ -412,24 +430,21 @@ class Condition(Poset):
         return f"<Condition {self.dialect} |X|={self.size}>"
 
 
-def _close(
-    core: OrderIndex, rows: Sequence[int], points: FrozenSet[Point]
-) -> List[Tuple[Point, Point]]:
+def _close(core: OrderIndex, rows: Sequence[int]) -> List[Tuple[Point, Point]]:
     """Close the `up` masks of the positions `rows` by Warshall's algorithm,
     pivoting on those rows alone (every other row must be closed already
     and reach none of them), add the closed pairs to `down`, and return
     them as point pairs.  A cycle is reported through the first of its
-    points in `points` order."""
+    points in `point_key` order."""
     up = core.up
     for k in rows:
         bit, reach = 1 << k, up[k]
         for i in rows:
             if up[i] & bit:
                 up[i] |= reach
-    if any(up[i] >> i & 1 for i in rows):
-        index = core.index
-        s = next(x for x in points if up[index[x]] >> index[x] & 1)
-        raise ConditionError(f"order cycle through {s}")
+    cyclic = [i for i in rows if up[i] >> i & 1]
+    if cyclic:
+        raise ConditionError(f"order cycle through {core.pts[min(cyclic)]}")
     pts, down, pairs = core.pts, core.down, []
     for i in rows:
         s = pts[i]
@@ -479,7 +494,7 @@ def make_condition(
         raise ConditionError(f"unknown dialect {dialect!r}")
     pts = frozenset(points)
     core = OrderIndex(pts, rel)
-    strict = frozenset(_close(core, range(len(core.pts)), pts))
+    strict = frozenset(_close(core, range(len(core.pts))))
     index, order = core.index, core.pts
 
     given: Dict[Tuple[int, int], FrozenSet[Point]] = {}
@@ -540,18 +555,21 @@ def extend_condition(
     of the pairs that have a new end added.
     """
     core, fresh = p.core().inserted(new_points)
-    index, up = core.index, core.up
+    index, up, bad = core.index, core.up, []
     for s, t in new_pairs:
         i = index.get(s)
         j = index.get(t)
-        if i is None or j is None:
-            raise ConditionError(f"order pair ({s}, {t}) mentions unknown points")
-        if not fresh >> i & 1:
-            raise ConditionError(f"order pair ({s}, {t}) climbs from an old point")
-        up[i] |= 1 << j | up[j]
+        if i is None or j is None or not fresh >> i & 1:
+            bad.append((s, t))
+        else:
+            up[i] |= 1 << j | up[j]
+    if bad:
+        s, t = _least_pair(bad)
+        why = "climbs from an old point" if s in index and t in index else "mentions unknown points"
+        raise ConditionError(f"order pair ({s}, {t}) {why}")
     points = p.points.union(core.members(fresh))
     # an old row is closed and reaches only old points
-    added = _close(core, list(bits(fresh)), points)
+    added = _close(core, list(bits(fresh)))
     table = p.meet_table().copy()
     _force(core, core.pairs(fresh), table)
     return Condition(p.dialect, points, p.strict.union(added), table, core)
@@ -724,7 +742,7 @@ def _validate_kappa(p, tree, F, pairs, strict, below, out):
         if (below[j] >> i | below[i] >> j) & 1 or not below[i] & below[j]:
             continue
         s, t = pts[i], pts[j]
-        for v in table.get((s, t), ()):
+        for v in sorted(table.get((s, t), ()), key=point_key):
             if v.is_top:
                 out.append(Violation("meet-location", (s, t), "meet point at the top level"))
                 continue
@@ -773,7 +791,7 @@ def _validate_omega(p, tree, F, pairs, strict, out):
     for i, j in pairs:
         s, t = pts[i], pts[j]
         if s.is_top and t.is_top:
-            for v in table.get((s, t), ()):
+            for v in sorted(table.get((s, t), ()), key=point_key):
                 if F is None:
                     raise ConditionError("top-top meet check needs the pair coloring F")
                 bound = F.value(s.xi, t.xi)

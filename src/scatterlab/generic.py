@@ -181,8 +181,8 @@ class FinitePoset(Poset):
         for x in pts:
             if x.xi < 0:
                 partition.append(f"negative column: {x}")
-        # findings follow the iteration order of the strict set itself
-        ids = [(index[s], index[t]) for s, t in self.strict]
+        # the masks hold exactly the strict pairs, listed here by position
+        ids = list(core.strict_pairs())
         for i, j in ids:
             if i == j:
                 partition.append(f"reflexive strict pair: {pts[i]}")
@@ -190,12 +190,10 @@ class FinitePoset(Poset):
                 partition.append(f"two-cycle: {pts[i]} / {pts[j]}")
         for i, j in ids:
             missed = up[j] & ~up[i]
-            if missed:
-                for u in self.points:
-                    if missed >> index[u] & 1:
-                        partition.append(f"not transitive: {pts[i]} < {pts[j]} < {u}")
+            for k in bits(missed):
+                partition.append(f"not transitive: {pts[i]} < {pts[j]} < {pts[k]}")
 
-        for i, j in core.strict_pairs():
+        for i, j in ids:
             if not level_lt(pts[i].level, pts[j].level):
                 level_order.append(f"order does not climb levels: {pts[i]} < {pts[j]}")
 
@@ -209,7 +207,7 @@ class FinitePoset(Poset):
                     continue
                 common = below[i] & below[j]
                 covered = 0
-                for v in value:
+                for v in sorted(value, key=point_key) if len(value) > 1 else value:
                     k = index.get(v)
                     if k is None or not common >> k & 1:
                         meet_witness.append(f"meet point {v} of {s}, {t} is not below both")

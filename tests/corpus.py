@@ -7,6 +7,7 @@ ever stops validating, so tests fail loudly on generator rot.
 
 import random
 
+from scatterlab import fmt
 from scatterlab.amalgam import (
     SeparatedFamily,
     amalgamate_eta,
@@ -15,15 +16,18 @@ from scatterlab.amalgam import (
     push_down,
 )
 from scatterlab.conditions import (
+    FORMAT_HEADER,
+    PARAM_KEYS,
     TOP,
     Point,
     extend_below,
+    extend_condition,
     make_condition,
     point_key,
     validate,
 )
 from scatterlab.cli import pair_instance
-from scatterlab.generic import FinitePoset
+from scatterlab.generic import FORMAT_HEADER_POSET, FinitePoset
 from scatterlab.intervals import IntervalTree, Params
 from scatterlab.ordinals import Ordinal, parse
 from scatterlab.unbounded import UnboundedFn
@@ -341,3 +345,132 @@ def damaged_tables(text):
     out.append(edited(2, lines[2].rsplit(" ", 1)[0]))
     out.append(edited(2, lines[2].rsplit(" ", 1)[0] + " x"))
     return out
+
+
+# --- inputs with several findings of one kind ---------------------------------
+#
+# Each names several points in one message, or gives several findings that
+# differ only in the point they name, so their order shows whether the
+# package lists points canonically (by point_key) or in the iteration order
+# of a set of points, which follows the points' hashes.
+
+
+def condition_document(dialect, points, order, meets=()):
+    """A condition document over the corpus tree of `dialect`, written as
+    given with no check: `points` as (level token, column) rows, `order`
+    and the keys of `meets` as index pairs, each meet value as indices."""
+    params = (kappa_tree() if dialect == "kappa" else omega_tree()).params
+    widths = " ".join(f"{key}={getattr(params, key)}" for key in PARAM_KEYS)
+    lines = [FORMAT_HEADER, f"dialect {dialect}", "eta w^2", f"params {widths}"]
+    lines.append(f"points {len(points)}")
+    lines += [f"{i} {level} {xi}" for i, (level, xi) in enumerate(points)]
+    lines.append(f"order {len(order)}")
+    lines += [f"{i} {j}" for i, j in order]
+    lines.append(f"meets {len(meets)}")
+    lines += [f"{i} {j} :" + "".join(f" {k}" for k in value) for (i, j), value in meets]
+    return fmt.text(lines)
+
+
+def cycle_documents():
+    """Kappa documents whose order is one cycle w < w*2 < ... < w through
+    3, 4 and 5 points."""
+    docs = []
+    for n in (3, 4, 5):
+        points = [(f"w*{k + 1}", 0) for k in range(n)]
+        docs.append(condition_document("kappa", points, [(k, (k + 1) % n) for k in range(n)]))
+    return docs
+
+
+def multi_meet_documents():
+    """Kappa documents with two and with four meet points on one pair: the
+    points (k, 0) for k = 1..n sit below (w*3 + 1, 0) and (w*5 + 2, 0),
+    and all of them are that pair's meet, no level inside both orbits."""
+    docs = []
+    for n in (2, 4):
+        points = [(str(k + 1), 0) for k in range(n)] + [("w*3+1", 0), ("w*5+2", 0)]
+        order = [(k, n + side) for k in range(n) for side in (0, 1)]
+        docs.append(condition_document("kappa", points, order, [((n, n + 1), range(n))]))
+    return docs
+
+
+def omega_top_meet():
+    """An omega condition whose two tops meet at three points, none below
+    F's value w*2 for the pair.  Returns (cond, tree, F)."""
+    tree = omega_tree()
+    eps = tree.root_eps()
+    lows = [Point(eps[k], 0) for k in (3, 5, 7)]
+    z0, z1 = Point(TOP, 0), Point(TOP, 1)
+    rel = [(u, z) for u in lows for z in (z0, z1)]
+    cond = make_condition("omega", lows + [z0, z1], rel, {(z0, z1): lows}, complete=True)
+    return cond, tree, flat_F(tree, tree.params.lambda_w, 2)
+
+
+def messy_poset_document():
+    """A poset document over (1, 0) .. (7, 0) with two reflexive pairs, a
+    two-cycle, a pair (5, 0) < (6, 0) whose upper end reaches three points
+    the lower one does not, and one recorded meet of four points not below
+    both ends."""
+    points = [f"{k} {k + 1} 0" for k in range(7)]
+    order = ["0 0", "1 1", "2 3", "3 2", "4 5", "5 0", "5 1", "5 6"]
+    lines = [FORMAT_HEADER_POSET, "dialect kappa", f"points {len(points)}", *points]
+    lines += [f"order {len(order)}", *order, "meets 1", "0 1 : 2 3 4 6", "targeted 0"]
+    return fmt.text(lines)
+
+
+def omega_hypotheses_pair():
+    """Two omega members over the root (0, 0) < (w*2, 0) and a top that
+    add points at root levels and below the root's top level, both.
+    Returns (p, q, root, F, tree)."""
+    tree = omega_tree()
+    eps = tree.root_eps()
+    root = [Point(eps[0], 0), Point(eps[2], 0), Point(TOP, 0)]
+    p_extra = [Point(eps[0], 1), Point(eps[2], 1), Point(eps[1], 0), Point(eps[1], 1)]
+    q_extra = [Point(eps[0], 2), Point(eps[2], 2), Point(eps[1], 2)]
+    p = make_condition("omega", root + p_extra, complete=True)
+    q = make_condition("omega", root + q_extra, complete=True)
+    return p, q, frozenset(root), flat_F(tree, tree.params.lambda_w, 12), tree
+
+
+def root_level_family():
+    """A one-member family over the root (w, 0), (w*2, 0) whose member adds
+    two points at each root level."""
+    eps = kappa_tree().root_eps()
+    root = [Point(eps[1], 0), Point(eps[2], 0)]
+    extra = [Point(eps[level], xi) for level in (1, 2) for xi in (1, 2)]
+    return SeparatedFamily((make_condition("kappa", root + extra),), frozenset(root))
+
+
+def root_moving_family():
+    """A two-member family of one condition over four root points, paired
+    by the cycle that moves each root point to the next."""
+    eps = kappa_tree().root_eps()
+    root = [Point(eps[k], 0) for k in (1, 2, 3, 4)]
+    a = make_condition("kappa", root)
+    h = {x: root[(k + 1) % len(root)] for k, x in enumerate(root)}
+    return SeparatedFamily((a, a), frozenset(root), {(0, 1): h})
+
+
+def missing_pull_back():
+    """pull_back's arguments for an amalgam that lacks all three landing
+    points of a push-down: (rp, r, r, g, g, tree, F)."""
+    tree = kappa_tree()
+    u = Point(tree.root_eps()[1], 0)
+    tops = [Point(TOP, k) for k in range(3)]
+    r = make_condition("kappa", [u] + tops, [(u, z) for z in tops], complete=True)
+    _, g = push_down(r, 9, tree)
+    rp = make_condition("kappa", [u])
+    return rp, r, r, g, g, tree, flat_F(tree, tree.params.lambda_w, 12)
+
+
+def bad_order_pair_calls():
+    """Calls that hand `make_condition` and `extend_condition` sets of order
+    pairs with six to eight offenders (pairs with an unknown point, or
+    pairs that climb from an old point), as (function, args) pairs."""
+    a, b, c, d, e, f, g, h = (Point(parse(f"w*{k}"), 0) for k in range(1, 9))
+    unknown = {(a, d), (b, e), (f, c), (g, d), (h, c), (b, g)}
+    climbs = {(c, a), (c, b), (d, a), (d, b), (e, a), (f, b)}
+    return [
+        (make_condition, ("kappa", [a], {(a, x) for x in (b, c, d, e, f, g, h)} | {(b, a)})),
+        (extend_condition, (make_condition("kappa", [c, d]), [b], {(b, c)} | unknown)),
+        (extend_condition, (make_condition("kappa", [c, d, e, f]), [a, b], {(b, c)} | climbs)),
+    ]

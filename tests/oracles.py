@@ -301,7 +301,7 @@ def naive_separated_report(fam):
     root_levels = {x.level for x in root if not x.is_top}
     owners = {}
     for i, m in enumerate(members):
-        for x in m.points:
+        for x in _by_key(m.points):
             if x.is_top or x in root:
                 continue
             if x.level in root_levels:
@@ -319,7 +319,7 @@ def naive_separated_report(fam):
             continue
         for clause in check_adequate(h):
             out.append(f"pair {i},{j} {clause}")
-        for s in root:
+        for s in _by_key(root):
             if h[s] != s:
                 out.append(f"pair {i},{j} root-fixing: moves {s}")
         for s, t in _raw_pairs(p):
@@ -340,22 +340,19 @@ def naive_r2_report(r, pp, qq, pairing):
     out = []
     root = pp.points & qq.points
 
-    def by_key(points):
-        return sorted(points, key=lambda x: x._key)
-
-    for y in by_key(r.points - pp.points - qq.points):
-        for s in by_key(pp.points):
+    for y in _by_key(r.points - pp.points - qq.points):
+        for s in _by_key(pp.points):
             if ((y, s) in r.strict) != ((y, pairing[s]) in r.strict):
                 out.append(f"mirror-up: ({y}, {s}) breaks the pairing")
             if ((s, y) in r.strict) != ((pairing[s], y) in r.strict):
                 out.append(f"mirror-down: ({s}, {y}) breaks the pairing")
-        for s in by_key(pp.points | qq.points):
+        for s in _by_key(pp.points | qq.points):
             if (s, y) in r.strict and not any(
                 _raw_le(r, s, w) and (w, y) in r.strict for w in root
             ):
                 out.append(f"root-passage: {s} reaches {y} off the root")
-    for s in by_key(pp.points - root):
-        for t in by_key(qq.points - root):
+    for s in _by_key(pp.points - root):
+        for t in _by_key(qq.points - root):
             want = any((s, u) in pp.strict and (u, t) in qq.strict for u in root)
             if ((s, t) in r.strict) != want:
                 out.append(f"cross-order: ({s}, {t}) disagrees with interpolants")
@@ -385,6 +382,21 @@ def naive_deficient(cond, base_keys, tree):
             continue
         out.append((s, t))
     return out
+
+
+def naive_first_deficient(cond, base_meets, tree):
+    """`amalgam._first_deficient` as it read every meet row: the first row
+    in pair order off `base_meets` whose meet is neither empty, nor holds
+    an end of its pair, nor is one point inside both orbits."""
+    for (s, t), value in cond.meets:
+        if not value or (s, t) in base_meets or s in value or t in value:
+            continue
+        if len(value) == 1:
+            (m,) = value
+            if m.level in tree.orbit(s.level) and m.level in tree.orbit(t.level):
+                continue
+        return s, t
+    return None
 
 
 def naive_push_down(r, zeta, tree):
@@ -615,8 +627,12 @@ def _raw_meet(p, s, t, missing):
     return dict(p.meets).get((s, t) if s._key <= t._key else (t, s), missing)
 
 
+def _by_key(points):
+    return sorted(points, key=lambda x: x._key)
+
+
 def _raw_pairs(p):
-    return list(itertools.combinations(sorted(p.points, key=lambda x: x._key), 2))
+    return list(itertools.combinations(_by_key(p.points), 2))
 
 
 def _sorted_strict(p):
@@ -674,7 +690,7 @@ def naive_validate(p, tree, F=None):
         for s, t in _raw_pairs(p):
             if le(s, t) or le(t, s) or not any(le(x, s) and le(x, t) for x in p.points):
                 continue
-            for v in meet(s, t):
+            for v in _by_key(meet(s, t)):
                 if v.is_top:
                     out.append(Violation("meet-location", (s, t), "meet point at the top level"))
                     continue
@@ -717,7 +733,7 @@ def naive_validate(p, tree, F=None):
 
     for s, t in _raw_pairs(p):
         if s.is_top and t.is_top:
-            for v in meet(s, t):
+            for v in _by_key(meet(s, t)):
                 if F is None:
                     raise ConditionError("top-top meet check needs the pair coloring F")
                 bound = F.value(s.xi, t.xi)
@@ -759,13 +775,13 @@ def naive_sposet_check(T, budget):
         if (x.level, x.xi) in seen:
             partition.append(f"duplicate grid slot: {x}")
         seen.add((x.level, x.xi))
-    for s, t in T.strict:
+    for s, t in _sorted_strict(T):
         if s == t:
             partition.append(f"reflexive strict pair: {s}")
         if (t, s) in T.strict:
             partition.append(f"two-cycle: {s} / {t}")
-    for s, t in T.strict:
-        for u in T.points:
+    for s, t in _sorted_strict(T):
+        for u in pts:
             if (t, u) in T.strict and (s, u) not in T.strict:
                 partition.append(f"not transitive: {s} < {t} < {u}")
     for s, t in _sorted_strict(T):
@@ -776,7 +792,7 @@ def naive_sposet_check(T, budget):
         if value is None:
             meet_witness.append(f"no recorded meet for {s}, {t}")
             continue
-        for v in value:
+        for v in _by_key(value):
             if not (le(v, s) and le(v, t)):
                 meet_witness.append(f"meet point {v} of {s}, {t} is not below both")
         for u in pts:
@@ -842,14 +858,16 @@ def naive_skeleton_check(T, levels):
 def naive_transitive_closure(points, rel):
     """The closed strict set of the pairs `rel` over `points`, by adding
     composites until none is new; refuses unknown points and cycles as
-    `make_condition` does (a cycle through the first of its points in
-    `points` order)."""
+    `make_condition` does (the least pair with an unknown point, a cycle
+    through the first of its points, in `point_key` order)."""
     from scatterlab.conditions import ConditionError
 
     adj = {p: set() for p in points}
+    unknown = [(s, t) for s, t in rel if s not in adj or t not in adj]
+    if unknown:
+        s, t = min(unknown, key=lambda st: (st[0]._key, st[1]._key))
+        raise ConditionError(f"order pair ({s}, {t}) mentions unknown points")
     for s, t in rel:
-        if s not in adj or t not in adj:
-            raise ConditionError(f"order pair ({s}, {t}) mentions unknown points")
         adj[s].add(t)
     changed = True
     while changed:
@@ -861,7 +879,7 @@ def naive_transitive_closure(points, rel):
             if extra:
                 adj[s] |= extra
                 changed = True
-    for s in points:
+    for s in _by_key(points):
         if s in adj[s]:
             raise ConditionError(f"order cycle through {s}")
     return frozenset((s, t) for s in points for t in adj[s])

@@ -17,14 +17,19 @@ from .corpus import (
     kappa_tree,
     level_sharing_family,
     mirror_of,
+    missing_pull_back,
+    omega_hypotheses_pair,
     omega_instance,
     omega_tree,
     order_mismatch_family,
+    root_level_family,
+    root_moving_family,
 )
 from .oracles import (
     naive_deficient,
     naive_eta_base,
     naive_eta_search,
+    naive_first_deficient,
     naive_pull_back,
     naive_push_down,
     naive_r2_report,
@@ -216,6 +221,43 @@ def test_separated_report_flags_order_mismatch(ktree):
     assert any("order" in line for line in separated_report(fam))
 
 
+def test_separated_report_names_delta_level_sharing_and_bijection_findings(ktree):
+    eps = ktree.root_eps()
+    u, x, y, z = Point(eps[1], 0), Point(eps[3], 0), Point(eps[1], 1), Point(eps[3], 1)
+    a = make_condition("kappa", [u, x, y])
+    b = make_condition("kappa", [u, x, z])
+    fam = SeparatedFamily((a, b), frozenset({u}), {(0, 1): {}})
+    assert separated_report(fam) == naive_separated_report(fam) == [
+        "delta: members 0,1 intersect off-root",
+        "level-sharing: member 0 adds (w, 1) at a root level",
+        "level-sharing: level w*3 used by members 0,1",
+        "level-sharing: level w*3 used by members 0,1",
+        "bijection: pairing 0,1 has wrong domain or range",
+    ]
+
+
+def test_separated_report_lists_points_in_key_order():
+    fam = root_level_family()
+    assert separated_report(fam) == naive_separated_report(fam) == [
+        f"level-sharing: member 0 adds {x} at a root level"
+        for x in ("(w, 1)", "(w, 2)", "(w*2, 1)", "(w*2, 2)")
+    ]
+    fam = root_moving_family()
+    assert separated_report(fam) == naive_separated_report(fam)
+    assert [line for line in separated_report(fam) if "root-fixing" in line] == [
+        f"pair 0,1 root-fixing: moves ({level}, 0)" for level in ("w", "w*2", "w*3", "w*4")
+    ]
+
+
+def test_pairing_of_a_member_with_itself_and_of_a_reversed_pair():
+    fam = root_moving_family()
+    root = sorted(fam.root, key=point_key)
+    assert list(fam.pairing(0, 0).items()) == [(x, x) for x in root]
+    back = fam.pairing(1, 0)
+    assert back == {root[(k + 1) % 4]: x for k, x in enumerate(root)}
+    assert all(back[fam.pairing(0, 1)[x]] is x for x in root)
+
+
 def test_separated_refine_groups_compatible_shape(ktree):
     eps = ktree.root_eps()
     u = Point(eps[1], 0)
@@ -400,6 +442,22 @@ def test_omega_amalgam_rejects_level_sharing(otree):
     with pytest.raises(HypothesisViolationError) as err:
         amalgamate_omega(p, q, root, F, otree)
     assert any("level-sharing" in d for d in err.value.details)
+
+
+def test_omega_amalgam_hypothesis_details_list_points_in_key_order():
+    p, q, root, F, tree = omega_hypotheses_pair()
+    with pytest.raises(HypothesisViolationError) as err:
+        amalgamate_omega(p, q, root, F, tree)
+    assert err.value.details == [
+        "level-sharing: members reuse a sub-top level",
+        "first member adds (0, 1) at a root level",
+        "initial-segment: first member point (w, 0) below root top level",
+        "initial-segment: first member point (w, 1) below root top level",
+        "first member adds (w*2, 1) at a root level",
+        "second member adds (0, 2) at a root level",
+        "initial-segment: second member point (w, 2) below root top level",
+        "second member adds (w*2, 2) at a root level",
+    ]
 
 
 def test_omega_amalgam_fgap(otree):
@@ -1142,6 +1200,19 @@ def test_first_deficient_matches_the_oracle(drawn):
     first_deficient_agrees(cond, base, kappa_tree())
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), max_fresh=st.integers(0, 3))
+@example(seed=3, max_fresh=3)
+def test_first_deficient_matches_the_full_scan_on_eta_search_nodes(ktree, seed, max_fresh):
+    """Every node of the grid amalgam's search on `kappa_instance`'s pair
+    for `seed`: the pairs read from the order masks find the meet row that
+    a scan of every row finds."""
+    _, _, pp, qq, _, _, pairing, stamps, _ = eta_inputs(ktree, seed)
+    base = pp.meet_table() | qq.meet_table()
+    for node in search_nodes(pp, qq, pairing, stamps, ktree, max_fresh):
+        assert _first_deficient(node, base, ktree) == naive_first_deficient(node, base, ktree)
+
+
 # --- pull back -------------------------------------------------------------------
 
 
@@ -1291,6 +1362,13 @@ def pushed_top(ktree, col):
     r = make_condition("kappa", [u, z], [(u, z)], complete=True)
     pp, g = push_down(r, 9, ktree)
     return r, pp, g
+
+
+def test_pull_back_names_the_missing_points_in_key_order():
+    with pytest.raises(AmalgamError) as err:
+        pull_back(*missing_pull_back())
+    landed = ", ".join(f"Point(level=Ordinal('w*9'), xi={xi})" for xi in range(3))
+    assert str(err.value) == f"pushed points missing from the amalgam: {{{landed}}}"
 
 
 def test_pull_back_refuses_pushed_points_missing_from_the_amalgam(ktree):

@@ -1,7 +1,9 @@
 import copy
+import gc
 import itertools
 import pickle
 import random
+import weakref
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -20,17 +22,25 @@ from scatterlab.conditions import (
     condition_from_text,
     condition_to_text,
     extend_below,
+    extend_condition,
     leq,
     make_condition,
     point_key,
     validate,
 )
 from scatterlab.generic import GenericError, poset_from_text
-from scatterlab.intervals import IntervalTree, Params
+from scatterlab.intervals import BudgetExceededError, IntervalTree, Params
 from scatterlab.ordinals import parse
 from scatterlab.unbounded import UnboundedFn, f_generate
 
-from .corpus import damaged_documents, kappa_tree
+from .corpus import (
+    bad_order_pair_calls,
+    cycle_documents,
+    damaged_documents,
+    kappa_tree,
+    multi_meet_documents,
+    omega_top_meet,
+)
 from .oracles import naive_extend_below, naive_validate
 
 
@@ -79,6 +89,48 @@ def test_point_fields_cannot_be_set_or_deleted():
     with pytest.raises(FrozenInstanceError, match="cannot delete field 'level'"):
         del a.level
     assert a == pt("w", 1) and hash(a) == hash(pt("w", 1))
+
+
+def test_equal_points_are_one_instance():
+    a = pt("w", 1)
+    assert Point(parse("w"), 1) is a and Point(TOP, 2) is pt("TOP", 2)
+    assert pt("w", 2) is not a and pt("w*2", 1) is not a
+    assert pickle.loads(pickle.dumps(a)) is a
+    assert copy.copy(a) is a and copy.deepcopy(a) is a
+    assert copy.deepcopy([a, pt("TOP", 2)]) == [a, pt("TOP", 2)]
+    assert not a.is_top and pt("TOP", 2).is_top
+
+
+def test_point_slots_cannot_be_set_or_deleted():
+    a = pt("TOP", 3)
+    for name in ("is_top", "_key", "level", "xi"):
+        with pytest.raises(FrozenInstanceError, match=f"cannot assign to field {name!r}"):
+            setattr(a, name, False)
+        with pytest.raises(FrozenInstanceError, match=f"cannot delete field {name!r}"):
+            delattr(a, name)
+    assert a.is_top is True and a._key == (1, (), 3) and a is pt("TOP", 3)
+
+
+def test_the_intern_table_lets_go_of_a_point_no_one_holds():
+    level = parse("w^5*7 + w*3 + 11")  # a level no other test uses
+    key = (0, level._key, 4321)
+    a = Point(level, 4321)
+    gone = weakref.ref(a)
+    assert conditions._interned[key] is a
+    del a
+    gc.collect()
+    assert gone() is None and key not in conditions._interned
+
+
+def test_a_bool_column_is_stored_as_its_int():
+    level = parse("w^5*7 + 12")  # made here first, so the bool builds it
+    a = Point(level, True)
+    assert type(a.xi) is int and a is Point(level, 1)
+    assert repr(a) == "Point(level=Ordinal('w^5*7 + 12'), xi=1)" and str(a) == "(w^5*7 + 12, 1)"
+    with pytest.raises(TypeError):
+        Point(level, 1.0)
+    with pytest.raises(TypeError):
+        Point(level, "1")
 
 
 def test_make_condition_closure_and_cycles():
@@ -267,6 +319,59 @@ def test_unmaterialized_level(tree):
     cond = make_condition("kappa", [s, t], [(s, t)], complete=True)
     with pytest.raises(UnmaterializedLevelError):
         validate(cond, tiny)
+
+
+def test_an_orbit_past_the_tree_is_an_unmaterialized_level():
+    # the meet point w lies in the orbit of w*3, so w^2's orbit is asked for
+    u, s, t = pt("w"), pt("w*3"), pt("w^2")
+    cond = make_condition("kappa", [u, s, t], [(u, s), (u, t)], {(s, t): [u]}, complete=True)
+    with pytest.raises(UnmaterializedLevelError) as err:
+        validate(cond, kappa_tree())
+    assert str(err.value) == "orbit(w^2): w^2 lies past the materialized children of [0, w^2)"
+    assert type(err.value.__cause__) is BudgetExceededError
+
+
+def test_a_cycle_is_named_by_its_first_point_in_key_order():
+    for doc in cycle_documents():
+        with pytest.raises(ConditionError, match=r"^order cycle through \(w, 0\)$"):
+            condition_from_text(doc)
+    a, b, c = pt("w*3"), pt("w*2"), pt("w")
+    with pytest.raises(ConditionError, match=r"^order cycle through \(w, 0\)$"):
+        make_condition("kappa", {a, b, c}, {(a, b), (b, c), (c, a)})
+    d = pt("1")
+    p = make_condition("kappa", [a])
+    with pytest.raises(ConditionError, match=r"^order cycle through \(1, 0\)$"):
+        extend_condition(p, [b, c, d], [(d, c), (c, b), (b, d)])
+
+
+def test_a_bad_order_pair_is_named_by_the_least_offender_in_key_order():
+    found = []
+    for call, args in bad_order_pair_calls():
+        with pytest.raises(ConditionError) as err:
+            call(*args)
+        found.append(str(err.value))
+    assert found == [
+        "order pair ((w, 0), (w*2, 0)) mentions unknown points",
+        "order pair ((w, 0), (w*4, 0)) mentions unknown points",
+        "order pair ((w*3, 0), (w, 0)) climbs from an old point",
+    ]
+
+
+def test_meet_location_findings_list_the_meet_points_in_key_order():
+    cond, _ = condition_from_text(multi_meet_documents()[1])
+    pair = (pt("w*3+1"), pt("w*5+2"))
+    found = [str(v) for v in validate(cond, kappa_tree()) if v.clause == "meet-location"]
+    assert found == [
+        f"meet-location [{pair[0]}, {pair[1]}]: {k} outside orbit overlap" for k in (1, 2, 3, 4)
+    ]
+
+
+def test_top_meet_bound_findings_list_the_meet_points_in_key_order():
+    cond, tree, F = omega_top_meet()
+    assert [str(v) for v in validate(cond, tree, F)] == [
+        f"top-meet-bound [(TOP, 0), (TOP, 1)]: meet point (w*{k}, 0) not below F value w*2"
+        for k in (3, 5, 7)
+    ]
 
 
 def test_leq_basics(tree):

@@ -11,7 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from .corpus import damaged_documents, damaged_schedules, finite_poset, flat_F
+from .corpus import (
+    damaged_documents,
+    damaged_schedules,
+    finite_poset,
+    flat_F,
+    messy_poset_document,
+)
 from .oracles import full_run_schedule, naive_sposet_check, naive_validate
 from scatterlab import generic
 from scatterlab.conditions import (
@@ -352,6 +358,60 @@ def test_tightness_preconditions(tree, F):
     lone = finite_poset("kappa", {a, xx}, {(a, xx)}, {pair_key(a, xx): frozenset({a})})
     with pytest.raises(ProbeInconclusiveError):
         tightness_probe(lone, xx, [a])
+
+
+def test_tightness_probe_refuses_a_point_outside_the_poset(tree, F):
+    T, _, A = planted(tree, F, k=2)
+    with pytest.raises(GenericError, match=r"^\(w\*9 \+ 1, 5\) is not in the poset$"):
+        tightness_probe(T, Point(parse("w*9+1"), 5), A)
+
+
+def test_run_schedule_refuses_an_unknown_requirement(tree, F):
+    with pytest.raises(ScheduleError) as err:
+        run(tree, F, [RealizePoint(TOP, 0), "grow"])
+    assert str(err.value) == "step 1 'grow': unknown requirement kind str"
+    assert (err.value.step, err.value.requirement, len(err.value.trace)) == (1, "grow", 2)
+
+
+def test_core_findings_come_in_position_order():
+    T = poset_from_text(messy_poset_document())
+    rep = sposet_check(T, 1)
+    assert rep == naive_sposet_check(T, 1)
+    assert rep.partition == (
+        "reflexive strict pair: (1, 0)",
+        "two-cycle: (1, 0) / (1, 0)",
+        "reflexive strict pair: (2, 0)",
+        "two-cycle: (2, 0) / (2, 0)",
+        "two-cycle: (3, 0) / (4, 0)",
+        "two-cycle: (4, 0) / (3, 0)",
+        "not transitive: (3, 0) < (4, 0) < (3, 0)",
+        "not transitive: (4, 0) < (3, 0) < (4, 0)",
+        "not transitive: (5, 0) < (6, 0) < (1, 0)",
+        "not transitive: (5, 0) < (6, 0) < (2, 0)",
+        "not transitive: (5, 0) < (6, 0) < (7, 0)",
+    )
+    climbs = ("(1, 0) < (1, 0)", "(2, 0) < (2, 0)", "(4, 0) < (3, 0)")
+    climbs += ("(6, 0) < (1, 0)", "(6, 0) < (2, 0)")
+    assert rep.level_order == tuple(f"order does not climb levels: {c}" for c in climbs)
+    assert rep.meet_witness[:5] == (
+        "meet point (3, 0) of (1, 0), (2, 0) is not below both",
+        "meet point (4, 0) of (1, 0), (2, 0) is not below both",
+        "meet point (5, 0) of (1, 0), (2, 0) is not below both",
+        "meet point (7, 0) of (1, 0), (2, 0) is not below both",
+        "meet axiom fails at (3, 0) for pair (1, 0), (2, 0)",
+    )
+
+
+def test_negative_columns_are_partition_findings_in_key_order():
+    doc = (
+        "# scatterlab-fmt 1 poset\ndialect kappa\npoints 3\n0 w -2\n1 w -1\n2 w*2 -3\n"
+        "order 0\nmeets 3\n0 1 :\n0 2 :\n1 2 :\ntargeted 0\n"
+    )
+    T = poset_from_text(doc)
+    want = ("negative column: (w, -2)", "negative column: (w, -1)", "negative column: (w*2, -3)")
+    assert sposet_check(T, 1).partition == want
+    with pytest.raises(GenericError, match=r"^profile refused: negative column: \(w, -2\); "):
+        cardinal_profile(T)
 
 
 def test_cardinal_profile_shape(tree, F):

@@ -179,3 +179,18 @@ def test_every_optional_parameter_is_passed_somewhere():
                 if not any({(n, param), (n, position), (n, "*")} & passed for n in names)
             ]
     assert found == []
+
+
+def test_points_compare_and_hash_by_identity():
+    # Point is hash-consed, so object's C-level identity equality and hash
+    # are exact; a Python-level __eq__ or __hash__ would cost two calls a lookup
+    tree = ast.parse((PACKAGE / "conditions.py").read_text())
+    (point,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Point"]
+    defined = set()
+    for node in point.body:
+        if isinstance(node, ast.FunctionDef):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update(t.id for t in targets if isinstance(t, ast.Name))
+    assert defined.isdisjoint({"__eq__", "__ne__", "__hash__"})
