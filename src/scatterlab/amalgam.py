@@ -30,6 +30,9 @@ their input's order index, and ``amalgamate_eta`` grows each search node
 from its parent.  Each judges its result and raises with the offending
 clause, in full unless a kept verdict covers a part: an eta leaf is judged
 on what it adds to members judged valid, a pull-back on its returned tops.
+Only ``conditions.violations_touching`` keeps a verdict.
+``separated_refine`` returns its family unjudged, since its construction
+proves every clause of ``separated_report``.
 """
 
 from __future__ import annotations
@@ -199,8 +202,6 @@ def delta_root(family: Sequence, target: int):
             best=sub,
             root=best_root,
         )
-    if len(sub) == 1:
-        best_root = sub[0]
     return sub, best_root
 
 
@@ -286,13 +287,6 @@ def _pairing_clauses(
 
 def separated_report(fam: SeparatedFamily) -> List[str]:
     """Re-verify every separatedness clause from scratch; empty means ok."""
-    return _separated_findings(fam, frozenset())
-
-
-def _separated_findings(fam: SeparatedFamily, clean) -> List[str]:
-    """`separated_report`'s findings, with the pairs of members in `clean`
-    taken as found clean already: their bijection and pairing clauses are
-    not judged again."""
     out = []
     members = fam.members
     root = fam.root
@@ -317,8 +311,6 @@ def _separated_findings(fam: SeparatedFamily, clean) -> List[str]:
                     )
 
     for i, j in itertools.combinations(range(len(members)), 2):
-        if (i, j) in clean:
-            continue
         h = fam.pairing(i, j)
         p, q = members[i], members[j]
         if set(h) != p.points or set(h.values()) != q.points or len(p.points) != len(q.points):
@@ -333,9 +325,17 @@ def separated_refine(family: Sequence[Condition], target: int) -> SeparatedFamil
 
     Steps: sunflower extraction over point sets, per-level exclusivity
     filter, then grouping by canonical-pairing compatibility.  Raises
-    RefineError with the failure report when target cannot be met.  The
-    closing re-verification judges every clause except the pairings from
-    the first member, which the grouping has just found clean.
+    RefineError with the failure report when target cannot be met.
+
+    The family returned passes `separated_report` by construction, so it
+    is not judged again.  `delta_root` returns a sunflower over `root`,
+    every subfamily of it is one, and the level filter drops the members
+    that add a point at a root level or at another member's level.  The
+    grouping judges each pairing from a class's first member, and every
+    other pairing is composed from two of those: `canonical_pairing` maps
+    the k-th point to the k-th point in `point_key` order, so pairing(i, j)
+    is pairing(0, j) after the inverse of pairing(0, i).  Each clause
+    `_pairing_clauses` judges survives inversion and composition.
     """
     if not family:
         raise RefineError("empty family", ["no members"])
@@ -396,14 +396,9 @@ def separated_refine(family: Sequence[Condition], target: int) -> SeparatedFamil
 
     members = tuple(p for p, _ in best)
     bijections = {(0, j): h for j, (_, h) in enumerate(best) if j}
-    clean = frozenset(bijections)
     for i, j in itertools.combinations(range(1, len(members)), 2):
         bijections[(i, j)] = canonical_pairing(members[i], members[j])
-    fam = SeparatedFamily(members, frozenset(root), bijections)
-    residue = _separated_findings(fam, clean)
-    if residue:
-        raise RefineError("refined family fails re-verification", residue)
-    return fam
+    return SeparatedFamily(members, frozenset(root), bijections)
 
 
 def kerneldown_check(fam: SeparatedFamily):
@@ -788,11 +783,11 @@ def amalgamate_eta(
     A leaf, a placement with no deficient pair left, is judged in this
     order: `leq` below both members; then, when both members are
     `judged_valid` for `tree` (push_down leaves them so), only what the
-    leaf adds to them (`violations_touching` with the members), whose
-    clean verdict the leaf keeps as `validate` would, else a full
-    `validate`; then `r2_report`'s cross-structure contract; then the
-    fresh levels against the stamp bound gamma.  A leaf that fails `leq`
-    still runs the full `validate`, so a check it would raise from raises.
+    leaf adds to them (`violations_touching` with the members, which
+    keeps a clean verdict as `validate` does), else a full `validate`;
+    then `r2_report`'s cross-structure contract; then the fresh levels
+    against the stamp bound gamma.  A leaf that fails `leq` still runs
+    the full `validate`, so a check it would raise from raises.
     """
     _require_grid_members(pp, qq)
     if pp != qq:
@@ -894,8 +889,6 @@ def _grid_amalgam(
             extends = leq(cond, pp) and leq(cond, qq)
             if extends and settled:
                 found = violations_touching(cond, tree, None, -1, (pp, qq))
-                if not found:
-                    cond.keep_verdict(tree, None)
             else:
                 found = validate(cond, tree)
             if found or not extends or _r2_findings(cond, pp, qq, mirror, root, cross):

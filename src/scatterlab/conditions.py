@@ -397,24 +397,24 @@ class Condition(Poset):
     set is transitively closed and irreflexive; the meet map has exactly
     one entry per pair of distinct points, canonically keyed.  Conditions
     of a schedule chain each own a copy of the strict set and meet map, the
-    values shared.  The verdict of a `validate` that found nothing is kept
-    in the slot `_valid_for`, outside `_fields()` and the hash, as the
-    tree's params and depth cap and the F object it was judged against.
+    values shared.  The verdict of a check that found nothing is kept in
+    the slot `_valid_for` (by `violations_touching`), outside `_fields()`
+    and the hash, as the tree's params, depth cap and F it was judged by.
     """
 
     __slots__ = ("_hash", "_valid_for")
     _no_meet = frozenset()
 
     def judged_valid(self, tree: IntervalTree, F: Optional[UnboundedFn]) -> bool:
-        """True when a full `validate` against `tree`'s params and depth cap
-        and this very `F` object has found nothing."""
+        """True when a check against `tree`'s params and depth cap and this
+        very `F` object has found the whole condition valid."""
         kept = getattr(self, "_valid_for", None)
         return kept is not None and kept[2] is F and kept[:2] == (tree.params, tree.depth_cap)
 
     def keep_verdict(self, tree: IntervalTree, F: Optional[UnboundedFn]) -> None:
         """Record that a full `validate` against `tree` and `F` finds
-        nothing: for `validate` itself, or for a caller whose
-        `violations_touching` with judged members found nothing."""
+        nothing.  Only `violations_touching` calls it, after a check that
+        found nothing."""
         self._valid_for = (tree.params, tree.depth_cap, F)
 
     def __hash__(self) -> int:
@@ -620,24 +620,15 @@ def validate(
     Checks that would need tree structure past the budget raise
     UnmaterializedLevelError instead of reporting a violation.
 
-    A check that finds nothing is kept on the condition, and a later call
-    with a tree of equal params and depth cap and the same F object (by
-    identity) answers [] from it at once: conditions are immutable, and a
-    tree's answers are a function of its params and depth cap.  A check
-    that raises or finds a violation is never kept.
-
-    A mask `fresh` of positions in `p.core()` narrows the check to its
-    points and the pairs with an end among them (`violations_touching`),
-    for a caller that vouches that every other point and pair was judged
-    valid already, as they stand in `p`; a narrowed check that finds
-    nothing is kept all the same.
+    This is `violations_touching` with no members, so a check that finds
+    nothing is kept on the condition, and a later call with a tree of
+    equal params and depth cap and the same F object (by identity) answers
+    [] from it at once: conditions are immutable, and a tree's answers are
+    a function of its params and depth cap.  A check that raises or finds
+    a violation is never kept.  A mask `fresh` of positions in `p.core()`
+    narrows the check as there, for a caller that vouches for the rest.
     """
-    if p.judged_valid(tree, F):
-        return []
-    found = violations_touching(p, tree, F, fresh)
-    if not found:
-        p.keep_verdict(tree, F)
-    return found
+    return violations_touching(p, tree, F, fresh)
 
 
 def violations_touching(
@@ -651,6 +642,13 @@ def violations_touching(
     `p.core()`, -1 for every point) and on the pairs with an end among
     them, in `validate`'s order; the size cap is checked whatever `fresh`
     holds.
+
+    This is the one function that keeps a verdict and the one check that
+    answers from it: a condition `judged_valid` for `tree` and `F` gets []
+    at once, and a check that finds nothing keeps its verdict
+    (`keep_verdict`) as a full one would.
+    So a caller that narrows the check vouches that every point and pair
+    left out was judged valid already, as they stand in `p`.
 
     `members` are conditions that `p` extends (`leq`), each `judged_valid`
     for `tree` and `F`.  Among the points and pairs above, the meet axiom
@@ -669,6 +667,8 @@ def violations_touching(
     The meet axiom is the one exception: a new point can sit below both
     ends of an old pair.
     """
+    if p.judged_valid(tree, F):
+        return []
     params = tree.params
     out: List[Violation] = []
     core = p.core()
@@ -730,6 +730,8 @@ def violations_touching(
         _validate_kappa(p, tree, F, pairs, strict, below, out)
     else:
         _validate_omega(p, tree, F, pairs, strict, out)
+    if not out:
+        p.keep_verdict(tree, F)
     return out
 
 

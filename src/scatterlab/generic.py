@@ -186,7 +186,7 @@ class FinitePoset(Poset):
         for i, j in ids:
             if i == j:
                 partition.append(f"reflexive strict pair: {pts[i]}")
-            if up[j] >> i & 1:
+            elif up[j] >> i & 1:
                 partition.append(f"two-cycle: {pts[i]} / {pts[j]}")
         for i, j in ids:
             missed = up[j] & ~up[i]

@@ -778,7 +778,7 @@ def naive_sposet_check(T, budget):
     for s, t in _sorted_strict(T):
         if s == t:
             partition.append(f"reflexive strict pair: {s}")
-        if (t, s) in T.strict:
+        elif (t, s) in T.strict:
             partition.append(f"two-cycle: {s} / {t}")
     for s, t in _sorted_strict(T):
         for u in pts:

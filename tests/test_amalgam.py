@@ -120,6 +120,13 @@ def test_sunflower_singleton_family():
     assert sub == [frozenset({7, 8})] and root == {7, 8}
 
 
+def test_sunflower_target_past_the_family_size():
+    with pytest.raises(InfeasibleTargetError) as err:
+        delta_root([{1}, {2}], 3)
+    assert str(err.value) == "target 3 exceeds family size 2"
+    assert err.value.best == [] and err.value.root == frozenset()
+
+
 def test_sunflower_infeasible_carries_best():
     with pytest.raises(InfeasibleTargetError) as err:
         delta_root([{1, 2}, {1, 3}, {1, 4}, {2, 3}], 4)
@@ -144,6 +151,16 @@ def test_sunflower_greedy_scale():
     sets = [frozenset({0, 1}) | {10 + i} for i in range(30)]
     sub, root = delta_root(sets, 30)
     assert len(sub) == 30 and root == {0, 1}
+
+
+@settings(max_examples=200, deadline=None)
+@given(sets=st.lists(st.frozensets(st.integers(0, 11), max_size=5), min_size=2, max_size=26))
+def test_two_or_more_sets_give_a_sunflower_of_at_least_two(sets):
+    # the root sets[0] & sets[1] leaves those two with disjoint petals, on
+    # the exact branch (below 20 sets) and the greedy one alike
+    sub, root = delta_root(sets, 2)
+    assert len(sub) >= 2
+    assert all(a & b == root for a, b in itertools.combinations(sub, 2))
 
 
 # --- adequacy ------------------------------------------------------------------
@@ -287,6 +304,21 @@ def test_separated_refine_drops_level_reuse(ktree):
     assert len(fam.members) == 2
 
 
+def test_separated_refine_refuses_an_empty_family():
+    with pytest.raises(RefineError) as err:
+        separated_refine([], 1)
+    assert str(err.value) == "empty family" and err.value.report == ["no members"]
+
+
+def test_separated_refine_refuses_mixed_dialects(ktree):
+    u = Point(ktree.root_eps()[1], 0)
+    family = [make_condition("omega", [u]), make_condition("kappa", [u])]
+    with pytest.raises(RefineError) as err:
+        separated_refine(family, 1)
+    assert str(err.value) == "mixed dialects"
+    assert err.value.report == ["dialects ['kappa', 'omega']"]
+
+
 def is_subsequence(members, family):
     rest = iter(family)
     return all(any(m is x for x in rest) for m in members)
@@ -341,51 +373,49 @@ def refine_families(ktree):
     return out
 
 
-def test_separated_refine_rejudges_all_but_the_pairings_its_grouping_found_clean(
-    ktree, monkeypatch
-):
-    """The closing check skips exactly the pairings from the first member,
-    judges every other pair, and reports what `naive_separated_report`
-    reports on the whole family; the family is the one built from scratch."""
-    judged, closing = [], []
-    clauses, findings = amalgam._pairing_clauses, amalgam._separated_findings
+def assert_clean_refinement(fam):
+    """`fam` passes both reports, and its bijections are the canonical
+    pairings: those from the first member judged by the grouping, the rest
+    composed from them."""
+    assert separated_report(fam) == naive_separated_report(fam) == []
+    m = fam.members
+    pairs = itertools.combinations(range(len(m)), 2)
+    assert fam.bijections == {(i, j): canonical_pairing(m[i], m[j]) for i, j in pairs}
 
-    def clauses_spy(p, q, h, root):
-        judged.append((p, q))
-        return clauses(p, q, h, root)
 
-    def findings_spy(fam, clean):
-        start = len(judged)
-        found = findings(fam, clean)
-        closing.append((fam, clean, judged[start:], found))
-        return found
-
-    monkeypatch.setattr(amalgam, "_pairing_clauses", clauses_spy)
-    monkeypatch.setattr(amalgam, "_separated_findings", findings_spy)
+def test_every_refined_family_passes_the_report_it_is_not_judged_by(ktree):
+    """`separated_refine` returns its family unjudged, and every family it
+    returns is clean."""
     outcomes = set()
     for family, target in refine_families(ktree):
-        closing.clear()
         try:
             fam = separated_refine(family, target)
         except RefineError as err:
             outcomes.add(err.args[0])
-            assert len(closing) <= 1
-            if closing:
-                assert err.report == closing[0][3]
-        else:
-            outcomes.add(len(fam.members))
-            m = fam.members
-            pairs = list(itertools.combinations(range(len(m)), 2))
-            assert fam.bijections == {(i, j): canonical_pairing(m[i], m[j]) for i, j in pairs}
-            assert len(closing) == 1
-        for fam, clean, pairs_judged, found in closing:
-            m = fam.members
-            assert clean == {(0, j) for j in range(1, len(m))}
-            assert found == naive_separated_report(fam)
-            later = [(m[i], m[j]) for i, j in itertools.combinations(range(1, len(m)), 2)]
-            assert len(pairs_judged) == len(later)
-            assert all(p is a and q is b for (p, q), (a, b) in zip(pairs_judged, later))
+            continue
+        outcomes.add(len(fam.members))
+        assert_clean_refinement(fam)
     assert {2, 3, "refinement fell short"} <= outcomes
+
+
+@pytest.fixture(scope="module")
+def refine_pool(ktree):
+    """Every member of `refine_families`, once each."""
+    pool = []
+    for family, _ in refine_families(ktree):
+        pool += [m for m in family if not any(m is x for x in pool)]
+    return pool
+
+
+@settings(max_examples=150, deadline=None)
+@given(picks=st.lists(st.integers(0, 999), min_size=1, max_size=6), target=st.integers(1, 4))
+def test_refined_families_of_drawn_members_pass_the_report(refine_pool, picks, target):
+    family = [refine_pool[k % len(refine_pool)] for k in picks]
+    try:
+        fam = separated_refine(family, target)
+    except RefineError:
+        return
+    assert_clean_refinement(fam)
 
 
 def test_kerneldown_clean(ktree):
@@ -409,6 +439,14 @@ def test_kerneldown_counterexample(ktree):
     assert idx == 0 and set(pair) == {a, b} and value == {v}
 
 
+def test_kerneldown_skips_a_root_pair_of_two_tops(ktree):
+    # the tops meet at v, off the root, which a sub-top root pair may not
+    v, z0, z1 = Point(ktree.root_eps()[1], 0), Point(TOP, 0), Point(TOP, 1)
+    member = make_condition("kappa", [v, z0, z1], [(v, z0), (v, z1)], complete=True)
+    assert member.meet(z0, z1) == {v}
+    assert kerneldown_check(SeparatedFamily((member,), frozenset({z0, z1}))) is None
+
+
 # --- omega amalgamation -----------------------------------------------------------
 
 
@@ -429,6 +467,15 @@ def test_omega_amalgam_rejects_root_mismatch(otree):
     p, q, root, F = omega_instance(otree, rng)
     with pytest.raises(HypothesisViolationError):
         amalgamate_omega(p, q, root | {pt("w*11", 2)}, F, otree)
+
+
+def test_omega_amalgam_refuses_a_kappa_member(otree):
+    rng = random.Random(3)
+    p, q, root, F = omega_instance(otree, rng)
+    kappa = make_condition("kappa", q.points, q.strict, q.meet_table())
+    with pytest.raises(HypothesisViolationError) as err:
+        amalgamate_omega(p, kappa, root, F, otree)
+    assert str(err.value) == "both members must use the omega dialect"
 
 
 def test_omega_amalgam_rejects_level_sharing(otree):
@@ -697,6 +744,28 @@ def test_eta_rejects_inadequate_pairing(ktree):
     twisted[ks[0]], twisted[ks[1]] = pairing[ks[1]], pairing[ks[0]]
     with pytest.raises(HypothesisViolationError):
         amalgamate_eta(pp, qq, twisted, stamps, ktree)
+
+
+def test_eta_refuses_a_pairing_that_moves_a_root_point(ktree):
+    # a -> b -> c keeps columns and level order, and moves the root point b
+    eps = ktree.root_eps()
+    a, b, c = Point(eps[1], 0), Point(eps[2], 0), Point(eps[3], 0)
+    pp = make_condition("kappa", [a, b], [(a, b)], complete=True)
+    qq = make_condition("kappa", [b, c], [(b, c)], complete=True)
+    pairing = {a: b, b: c}
+    assert check_adequate(pairing) == []
+    stamps = flat_stamps([a, b, c], eps[4:6], eps[7])
+    with pytest.raises(HypothesisViolationError) as err:
+        amalgamate_eta(pp, qq, pairing, stamps, ktree)
+    assert str(err.value) == "pairing moves a root point"
+
+
+def test_eta_refuses_omega_members(ktree):
+    _, _, pp, qq, _, _, pairing, stamps, _ = eta_inputs(ktree, 0)
+    omega = [make_condition("omega", m.points, m.strict, m.meet_table()) for m in (pp, qq)]
+    with pytest.raises(HypothesisViolationError) as err:
+        amalgamate_eta(*omega, pairing, stamps, ktree)
+    assert str(err.value) == "grid amalgamation expects the kappa dialect"
 
 
 def test_eta_rejects_disagreeing_root_meets(ktree):

@@ -123,6 +123,26 @@ def test_gen_probe_past_the_family_cap_is_a_clean_error(tmp_path, capsys):
     assert not table.exists()
 
 
+def test_verify_reports_no_witness_with_exit_1(tmp_path, capsys):
+    table = tmp_path / "F.txt"
+    assert run(capsys, "unbounded", "gen", "--seed", "1", "--out", str(table))[0] == 0
+    code, out, err = run(capsys, "unbounded", "verify", str(table),
+                         "--gamma", "15", "--family", "0;1;2")
+    assert (code, err) == (1, "")
+    assert out == (
+        "# scatterlab-fmt 1 report\nverify gamma w*15\npairs-checked 3\nwitness none\n"
+    )
+
+
+def test_gen_with_unsatisfiable_probes_fails_with_exit_1(tmp_path, capsys):
+    table = tmp_path / "F.txt"
+    code, out, err = run(capsys, "unbounded", "gen", "--strategy", "greedy",
+                         "--probe", "2", "1", "16", "--out", str(table))
+    assert (code, out) == (1, "")
+    assert err == "generation failed: no value for pair (0, 1) satisfies the probes\n"
+    assert not table.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["search", "--m", "2", "--nu", "2", "--gammas", "1"],
     ["verify", "--gamma", "3", "--family", "0,1;2,3"],
@@ -228,6 +248,24 @@ def test_extend_refuses_bad_target(kappa_doc, capsys):
                        "--alpha", "w*3")
     assert code == 1
     assert "extension failed" in err
+
+
+def test_extend_refuses_a_target_without_a_level(kappa_doc, capsys):
+    a, _, _, _, _ = kappa_doc
+    code, out, err = run(capsys, "extend", str(a), "--target", "7", "--alpha", "w*4")
+    assert (code, out) == (2, "")
+    assert err == "error: ConditionError: point '7' is not LEVEL:XI\n"
+
+
+def test_validate_refuses_a_zero_size_cap(tmp_path, capsys):
+    golden = Path(__file__).resolve().parent / "golden"
+    text = (golden / "condition-kappa.txt").read_text()
+    assert text.count(" size_cap=32") == 1
+    doc = tmp_path / "c.txt"
+    doc.write_text(text.replace(" size_cap=32", " size_cap=0"))
+    code, out, err = run(capsys, "validate", str(doc))
+    assert (code, out) == (2, "")
+    assert err == "error: ConditionError: params: size_cap must be positive\n"
 
 
 def test_extend_refuses_negative_floor(tmp_path, capsys):

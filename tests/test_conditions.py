@@ -695,15 +695,17 @@ def test_marker_membership_branches():
 
 def full_checks(monkeypatch):
     """The conditions that `validate` checks in full from here on, in call
-    order."""
+    order: a check reaches its dialect's clauses, and an answer from the
+    kept verdict does not."""
     checked = []
-    inner = conditions.violations_touching
+    for name in ("_validate_kappa", "_validate_omega"):
+        inner = getattr(conditions, name)
 
-    def spy(p, tree, F, fresh, members=()):
-        checked.append(p)
-        return inner(p, tree, F, fresh, members)
+        def spy(p, *args, inner=inner):
+            checked.append(p)
+            return inner(p, *args)
 
-    monkeypatch.setattr(conditions, "violations_touching", spy)
+        monkeypatch.setattr(conditions, name, spy)
     return checked
 
 

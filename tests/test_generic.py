@@ -379,9 +379,7 @@ def test_core_findings_come_in_position_order():
     assert rep == naive_sposet_check(T, 1)
     assert rep.partition == (
         "reflexive strict pair: (1, 0)",
-        "two-cycle: (1, 0) / (1, 0)",
         "reflexive strict pair: (2, 0)",
-        "two-cycle: (2, 0) / (2, 0)",
         "two-cycle: (3, 0) / (4, 0)",
         "two-cycle: (4, 0) / (3, 0)",
         "not transitive: (3, 0) < (4, 0) < (3, 0)",

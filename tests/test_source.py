@@ -194,3 +194,27 @@ def test_points_compare_and_hash_by_identity():
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             defined.update(t.id for t in targets if isinstance(t, ast.Name))
     assert defined.isdisjoint({"__eq__", "__ne__", "__hash__"})
+
+
+def test_only_violations_touching_keeps_a_verdict():
+    # one function keeps validation verdicts, and every check of a
+    # condition goes through it
+    callers = []
+
+    class Calls(ast.NodeVisitor):
+        def __init__(self, module):
+            self.where = [module]
+
+        def visit_FunctionDef(self, node):
+            self.where.append(node.name)
+            self.generic_visit(node)
+            self.where.pop()
+
+        def visit_Call(self, node):
+            if getattr(node.func, "attr", getattr(node.func, "id", None)) == "keep_verdict":
+                callers.append(".".join(self.where))
+            self.generic_visit(node)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        Calls(path.stem).visit(ast.parse(path.read_text(), filename=str(path)))
+    assert callers == ["conditions.violations_touching"]
