@@ -527,8 +527,9 @@ class EquivalenceStamp:
 
 
 def _interval_data(tree: IntervalTree, iv: Interval, root_levels, cache):
-    if iv in cache:
-        return cache[iv]
+    data = cache.get(iv)
+    if data is not None:
+        return data
     kw = tree.params.kappa_w
     top = max((b for b in root_levels if iv.contains(b)), default=None)
     # xi counts the markers at or below top; the shorter request goes first,
@@ -542,6 +543,15 @@ def _interval_data(tree: IntervalTree, iv: Interval, root_levels, cache):
 
 
 def _tag_of(tree: IntervalTree, alpha: Ordinal, root_levels, cache) -> Interval:
+    """alpha's singleton once alpha starts its interval, or else the first
+    limit-ended interval on its way down whose gamma is at most alpha.
+
+    It walks alpha's path one level at a time through `locate`, whose trail
+    memo makes each level one step past the last.  `path` would do for the
+    walk but for its errors: it walks on below the tag to alpha's own
+    endpoint, raises DepthCapError at the depth cap, and refuses an alpha
+    outside [0, eta) with a budget error where `locate` says so.
+    """
     k = 0
     while True:
         iv = tree.locate(alpha, k)
@@ -746,7 +756,7 @@ def _first_deficient(cond: Condition, base_meets, tree: IntervalTree):
             value = table[s, t]
             if len(value) == 1:
                 (m,) = value
-                if m.level in tree.orbit(s.level) and m.level in tree.orbit(t.level):
+                if m.level in tree.orbit_set(s.level) and m.level in tree.orbit_set(t.level):
                     continue
             return s, t
     return None
@@ -937,7 +947,7 @@ def _grid_amalgam(
             v = Point(beta, col)
             for ups in options:
                 if not all(
-                    beta < c.level and beta in tree.orbit(c.level) for c in ups
+                    beta < c.level and beta in tree.orbit_set(c.level) for c in ups
                 ):
                     continue
                 placed_any = True
@@ -1004,6 +1014,11 @@ def pull_back(
     meets (MaxUndefinedError otherwise).  The gap hypothesis on F is
     checked over max(gamma, root top level) before anything is built.
 
+    When no two landing points share a top, every point has one preimage
+    and the result's meets are rp's, renamed: each key through h to its
+    canonical pair, each value that holds a landing point through h.  A
+    shared top instead takes the maximum over its preimages, pair by pair.
+
     When no landing point has a point above it in rp and no returned top
     is a kept point, the result's order index is rp's with each landing
     point renamed to its top (the tops sort last, and the landing points of
@@ -1027,9 +1042,6 @@ def pull_back(
     h: Dict[Point, Point] = {x: x for x in keep}
     h.update(pushed_nu)
     h.update(pushed_mu)
-    preimages: Dict[Point, List[Point]] = {}
-    for src, dst in sorted(h.items(), key=lambda kv: point_key(kv[0])):
-        preimages.setdefault(dst, []).append(src)
 
     z_nu = set(pushed_nu.values())
     z_mu = set(pushed_mu.values())
@@ -1049,12 +1061,22 @@ def pull_back(
 
     meets: Dict = {}
     core = rp.core()
-    below = core.below()
-    ordered = sorted(points, key=point_key)
-    for s, t in itertools.combinations(ordered, 2):
-        cands = [rp.meet(sp, tp) for sp in preimages[s] for tp in preimages[t]]
-        value = cands[0] if len(cands) == 1 else _meet_max(core, below, cands, (s, t))
-        meets[(s, t)] = frozenset(h[v] for v in value)
+    if len(points) == len(h):
+        for (s, t), value in rp.meet_table().items():
+            if s in landed or t in landed:
+                s, t = pair_key(h[s], h[t])
+            if not value.isdisjoint(landed):
+                value = frozenset(h[v] for v in value)
+            meets[s, t] = value
+    else:
+        preimages: Dict[Point, List[Point]] = {}
+        for src, dst in sorted(h.items(), key=lambda kv: point_key(kv[0])):
+            preimages.setdefault(dst, []).append(src)
+        below = core.below()
+        for s, t in itertools.combinations(sorted(points, key=point_key), 2):
+            cands = [rp.meet(sp, tp) for sp in preimages[s] for tp in preimages[t]]
+            value = cands[0] if len(cands) == 1 else _meet_max(core, below, cands, (s, t))
+            meets[(s, t)] = frozenset(h[v] for v in value)
 
     tops, unjudged = z_nu | z_mu, -1
     if keep.isdisjoint(tops) and not any(core.up[core.index[x]] for x in landed):

@@ -586,9 +586,9 @@ class Violation:
         return f"{self.clause} [{names}]: {self.detail}"
 
 
-def _tree_orbit(tree: IntervalTree, alpha: Ordinal) -> Tuple[Ordinal, ...]:
+def _tree_orbit(tree: IntervalTree, alpha: Ordinal) -> FrozenSet[Ordinal]:
     try:
-        return tree.orbit(alpha)
+        return tree.orbit_set(alpha)
     except TreeError as err:
         raise UnmaterializedLevelError(f"orbit({alpha}): {err}") from err
 
@@ -601,12 +601,13 @@ def _tree_split(tree: IntervalTree, alpha: Ordinal, beta: Ordinal):
 
 
 def _marker_membership(tree: IntervalTree, beta: Ordinal) -> bool:
-    eps = tree.markers_to(tree.root, beta)
-    if beta in eps:
-        return True
-    if beta < eps[-1]:
-        return False
-    raise UnmaterializedLevelError(f"{beta} is past the materialized root markers")
+    """True when beta is a root marker, False when it is not and a
+    materialized root marker lies above it; UnmaterializedLevelError when
+    beta lies past the root markers the budget allows."""
+    found = tree.is_root_marker(beta)
+    if found is None:
+        raise UnmaterializedLevelError(f"{beta} is past the materialized root markers")
+    return found
 
 
 def validate(

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .ordinals import ONE, ZERO, Ordinal, fundamental
 
@@ -103,9 +103,19 @@ class IntervalTree:
     """Memoized lazy refinement of [0, eta).
 
     A node has at most e_budget + 1 markers, and a query materializes only
-    the prefix it reads.  The marker, path, orbit and split caches are
-    insert-only and every entry is a deterministic function of its key, so
-    a cached answer is the one a fresh tree would compute.  Only successful
+    the prefix it reads.  The memos:
+
+    - `_markers`: a limit-ended node's marker prefix, grown as far as read;
+    - `_trails`: an ordinal's containing intervals from the root down, as
+      deep as `locate` or `path` has walked (to a singleton at most);
+    - `_paths`: an ordinal's path, the trail down to its left endpoint;
+    - `_orbits` and `_orbit_sets`: an ordinal's orbit as a sorted tuple,
+      and as a set for membership tests;
+    - `_splits`: where the paths of two ordinals part.
+
+    Each is insert-only (a marker list or a trail only grows at its end)
+    and every entry is a deterministic function of its key, so a cached
+    answer is the one a fresh tree would compute.  Only successful
     navigation results are cached, so a request that raises raises again
     when repeated.
     """
@@ -115,8 +125,10 @@ class IntervalTree:
         self.depth_cap = depth_cap
         self.root = Interval(ZERO, params.eta)
         self._markers: Dict[Interval, List[Ordinal]] = {}
+        self._trails: Dict[Ordinal, List[Interval]] = {}
         self._paths: Dict[Ordinal, Tuple[Interval, ...]] = {}
         self._orbits: Dict[Ordinal, Tuple[Ordinal, ...]] = {}
+        self._orbit_sets: Dict[Ordinal, FrozenSet[Ordinal]] = {}
         self._splits: Dict[Tuple[Ordinal, Ordinal], Tuple[Optional[int], Interval]] = {}
 
     # -- marker sequences -----------------------------------------------
@@ -166,6 +178,18 @@ class IntervalTree:
     def root_eps(self, count: Optional[int] = None) -> Tuple[Ordinal, ...]:
         return self.e_set(self.root, count)
 
+    def is_root_marker(self, beta: Ordinal) -> Optional[bool]:
+        """Whether beta is a root marker, by bisect on the root's marker
+        memo: None when beta lies at or past the last marker the budget
+        allows, where the answer is not materialized."""
+        if not beta < self.root.hi:
+            return None
+        seq = self._grow(self.root, self.params.e_budget + 1, beta)
+        k = bisect.bisect_right(seq, beta)  # at least 1, since seq[0] is 0
+        if seq[k - 1] == beta:
+            return True
+        return False if k < len(seq) else None
+
     # -- refinement -------------------------------------------------------
 
     def children(self, iv: Interval, count: Optional[int] = None) -> List[Interval]:
@@ -190,13 +214,23 @@ class IntervalTree:
         return [Interval(marks[k], marks[k + 1]) for k in range(count)]
 
     def locate(self, alpha: Ordinal, depth: int) -> Interval:
-        """The unique depth-`depth` interval containing alpha."""
+        """The unique depth-`depth` interval containing alpha, read from
+        alpha's trail and grown as far as `depth` asks; no depth cap."""
         if not self.root.contains(alpha):
             raise TreeError(f"{alpha} is outside {self.root}")
-        iv = self.root
-        for _ in range(depth):
-            iv = self._step(iv, alpha)
-        return iv
+        trail = self._trail(alpha)
+        while len(trail) <= depth and not trail[-1].is_singleton:
+            trail.append(self._step(trail[-1], alpha))
+        # a singleton is its own child, so it answers every deeper level
+        return trail[min(max(depth, 0), len(trail) - 1)]
+
+    def _trail(self, alpha: Ordinal) -> List[Interval]:
+        """alpha's trail memo: its containing intervals from the root down,
+        as deep as walked so far."""
+        trail = self._trails.get(alpha)
+        if trail is None:
+            trail = self._trails[alpha] = [self.root]
+        return trail
 
     def _step(self, iv: Interval, alpha: Ordinal) -> Interval:
         if iv.is_singleton:
@@ -222,14 +256,16 @@ class IntervalTree:
         starting at alpha."""
         trail = self._paths.get(alpha)
         if trail is None:
-            out = [self.root]
-            while out[-1].lo != alpha:
-                if len(out) > self.depth_cap:
+            out, depth = self._trail(alpha), 0
+            while out[depth].lo != alpha:
+                if depth >= self.depth_cap:
                     raise DepthCapError(
                         f"{alpha} did not become a left endpoint within depth {self.depth_cap}"
                     )
-                out.append(self._step(out[-1], alpha))
-            trail = self._paths[alpha] = tuple(out)
+                depth += 1
+                if depth == len(out):
+                    out.append(self._step(out[-1], alpha))
+            trail = self._paths[alpha] = tuple(out[: depth + 1])
         return list(trail)
 
     def orbit(self, alpha: Ordinal) -> Tuple[Ordinal, ...]:
@@ -245,6 +281,13 @@ class IntervalTree:
             for iv in self.path(alpha)[:-1]:
                 seen.update(m for m in self.markers_to(iv, alpha) if m < alpha)
             orb = self._orbits[alpha] = tuple(sorted(seen))
+        return orb
+
+    def orbit_set(self, alpha: Ordinal) -> FrozenSet[Ordinal]:
+        """`orbit(alpha)` as a set, for membership tests."""
+        orb = self._orbit_sets.get(alpha)
+        if orb is None:
+            orb = self._orbit_sets[alpha] = frozenset(self.orbit(alpha))
         return orb
 
     def j_and_J(

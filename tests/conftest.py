@@ -20,6 +20,14 @@ settings.register_profile(
 settings.load_profile("suite")
 
 
+def outcome(ask, *args):
+    """What `ask(*args)` returns, or the type and text of what it raises."""
+    try:
+        return ask(*args)
+    except Exception as err:
+        return type(err), str(err)
+
+
 @st.composite
 def flat_ordinals(draw, max_exp: int = 5, max_coeff: int = 4):
     """Ordinals below w^w: a sparse coefficient vector over natural exponents."""

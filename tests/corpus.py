@@ -249,8 +249,6 @@ def drop_witness(cond, tree, rng: random.Random):
     rebuilds the condition without it, recomputing meets so only the
     witness clause breaks.  Returns None when no pair qualifies.
     """
-    from scatterlab.conditions import point_key
-
     candidates = []
     for s, t in sorted(cond.strict, key=lambda st: (point_key(st[0]), point_key(st[1]))):
         if s.is_top:

@@ -7,9 +7,51 @@ slow and small-scale on purpose.
 
 from __future__ import annotations
 
+import bisect
 import itertools
+from itertools import combinations
 
-from scatterlab.ordinals import OMEGA, Ordinal, compare, from_int
+from scatterlab import fmt
+from scatterlab.amalgam import check_adequate
+from scatterlab.conditions import (
+    ConditionError,
+    LevelBudgetError,
+    Point,
+    UnmaterializedLevelError,
+    Violation,
+    _fresh_column,
+    _marker_membership,
+    _tree_orbit,
+    _tree_split,
+    leq,
+    level_lt,
+    level_token,
+    make_condition,
+    pair_key,
+    parse_level,
+    point_key,
+    validate,
+)
+from scatterlab.generic import (
+    PredecessorBelow,
+    RealizePoint,
+    ScheduleError,
+    SkeletonReport,
+    SposetReport,
+    poset_from_condition,
+)
+from scatterlab.intervals import BudgetExceededError, DepthCapError, Interval, TreeError
+from scatterlab.ordinals import ONE, OMEGA, Ordinal, compare, from_int, omega_pow
+from scatterlab.unbounded import (
+    FORMAT_HEADER,
+    BlowupGuardError,
+    FamilyError,
+    GenerationError,
+    SearchResult,
+    UnboundedFn,
+    family_count,
+    star_verify,
+)
 
 # --- ordinal arithmetic ------------------------------------------------------
 #
@@ -50,8 +92,6 @@ def naive_fundamental(lam: Ordinal, k: int) -> Ordinal:
     """`ordinals.fundamental` as it read before results were built from their
     normal form: the head through the checking constructor, the last term's
     part added to it."""
-    from scatterlab.ordinals import omega_pow
-
     head, (exp, coeff) = lam.terms[:-1], lam.terms[-1]
     if coeff > 1:
         head = head + ((exp, coeff - 1),)
@@ -149,8 +189,6 @@ def omega_times(g: Ordinal) -> Ordinal:
 
 
 def naive_star_search(F, m: int, nu: int, gammas):
-    from itertools import combinations
-
     subsets = [frozenset(c) for c in combinations(range(F.lambda_w), nu)]
     instances = 0
     failures = []
@@ -180,16 +218,6 @@ def naive_star_search(F, m: int, nu: int, gammas):
 
 
 def naive_star_search_by_verify(F, m: int, nu: int, gammas, family_cap=10_000_000, force=False):
-    from itertools import combinations
-
-    from scatterlab.unbounded import (
-        BlowupGuardError,
-        FamilyError,
-        SearchResult,
-        family_count,
-        star_verify,
-    )
-
     if m < 2:
         raise FamilyError("family size m must be at least 2")
     if nu < 1 or m * nu > F.lambda_w:
@@ -217,8 +245,6 @@ def naive_star_search_by_verify(F, m: int, nu: int, gammas, family_cap=10_000_00
 
 
 def naive_f_generate_greedy(params, eps, probes=()):
-    from scatterlab.unbounded import GenerationError, UnboundedFn
-
     lam = params.lambda_w
     pairs = [(i, j) for i in range(lam) for j in range(i + 1, lam)]
     if not eps:
@@ -253,8 +279,6 @@ def naive_f_generate_greedy(params, eps, probes=()):
 
 
 def naive_sunflower(sets):
-    from itertools import combinations
-
     sets = [frozenset(s) for s in sets]
     for size in range(len(sets), 1, -1):
         for combo in combinations(range(len(sets)), size):
@@ -289,8 +313,6 @@ def omega_cross_filter(p, q, root):
 
 def naive_separated_report(fam):
     """`amalgam.separated_report` by point-pair membership tests."""
-    from scatterlab.amalgam import check_adequate
-
     out = []
     members = fam.members
     root = fam.root
@@ -403,8 +425,6 @@ def naive_push_down(r, zeta, tree):
     """`amalgam.push_down`'s (r', g) rebuilt through `make_condition`: the
     top points renamed to the landing level in column order, the order and
     meets carried over, nothing judged."""
-    from scatterlab.conditions import Point, make_condition
-
     landing = tree.root_eps(zeta + 1)[zeta]
     tops = sorted((x for x in r.points if x.is_top), key=lambda x: x.xi)
     fwd = {x: x for x in r.points if not x.is_top}
@@ -424,8 +444,6 @@ def naive_pull_back(rp, g_nu, g_mu):
     top, the order of the strict pairs that start at a kept point, and each
     meet the preimage meet whose down-set holds every other one's (None
     when no preimage meet does)."""
-    from scatterlab.conditions import make_condition, point_key
-
     pushed = {k: v for g in (g_nu, g_mu) for k, v in g.items() if k != v}
     keep = rp.points - set(pushed)
     h = {x: x for x in keep} | pushed
@@ -458,8 +476,6 @@ def naive_pull_back(rp, g_nu, g_mu):
 def _naive_eta_start(pp, qq):
     """The union's cross order from root interpolants, and the members'
     meets keyed by unordered pair."""
-    from scatterlab.conditions import point_key
-
     root = pp.points & qq.points
     rel0 = set(pp.strict) | set(qq.strict)
     for s in sorted(pp.points - root, key=point_key):
@@ -475,8 +491,6 @@ def _naive_eta_start(pp, qq):
 
 
 def _naive_eta_build(points, rel, meets0):
-    from scatterlab.conditions import make_condition, point_key
-
     table = {tuple(sorted(k, key=point_key)): v for k, v in meets0.items()}
     return make_condition("kappa", points, rel, table, complete=True)
 
@@ -489,10 +503,6 @@ def naive_eta_base(pp, qq):
 
 
 def naive_eta_search(pp, qq, pairing, stamps, tree, max_fresh=3):
-    import itertools as it
-
-    from scatterlab.conditions import Point, leq, validate
-
     mirror = {}
     for s in pp.points:
         mirror[s] = pairing[s]
@@ -555,7 +565,7 @@ def naive_eta_search(pp, qq, pairing, stamps, tree, max_fresh=3):
                 if not all(w.level < beta for w in lower):
                     continue
                 used = {x.xi for x in points if x.level == beta}
-                col = next(i for i in it.count() if i not in used)
+                col = next(i for i in itertools.count() if i not in used)
                 if col >= tree.params.kappa_w:
                     continue
                 v = Point(beta, col)
@@ -641,9 +651,6 @@ def _sorted_strict(p):
 
 def naive_validate(p, tree, F=None):
     """`conditions.validate` by point-pair membership tests, no masks."""
-    from scatterlab.conditions import ConditionError, Violation, level_lt, point_key
-    from scatterlab.conditions import _marker_membership, _tree_orbit, _tree_split
-
     params = tree.params
     out = []
     pts = sorted(p.points, key=point_key)
@@ -760,9 +767,6 @@ def naive_validate(p, tree, F=None):
 
 def naive_sposet_check(T, budget):
     """`generic.sposet_check` by point-pair membership tests, no masks."""
-    from scatterlab.conditions import level_lt, point_key
-    from scatterlab.generic import SposetReport
-
     def le(s, t):
         return _raw_le(T, s, t)
 
@@ -811,8 +815,6 @@ def naive_sposet_check(T, budget):
 def naive_poset_block(p):
     """`conditions.poset_block` as it read before row tails were shared:
     each meet row formats its own indices, listed from `p.meets`."""
-    from scatterlab.conditions import level_token
-
     core = p.core()
     index = core.index
     lines = [f"points {len(core.pts)}"]
@@ -830,10 +832,6 @@ def naive_poset_block(p):
 
 def naive_skeleton_check(T, levels):
     """`generic.skeleton_check` by point-pair membership tests, no masks."""
-    from scatterlab.conditions import point_key
-    from scatterlab.generic import SkeletonReport
-    from scatterlab.ordinals import ONE
-
     def at(level):
         return sorted((x for x in T.points if x.level == level), key=point_key)
 
@@ -860,8 +858,6 @@ def naive_transitive_closure(points, rel):
     composites until none is new; refuses unknown points and cycles as
     `make_condition` does (the least pair with an unknown point, a cycle
     through the first of its points, in `point_key` order)."""
-    from scatterlab.conditions import ConditionError
-
     adj = {p: set() for p in points}
     unknown = [(s, t) for s, t in rel if s not in adj or t not in adj]
     if unknown:
@@ -910,8 +906,6 @@ def naive_complete_meets(points, strict):
 
 
 def _naive_fresh_column(p, level, floor, cap, taken):
-    from scatterlab.conditions import LevelBudgetError, Point
-
     used = {x.xi for x in p.points if x.level is level or x.level == level}
     used |= {x.xi for x in taken if x.level is level or x.level == level}
     xi = floor
@@ -923,15 +917,6 @@ def _naive_fresh_column(p, level, floor, cap, taken):
 
 
 def naive_extend_below(p, tgt, alpha, nu_floor, tree):
-    from scatterlab.conditions import (
-        ConditionError,
-        UnmaterializedLevelError,
-        level_lt,
-        make_condition,
-        pair_key,
-    )
-    from scatterlab.intervals import TreeError
-
     if tgt not in p.points:
         raise ConditionError(f"target {tgt} is not in the condition")
     if not level_lt(alpha, tgt.level):
@@ -1010,16 +995,6 @@ def naive_extend_below(p, tgt, alpha, nu_floor, tree):
 def full_extend_below(p, tgt, alpha, nu_floor, tree):
     """`conditions.extend_below` with the whole condition rebuilt: the same
     chain, closed and completed by `make_condition`."""
-    from scatterlab.conditions import (
-        ConditionError,
-        UnmaterializedLevelError,
-        _fresh_column,
-        level_lt,
-        make_condition,
-        point_key,
-    )
-    from scatterlab.intervals import TreeError
-
     if tgt not in p.points:
         raise ConditionError(f"target {tgt} is not in the condition")
     if not level_lt(alpha, tgt.level):
@@ -1057,15 +1032,6 @@ def full_run_schedule(sch, tree, F, dialect, record):
     """`generic.run_schedule` with every step rebuilt whole and checked by
     `validate`.  Appends (condition, findings or the error raised) to
     `record` for each step that reaches the check."""
-    from scatterlab.conditions import ConditionError, Point, make_condition, validate
-    from scatterlab.generic import (
-        PredecessorBelow,
-        RealizePoint,
-        ScheduleError,
-        poset_from_condition,
-    )
-    from scatterlab.intervals import TreeError
-
     params = tree.params
     p = make_condition(dialect, [])
     chain, targeted = [p], []
@@ -1112,19 +1078,16 @@ def full_run_schedule(sch, tree, F, dialect, record):
 
 # --- interval-tree prefix questions ------------------------------------------
 #
-# `_step`, `orbit`, root-marker membership and the amalgam's interval data
-# computed from each node's full marker list: every one takes all e_budget + 1
-# markers from `e_set`, and the interval data grows its request one marker at
-# a time, where the package reads only the prefix a question reaches.  Only
-# `e_set` and `root_eps` of the tree are used, so the tree's navigation memos
-# play no part.
+# `_step`, `locate`, `path`, `orbit`, root-marker membership, the amalgam's
+# interval data and its stamp tags computed from each node's full marker
+# list: every one takes all e_budget + 1 markers from `e_set`, and the
+# interval data grows its request one marker at a time, where the package
+# reads only the prefix a question reaches.  Each walk starts again from the
+# root.  Only `e_set` and `root_eps` of the tree are used, so the tree's
+# navigation memos play no part.
 
 
 def full_step(tree, iv, alpha):
-    import bisect
-
-    from scatterlab.intervals import BudgetExceededError, Interval
-
     if iv.is_singleton:
         return iv
     if iv.hi.is_successor:
@@ -1139,9 +1102,16 @@ def full_step(tree, iv, alpha):
     return Interval(marks[k], marks[k + 1])
 
 
-def full_orbit(tree, alpha):
-    from scatterlab.intervals import DepthCapError
+def full_locate(tree, alpha, depth):
+    if not tree.root.contains(alpha):
+        raise TreeError(f"{alpha} is outside {tree.root}")
+    iv = tree.root
+    for _ in range(depth):
+        iv = full_step(tree, iv, alpha)
+    return iv
 
+
+def full_path(tree, alpha):
     trail = [tree.root]
     while trail[-1].lo != alpha:
         if len(trail) > tree.depth_cap:
@@ -1149,15 +1119,17 @@ def full_orbit(tree, alpha):
                 f"{alpha} did not become a left endpoint within depth {tree.depth_cap}"
             )
         trail.append(full_step(tree, trail[-1], alpha))
+    return trail
+
+
+def full_orbit(tree, alpha):
     seen = set()
-    for iv in trail[:-1]:
+    for iv in full_path(tree, alpha)[:-1]:
         seen.update(m for m in tree.e_set(iv) if m < alpha)
     return tuple(sorted(seen))
 
 
 def full_marker_membership(tree, beta):
-    from scatterlab.conditions import UnmaterializedLevelError
-
     eps = tree.root_eps()
     if beta in eps:
         return True
@@ -1183,12 +1155,25 @@ def full_interval_data(tree, iv, root_levels):
     return (xi, eps[xi + kw], tuple(eps[xi : xi + kw]))
 
 
+def naive_tag_of(tree, alpha, root_levels):
+    """`amalgam._tag_of` as it read before the tree kept a trail per
+    ordinal: each depth k = 0, 1, 2, ... located afresh from the root."""
+    k = 0
+    while True:
+        iv = full_locate(tree, alpha, k)
+        if iv.is_singleton or iv.lo == alpha:
+            return Interval(alpha, alpha + ONE)
+        if iv.hi.is_limit:
+            _, gamma, _ = full_interval_data(tree, iv, root_levels)
+            if not alpha < gamma:
+                return iv
+        k += 1
+
+
 def naive_markers(hi, lo, count):
     """The first `count` markers of a limit-ended node [lo, hi) by the rule
     that always builds the last marker's successor: each next marker is
     the larger of the fundamental step and one past the last."""
-    from scatterlab.ordinals import ONE
-
     seq = [lo]
     while len(seq) < count:
         step = naive_fundamental(hi, len(seq))
@@ -1206,9 +1191,6 @@ def naive_markers(hi, lo, count):
 
 
 def naive_read_poset_block(lines, at, error):
-    from scatterlab import fmt
-    from scatterlab.conditions import Point, pair_key, parse_level
-
     body, at = fmt.section(lines, at, "points", error)
     pts = [
         Point(parse_level(level), fmt.integer(xi, "column", error))
@@ -1233,8 +1215,6 @@ def naive_read_poset_block(lines, at, error):
 def naive_table_rows(lambda_w, eps, entries):
     """The dense rows `UnboundedFn(lambda_w, eps, entries)` keeps, or the
     `FamilyError` it raises."""
-    from scatterlab.unbounded import FamilyError
-
     if lambda_w < 2:
         raise FamilyError("lambda_w must be at least 2")
     if not eps:
@@ -1260,9 +1240,6 @@ def naive_table_rows(lambda_w, eps, entries):
 def naive_load(path, eps):
     """The rows of the table document at `path`, as `unbounded.load` reads
     it, or the `FamilyError` it raises."""
-    from scatterlab import fmt
-    from scatterlab.unbounded import FORMAT_HEADER, FamilyError
-
     with open(path) as fh:
         text = fh.read()
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from .conftest import outcome
 from .corpus import (
     broken_mirror,
     eta_inputs,
@@ -35,6 +36,7 @@ from .oracles import (
     naive_r2_report,
     naive_separated_report,
     naive_sunflower,
+    naive_tag_of,
     naive_validate,
     omega_cross_filter,
 )
@@ -50,6 +52,7 @@ from scatterlab.amalgam import (
     SearchExhaustedError,
     SeparatedFamily,
     _first_deficient,
+    _tag_of,
     amalgamate_eta,
     amalgamate_kappa,
     amalgamate_omega,
@@ -73,7 +76,7 @@ from scatterlab.conditions import (
     validate,
     violations_touching,
 )
-from scatterlab.intervals import Interval, IntervalTree, Params
+from scatterlab.intervals import DepthCapError, Interval, IntervalTree, Params, TreeError
 from scatterlab.ordinals import ONE, parse
 from scatterlab.unbounded import UnboundedFn
 
@@ -578,6 +581,38 @@ def test_stamp_rejects_mismatched_tags(ktree):
     # different singletons
     with pytest.raises(HypothesisViolationError):
         equivalence_stamp(fam, ktree)
+
+
+def test_stamp_tags_match_the_walk_from_the_root(ktree):
+    """Every tag equals `naive_tag_of`'s, which locates each depth afresh
+    from the root: the stamped tags of `kappa_instance` pairs, and the tags
+    and errors of a grid of levels on one warm tree, inside [0, eta) and
+    outside it.  A depth cap the walk passes does not stop it."""
+    for seed in range(0, 60, 2):
+        stamps = eta_inputs(ktree, seed)[7]
+        for s, tag in stamps.tags.items():
+            assert tag == naive_tag_of(ktree, s.level, stamps.root_levels)
+    deep = Params(parse("w^3"), kappa_w=3, lambda_w=8, e_budget=6)
+    grids = [
+        (ktree.params, [f"w*{a} + {b}" for a in range(1, 19) for b in range(0, 20, 3)]),
+        (deep, [f"w^2*{a} + w*{b} + {c}" for a in (1, 2, 3) for b in range(1, 8) for c in (0, 5)]),
+    ]
+    for params, names in grids:
+        warm, eta = IntervalTree(params), params.eta
+        levels = [parse(name) for name in names] + [eta, eta + ONE]
+        for root_levels in ((), warm.root_eps(4)[1:], (parse("w*2 + 7"),), (parse("w*15"),)):
+            for alpha in levels:
+                got = outcome(_tag_of, warm, alpha, root_levels, {})
+                want = outcome(naive_tag_of, IntervalTree(params), alpha, root_levels)
+                assert got == want, alpha
+    for alpha in (eta, eta + ONE):
+        assert outcome(_tag_of, warm, alpha, (), {}) == (
+            TreeError, f"{alpha} is outside [0, {eta})"
+        )
+    capped, alpha = IntervalTree(ktree.params, depth_cap=1), parse("w + 2")
+    with pytest.raises(DepthCapError):
+        capped.path(alpha)
+    assert _tag_of(capped, alpha, (), {}) == Interval(alpha, alpha + ONE)
 
 
 # --- push down ---------------------------------------------------------------------
@@ -1397,13 +1432,17 @@ PULL_TABLES = st.one_of(st.none(), st.integers(1, 12))
 @given(seed=st.integers(0, 59), flat=PULL_TABLES)
 @example(seed=5, flat=6)
 @example(seed=10, flat=7)
+@example(seed=5, flat=None)
 @example(seed=0, flat=None)
 def test_pull_back_judges_the_returned_tops_as_validate_judges_all(ktree, seed, flat):
     """With the amalgam's verdict kept, pull_back checks only the returned
     tops and their pairs, and answers as the full check of an unjudged
     twin: the same condition, or the same refusal; the narrowed findings
     are `naive_validate`'s, and the condition judged, built from the
-    amalgam's order index, is `naive_pull_back`'s, index and all."""
+    amalgam's order index, is `naive_pull_back`'s, index and all.  Seeds 5
+    and 10 share a top, so its two landing points merge and each meet is a
+    maximum over preimages; seed 0 merges none, and its meets are rp's,
+    renamed."""
     r_nu, r_mu, pp, qq, g_nu, g_mu, pairing, stamps, F = eta_inputs(ktree, seed)
     if flat is not None:
         F = flat_F(ktree, ktree.params.lambda_w, flat)
@@ -1422,6 +1461,12 @@ def test_pull_back_judges_the_returned_tops_as_validate_judges_all(ktree, seed, 
         assert type(fast) is type(full) and str(fast) == str(full)
     else:
         assert fast == full and fast.judged_valid(ktree, F)
+
+
+def test_pull_back_examples_merge_on_a_shared_top_only(ktree):
+    for seed, shared in ((5, True), (10, True), (0, False)):
+        r_nu, r_mu = eta_inputs(ktree, seed)[:2]
+        assert any(x.is_top for x in r_nu.points & r_mu.points) is shared
 
 
 def pushed_top(ktree, col):

@@ -13,6 +13,7 @@ from scatterlab.conditions import condition_from_text, condition_to_text
 from scatterlab.generic import poset_from_text
 from scatterlab.intervals import IntervalTree
 from scatterlab.unbounded import load as load_table
+from scatterlab.unbounded import save
 
 from .conftest import wall_clock
 from .corpus import (
@@ -287,8 +288,6 @@ def test_amalgamate_omega_route(tmp_path, capsys):
     a, b, f = tmp_path / "a.txt", tmp_path / "b.txt", tmp_path / "F.txt"
     a.write_text(condition_to_text(p, tree.params))
     b.write_text(condition_to_text(q, tree.params))
-    from scatterlab.unbounded import save
-
     save(F, f)
     out = tmp_path / "r.txt"
     code, _, _ = run(capsys, "amalgamate", str(a), str(b), "--f", str(f),

@@ -18,11 +18,13 @@ from scatterlab.intervals import (
 )
 from scatterlab.ordinals import ONE, ZERO, Ordinal, from_int, parse
 
-from .conftest import deep_ordinals, limit_ordinals, wall_clock
+from .conftest import deep_ordinals, limit_ordinals, outcome, wall_clock
 from .oracles import (
     full_interval_data,
+    full_locate,
     full_marker_membership,
     full_orbit,
+    full_path,
     full_step,
     naive_markers,
 )
@@ -302,12 +304,18 @@ def _grid_points(a_max: int, b_max: int):
 def test_warm_memos_answer_like_a_fresh_tree():
     warm = make_tree("w^2", e_budget=8)
     points = _grid_points(8, 8)
+    # past the last root marker, w*8, and past eta
+    past = [parse("w*8 + 1"), parse("w*9"), warm.params.eta]
     pairs = [(x, y) for x in points for y in points + [warm.params.eta] if x < y]
     rng = random.Random(11)
     for _ in range(3):
         for alpha in rng.sample(points, len(points)):
+            warm.locate(alpha, rng.randrange(6))
             warm.orbit(alpha)
+            warm.orbit_set(alpha)
             warm.path(alpha)
+        for beta in rng.sample(points + past, len(points + past)):
+            outcome(_marker_membership, warm, beta)
         for alpha, beta in rng.sample(pairs, len(pairs) // 2):
             warm.j_and_J(alpha, beta)
 
@@ -317,6 +325,14 @@ def test_warm_memos_answer_like_a_fresh_tree():
     for alpha in points:
         assert warm.orbit(alpha) == fresh().orbit(alpha)
         assert warm.path(alpha) == fresh().path(alpha)
+        assert [warm.locate(alpha, k) for k in range(6)] == [
+            fresh().locate(alpha, k) for k in range(6)
+        ]
+        orbit = fresh().orbit(alpha)
+        assert [b in warm.orbit_set(alpha) for b in points] == [b in orbit for b in points]
+    for beta in points + past:
+        want = outcome(full_marker_membership, fresh(), beta)
+        assert outcome(_marker_membership, warm, beta) == want
     for alpha, beta in pairs:
         assert warm.j_and_J(alpha, beta) == fresh().j_and_J(alpha, beta)
 
@@ -362,19 +378,13 @@ def test_n_of_stops_at_the_depth_cap_as_path_does():
         t.path(parse("w*3 + 20"))
 
 
-def _outcome(ask, *args):
-    try:
-        return ask(*args)
-    except Exception as err:
-        return type(err), str(err)
-
-
 @st.composite
 def prefix_questions(draw):
-    """(params, questions) for the tree's prefix queries: orbits and root
-    memberships of any ordinal, steps from a node at an ordinal at or above
-    its start, and interval data of a limit-ended node.  The ordinals sit on
-    the nodes' markers, just above them, past them, past eta, or anywhere."""
+    """(params, questions) for the tree's prefix queries: orbits, orbit
+    memberships, paths, locations at a depth and root memberships of any
+    ordinal, steps from a node at an ordinal at or above its start, and
+    interval data of a limit-ended node.  The ordinals sit on the nodes'
+    markers, just above them, past them, past eta, or anywhere."""
     kappa_w = draw(st.integers(2, 4))
     params = Params(
         draw(limit_ordinals()), kappa_w=kappa_w, lambda_w=kappa_w + 3,
@@ -400,6 +410,9 @@ def prefix_questions(draw):
 
     kinds = [
         st.tuples(st.just("orbit"), ordinal()),
+        st.tuples(st.just("in-orbit"), ordinal(), ordinal()),
+        st.tuples(st.just("path"), ordinal()),
+        st.tuples(st.just("locate"), ordinal(), st.integers(-1, 6)),
         st.tuples(st.just("member"), ordinal()),
         st.sampled_from(nodes).flatmap(step),
         st.sampled_from([n for n in nodes if n.hi.is_limit]).flatmap(interval),
@@ -410,16 +423,24 @@ def prefix_questions(draw):
 def _ask(tree, question, oracle=False):
     kind, *args = question
     if kind == "orbit":
-        return _outcome(full_orbit if oracle else IntervalTree.orbit, tree, *args)
+        return outcome(full_orbit if oracle else IntervalTree.orbit, tree, *args)
+    if kind == "in-orbit":
+        beta, alpha = args
+        orbit = full_orbit if oracle else IntervalTree.orbit_set
+        return outcome(lambda: beta in orbit(tree, alpha))
+    if kind == "path":
+        return outcome(full_path if oracle else IntervalTree.path, tree, *args)
+    if kind == "locate":
+        return outcome(full_locate if oracle else IntervalTree.locate, tree, *args)
     if kind == "member":
-        return _outcome(full_marker_membership if oracle else _marker_membership, tree, *args)
+        return outcome(full_marker_membership if oracle else _marker_membership, tree, *args)
     if kind == "step":
         node, alpha = args
         alpha = alpha if node.lo <= alpha else node.lo
-        return _outcome(full_step if oracle else IntervalTree._step, tree, node, alpha)
+        return outcome(full_step if oracle else IntervalTree._step, tree, node, alpha)
     if oracle:
-        return _outcome(full_interval_data, tree, *args)
-    return _outcome(_interval_data, tree, *args, {})
+        return outcome(full_interval_data, tree, *args)
+    return outcome(_interval_data, tree, *args, {})
 
 
 @settings(max_examples=200)

@@ -321,3 +321,23 @@ def test_lookup_outside_the_table_is_a_family_error(eps):
         F.value(0, 9)
     with pytest.raises(FamilyError, match="pair -1,0 is outside the table's 6 columns"):
         F.value(-1, 0)
+
+
+def test_table_and_generation_guards_name_their_cause(eps):
+    params = Params(eta=parse("w^2"), lambda_w=4)
+    with pytest.raises(FamilyError) as err:
+        UnboundedFn(1, eps, {})
+    assert str(err.value) == "lambda_w must be at least 2"
+    with pytest.raises(FamilyError) as err:
+        UnboundedFn(2, [], {})
+    assert str(err.value) == "no materialized marker values"
+    for strategy in ("random", "greedy"):
+        with pytest.raises(GenerationError) as err:
+            f_generate(params, [], strategy)
+        assert str(err.value) == "no materialized marker values"
+        assert err.value.report == []
+    # an unknown strategy is a plain ValueError, not one of the package's
+    with pytest.raises(ValueError) as err:
+        f_generate(params, eps, strategy="bogus")
+    assert type(err.value) is ValueError
+    assert str(err.value) == "unknown strategy 'bogus'"
