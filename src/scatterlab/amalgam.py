@@ -656,13 +656,12 @@ def push_down(r: Condition, zeta: int, tree: IntervalTree):
     fwd = {x: Point(landing, i) for i, x in enumerate(tops)}
     back = {x: x for x in r.points if not x.is_top}
     back.update((v, k) for k, v in fwd.items())
-    rel = frozenset((fwd.get(s, s), fwd.get(t, t)) for s, t in r.strict)
     meets = {}
     for (s, t), value in r.meet_table().items():
         if not value.isdisjoint(fwd):
             value = frozenset(fwd.get(v, v) for v in value)
         meets[fwd.get(s, s), fwd.get(t, t)] = value
-    pushed = condition_from_index(r.dialect, core.renamed(fwd), rel, meets)
+    pushed = condition_from_index(r.dialect, core.renamed(fwd), meets)
     _require_valid(validate(pushed, tree), "push-down")
     return pushed, back
 
@@ -717,7 +716,7 @@ def _r2_findings(r, pp, qq, pairing, root, cross) -> List[str]:
     for s in sorted(pp.points - root, key=point_key):
         for t in sorted(qq.points - root, key=point_key):
             for a, b in ((s, t), (t, s)):
-                if ((a, b) in r.strict) != ((a, b) in cross):
+                if up[index[a]] >> index[b] & 1 != ((a, b) in cross):
                     out.append(f"cross-order: ({a}, {b}) disagrees with interpolants")
     return out
 
@@ -833,7 +832,7 @@ def _grid_base(pp: Condition, qq: Condition, root, cross, base_meets) -> Conditi
         for i in (index[x] for x in pp.points - root)
         for j in (index[y] for y in qq.points - root)
     ]
-    return condition_from_index("kappa", core, rel, dict(base_meets), off)
+    return condition_from_index("kappa", core, dict(base_meets), off)
 
 
 def _grown(cond: Condition, v: Point, lower, ups, owner) -> Condition:
@@ -854,13 +853,10 @@ def _grown(cond: Condition, v: Point, lower, ups, owner) -> Condition:
         down[j] |= low | bit
     q = bit.bit_length() - 1
     down[q], up[q] = low, high
-    below, above = core.members(low), core.members(high)
-    added = [(w, v) for w in below] + [(v, c) for c in above]
-    added += [(w, c) for w in below for c in above]
     own = [owner.get(x, 0) for x in core.pts]
     force = [(i, j) for i, j in core.pairs(high | bit) if not own[i] & own[j]]
     meets = cond.meet_table().copy()
-    return condition_from_index("kappa", core, cond.strict.union(added), meets, force)
+    return condition_from_index("kappa", core, meets, force)
 
 
 def _grid_amalgam(
@@ -1054,11 +1050,6 @@ def pull_back(
     _require_f_gap(F, a, b, gamma0, str(gamma0))
 
     points = set(h.values())
-    rel = set()
-    for s, t in rp.strict:
-        if s in keep:
-            rel.add((s, h[t]))
-
     meets: Dict = {}
     core = rp.core()
     if len(points) == len(h):
@@ -1083,11 +1074,12 @@ def pull_back(
         # nothing sits above a landing point, so rp's order index is r's
         # with each landing point renamed to its top: the kept points' rows,
         # meets and interpolant witnesses are rp's own
-        r = condition_from_index("kappa", core.renamed(h), frozenset(rel), meets)
+        r = condition_from_index("kappa", core.renamed(h), meets)
         if rp.dialect == "kappa" and rp.judged_valid(tree, None):
             index = r.core().index
             unjudged = sum(1 << index[z] for z in tops)
     else:
+        rel = [(s, h[t]) for s, t in rp.strict if s in keep]
         r = make_condition("kappa", points, rel, meets)
     _require_valid(validate(r, tree, F, unjudged), "pull-back")
     for member, name in ((r_nu, "first"), (r_mu, "second")):

@@ -356,10 +356,9 @@ def _check_report(T, budget: int) -> Tuple[str, bool]:
     for level, findings in skel.verdicts:
         lines.append(f"bone {level_token(level)} {'ok' if not findings else 'FAILED'}")
         lines.extend(f"  {f}" for f in findings)
-    if rep.core_ok:
-        lines.append(f"profile {cardinal_profile(T)}")
-    else:
-        lines.append("profile refused")
+    # T is a run_schedule union: every step is a valid condition, so the
+    # core clauses hold and the profile is never refused
+    lines.append(f"profile {cardinal_profile(T)}")
     return fmt.text(lines), rep.ok
 
 

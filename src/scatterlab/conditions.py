@@ -24,10 +24,10 @@ from run to run, so messages, reports and documents list points by
 `point_key`, never in the iteration order of a set of points.
 
 `Poset` is the order core shared with `generic.FinitePoset`: each poset
-builds one `OrderIndex` on first use, its points sorted by `point_key`
-with the strict order as int masks over their positions, and every order
-query, clause check and meet completion here is a bit operation on it
-(the closure is Warshall's, on the same masks).
+stores its order once, as the `OrderIndex` it is built with, its points
+sorted by `point_key` with the strict order as int masks over their
+positions, and every order query, clause check and meet completion here
+is a bit operation on it (the closure is Warshall's, on the same masks).
 """
 
 from __future__ import annotations
@@ -296,33 +296,42 @@ class OrderIndex:
 
 class Poset:
     """Points, a strict order and a meet table, with the order queries
-    answered from one `OrderIndex` built on first use.
+    answered from the one `OrderIndex` the poset is built with.
 
-    `le` is reflexive on the points and false for any point outside them;
-    every query reads the strict set as given.  The meet table is one map
-    from canonical pairs `pair_key(s, t)` of distinct points to meet sets,
-    and is the only stored form of the meets: `meet_table()` returns it,
-    and `meets` lists its entries as rows `((s, t), value)` in `pairs()`
-    order, built afresh on each read.  A pair without an entry reads
-    `_no_meet`.
+    The index masks are the only stored form of the order: `le` is
+    reflexive on the points and false for any point outside them, and
+    every query reads the masks as given.  `strict`, the order as point
+    pairs, is read off the masks on first use and kept in a slot outside
+    `_fields()` and the hash.  The meet table is one map from canonical
+    pairs `pair_key(s, t)` of distinct points to meet sets, and is the
+    only stored form of the meets: `meet_table()` returns it, and `meets`
+    lists its entries as rows `((s, t), value)` in `pairs()` order, built
+    afresh on each read.  A pair without an entry reads `_no_meet`.
     """
 
-    __slots__ = ("dialect", "points", "strict", "_meet_map", "_core")
+    __slots__ = ("dialect", "points", "_core", "_meet_map", "_strict")
     _no_meet: Optional[FrozenSet[Point]] = None
 
     def __init__(
         self,
         dialect: str,
         points: FrozenSet[Point],
-        strict: FrozenSet[Tuple[Point, Point]],
+        core: OrderIndex,
         meets: Dict[Tuple[Point, Point], FrozenSet[Point]],
-        core: Optional[OrderIndex] = None,
     ):
         self.dialect = dialect
         self.points = points
-        self.strict = strict
-        self._meet_map = meets
         self._core = core
+        self._meet_map = meets
+
+    @property
+    def strict(self) -> FrozenSet[Tuple[Point, Point]]:
+        try:
+            return self._strict
+        except AttributeError:
+            pts = self._core.pts
+            self._strict = frozenset((pts[i], pts[j]) for i, j in self._core.strict_pairs())
+            return self._strict
 
     @property
     def meets(self) -> Tuple[Tuple[Tuple[Point, Point], FrozenSet[Point]], ...]:
@@ -333,8 +342,10 @@ class Poset:
         return tuple(zip(pairs, map(table.__getitem__, pairs)))
 
     def _fields(self) -> tuple:
-        """What equality compares, between posets of one exact type."""
-        return (self.dialect, self.points, self.strict, self._meet_map)
+        """What equality compares, between posets of one exact type: equal
+        point sets sort into the same positions, so equal `up` masks mean
+        equal orders."""
+        return (self.dialect, self.points, self._core.up, self._meet_map)
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -342,8 +353,6 @@ class Poset:
         return self._fields() == other._fields()
 
     def core(self) -> OrderIndex:
-        if self._core is None:
-            self._core = OrderIndex(self.points, self.strict)
         return self._core
 
     def meet_table(self) -> Dict[Tuple[Point, Point], FrozenSet[Point]]:
@@ -393,11 +402,11 @@ class Condition(Poset):
 
     Assumes normalized input: build through `make_condition` from raw
     parts, `extend_condition` below an old condition, or
-    `condition_from_index` from an order index already closed.  The strict
-    set is transitively closed and irreflexive; the meet map has exactly
+    `condition_from_index` from an order index already closed.  The order
+    index is transitively closed and irreflexive; the meet map has exactly
     one entry per pair of distinct points, canonically keyed.  Conditions
-    of a schedule chain each own a copy of the strict set and meet map, the
-    values shared.  The verdict of a check that found nothing is kept in
+    of a schedule chain each own their index and a copy of the meet map,
+    the values shared.  The verdict of a check that found nothing is kept in
     the slot `_valid_for` (by `violations_touching`), outside `_fields()`
     and the hash, as the tree's params, depth cap and F it was judged by.
     """
@@ -421,21 +430,19 @@ class Condition(Poset):
         try:
             return self._hash
         except AttributeError:
-            self._hash = hash(
-                (self.dialect, self.points, self.strict, frozenset(self._meet_map.items()))
-            )
+            meets = frozenset(self._meet_map.items())
+            self._hash = hash((self.dialect, self.points, tuple(self._core.up), meets))
             return self._hash
 
     def __repr__(self) -> str:
         return f"<Condition {self.dialect} |X|={self.size}>"
 
 
-def _close(core: OrderIndex, rows: Sequence[int]) -> List[Tuple[Point, Point]]:
+def _close(core: OrderIndex, rows: Sequence[int]) -> None:
     """Close the `up` masks of the positions `rows` by Warshall's algorithm,
     pivoting on those rows alone (every other row must be closed already
-    and reach none of them), add the closed pairs to `down`, and return
-    them as point pairs.  A cycle is reported through the first of its
-    points in `point_key` order."""
+    and reach none of them), and add the closed pairs to `down`.  A cycle
+    is reported through the first of its points in `point_key` order."""
     up = core.up
     for k in rows:
         bit, reach = 1 << k, up[k]
@@ -445,13 +452,10 @@ def _close(core: OrderIndex, rows: Sequence[int]) -> List[Tuple[Point, Point]]:
     cyclic = [i for i in rows if up[i] >> i & 1]
     if cyclic:
         raise ConditionError(f"order cycle through {core.pts[min(cyclic)]}")
-    pts, down, pairs = core.pts, core.down, []
+    down = core.down
     for i in rows:
-        s = pts[i]
         for j in bits(up[i]):
             down[j] |= 1 << i
-            pairs.append((s, pts[j]))
-    return pairs
 
 
 def _force(core: OrderIndex, pairs: Iterable[Tuple[int, int]], table: dict) -> None:
@@ -494,7 +498,7 @@ def make_condition(
         raise ConditionError(f"unknown dialect {dialect!r}")
     pts = frozenset(points)
     core = OrderIndex(pts, rel)
-    strict = frozenset(_close(core, range(len(core.pts))))
+    _close(core, range(len(core.pts)))
     index, order = core.index, core.pts
 
     given: Dict[Tuple[int, int], FrozenSet[Point]] = {}
@@ -519,24 +523,23 @@ def make_condition(
     else:
         values = map(given.get, core.pairs(), itertools.repeat(frozenset()))
         table = dict(zip(itertools.combinations(order, 2), values))
-    return Condition(dialect, pts, strict, table, core)
+    return Condition(dialect, pts, core, table)
 
 
 def condition_from_index(
     dialect: str,
     core: OrderIndex,
-    strict: FrozenSet[Tuple[Point, Point]],
     meets: Dict[Tuple[Point, Point], FrozenSet[Point]],
     force: Iterable[Tuple[int, int]] = (),
 ) -> Condition:
     """A Condition over the order index `core`, whose masks must be
-    transitively closed and acyclic with `strict` as their pairs, and the
-    canonically keyed map `meets`, into which the meet of each position
-    pair in `force` is entered first, as `make_condition(...,
-    complete=True)` forces it.  `meets` is filled in place and must end
-    with one entry per pair.  Nothing is sorted, closed or checked here."""
+    transitively closed and acyclic, and the canonically keyed map
+    `meets`, into which the meet of each position pair in `force` is
+    entered first, as `make_condition(..., complete=True)` forces it.
+    `meets` is filled in place and must end with one entry per pair.
+    Nothing is sorted, closed or checked here."""
     _force(core, force, meets)
-    return Condition(dialect, frozenset(core.pts), strict, meets, core)
+    return Condition(dialect, frozenset(core.pts), core, meets)
 
 
 def extend_condition(
@@ -549,10 +552,10 @@ def extend_condition(
     `make_condition(..., complete=True)` forces it.
 
     Every pair must start at a new point, so new points sit only below old
-    ones and an old point's rows, strict pairs and meet entries stand as
-    they are: only the new points' rows are closed, and `p`'s strict set
-    and meet map are copied (C-level copies, no rehashing) with the entries
-    of the pairs that have a new end added.
+    ones and an old point's rows and meet entries stand as they are: the
+    old rows are moved into the merged index, only the new points' rows are
+    closed, and `p`'s meet map is copied (a C-level copy, no rehashing) with
+    the entries of the pairs that have a new end added.
     """
     core, fresh = p.core().inserted(new_points)
     index, up, bad = core.index, core.up, []
@@ -569,10 +572,10 @@ def extend_condition(
         raise ConditionError(f"order pair ({s}, {t}) {why}")
     points = p.points.union(core.members(fresh))
     # an old row is closed and reaches only old points
-    added = _close(core, list(bits(fresh)))
+    _close(core, list(bits(fresh)))
     table = p.meet_table().copy()
     _force(core, core.pairs(fresh), table)
-    return Condition(p.dialect, points, p.strict.union(added), table, core)
+    return Condition(p.dialect, points, core, table)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,8 @@ never trusts the meet table it is handed.
 `FinitePoset` is a `conditions.Poset`: its order queries and the mask
 loops of `sposet_check` and `skeleton_check` run on the shared
 `OrderIndex`, built from the raw strict set as given (not closed, cycles
-kept), so the checkers see the relation the poset really holds.
+kept) or taken from the condition it wraps, so the checkers see the
+relation the poset really holds.
 """
 
 import itertools
@@ -26,6 +27,7 @@ from .conditions import (
     Condition,
     ConditionError,
     Level,
+    OrderIndex,
     Point,
     Poset,
     bits,
@@ -145,18 +147,23 @@ class FinitePoset(Poset):
 
     The order is read exactly as given (the checkers below judge it), and
     `meet` returns None for a pair with no entry.  Takes normalized parts:
-    the points and strict pairs as frozensets, and the meet map keyed by
+    the points as a frozenset, the strict pairs, and the meet map keyed by
     canonical pairs of distinct points, as `poset_from_text` builds them;
-    it may leave pairs out.  Immutable after construction: the order index
-    and the core verdict (slot `_verdict`, read by `sposet_check` and
-    `cardinal_profile`) are kept from first use, outside `_fields()`."""
+    it may leave pairs out.  The pairs are indexed at construction, so a
+    pair naming an unknown point raises `ConditionError` here; a given
+    `core` is taken as the order instead, and the pairs are not read.
+    Immutable after construction: the core verdict (slot `_verdict`, read
+    by `sposet_check` and `cardinal_profile`) is kept from first use,
+    outside `_fields()`."""
 
     __slots__ = ("targeted", "provenance", "_verdict")
 
     def __init__(
         self, dialect, points, strict, meets, targeted=(), provenance=(), core=None
     ):
-        super().__init__(dialect, points, strict, meets, core)
+        if core is None:
+            core = OrderIndex(points, strict)
+        super().__init__(dialect, points, core, meets)
         self.targeted: Tuple[Tuple[Level, Point], ...] = tuple(targeted)
         self.provenance: Tuple[Condition, ...] = tuple(provenance)
 
@@ -222,18 +229,16 @@ class FinitePoset(Poset):
     def __repr__(self):
         return (
             f"FinitePoset({self.dialect}, {len(self.points)} points, "
-            f"{len(self.strict)} pairs, chain {len(self.provenance)})"
+            f"{sum(m.bit_count() for m in self.core().up)} pairs, chain {len(self.provenance)})"
         )
 
 
 def poset_from_condition(
     p: Condition, targeted=(), provenance=()
 ) -> FinitePoset:
-    """`p` as a FinitePoset, from its parts, meet map and order index as
+    """`p` as a FinitePoset, from its points, meet map and order index as
     they are."""
-    return FinitePoset(
-        p.dialect, p.points, p.strict, p.meet_table(), targeted, provenance, p.core()
-    )
+    return FinitePoset(p.dialect, p.points, (), p.meet_table(), targeted, provenance, p.core())
 
 
 def poset_to_text(T: FinitePoset) -> str:
@@ -255,7 +260,7 @@ def poset_from_text(text: str) -> FinitePoset:
     for line in body:
         level, _, i = line.partition(" ")
         targeted.append((parse_level(level), *fmt.indexed(pts, [i.strip()], GenericError)))
-    return FinitePoset(dialect, frozenset(pts), frozenset(rel), meets, targeted)
+    return FinitePoset(dialect, frozenset(pts), rel, meets, targeted)
 
 
 # --- running a schedule ----------------------------------------------------------
@@ -276,8 +281,9 @@ def run_schedule(
 
     Each step adds its points through `extend_condition` and checks only
     the clauses that touch them, plus the size cap.  A step's condition
-    copies the previous strict set and meet map and adds the entries of
-    its new pairs; the returned union shares the last condition's map.
+    moves the previous order rows into its own index, copies the previous
+    meet map and adds the entries of its new pairs; the returned union
+    shares the last condition's index and map.
     That is sound because every step is monotone: a realized point is
     isolated, and `extend_below`'s insertion is monotone (its docstring
     gives the argument).  The previous condition passed every clause, so

@@ -106,11 +106,10 @@ class IntervalTree:
     the prefix it reads.  The memos:
 
     - `_markers`: a limit-ended node's marker prefix, grown as far as read;
-    - `_trails`: an ordinal's containing intervals from the root down, as
-      deep as `locate` or `path` has walked (to a singleton at most);
-    - `_paths`: an ordinal's path, the trail down to its left endpoint;
-    - `_orbits` and `_orbit_sets`: an ordinal's orbit as a sorted tuple,
-      and as a set for membership tests;
+    - `_trails`: an ordinal's containing intervals from the root down,
+      as deep as `locate`, `path` or a split has walked (to a singleton at
+      most); its path is the trail's prefix down to its left endpoint;
+    - `_orbits`: an ordinal's orbit as a set;
     - `_splits`: where the paths of two ordinals part.
 
     Each is insert-only (a marker list or a trail only grows at its end)
@@ -126,9 +125,7 @@ class IntervalTree:
         self.root = Interval(ZERO, params.eta)
         self._markers: Dict[Interval, List[Ordinal]] = {}
         self._trails: Dict[Ordinal, List[Interval]] = {}
-        self._paths: Dict[Ordinal, Tuple[Interval, ...]] = {}
-        self._orbits: Dict[Ordinal, Tuple[Ordinal, ...]] = {}
-        self._orbit_sets: Dict[Ordinal, FrozenSet[Ordinal]] = {}
+        self._orbits: Dict[Ordinal, FrozenSet[Ordinal]] = {}
         self._splits: Dict[Tuple[Ordinal, Ordinal], Tuple[Optional[int], Interval]] = {}
 
     # -- marker sequences -----------------------------------------------
@@ -253,41 +250,36 @@ class IntervalTree:
 
     def path(self, alpha: Ordinal) -> List[Interval]:
         """Containing intervals from the root down to the first one
-        starting at alpha."""
-        trail = self._paths.get(alpha)
-        if trail is None:
-            out, depth = self._trail(alpha), 0
-            while out[depth].lo != alpha:
-                if depth >= self.depth_cap:
-                    raise DepthCapError(
-                        f"{alpha} did not become a left endpoint within depth {self.depth_cap}"
-                    )
-                depth += 1
-                if depth == len(out):
-                    out.append(self._step(out[-1], alpha))
-            trail = self._paths[alpha] = tuple(out[: depth + 1])
-        return list(trail)
+        starting at alpha: alpha's trail, walked and grown that far."""
+        trail, depth = self._trail(alpha), 0
+        while trail[depth].lo != alpha:
+            if depth >= self.depth_cap:
+                raise DepthCapError(
+                    f"{alpha} did not become a left endpoint within depth {self.depth_cap}"
+                )
+            depth += 1
+            if depth == len(trail):
+                trail.append(self._step(trail[-1], alpha))
+        return trail[: depth + 1]
 
     def orbit(self, alpha: Ordinal) -> Tuple[Ordinal, ...]:
-        """Markers strictly below alpha collected along its path.
+        """Markers strictly below alpha collected along its path, sorted.
 
         Each interval on the way down (the one starting at alpha excluded)
         contributes its markers below alpha.  Budget growth only ever
         extends paths, so previously returned orbits never change.
         """
+        return tuple(sorted(self.orbit_set(alpha)))
+
+    def orbit_set(self, alpha: Ordinal) -> FrozenSet[Ordinal]:
+        """`orbit(alpha)` as a set, for membership tests: the memo that
+        `orbit` sorts."""
         orb = self._orbits.get(alpha)
         if orb is None:
             seen = set()
             for iv in self.path(alpha)[:-1]:
                 seen.update(m for m in self.markers_to(iv, alpha) if m < alpha)
-            orb = self._orbits[alpha] = tuple(sorted(seen))
-        return orb
-
-    def orbit_set(self, alpha: Ordinal) -> FrozenSet[Ordinal]:
-        """`orbit(alpha)` as a set, for membership tests."""
-        orb = self._orbit_sets.get(alpha)
-        if orb is None:
-            orb = self._orbit_sets[alpha] = frozenset(self.orbit(alpha))
+            orb = self._orbits[alpha] = frozenset(seen)
         return orb
 
     def j_and_J(
@@ -313,18 +305,16 @@ class IntervalTree:
             raise TreeError(f"need alpha < beta, got {alpha} >= {beta}")
         if not self.root.contains(beta):
             raise TreeError(f"{beta} is outside {self.root}")
-        iv_a = iv_b = self.root
         depth = 0
         while True:
-            nxt_a, nxt_b = self._step(iv_a, alpha), self._step(iv_b, beta)
-            if nxt_a != nxt_b:
-                return depth, nxt_a
+            nxt = self.locate(alpha, depth + 1)
+            if nxt != self.locate(beta, depth + 1):
+                return depth, nxt
             if depth > self.depth_cap:
                 raise DepthCapError(
                     f"paths of {alpha} and {beta} did not split within depth "
                     f"{self.depth_cap}"
                 )
-            iv_a, iv_b = nxt_a, nxt_b
             depth += 1
 
     # -- truncations ------------------------------------------------------

@@ -424,9 +424,9 @@ def _exponent_text(exp: Ordinal) -> str:
 
 
 def _is_atom(exp: Ordinal) -> bool:
-    # naturals and coefficient-1 towers of w re-parse without parentheses
-    if exp.is_zero:
-        return True
+    # naturals and coefficient-1 towers of w re-parse without parentheses;
+    # exp is never zero: __str__ writes no exponent for w^0, nor does this
+    # recurse into one
     if len(exp._terms) != 1:
         return False
     inner, coeff = exp._terms[0]

@@ -87,8 +87,8 @@ def pt(level, xi=0):
 
 def assert_rebuilt(cond, want):
     """`cond` equals `want`, built by `make_condition`, down to the order
-    index: the same sorted points, masks and level masks."""
-    assert cond == want
+    index: the same strict pairs, sorted points, masks and level masks."""
+    assert cond == want and cond.strict == want.strict
     got, ref = cond.core(), want.core()
     assert (got.pts, got.index, got.up, got.down) == (ref.pts, ref.index, ref.up, ref.down)
     assert got.levels == ref.levels
@@ -704,6 +704,17 @@ def test_push_down_renames_the_order_index_in_place(ktree, source):
         return
     assert g == want_g
     assert_rebuilt(pushed, want)
+
+
+def test_push_down_refuses_a_top_pair_that_meets_at_a_top(ktree):
+    x, y, z = (Point(TOP, c) for c in range(3))
+    r = make_condition("kappa", [x, y, z], (), {(x, y): [z]}, complete=True)
+    with pytest.raises(AmalgamError) as err:
+        push_down(r, 9, ktree)
+    assert str(err.value) == (
+        "push-down failed validation: meet-axiom [(w*9, 0), (w*9, 1)]: "
+        "lower-bound set mismatch at {(w*9, 2)}"
+    )
 
 
 # --- grid amalgamation ----------------------------------------------------------

@@ -190,6 +190,21 @@ def test_validate_missing_file_is_a_clean_error(tmp_path, capsys):
     assert "error: FileNotFoundError" in err
 
 
+def test_validate_reports_a_split_past_eta_as_unmaterialized(tmp_path, capsys):
+    # the pair climbs from w to a level outside the tree [0, w^2)
+    doc = tmp_path / "climb.txt"
+    doc.write_text(
+        "# scatterlab-fmt 1 condition\ndialect kappa\neta w^2\n"
+        "params kappa_w=3 lambda_w=6 e_budget=16 size_cap=32\n"
+        "points 2\n0 w 0\n1 w^2+1 0\norder 1\n0 1\nmeets 1\n0 1 : 0\n"
+    )
+    code, out, err = run(capsys, "validate", str(doc))
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: UnmaterializedLevelError: split(w, w^2 + 1): w^2 + 1 is outside [0, w^2)\n"
+    )
+
+
 def test_validate_damaged_document_is_a_clean_error(kappa_doc, tmp_path, capsys):
     a, _, f, _, _ = kappa_doc
     bad = tmp_path / "bad.txt"

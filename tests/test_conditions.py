@@ -292,6 +292,12 @@ def test_omega_top_meet_bound(tree):
         {p: 1 for p in big_F(tree).pairs()},
     )
     assert clauses(validate(cond, tree, low_F)) == ["top-meet-bound"]
+    with pytest.raises(ConditionError, match=r"^top-top meet check needs the pair coloring F$"):
+        validate(cond, tree)
+
+
+def test_condition_repr_names_its_dialect_and_size():
+    assert repr(make_condition("kappa", [pt("w")])) == "<Condition kappa |X|=1>"
 
 
 def test_omega_same_level_meet(tree):

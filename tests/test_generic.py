@@ -373,6 +373,29 @@ def test_run_schedule_refuses_an_unknown_requirement(tree, F):
     assert (err.value.step, err.value.requirement, len(err.value.trace)) == (1, "grow", 2)
 
 
+def test_poset_strict_reads_back_the_document_pairs():
+    # the masks are the order's one stored form, and the raw pairs read
+    # back from them exactly: reflexive pairs, the two-cycle and the
+    # non-transitive chain included
+    T = poset_from_text(messy_poset_document())
+    pts = [Point(from_int(k + 1), 0) for k in range(7)]
+    order = [(0, 0), (1, 1), (2, 3), (3, 2), (4, 5), (5, 0), (5, 1), (5, 6)]
+    assert T.sorted_points() == pts
+    assert T.strict == {(pts[i], pts[j]) for i, j in order}
+    assert repr(T) == "FinitePoset(kappa, 7 points, 8 pairs, chain 0)"
+
+
+def test_finite_poset_refuses_an_unknown_point_pair_at_construction():
+    a, b = Point(W, 0), Point(W, 1)
+    assert repr(FinitePoset("kappa", frozenset([a]), (), {})) == (
+        "FinitePoset(kappa, 1 points, 0 pairs, chain 0)"
+    )
+    with pytest.raises(
+        ConditionError, match=r"^order pair \(\(w, 0\), \(w, 1\)\) mentions unknown points$"
+    ):
+        FinitePoset("kappa", frozenset([a]), [(a, b)], {})
+
+
 def test_core_findings_come_in_position_order():
     T = poset_from_text(messy_poset_document())
     rep = sposet_check(T, 1)

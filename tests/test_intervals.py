@@ -111,6 +111,8 @@ def test_e_set_examples():
     # a cut falling at or below the left end is pushed strictly inside
     deep = IntervalTree(Params(eta=parse("w^w")))
     assert deep.e_set(iv("w", "w^2"), 3) == tuple(parse(s) for s in ["w", "w + 1", "w*2"])
+    with pytest.raises(TreeError, match=r"^empty interval \[w, w\) has no markers$"):
+        t.e_set(iv("w", "w"))
 
 
 def test_locate_examples():

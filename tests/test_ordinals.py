@@ -49,6 +49,8 @@ def test_construction_rejects_bad_terms():
         Ordinal(((ONE, 0),))  # zero coefficient
     with pytest.raises(OrdinalError):
         from_int(-3)
+    with pytest.raises(OrdinalError, match=r"^exponent must be an Ordinal, got 3$"):
+        Ordinal(((3, 1),))
 
 
 def test_non_integral_coefficients_are_refused():
@@ -120,6 +122,10 @@ def test_parse_rejects_garbage():
     for bad in ["", "w^", "1 +", "w*0", "w*", "(w)", "w^(w", "x", "w^()", "+ w"]:
         with pytest.raises(OrdinalParseError):
             parse(bad)
+    with pytest.raises(OrdinalParseError, match=r"^expected text, got 3$"):
+        parse(3)
+    with pytest.raises(OrdinalParseError, match=r"^trailing input at token position 1$"):
+        parse("w)")
 
 
 def test_render_examples():
@@ -407,3 +413,11 @@ def test_int_comparisons_beyond_less_than():
     assert from_int(4) > 3 and not from_int(4) > 4
     assert w3 > 1000 and w3 >= 1000 and not w3 <= 1000
     assert ZERO <= 0 and ZERO >= 0 and not ZERO > 0
+
+
+def test_foreign_operands_are_refused_and_never_equal():
+    ops = [lambda: ONE < "a", lambda: ONE <= "a", lambda: ONE > "a", lambda: ONE >= "a"]
+    for op in ops + [lambda: ONE + "a", lambda: 1.5 + ONE]:
+        with pytest.raises(TypeError):
+            op()
+    assert (ONE == "a") is False

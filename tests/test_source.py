@@ -2,9 +2,13 @@
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import scatterlab
+from scatterlab.conditions import Condition, Poset, condition_from_index
+from scatterlab.intervals import IntervalTree, Params
+from scatterlab.ordinals import parse
 
 PACKAGE = Path(scatterlab.__file__).parent
 
@@ -218,3 +222,22 @@ def test_only_violations_touching_keeps_a_verdict():
     for path in sorted(PACKAGE.glob("*.py")):
         Calls(path.stem).visit(ast.parse(path.read_text(), filename=str(path)))
     assert callers == ["conditions.violations_touching"]
+
+
+def test_the_order_and_the_tree_walk_are_stored_once():
+    # a poset's order lives in its OrderIndex masks alone, so no builder
+    # hands a condition point pairs that must agree with them, and a tree
+    # walk lives in its trail memo alone
+    for cls in (Poset, Condition):
+        slots = {name for k in cls.__mro__ for name in vars(k).get("__slots__", ())}
+        assert "strict" not in slots
+    params = inspect.signature(condition_from_index).parameters.values()
+    assert [(p.name, p.default) for p in params] == [
+        ("dialect", inspect.Parameter.empty),
+        ("core", inspect.Parameter.empty),
+        ("meets", inspect.Parameter.empty),
+        ("force", ()),
+    ]
+    tree = IntervalTree(Params(eta=parse("w^2")))
+    memos = sorted(name for name, value in vars(tree).items() if isinstance(value, dict))
+    assert memos == ["_markers", "_orbits", "_splits", "_trails"]

@@ -47,6 +47,10 @@ def test_table_validation(eps):
         UnboundedFn(3, eps, {(0, 0): 0, (0, 1): 0, (0, 2): 0, (1, 2): 0})
 
 
+def test_a_table_never_equals_a_foreign_value(eps):
+    assert (constant(3, eps, 0) == 3) is False
+
+
 def test_symmetry(eps):
     F = f_generate(Params(eta=parse("w^2"), lambda_w=5), eps, "random", seed=3)
     for i, j in F.pairs():
