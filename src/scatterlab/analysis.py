@@ -9,6 +9,7 @@ graded profile of module `generic` is where budgeted poset-side counting
 lives.  The symbolic side handles closed ordinal segments [0, alpha]
 below w^w, where the derivative sequence is computable exactly."""
 
+from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Tuple

@@ -11,6 +11,8 @@ values, so an environment change takes effect on the next call.
 Documents written anywhere carry a `# scatterlab-fmt` header line.
 """
 
+from __future__ import annotations
+
 import argparse
 import functools
 import itertools

@@ -48,7 +48,6 @@ from typing import (
     Sequence,
     Set,
     Tuple,
-    Union,
 )
 
 from . import fmt
@@ -86,7 +85,7 @@ class _Top:
 
 
 TOP = _Top()
-Level = Union[Ordinal, _Top]
+Level = Ordinal | _Top
 
 
 def level_lt(a: Level, b: Level) -> bool:

@@ -16,9 +16,11 @@ kept) or taken from the condition it wraps, so the checkers see the
 relation the poset really holds.
 """
 
+from __future__ import annotations
+
 import itertools
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 from . import fmt
 from .conditions import (
@@ -90,7 +92,7 @@ class PredecessorBelow:
     xi_floor: int = 0
 
 
-Requirement = Union[RealizePoint, PredecessorBelow]
+Requirement = RealizePoint | PredecessorBelow
 
 
 @dataclass(frozen=True)

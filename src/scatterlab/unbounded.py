@@ -5,9 +5,13 @@ from a finite index set, taking values among materialized root markers.
 The property checked here: for a family of pairwise-disjoint small index
 sets and a threshold gamma, some two members a, b of the family satisfy
 F(i, j) > gamma for every i in a and j in b.  `star_verify` checks one
-family, `star_search` sweeps all families of a given shape, and
+family, `star_search` decides all families of a given shape, and
 `f_generate` builds tables either at random or greedily against a probe
 set.
+
+`star_search` finds the first failing family by a pruned depth-first
+search and counts the families before it without visiting them; its
+`instances` is what a sweep of every family in canonical order checks.
 
 Throughout the package, "the pair value contains an ordinal" is read as
 strict order: an ordinal is the set of everything smaller, so membership
@@ -170,26 +174,14 @@ def star_verify(
 
 def family_count(lambda_w: int, m: int, nu: int) -> int:
     """Number of unordered families of m pairwise-disjoint nu-subsets."""
+    if m * nu > lambda_w:
+        return 0
     total = 1
     remaining = lambda_w
     for _ in range(m):
         total *= math.comb(remaining, nu)
         remaining -= nu
     return total // math.factorial(m)
-
-
-def _families(left: Sequence[int], m: int, nu: int):
-    """Canonical enumeration (see `star_search`) of the families of m
-    disjoint nu-subsets of `left`, an increasing index sequence.  Each member
-    after the first is drawn from the indices left above the previous one's
-    first index: disjoint members compare by their first index."""
-    for member in combinations(left, nu):
-        if m == 1:
-            yield (member,)
-            continue
-        rest = [k for k in left if k > member[0] and k not in member]
-        for tail in _families(rest, m - 1, nu):
-            yield (member,) + tail
 
 
 def star_search(
@@ -200,15 +192,27 @@ def star_search(
     family_cap: int = 10_000_000,
     force: bool = False,
 ) -> SearchResult:
-    """Sweep every family of m pairwise-disjoint nu-subsets against every
+    """Decide every family of m pairwise-disjoint nu-subsets against every
     threshold.
 
     Returns a certificate (every instance had a witness pair) or the first
     failing instance in canonical order: families lexicographic over their
     tuples of sorted nu-tuple members, members increasing, then thresholds
-    as given.  `instances` counts the (family, threshold) pairs checked, up
-    to and including that failure.  Instances whose family count exceeds
-    family_cap are refused unless force is set.
+    as given.  `instances` counts the (family, threshold) pairs that a sweep
+    in that order checks, up to and including that failure: the families
+    before the failing one times len(gammas), plus the failing threshold's
+    position plus one.  A certificate counts family_count times len(gammas).
+    Instances whose family count exceeds family_cap are refused unless force
+    is set.
+
+    A family fails for some threshold iff it fails for G = max(gammas), that
+    is, iff every two of its members are joined by a *low* pair, one valued
+    at most G.  So the search keeps a bitmask of low partners per column and
+    goes depth first in canonical order.  It drops a prefix of members as
+    soon as two are not joined, or one has no low partner among the indices
+    left to the members still to come, and the first family it completes is
+    the first failing one.  A dropped prefix stands for its completions,
+    whose number depends only on the indices and members left.
     """
     if m < 2:
         raise FamilyError("family size m must be at least 2")
@@ -219,24 +223,53 @@ def star_search(
         raise BlowupGuardError(
             f"{count} families exceeds the cap {family_cap}; pass force to override"
         )
-    # star_verify(F, gamma, family) holds iff the family's bottleneck, the
-    # best over member pairs of the smallest cross value, is above gamma.
-    # Families from _families are disjoint, so no _check_family is needed.
+    if not gammas:
+        return SearchResult(True, 0, None)
     eps, rows = F.eps, F._rows
-    instances = 0
-    for family in _families(range(F.lambda_w), m, nu):
-        neck = max(
-            min(eps[rows[i][j]] for i in a for j in b) for a, b in combinations(family, 2)
-        )
-        for position, gamma in enumerate(gammas):
-            if not neck > gamma:
-                found = (tuple(map(frozenset, family)), gamma)
-                return SearchResult(False, instances + position + 1, found)
-        instances += len(gammas)
-    return SearchResult(True, instances, None)
+    top = max(gammas)
+    low = [not value > top for value in eps]
+    partners = [
+        sum(1 << j for j, idx in enumerate(row) if j != i and low[idx])
+        for i, row in enumerate(rows)
+    ]
+    completions: Dict[Tuple[int, int], int] = {}
+    skipped = 0
 
+    def first_joined(left: List[int], k: int, chosen: List[Tuple[int, int]]):
+        """The first k members from `left`, an increasing index list, that
+        complete `chosen`, the (bits, low partners) masks of the members so
+        far, to a pairwise-joined family; None when there is none, after
+        adding the completions passed over to `skipped`."""
+        nonlocal skipped
+        for member in combinations(left, nu):
+            # the indices left to later members, as in the canonical order
+            rest = [j for j in left if j > member[0] and j not in member]
+            reach = 0
+            for i in member:
+                reach |= partners[i]
+            if all(reach & seen for seen, _ in chosen):
+                if k == 1:
+                    return (member,)
+                grown = chosen + [(sum(1 << i for i in member), reach)]
+                room = sum(1 << j for j in rest)
+                if all(near & room for _, near in grown):
+                    tail = first_joined(rest, k - 1, grown)
+                    if tail is not None:
+                        return (member,) + tail
+                    continue
+            key = (len(rest), k - 1)
+            if key not in completions:
+                completions[key] = family_count(*key, nu)
+            skipped += completions[key]
+        return None
 
-Probe = Tuple[int, int, Sequence[Ordinal]]
+    family = first_joined(list(range(F.lambda_w)), m, [])
+    if family is None:
+        return SearchResult(True, count * len(gammas), None)
+    neck = max(min(eps[rows[i][j]] for i in a for j in b) for a, b in combinations(family, 2))
+    position, gamma = next((p, gamma) for p, gamma in enumerate(gammas) if not neck > gamma)
+    found = (tuple(map(frozenset, family)), gamma)
+    return SearchResult(False, skipped * len(gammas) + position + 1, found)
 
 
 def f_generate(
@@ -244,7 +277,7 @@ def f_generate(
     eps: Sequence[Ordinal],
     strategy: str = "random",
     seed: int = 0,
-    probes: Sequence[Probe] = (),
+    probes: Sequence[Tuple[int, int, Sequence[Ordinal]]] = (),
 ) -> UnboundedFn:
     """Build a table over lambda_w indices with values among eps.
 

@@ -239,6 +239,40 @@ def naive_star_search_by_verify(F, m: int, nu: int, gammas, family_cap=10_000_00
     return SearchResult(True, instances, None)
 
 
+# The bottleneck sweep that star_search ran before its pruned search: every
+# family in canonical order from a recursive enumeration, and one bottleneck
+# per family (the best over member pairs of the smallest cross value) held
+# against every threshold.  Shapes are taken as valid.
+
+
+def canonical_families(left, m: int, nu: int):
+    """The families of m disjoint nu-subsets of `left`, an increasing index
+    sequence, in star_search's canonical order.  Each member after the first
+    is drawn from the indices left above the previous one's first index:
+    disjoint members compare by their first index."""
+    for member in combinations(left, nu):
+        if m == 1:
+            yield (member,)
+            continue
+        rest = [k for k in left if k > member[0] and k not in member]
+        for tail in canonical_families(rest, m - 1, nu):
+            yield (member,) + tail
+
+
+def naive_star_search_by_bottleneck(F, m: int, nu: int, gammas):
+    instances = 0
+    for family in canonical_families(range(F.lambda_w), m, nu):
+        neck = max(
+            min(F.value(i, j) for i in a for j in b) for a, b in combinations(family, 2)
+        )
+        for position, gamma in enumerate(gammas):
+            if not neck > gamma:
+                found = (tuple(map(frozenset, family)), gamma)
+                return SearchResult(False, instances + position + 1, found)
+        instances += len(gammas)
+    return SearchResult(True, instances, None)
+
+
 # Greedy table generation as a plain linear scan: every pair, every index
 # from the top down, one full probe sweep per try, with no reuse of a table
 # already known to pass.  Probes run through the star_verify sweep above.
@@ -344,10 +378,9 @@ def naive_separated_report(fam):
         for s in _by_key(root):
             if h[s] != s:
                 out.append(f"pair {i},{j} root-fixing: moves {s}")
+        ps, qs = p.strict, q.strict
         for s, t in _raw_pairs(p):
-            if ((s, t) in p.strict) != ((h[s], h[t]) in q.strict) or (
-                (t, s) in p.strict
-            ) != ((h[t], h[s]) in q.strict):
+            if ((s, t) in ps) != ((h[s], h[t]) in qs) or ((t, s) in ps) != ((h[t], h[s]) in qs):
                 out.append(f"pair {i},{j} order: ({s}, {t}) not preserved")
         for s, t in _raw_pairs(p):
             image = frozenset(h[v] for v in _raw_meet(p, s, t, frozenset()))
@@ -361,25 +394,24 @@ def naive_r2_report(r, pp, qq, pairing):
     """`amalgam.r2_report` by point-pair membership tests."""
     out = []
     root = pp.points & qq.points
+    rel, ps, qs = r.strict, pp.strict, qq.strict
 
     for y in _by_key(r.points - pp.points - qq.points):
         for s in _by_key(pp.points):
-            if ((y, s) in r.strict) != ((y, pairing[s]) in r.strict):
+            if ((y, s) in rel) != ((y, pairing[s]) in rel):
                 out.append(f"mirror-up: ({y}, {s}) breaks the pairing")
-            if ((s, y) in r.strict) != ((pairing[s], y) in r.strict):
+            if ((s, y) in rel) != ((pairing[s], y) in rel):
                 out.append(f"mirror-down: ({s}, {y}) breaks the pairing")
         for s in _by_key(pp.points | qq.points):
-            if (s, y) in r.strict and not any(
-                _raw_le(r, s, w) and (w, y) in r.strict for w in root
-            ):
+            if (s, y) in rel and not any(_raw_le(r, s, w) and (w, y) in rel for w in root):
                 out.append(f"root-passage: {s} reaches {y} off the root")
     for s in _by_key(pp.points - root):
         for t in _by_key(qq.points - root):
-            want = any((s, u) in pp.strict and (u, t) in qq.strict for u in root)
-            if ((s, t) in r.strict) != want:
+            want = any((s, u) in ps and (u, t) in qs for u in root)
+            if ((s, t) in rel) != want:
                 out.append(f"cross-order: ({s}, {t}) disagrees with interpolants")
-            want = any((t, u) in qq.strict and (u, s) in pp.strict for u in root)
-            if ((t, s) in r.strict) != want:
+            want = any((t, u) in qs and (u, s) in ps for u in root)
+            if ((t, s) in rel) != want:
                 out.append(f"cross-order: ({t}, {s}) disagrees with interpolants")
     return out
 
@@ -389,13 +421,14 @@ def naive_deficient(cond, base_keys, tree):
     fix: not in `base_keys` (unordered pairs), incomparable, with common
     strict lower bounds that lack a unique maximum inside both orbits."""
     out = []
+    rel = cond.strict
     for s, t in _raw_pairs(cond):
-        if frozenset((s, t)) in base_keys or (s, t) in cond.strict or (t, s) in cond.strict:
+        if frozenset((s, t)) in base_keys or (s, t) in rel or (t, s) in rel:
             continue
-        common = {x for x in cond.points if (x, s) in cond.strict and (x, t) in cond.strict}
+        common = {x for x in cond.points if (x, s) in rel and (x, t) in rel}
         if not common:
             continue
-        maxima = [x for x in common if not any((x, y) in cond.strict for y in common)]
+        maxima = [x for x in common if not any((x, y) in rel for y in common)]
         if (
             len(maxima) == 1
             and maxima[0].level in tree.orbit(s.level)
@@ -513,8 +546,13 @@ def naive_eta_search(pp, qq, pairing, stamps, tree, max_fresh=3):
     def build(points, rel):
         return _naive_eta_build(points, rel, meets0)
 
+    orbits = {}
+
     def orbit(level):
-        return set(tree.orbit(level))
+        # the tree's full walk, asked once per level in a call
+        if level not in orbits:
+            orbits[level] = set(tree.orbit(level))
+        return orbits[level]
 
     successes = []
     seen = set()

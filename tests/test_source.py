@@ -3,6 +3,9 @@
 import ast
 import importlib
 import inspect
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import scatterlab
@@ -241,3 +244,39 @@ def test_the_order_and_the_tree_walk_are_stored_once():
     tree = IntervalTree(Params(eta=parse("w^2")))
     memos = sorted(name for name, value in vars(tree).items() if isinstance(value, dict))
     assert memos == ["_markers", "_orbits", "_splits", "_trails"]
+
+
+REIMPORT = """
+import collections, gc, importlib, json, sys
+sys.path.insert(0, sys.argv[1])
+for _ in range(3):
+    for name in [m for m in sys.modules if m.split(".")[0] == "scatterlab"]:
+        del sys.modules[name]
+    importlib.invalidate_caches()
+    importlib.import_module("scatterlab")
+    importlib.import_module("scatterlab.cli")
+gc.collect()
+copies = collections.Counter(
+    f"{cls.__module__}.{cls.__qualname__}"
+    for cls in gc.get_objects()
+    if isinstance(cls, type) and cls.__module__.split(".")[0] == "scatterlab"
+)
+print(json.dumps(copies))
+"""
+
+
+def test_a_reimported_package_leaves_one_copy_of_each_class():
+    # typing's cache keeps every subscripted alias, such as Union[A, B] or an
+    # annotation evaluated at definition time, and with it the classes it
+    # names; a child process re-imports the package, as a harness that loads
+    # a fresh checkout does, so this suite's own modules stay untouched
+    child = subprocess.run(
+        [sys.executable, "-c", REIMPORT, str(PACKAGE.parent)],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    copies = json.loads(child.stdout)
+    assert "scatterlab.ordinals.Ordinal" in copies
+    assert {name: n for name, n in copies.items() if n > 1} == {}

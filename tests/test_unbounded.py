@@ -1,7 +1,8 @@
 import itertools
+import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from scatterlab import unbounded
@@ -22,7 +23,12 @@ from scatterlab.unbounded import (
 
 from .conftest import wall_clock
 from .corpus import damaged_tables
-from .oracles import naive_f_generate_greedy, naive_star_search, naive_star_search_by_verify
+from .oracles import (
+    naive_f_generate_greedy,
+    naive_star_search,
+    naive_star_search_by_bottleneck,
+    naive_star_search_by_verify,
+)
 
 
 @pytest.fixture
@@ -105,6 +111,8 @@ def test_family_count():
     assert family_count(4, 2, 1) == 6
     assert family_count(4, 2, 2) == 3
     assert family_count(6, 3, 2) == 15
+    # shapes that do not fit count no families, however far they overrun
+    assert family_count(3, 2, 2) == family_count(1, 2, 2) == family_count(2, 3, 1) == 0
 
 
 def test_star_search_certificate(eps):
@@ -200,6 +208,67 @@ def test_star_search_matches_verify_sweep(data, lambda_w, values, shape, gammas,
     m, nu = shape
     args = (F, m, nu, gammas, cap, force)
     assert outcome(star_search, *args) == outcome(naive_star_search_by_verify, *args)
+
+
+@settings(max_examples=300)
+@given(
+    data=st.data(),
+    lambda_w=st.integers(4, 10),
+    values=markers(1, 4),
+    shape=st.sampled_from([(2, 1), (2, 2), (3, 1), (3, 2), (2, 3), (4, 1), (4, 2), (3, 3)]),
+    gammas=markers(0, 4),
+)
+def test_star_search_matches_both_sweeps_on_sparse_low_tables(
+    data, lambda_w, values, shape, gammas
+):
+    # every entry at the largest marker but 1-4, so the first failing family,
+    # if any, lies behind many dropped prefixes, and unsorted, duplicate or
+    # no thresholds
+    m, nu = shape
+    assume(m * nu <= lambda_w)
+    pairs = list(itertools.combinations(range(lambda_w), 2))
+    top = max(range(len(values)), key=values.__getitem__)
+    cells = dict.fromkeys(pairs, top)
+    lows = st.tuples(st.sampled_from(pairs), st.integers(0, len(values) - 1))
+    cells.update(data.draw(st.lists(lows, min_size=1, max_size=4)))
+    F = UnboundedFn(lambda_w, values, cells)
+    got = star_search(F, m, nu, gammas)
+    assert got == naive_star_search_by_bottleneck(F, m, nu, gammas)
+    # the filter sweep walks C(C(lambda_w, nu), m) tuples of subsets
+    if math.comb(math.comb(lambda_w, nu), m) <= 20_000:
+        assert got == naive_star_search_by_verify(F, m, nu, gammas)
+
+
+def test_star_search_counts_prefixes_dropped_at_two_depths(eps):
+    # pairs (1, 3), (1, 4) and (3, 4) at eps[1], the rest at eps[3], so
+    # {1}, {3}, {4} is the first pairwise-low family.  Before it, the first
+    # member {0} has no low partner and drops at depth one with its 10
+    # completions, and {1} then {2} are not joined and drop at depth two
+    # with their 3
+    low = {(1, 3), (1, 4), (3, 4)}
+    cells = {pair: 1 if pair in low else 3 for pair in itertools.combinations(range(6), 2)}
+    F = UnboundedFn(6, eps, cells)
+    gammas = [eps[0], eps[2], eps[1]]
+    family = (frozenset({1}), frozenset({3}), frozenset({4}))
+    got = star_search(F, 3, 1, gammas)
+    # 13 families of three thresholds, then eps[0] holds and eps[2] fails
+    assert got == unbounded.SearchResult(False, 13 * 3 + 2, (family, eps[2]))
+    assert got == naive_star_search_by_bottleneck(F, 3, 1, gammas)
+
+
+def test_star_search_decides_lambda_14_in_a_moment(eps):
+    # one low pair: a certificate for four disjoint pairs, whose 315,315
+    # families a sweep would visit, and a late first failure for two
+    cells = dict.fromkeys(itertools.combinations(range(14), 2), len(eps) - 1)
+    cells[(11, 13)] = 0
+    F = UnboundedFn(14, eps, cells)
+    gammas = [eps[2], eps[1]]
+    with wall_clock(1):
+        result = star_search(F, 4, 2, gammas)
+    assert result == unbounded.SearchResult(True, family_count(14, 4, 2) * len(gammas), None)
+    got = star_search(F, 2, 2, gammas)
+    assert not got.ok
+    assert got == naive_star_search_by_bottleneck(F, 2, 2, gammas)
 
 
 @settings(max_examples=200)
