@@ -17,6 +17,7 @@ from typing import FrozenSet, List, Optional, Tuple
 from . import fmt
 from .generic import FinitePoset
 from .ordinals import (
+    OMEGA,
     ZERO,
     Ordinal,
     from_int,
@@ -176,13 +177,9 @@ def omega_valuation(beta: Ordinal) -> int:
     Cantor-normal-form term, 0 for beta = 0.  Raises AnalysisError when
     that exponent is infinite, since then no natural e is largest."""
     exp = ZERO if beta.is_zero else beta.terms[-1][0]
-    if not _is_finite(exp):
+    if not exp < OMEGA:
         raise AnalysisError(f"valuation of {beta} is not a natural number")
     return exp.as_int()
-
-
-def _is_finite(q: Ordinal) -> bool:
-    return q.is_zero or q.leading_exponent.is_zero
 
 
 def ordinal_space_levels(alpha: Ordinal) -> OrdinalLevels:
@@ -200,7 +197,7 @@ def ordinal_space_levels(alpha: Ordinal) -> OrdinalLevels:
     q = alpha
     e = 0
     while True:
-        if _is_finite(q):
+        if q < OMEGA:
             count = q.as_int() + (1 if e == 0 else 0)
             if ht_minus is None:
                 ht_minus = e

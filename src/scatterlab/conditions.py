@@ -909,9 +909,13 @@ def extend_below(
             raise UnmaterializedLevelError(f"path({alpha}): {err}") from err
         bound = params.eta if tgt.is_top else tgt.level
         levels += [iv.hi for iv in trail[:-1] if iv.hi < bound]
-    elif not tgt.is_top and tgt.level.is_successor:
-        base = Ordinal(tgt.level.terms[:-1])
-        levels += [base + k for k in range(tgt.level.terms[-1][1]) if alpha < base + k]
+    elif not tgt.is_top:
+        # the finite ladder below the target's level, down to alpha or to the
+        # limit (or 0) it climbs from, listed upward
+        ladder, lev = [], tgt.level
+        while lev.is_successor and alpha < (lev := lev.predecessor()):
+            ladder.append(lev)
+        levels += reversed(ladder)
 
     core = p.core()
     s = _fresh_column(core, alpha, nu_floor, params.kappa_w)

@@ -19,8 +19,8 @@ so "1 + w" is accepted and denotes w.
 Coefficients must be integers: a float or any other value without
 `operator.index` raises `OrdinalError`, as a coefficient below 1 does.  The
 public constructor checks every term.  Arithmetic (`+`, `predecessor`,
-`omega_pow`, `from_int`, `fundamental`, `omega_quotient`) builds its results
-from normal-form parts it already holds, through `_normal`, which skips
+`omega_pow`, `from_int`, `fundamental`, `omega_quotient`) builds the key of
+its result from the keys it already holds, through `_normal`, which skips
 those checks.
 
 Everything in this module is immutable and pure.
@@ -43,19 +43,22 @@ class OrdinalParseError(OrdinalError):
 class Ordinal:
     """A Cantor-normal-form ordinal below epsilon_0.
 
-    ``terms`` is a tuple of (exponent, coefficient) pairs with strictly
-    decreasing exponents and coefficients >= 1.
-
-    ``_key`` mirrors ``terms`` as nested tuples ``((exp._key, coeff), ...)``.
-    Native tuple order on keys is Cantor-normal-form order (exponents
-    first, then coefficients, a proper prefix below its extensions), so
-    comparison, equality and hashing are each one tuple operation.
+    Its one stored form, ``_key``, holds a pair ``(exponent's key,
+    coefficient)`` per term, exponents strictly decreasing and coefficients
+    >= 1; 0's key is ``()``.  Native tuple order on keys is Cantor-normal-form
+    order (exponents first, then coefficients, a proper prefix below its
+    extensions), so comparison, equality and hashing are each one tuple
+    operation.  ``terms`` and ``leading_exponent`` are built from it on read.
     """
 
-    __slots__ = ("_terms", "_key", "_hash")
+    __slots__ = ("_key", "_hash")
 
     def __init__(self, terms: Iterable[Tuple["Ordinal", int]] = ()):
-        terms = tuple((exp, _integer(coeff, "coefficient")) for exp, coeff in terms)
+        try:
+            terms = iter(terms)
+        except TypeError:
+            raise OrdinalError(f"terms must be iterable, got {terms!r}") from None
+        terms = tuple(_pair(term) for term in terms)
         key = []
         for exp, coeff in terms:
             if not isinstance(exp, Ordinal):
@@ -65,34 +68,29 @@ class Ordinal:
             if key and exp._key >= key[-1][0]:
                 raise OrdinalError("exponents must strictly decrease")
             key.append((exp._key, coeff))
-        self._set(terms, tuple(key))
+        self._set(tuple(key))
 
-    def _set(self, terms, key) -> None:
-        self._terms = terms
+    def _set(self, key) -> None:
         self._key = key
-        # a finite ordinal hashes as its int, since it compares equal to it
-        if not key:
-            self._hash = 0
-        elif len(key) == 1 and not key[0][0]:
-            self._hash = hash(key[0][1])
-        else:
-            self._hash = hash(key)
+        # a finite ordinal hashes as its int, 0 included, since it compares
+        # equal to it
+        self._hash = hash(key[0][1]) if len(key) == 1 and not key[0][0] else hash(key or 0)
 
     @property
     def terms(self) -> Tuple[Tuple["Ordinal", int], ...]:
-        return self._terms
+        return tuple((_normal(exp), coeff) for exp, coeff in self._key)
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._key
 
     @property
     def is_successor(self) -> bool:
-        return bool(self._terms) and self._terms[-1][0].is_zero
+        return bool(self._key) and not self._key[-1][0]
 
     @property
     def is_limit(self) -> bool:
-        return bool(self._terms) and not self._terms[-1][0].is_zero
+        return bool(self._key) and bool(self._key[-1][0])
 
     def classify(self) -> str:
         """One of "zero", "successor", "limit"."""
@@ -104,35 +102,27 @@ class Ordinal:
     def leading_exponent(self) -> "Ordinal":
         if self.is_zero:
             raise OrdinalError("0 has no leading exponent")
-        return self._terms[0][0]
+        return _normal(self._key[0][0])
 
     def predecessor(self) -> "Ordinal":
         if not self.is_successor:
             raise OrdinalError(f"{self} is not a successor")
-        head, key, coeff = self._terms[:-1], self._key[:-1], self._terms[-1][1]
-        if coeff > 1:
-            return _normal(head + ((ZERO, coeff - 1),), key + (((), coeff - 1),))
-        return _normal(head, key)
+        return _normal(_predecessor(self._key))
 
     def successor(self) -> "Ordinal":
         return self + ONE
 
     def is_successor_of(self, other: "Ordinal") -> bool:
         """Whether self == other + 1, without building other + 1."""
-        key = self._key
-        if not key or key[-1][0]:
-            return False
-        coeff = key[-1][1]
-        if coeff == 1:
-            return other._key == key[:-1]
-        return other._key == key[:-1] + (((), coeff - 1),)
+        return self.is_successor and other._key == _predecessor(self._key)
 
     def as_int(self) -> int:
         """The natural-number value, if this ordinal is finite."""
-        if self.is_zero:
+        key = self._key
+        if not key:
             return 0
-        if len(self._terms) == 1 and self._terms[0][0].is_zero:
-            return self._terms[0][1]
+        if len(key) == 1 and not key[0][0]:
+            return key[0][1]
         raise OrdinalError(f"{self} is not a natural number")
 
     def __eq__(self, other) -> bool:
@@ -185,19 +175,15 @@ class Ordinal:
             return other
         # the terms of self with exponents above other's leading one are kept;
         # a term with that very exponent merges into other's leading term
-        terms, key = self._terms, self._key
-        (lead, lead_coeff), lead_key = other._terms[0], other._key[0][0]
-        for n, (exp_key, coeff) in enumerate(key):
-            if exp_key > lead_key:
+        key, tail = self._key, other._key
+        lead, lead_coeff = tail[0]
+        for n, (exp, coeff) in enumerate(key):
+            if exp > lead:
                 continue
-            if exp_key == lead_key:
-                merged = coeff + lead_coeff
-                return _normal(
-                    terms[:n] + ((lead, merged),) + other._terms[1:],
-                    key[:n] + ((lead_key, merged),) + other._key[1:],
-                )
-            return _normal(terms[:n] + other._terms, key[:n] + other._key)
-        return _normal(terms + other._terms, key + other._key)
+            if exp == lead:
+                return _normal(key[:n] + ((lead, coeff + lead_coeff),) + tail[1:])
+            return _normal(key[:n] + tail)
+        return _normal(key + tail)
 
     def __radd__(self, other) -> "Ordinal":
         if isinstance(other, int):
@@ -205,16 +191,7 @@ class Ordinal:
         return NotImplemented
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for exp, coeff in self._terms:
-            if exp.is_zero:
-                parts.append(str(coeff))
-                continue
-            base = "w" if exp == ONE else "w^" + _exponent_text(exp)
-            parts.append(base if coeff == 1 else f"{base}*{coeff}")
-        return " + ".join(parts)
+        return _text(self._key)
 
     def __repr__(self) -> str:
         return f"Ordinal({str(self)!r})"
@@ -226,12 +203,46 @@ def compare(a: Ordinal, b: Ordinal) -> int:
     return (ka > kb) - (ka < kb)
 
 
-def _normal(terms, key) -> Ordinal:
-    """The Ordinal whose terms, already in Cantor normal form, are `terms`
-    and whose key is `key`; nothing is checked."""
+def _normal(key) -> Ordinal:
+    """The Ordinal whose key, already in Cantor normal form, is `key`;
+    nothing is checked."""
     out = object.__new__(Ordinal)
-    out._set(terms, key)
+    out._set(key)
     return out
+
+
+def _predecessor(key):
+    """The key of the predecessor of the successor whose key is `key`."""
+    coeff = key[-1][1]
+    return key[:-1] + (((), coeff - 1),) if coeff > 1 else key[:-1]
+
+
+def _text(key) -> str:
+    """The canonical text of the ordinal whose key is `key`."""
+    if not key:
+        return "0"
+    parts = []
+    for exp, coeff in key:
+        if not exp:
+            parts.append(str(coeff))
+            continue
+        exp_text = _text(exp)
+        # an exponent re-parses without parentheses exactly when it is a
+        # natural or a coefficient-1 tower of w, whose text has no "+" or "*"
+        if "+" in exp_text or "*" in exp_text:
+            exp_text = f"({exp_text})"
+        base = "w" if exp_text == "1" else "w^" + exp_text
+        parts.append(base if coeff == 1 else f"{base}*{coeff}")
+    return " + ".join(parts)
+
+
+def _pair(term):
+    """`term` as an (exponent, coefficient) pair, the coefficient an int."""
+    try:
+        exp, coeff = term
+    except (TypeError, ValueError):
+        raise OrdinalError(f"term must be an (exponent, coefficient) pair, got {term!r}") from None
+    return exp, _integer(coeff, "coefficient")
 
 
 def _integer(value, what: str) -> int:
@@ -252,7 +263,7 @@ def from_int(n: int) -> Ordinal:
     n = _integer(n, "natural number")
     if n < 0:
         raise OrdinalError(f"ordinals are nonnegative, got {n}")
-    return _normal(((ZERO, n),), (((), n),)) if n else ZERO
+    return _normal((((), n),)) if n else ZERO
 
 
 def omega_pow(exp: Ordinal, coeff: int = 1) -> Ordinal:
@@ -264,7 +275,7 @@ def omega_pow(exp: Ordinal, coeff: int = 1) -> Ordinal:
         raise OrdinalError(f"exponent must be an Ordinal, got {exp!r}")
     if coeff < 1:
         raise OrdinalError(f"coefficient must be positive, got {coeff}")
-    return _normal(((exp, coeff),), ((exp._key, coeff),))
+    return _normal(((exp._key, coeff),))
 
 
 def fundamental(lam: Ordinal, k: int) -> Ordinal:
@@ -279,19 +290,21 @@ def fundamental(lam: Ordinal, k: int) -> Ordinal:
     k = _integer(k, "sequence index")
     if k < 0:
         raise OrdinalError(f"sequence index must be >= 0, got {k}")
+    return _normal(_fundamental(lam._key, k))
+
+
+def _fundamental(key, k: int):
+    """The key of fundamental(lam, k) for the limit lam whose key is `key`."""
     # every exponent of the head is at least exp, and the tail's is below it,
     # so head and tail concatenate into normal form
-    head, key = lam._terms[:-1], lam._key[:-1]
-    exp, coeff = lam._terms[-1]
+    head, (exp, coeff) = key[:-1], key[-1]
     if coeff > 1:
-        head, key = head + ((exp, coeff - 1),), key + ((exp._key, coeff - 1),)
-    if not exp.is_successor:
-        tail = fundamental(exp, k)
-        return _normal(head + ((tail, 1),), key + ((tail._key, 1),))
+        head += ((exp, coeff - 1),)
+    if exp[-1][0]:
+        return head + ((_fundamental(exp, k), 1),)
     if k == 0:
-        return _normal(head, key)
-    tail = exp.predecessor()
-    return _normal(head + ((tail, k),), key + ((tail._key, k),))
+        return head
+    return head + ((_predecessor(exp), k),)
 
 
 def cb_level(b: Ordinal) -> int:
@@ -303,23 +316,20 @@ def cb_level(b: Ordinal) -> int:
     """
     if b.is_zero:
         return 0
-    if compare(b.leading_exponent, OMEGA) >= 0:
+    if b._key[0][0] >= OMEGA._key:
         raise OrdinalError(f"level of {b} is not a natural number")
-    return b._terms[-1][0].as_int()
+    exp = b._key[-1][0]
+    return exp[0][1] if exp else 0
 
 
 def omega_quotient(a: Ordinal) -> Ordinal:
     """The largest g with w*g <= a (left division by w)."""
-    out = []
-    for exp, coeff in a._terms:
-        if exp.is_zero:
-            continue
-        # 1 + g = exp solves to exp - 1 for finite exponents and to exp itself
-        # for infinite ones
-        g = from_int(exp.as_int() - 1) if compare(exp, OMEGA) < 0 else exp
-        out.append((g, coeff))
-    # exponents above w stay and finite ones drop by one, so they still decrease
-    return _normal(tuple(out), tuple((g._key, coeff) for g, coeff in out))
+    # 1 + g = exp solves to exp - 1 for finite exponents and to exp itself
+    # for infinite ones; exponents above w stay and finite ones drop by one,
+    # so they still decrease
+    return _normal(tuple(
+        (_predecessor(exp) if exp < OMEGA._key else exp, coeff) for exp, coeff in a._key if exp
+    ))
 
 
 # --- parsing ---------------------------------------------------------------
@@ -417,20 +427,4 @@ def parse(text: str) -> Ordinal:
     if pos != len(tokens):
         raise OrdinalParseError(f"trailing input at token position {pos}")
     return value
-
-
-def _exponent_text(exp: Ordinal) -> str:
-    return str(exp) if _is_atom(exp) else "(" + str(exp) + ")"
-
-
-def _is_atom(exp: Ordinal) -> bool:
-    # naturals and coefficient-1 towers of w re-parse without parentheses;
-    # exp is never zero: __str__ writes no exponent for w^0, nor does this
-    # recurse into one
-    if len(exp._terms) != 1:
-        return False
-    inner, coeff = exp._terms[0]
-    if inner.is_zero:
-        return True
-    return coeff == 1 and _is_atom(inner)
 

@@ -76,7 +76,14 @@ from scatterlab.conditions import (
     validate,
     violations_touching,
 )
-from scatterlab.intervals import DepthCapError, Interval, IntervalTree, Params, TreeError
+from scatterlab.intervals import (
+    BudgetExceededError,
+    DepthCapError,
+    Interval,
+    IntervalTree,
+    Params,
+    TreeError,
+)
 from scatterlab.ordinals import ONE, parse
 from scatterlab.unbounded import UnboundedFn
 
@@ -613,6 +620,20 @@ def test_stamp_tags_match_the_walk_from_the_root(ktree):
     with pytest.raises(DepthCapError):
         capped.path(alpha)
     assert _tag_of(capped, alpha, (), {}) == Interval(alpha, alpha + ONE)
+
+
+def test_a_tag_judges_no_interval_below_one_its_level_starts():
+    """w*2 starts [w*2, w*3), so its tag is its singleton.  Judging that
+    interval too would count its markers up to the root level w*2 + 7,
+    which takes more than e_budget = 6 of them."""
+    params = Params(parse("w^2"), kappa_w=3, lambda_w=8, e_budget=6)
+    tree, alpha, root_levels = IntervalTree(params), parse("w*2"), (parse("w*2 + 7"),)
+    assert tree.locate(alpha, 1) == Interval(alpha, parse("w*3"))
+    singleton = Interval(alpha, alpha + ONE)
+    assert _tag_of(tree, alpha, root_levels, {}) == singleton
+    assert naive_tag_of(IntervalTree(params), alpha, root_levels) == singleton
+    with pytest.raises(BudgetExceededError):
+        amalgam._interval_data(tree, tree.locate(alpha, 1), root_levels, {})
 
 
 # --- push down ---------------------------------------------------------------------
@@ -1396,6 +1417,23 @@ def test_pull_back_max_undefined(ktree):
     with pytest.raises(MaxUndefinedError) as err:
         pull_back(rp, r_nu, r_mu, g_nu, g_mu, ktree, F)
     assert set(err.value.pair) == {ta, tc}
+
+
+def test_pull_back_breaks_an_equal_hull_tie_by_the_last_preimage(ktree):
+    """The shared top's preimages, in point order, are b (w*9) and a (w*10).
+    An omega amalgam may give c a meet with each that covers the same
+    lower bounds, {u} with a and {u, w} with b; the maximum is then the
+    candidate of the last preimage, a, which the kappa result can keep."""
+    eps = ktree.root_eps()
+    w, u, c = Point(eps[1], 0), Point(eps[2], 0), Point(eps[12], 0)
+    a, b, top = Point(eps[10], 0), Point(eps[9], 0), Point(TOP, 1)
+    rel = [(w, u), (u, a), (u, b), (u, c)]
+    rp = make_condition("omega", [w, u, a, b, c], rel, {(b, c): {u, w}}, complete=True)
+    assert validate(rp, ktree) == [] and rp.meet(a, c) == {u}
+    member = make_condition("kappa", [w, u, top], [(w, u), (u, top)], complete=True)
+    F = flat_F(ktree, ktree.params.lambda_w, 12)
+    r = pull_back(rp, member, member, {w: w, u: u, a: top}, {w: w, u: u, b: top}, ktree, F)
+    assert r.meet(c, top) == {u}
 
 
 def test_pull_back_fgap(ktree):

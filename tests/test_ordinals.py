@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -53,6 +56,32 @@ def test_construction_rejects_bad_terms():
         Ordinal(((3, 1),))
 
 
+def test_construction_refuses_what_is_not_a_term_list():
+    cases = [
+        (5, "terms must be iterable, got 5"),
+        ([1], "term must be an (exponent, coefficient) pair, got 1"),
+        ([(ONE,)], "term must be an (exponent, coefficient) pair, got (Ordinal('1'),)"),
+        ([(ONE, 1, 2)], "term must be an (exponent, coefficient) pair, got (Ordinal('1'), 1, 2)"),
+        ("w", "term must be an (exponent, coefficient) pair, got 'w'"),
+        # the checks that were there before keep their texts and their order:
+        # every coefficient is read as an integer before any term is judged
+        ([(3, 1), (ONE, 2.5)], "coefficient must be an integer, got 2.5"),
+        ([(3, 1)], "exponent must be an Ordinal, got 3"),
+        ([(ONE, 0)], "coefficient must be positive, got 0"),
+        ([(ONE, 1), (ONE, 1)], "exponents must strictly decrease"),
+        ([(OMEGA, 1), (ZERO, 1), (ONE, 1)], "exponents must strictly decrease"),
+    ]
+    for terms, text in cases:
+        with pytest.raises(OrdinalError) as err:
+            Ordinal(terms)
+        assert str(err.value) == text
+    # any two-item iterable is a pair, as it was
+    assert Ordinal([[ONE, 2], iter((ZERO, 1))]) == parse("w*2 + 1")
+    with pytest.raises(OrdinalError) as err:
+        from_int(-1)
+    assert str(err.value) == "ordinals are nonnegative, got -1"
+
+
 def test_non_integral_coefficients_are_refused():
     with pytest.raises(OrdinalError, match="coefficient must be an integer, got 2.7"):
         Ordinal(((ONE, 2.7),))
@@ -83,6 +112,32 @@ def assert_normal(a):
     assert hash(a) == hash(b)
     assert a.terms == b.terms
     assert str(a) == str(b)
+
+
+@given(st.lists(st.tuples(deep_ordinals(), st.integers(1, 4)), max_size=4, unique_by=lambda t: t[0]))
+def test_terms_are_read_off_the_one_stored_form(raw):
+    pairs = tuple(sorted(raw, key=lambda t: t[0], reverse=True))
+    a = Ordinal(pairs)
+    assert a.terms == pairs
+    if pairs:
+        assert a.leading_exponent == pairs[0][0]
+    assert all(type(exp) is Ordinal for exp, _ in a.terms)
+    assert sum((omega_pow(exp, coeff) for exp, coeff in pairs), ZERO).terms == pairs
+    protocols = range(2, pickle.HIGHEST_PROTOCOL + 1)
+    copies = [Ordinal(a.terms), copy.deepcopy(a)]
+    copies += [pickle.loads(pickle.dumps(a, protocol)) for protocol in protocols]
+    for b in copies:
+        assert (b._key, hash(b), str(b)) == (a._key, hash(a), str(a))
+        assert b.terms == pairs
+
+
+@given(deep_ordinals(), deep_ordinals())
+def test_is_successor_of_matches_adding_one(a, b):
+    assert a.is_successor_of(b) is (a == b + 1)
+    assert (b + 1).is_successor_of(b) and (b + 2).is_successor_of(b + 1)
+    assert not b.is_successor_of(b)
+    # 0 and limits are no successor, though dropping their last term gives b
+    assert not ZERO.is_successor_of(ZERO) and not (b + OMEGA).is_successor_of(b)
 
 
 @given(deep_ordinals(), deep_ordinals(), st.integers(0, 4), st.integers(0, 6))

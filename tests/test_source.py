@@ -11,7 +11,7 @@ from pathlib import Path
 import scatterlab
 from scatterlab.conditions import Condition, Poset, condition_from_index
 from scatterlab.intervals import IntervalTree, Params
-from scatterlab.ordinals import parse
+from scatterlab.ordinals import Ordinal, parse
 
 PACKAGE = Path(scatterlab.__file__).parent
 
@@ -263,6 +263,21 @@ copies = collections.Counter(
 )
 print(json.dumps(copies))
 """
+
+
+def test_an_ordinal_stores_only_its_key():
+    # `terms` is a view read off the key; a second stored form, or a cache of
+    # the view, would have to be kept in step with it
+    assert Ordinal.__slots__ == ("_key", "_hash")
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if "_terms" in (getattr(node, name, None) for name in ("id", "attr", "arg", "value"))
+        ]
+    assert found == []
 
 
 def test_a_reimported_package_leaves_one_copy_of_each_class():
