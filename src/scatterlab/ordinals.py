@@ -58,9 +58,16 @@ class Ordinal:
             terms = iter(terms)
         except TypeError:
             raise OrdinalError(f"terms must be iterable, got {terms!r}") from None
-        terms = tuple(_pair(term) for term in terms)
+        pairs = []
+        for term in terms:
+            try:
+                exp, coeff = term
+            except (TypeError, ValueError):
+                raise OrdinalError(
+                    f"term must be an (exponent, coefficient) pair, got {term!r}") from None
+            pairs.append((exp, _integer(coeff, "coefficient")))
         key = []
-        for exp, coeff in terms:
+        for exp, coeff in pairs:
             if not isinstance(exp, Ordinal):
                 raise OrdinalError(f"exponent must be an Ordinal, got {exp!r}")
             if coeff < 1:
@@ -72,9 +79,13 @@ class Ordinal:
 
     def _set(self, key) -> None:
         self._key = key
-        # a finite ordinal hashes as its int, 0 included, since it compares
-        # equal to it
-        self._hash = hash(key[0][1]) if len(key) == 1 and not key[0][0] else hash(key or 0)
+        # a finite ordinal hashes as its int, since it compares equal to it
+        if not key:
+            self._hash = 0
+        elif len(key) == 1 and not key[0][0]:
+            self._hash = hash(key[0][1])
+        else:
+            self._hash = hash(key)
 
     @property
     def terms(self) -> Tuple[Tuple["Ordinal", int], ...]:
@@ -204,8 +215,7 @@ def compare(a: Ordinal, b: Ordinal) -> int:
 
 
 def _normal(key) -> Ordinal:
-    """The Ordinal whose key, already in Cantor normal form, is `key`;
-    nothing is checked."""
+    """The Ordinal whose key is `key`, already in normal form; nothing is checked."""
     out = object.__new__(Ordinal)
     out._set(key)
     return out
@@ -234,15 +244,6 @@ def _text(key) -> str:
         base = "w" if exp_text == "1" else "w^" + exp_text
         parts.append(base if coeff == 1 else f"{base}*{coeff}")
     return " + ".join(parts)
-
-
-def _pair(term):
-    """`term` as an (exponent, coefficient) pair, the coefficient an int."""
-    try:
-        exp, coeff = term
-    except (TypeError, ValueError):
-        raise OrdinalError(f"term must be an (exponent, coefficient) pair, got {term!r}") from None
-    return exp, _integer(coeff, "coefficient")
 
 
 def _integer(value, what: str) -> int:
@@ -324,12 +325,16 @@ def cb_level(b: Ordinal) -> int:
 
 def omega_quotient(a: Ordinal) -> Ordinal:
     """The largest g with w*g <= a (left division by w)."""
-    # 1 + g = exp solves to exp - 1 for finite exponents and to exp itself
-    # for infinite ones; exponents above w stay and finite ones drop by one,
-    # so they still decrease
-    return _normal(tuple(
-        (_predecessor(exp) if exp < OMEGA._key else exp, coeff) for exp, coeff in a._key if exp
-    ))
+    out = []
+    for exp, coeff in a._key:
+        if not exp:
+            continue
+        # 1 + g = exp solves to exp - 1 for finite exponents and to exp itself
+        # for infinite ones
+        g = _predecessor(exp) if exp < OMEGA._key else exp
+        out.append((g, coeff))
+    # exponents above w stay and finite ones drop by one, so they still decrease
+    return _normal(tuple(out))
 
 
 # --- parsing ---------------------------------------------------------------

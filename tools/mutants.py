@@ -6,16 +6,16 @@ mutant at a time: a comparison flipped (`<` and `<=`, `>` and `>=`, `==`
 and `!=`, `is` and `is not`, `in` and `not in`), `&` and `|`, `<<` and
 `>>`, `+` and `-`, `and` and `or` swapped, a `not` dropped, or an integer
 constant moved by +1 and by -1.  For each mutant it writes the module
-back as `ast.unparse` text and runs the test files with `-x` in one child
-process, with a time limit per mutant.  A mutant is killed when pytest
-fails, survived when it passes and timed out when it overruns.
+back as `ast.unparse` text and runs `tests/test_<module>.py` with `-x` in
+one child process, with a limit of TIMEOUT seconds per mutant.  A mutant
+is killed when pytest fails, survived when it passes and timed out when
+it overruns.
 
-Run it from the repository root, naming a module, its functions
+Run it from the repository root, naming a module and its functions
 (`Class.method` for one method, a bare name for every function or method
-of that name) and, optionally, the test files (by default
-`tests/test_<module>.py`):
+of that name):
 
-    python3 tools/mutants.py ordinals _text fundamental --tests tests/test_ordinals.py
+    python3 tools/mutants.py ordinals _text fundamental
 
 It prints one line per mutant as it finishes, then killed, survived and
 timed out per function.  It first runs the tests on the unmutated module
@@ -34,6 +34,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+TIMEOUT = 300.0
 SWAPS = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
     ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Is: ast.IsNot, ast.IsNot: ast.Is,
@@ -98,14 +99,14 @@ def swap(holder, slot, value):
     return old
 
 
-def run_tests(copy: Path, tests, timeout: float) -> str:
-    """killed, survived or timeout for the tests run in `copy`."""
+def run_tests(copy: Path, test_file: str) -> str:
+    """killed, survived or timeout for `test_file` run in `copy`."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
-    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", test_file]
     child = subprocess.Popen(cmd, cwd=copy, env=env, stdout=subprocess.DEVNULL,
                              stderr=subprocess.DEVNULL, start_new_session=True)
     try:
-        return "survived" if child.wait(timeout) == 0 else "killed"
+        return "survived" if child.wait(TIMEOUT) == 0 else "killed"
     except subprocess.TimeoutExpired:
         return "timeout"
     finally:
@@ -119,10 +120,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("module", help="a module of src/scatterlab, without .py")
     parser.add_argument("functions", nargs="+")
-    parser.add_argument("--tests", nargs="+", help="test files, from the repository root")
-    parser.add_argument("--timeout", type=float, default=300.0, help="seconds per mutant")
     args = parser.parse_args(argv)
-    tests = args.tests or [f"tests/test_{args.module}.py"]
+    test_file = f"tests/test_{args.module}.py"
     rel = Path("src", "scatterlab", args.module + ".py")
     tree = ast.parse((ROOT / rel).read_text())
     targets = functions(tree, set(args.functions))
@@ -134,7 +133,7 @@ def main(argv=None) -> int:
         skip = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis")
         shutil.copytree(ROOT, copy, ignore=skip)
         (copy / rel).write_text(ast.unparse(tree))
-        if run_tests(copy, tests, args.timeout) != "survived":
+        if run_tests(copy, test_file) != "survived":
             print("the tests fail or time out on the unmutated module; nothing was mutated")
             return 1
         for qual, func in targets:
@@ -145,7 +144,7 @@ def main(argv=None) -> int:
                 (copy / rel).write_text(ast.unparse(tree))
                 swap(holder, slot, old)
                 start = time.perf_counter()
-                verdict = run_tests(copy, tests, args.timeout)
+                verdict = run_tests(copy, test_file)
                 tally[qual][verdict] += 1
                 print(f"{rel.name}:{line} {qual}  {before!r} -> {after!r}  {verdict} "
                       f"{time.perf_counter() - start:.1f}s", flush=True)
