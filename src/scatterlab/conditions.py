@@ -164,12 +164,6 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _spread(masks: Iterable[int], q: int) -> List[int]:
-    """`masks` with a zero bit opened at position `q`."""
-    low = (1 << q) - 1
-    return [m & low | (m & ~low) << 1 for m in masks]
-
-
 class OrderIndex:
     """The indexed core of a finite strict order.
 
@@ -184,10 +178,8 @@ class OrderIndex:
     __slots__ = ("pts", "index", "down", "up", "levels")
 
     def __init__(self, points: Iterable[Point], strict: Iterable[Tuple[Point, Point]]):
-        self.pts: List[Point] = sorted(points, key=point_key)
-        self.index: Dict[Point, int] = {x: i for i, x in enumerate(self.pts)}
-        self.down: List[int] = [0] * len(self.pts)
-        self.up: List[int] = [0] * len(self.pts)
+        pts = sorted(points, key=point_key)
+        self._set(pts, [0] * len(pts), [0] * len(pts))
         unknown = []
         for s, t in strict:
             i = self.index.get(s)
@@ -200,9 +192,18 @@ class OrderIndex:
         if unknown:
             s, t = _least_pair(unknown)
             raise ConditionError(f"order pair ({s}, {t}) mentions unknown points")
-        self.levels: Dict[Level, int] = {}
-        for i, x in enumerate(self.pts):
-            self.levels[x.level] = self.levels.get(x.level, 0) | 1 << i
+
+    def _set(self, pts: List[Point], down: List[int], up: List[int], levels=None) -> "OrderIndex":
+        """Fill this index over the sorted points `pts` with the rows `down`
+        and `up` as given; `levels` is read off `pts` when it is not given."""
+        self.pts, self.down, self.up = pts, down, up
+        self.index = {x: i for i, x in enumerate(pts)}
+        if levels is None:
+            levels = {}
+            for i, x in enumerate(pts):
+                levels[x.level] = levels.get(x.level, 0) | 1 << i
+        self.levels = levels
+        return self
 
     def below(self) -> List[int]:
         """`down` with each point's own bit added: the masks of `le`."""
@@ -214,32 +215,45 @@ class OrderIndex:
 
     def pairs(self, touching: int = -1) -> List[Tuple[int, int]]:
         """Every pair of positions i < j, in order; only those with an end in
-        the mask `touching`, when it is given, listed from its points."""
+        the mask `touching`, when it is given.  Those are listed from each
+        position f of the mask, as (i, f) for each i < f off the mask and
+        (f, j) for each j > f, so a pair with both ends in it is listed
+        once, and sorted: one run when the mask has one bit."""
         n = len(self.pts)
         if touching == -1:
             return list(itertools.combinations(range(n), 2))
+        ends = list(bits(touching))
+        off = [True] * n
+        for f in ends:
+            off[f] = False
         found = []
-        for f in bits(touching):
-            found += zip(range(f), itertools.repeat(f))
+        for f in ends:
+            found += zip(itertools.compress(range(f), off), itertools.repeat(f))
             found += zip(itertools.repeat(f), range(f + 1, n))
-        return sorted(set(found))
+        found.sort()
+        return found
 
-    def strict_pairs(self, touching: int = -1) -> Iterable[Tuple[int, int]]:
+    def strict_pairs(self, touching: int = -1) -> List[Tuple[int, int]]:
         """The strict pairs as positions, in (point_key, point_key) order;
-        only those with an end in the mask `touching`, when it is given,
-        read from the `up` rows and `down` columns of its points."""
+        only those with an end in the mask `touching`, when it is given.
+        Those are read from each position f of the mask, as the bits of
+        its `down` row off the mask and its `up` row, so a pair with both
+        ends in it is listed once, from its first end, and sorted."""
         if touching == -1:
-            return ((i, j) for i, m in enumerate(self.up) for j in bits(m))
-        found = set()
+            return [(i, j) for i, m in enumerate(self.up) for j in bits(m)]
+        up, down, found = self.up, self.down, []
         for f in bits(touching):
-            found.update(zip(itertools.repeat(f), bits(self.up[f])))
-            found.update(zip(bits(self.down[f]), itertools.repeat(f)))
-        return sorted(found)
+            found += zip(bits(down[f] & ~touching), itertools.repeat(f))
+            found += zip(itertools.repeat(f), bits(up[f]))
+        found.sort()
+        return found
 
     def inserted(self, new_points: Iterable[Point]) -> Tuple["OrderIndex", int]:
         """A copy with `new_points` sorted in, each with empty rows, and the
-        mask of their positions.  The old rows are moved to the merged
-        positions, not rebuilt."""
+        mask of their positions.  The old rows and level masks are moved to
+        the merged positions, not rebuilt: each slot opens a zero bit in
+        every mask, in one pass over each list (the first pass reads this
+        index's own lists), and a zero row is put in at the slot."""
         pts = list(self.pts)
         slots: List[int] = []
         for r, x in enumerate(sorted(set(new_points), key=point_key)):
@@ -248,20 +262,23 @@ class OrderIndex:
                 raise ConditionError(f"point {x} is already in the condition")
             slots.append(at + r)
             pts.insert(at + r, x)
-        down, up, marks = list(self.down), list(self.up), list(self.levels.values())
+        if not slots:
+            out = object.__new__(OrderIndex)
+            return out._set(pts, list(self.down), list(self.up), dict(self.levels)), 0
+        down, up, marks = self.down, self.up, self.levels.values()
         for q in slots:  # ascending, so the slots opened so far stay below q
-            down, up, marks = _spread(down, q), _spread(up, q), _spread(marks, q)
-        out = OrderIndex((), ())
-        out.pts, out.down, out.up = pts, down, up
-        out.index = {x: i for i, x in enumerate(pts)}
-        out.levels = dict(zip(self.levels, marks))
+            # m + (m >> q << q) moves every bit at q or above up by one
+            down = [m + (m >> q << q) for m in down]
+            up = [m + (m >> q << q) for m in up]
+            marks = [m + (m >> q << q) for m in marks]
+        levels = dict(zip(self.levels, marks))
         fresh = 0
         for q in slots:
             down.insert(q, 0)
             up.insert(q, 0)
-            out.levels[pts[q].level] = out.levels.get(pts[q].level, 0) | 1 << q
+            levels[pts[q].level] = levels.get(pts[q].level, 0) | 1 << q
             fresh |= 1 << q
-        return out, fresh
+        return object.__new__(OrderIndex)._set(pts, down, up, levels), fresh
 
     def renamed(self, new: Mapping[Point, Point]) -> "OrderIndex":
         """A copy with each point x in `new` renamed to `new[x]`, points
@@ -269,24 +286,18 @@ class OrderIndex:
         moved to its point's position among the renamed points.  Where no
         position moves, the rows are copied as they are.  A merged point
         must hold no strict pair inside it."""
-        out = OrderIndex((), ())
         names = [new.get(x, x) for x in self.pts]
         keys = [x._key for x in names]
         if all(a < b for a, b in zip(keys, keys[1:])):
-            out.pts, out.down, out.up = names, list(self.down), list(self.up)
-            out.index = {x: i for i, x in enumerate(names)}
-        else:
-            out.pts = sorted(set(names), key=point_key)
-            out.index = index = {x: i for i, x in enumerate(out.pts)}
-            at = [index[x] for x in names]
-            out.down, out.up = [0] * len(out.pts), [0] * len(out.pts)
-            for k, j in enumerate(at):
-                for b in bits(self.down[k]):
-                    out.down[j] |= 1 << at[b]
-                for b in bits(self.up[k]):
-                    out.up[j] |= 1 << at[b]
-        for i, x in enumerate(out.pts):
-            out.levels[x.level] = out.levels.get(x.level, 0) | 1 << i
+            return object.__new__(OrderIndex)._set(names, list(self.down), list(self.up))
+        pts = sorted(set(names), key=point_key)
+        out = object.__new__(OrderIndex)._set(pts, [0] * len(pts), [0] * len(pts))
+        at = [out.index[x] for x in names]
+        for k, j in enumerate(at):
+            for b in bits(self.down[k]):
+                out.down[j] |= 1 << at[b]
+            for b in bits(self.up[k]):
+                out.up[j] |= 1 << at[b]
         return out
 
     def members(self, mask: int) -> List[Point]:
@@ -669,15 +680,21 @@ def violations_touching(
       strict pair, and the member's witness stays between them.
     The meet axiom is the one exception: a new point can sit below both
     ends of an old pair.
+
+    The pairs come from `pairs(fresh)` and `strict_pairs(fresh)`.  No
+    whole `below` or `above` list is built: a clause reads the `down` or
+    `up` row of a point it meets, with the point's own bit added where it
+    needs `le`, and the points below one of a meet value are ORed once per
+    distinct value in a call.
     """
     if p.judged_valid(tree, F):
         return []
     params = tree.params
     out: List[Violation] = []
     core = p.core()
-    pts, index, below = core.pts, core.index, core.below()
+    pts, index, down = core.pts, core.index, core.down
     meet_pairs = pairs = core.pairs(fresh)
-    strict = list(core.strict_pairs(fresh))
+    strict = core.strict_pairs(fresh)
     points = pts if fresh == -1 else core.members(fresh)
     owners: Optional[List[int]] = None
     if members:
@@ -711,13 +728,17 @@ def violations_touching(
     # meet axiom: the points below both ends are exactly those below a meet point
     table, none = p.meet_table(), frozenset()
     kappa = p.dialect == "kappa"
+    covers: Dict[FrozenSet[Point], int] = {}  # meet value -> the points below one of it
     for i, j in meet_pairs:
         s, t = pts[i], pts[j]
         value = table.get((s, t), none)
-        covered = 0
-        for v in value:
-            covered |= below[index[v]]
-        missed = (below[i] & below[j]) ^ covered
+        covered = covers.get(value)
+        if covered is None:
+            covered = 0
+            for k in map(index.__getitem__, value):
+                covered |= down[k] | 1 << k
+            covers[value] = covered
+        missed = (down[i] | 1 << i) & (down[j] | 1 << j) ^ covered
         if missed:
             out.append(
                 Violation(
@@ -730,7 +751,7 @@ def violations_touching(
             out.append(Violation("meet-arity", (s, t), f"{len(value)} meet points"))
 
     if kappa:
-        _validate_kappa(p, tree, F, pairs, strict, below, out)
+        _validate_kappa(p, tree, F, pairs, strict, out)
     else:
         _validate_omega(p, tree, F, pairs, strict, out)
     if not out:
@@ -738,13 +759,13 @@ def violations_touching(
     return out
 
 
-def _validate_kappa(p, tree, F, pairs, strict, below, out):
+def _validate_kappa(p, tree, F, pairs, strict, out):
     params = tree.params
     core = p.core()
-    pts, table = core.pts, p.meet_table()
+    pts, up, down, table = core.pts, core.up, core.down, p.meet_table()
     for i, j in pairs:
         # skip comparable pairs and pairs with no common lower bound
-        if (below[j] >> i | below[i] >> j) & 1 or not below[i] & below[j]:
+        if (down[j] >> i | down[i] >> j) & 1 or not down[i] & down[j]:
             continue
         s, t = pts[i], pts[j]
         for v in sorted(table.get((s, t), ()), key=point_key):
@@ -770,7 +791,6 @@ def _validate_kappa(p, tree, F, pairs, strict, below, out):
             if not ok:
                 out.append(Violation("meet-location", (s, t), why))
 
-    above = core.above()
     for i, j in strict:
         s, t = pts[i], pts[j]
         if s.is_top or not level_lt(s.level, t.level):
@@ -780,7 +800,7 @@ def _validate_kappa(p, tree, F, pairs, strict, below, out):
         if not (lam.lo < s.level and lam.hi <= beta):
             continue
         # a witness sits at lam.hi with s <= u <= t
-        if not core.levels.get(lam.hi, 0) & above[i] & below[j]:
+        if not core.levels.get(lam.hi, 0) & (up[i] | 1 << i) & (down[j] | 1 << j):
             out.append(
                 Violation(
                     "isolation-interpolant",
@@ -814,14 +834,13 @@ def _validate_omega(p, tree, F, pairs, strict, out):
                     Violation("same-level-meet", (s, t), "same-level pairs meet nothing")
                 )
 
-    above = core.above()
     for i, j in strict:
         s, t = pts[i], pts[j]
         if t.is_top or not t.level.is_successor:
             continue
         prior = t.level.predecessor()
         # a witness sits at the predecessor level with s <= u < t
-        if not core.levels.get(prior, 0) & above[i] & core.down[j]:
+        if not core.levels.get(prior, 0) & (core.up[i] | 1 << i) & core.down[j]:
             out.append(
                 Violation(
                     "successor-interpolant",
@@ -943,25 +962,29 @@ def parse_level(token: str) -> Level:
 
 def poset_block(p: Poset) -> List[str]:
     """The points, order and meets sections of a condition or poset
-    document: points by `point_key`, then every pair by point index.  A
-    meet row's tail is written once per distinct meet value."""
+    document: points by `point_key`, then every pair by point index.  Each
+    index is turned into text once, meet values are read for the point
+    pairs in `combinations` order, and a meet row's tail is written once
+    per distinct meet value."""
     core = p.core()
     pts, index = core.pts, core.index
     tokens = {level: level_token(level) for level in core.levels}
+    names = [str(i) for i in range(len(pts))]
     lines = [f"points {len(pts)}"]
     lines.extend(f"{i} {tokens[x.level]} {x.xi}" for i, x in enumerate(pts))
-    order = list(core.strict_pairs())
+    order = core.strict_pairs()
     lines.append(f"order {len(order)}")
-    lines.extend(f"{i} {j}" for i, j in order)
+    lines.extend(f"{names[i]} {names[j]}" for i, j in order)
     table, tails, rows = p.meet_table(), {}, []
-    for i, j in itertools.combinations(range(len(pts)), 2):
-        value = table.get((pts[i], pts[j]))
+    values = map(table.get, itertools.combinations(pts, 2))
+    for (a, b), value in zip(itertools.combinations(names, 2), values):
         if value is None:
             continue
         tail = tails.get(value)
         if tail is None:
-            tail = tails[value] = "".join(f" {k}" for k in sorted(index[v] for v in value))
-        rows.append(f"{i} {j} :{tail}")
+            at = sorted(map(index.__getitem__, value))
+            tail = tails[value] = "".join(" " + names[k] for k in at)
+        rows.append(f"{a} {b} :{tail}")
     lines.append(f"meets {len(rows)}")
     return lines + rows
 

@@ -191,7 +191,7 @@ class FinitePoset(Poset):
             if x.xi < 0:
                 partition.append(f"negative column: {x}")
         # the masks hold exactly the strict pairs, listed here by position
-        ids = list(core.strict_pairs())
+        ids = core.strict_pairs()
         for i, j in ids:
             if i == j:
                 partition.append(f"reflexive strict pair: {pts[i]}")
@@ -285,7 +285,10 @@ def run_schedule(
     the clauses that touch them, plus the size cap.  A step's condition
     moves the previous order rows into its own index, copies the previous
     meet map and adds the entries of its new pairs; the returned union
-    shares the last condition's index and map.
+    shares the last condition's index and map.  The check's mask is read
+    off the new points' positions: a realized point's own, or the point
+    `extend_below` plants and the chain it ties above it, which are the
+    points at or above the planted one and not at or above the target.
     That is sound because every step is monotone: a realized point is
     isolated, and `extend_below`'s insertion is monotone (its docstring
     gives the argument).  The previous condition passed every clause, so
@@ -314,21 +317,26 @@ def run_schedule(
                     tree.path(x.level)
                 except TreeError as err:
                     fail(f"level not materialized: {err}", k, req)
-            p2 = p if x in p.points else extend_condition(p, [x], ())
+            if x in p.points:
+                p2, fresh = p, 0
+            else:
+                p2 = extend_condition(p, [x], ())
+                fresh = 1 << p2.core().index[x]
         elif isinstance(req, PredecessorBelow):
             if req.target not in p.points:
                 fail("target point has not been realized", k, req)
             try:
-                p2, _ = extend_below(p, req.target, req.level, req.xi_floor, tree)
+                p2, x = extend_below(p, req.target, req.level, req.xi_floor, tree)
             except (ConditionError, TreeError) as err:
                 fail(str(err), k, req)
             targeted.append((req.level, req.target))
+            # the new points: x and the chain above it, below the target
+            core = p2.core()
+            i, t = core.index[x], core.index[req.target]
+            fresh = (1 << i | core.up[i]) & ~(1 << t | core.up[t])
         else:
             fail(f"unknown requirement kind {type(req).__name__}", k, req)
 
-        index, fresh = p2.core().index, 0
-        for x in p2.points - p.points:
-            fresh |= 1 << index[x]
         try:
             found = violations_touching(p2, tree, F, fresh)
         except (ConditionError, TreeError) as err:

@@ -17,6 +17,7 @@ from scatterlab.conditions import (
     Condition,
     ConditionError,
     LevelBudgetError,
+    OrderIndex,
     Point,
     UnmaterializedLevelError,
     condition_from_text,
@@ -133,6 +134,56 @@ def test_a_bool_column_is_stored_as_its_int():
         Point(level, "1")
 
 
+def test_inserted_matches_an_index_built_afresh():
+    """`OrderIndex.inserted` puts the old rows and level masks where an index
+    built afresh over the union, with the old pairs, puts them, gives the
+    new points empty rows, returns the mask of their positions and leaves
+    the old index as it was.  The draws insert 0 to 3 points, given in any
+    order and repeated, into raw orders (cycles, reflexive pairs), with
+    slots at position 0, past the last point and next to each other, at a
+    level the index has and at one it lacks."""
+    cells = [pt(level, xi) for level in ("1", "w", "w+1", "w*2", "TOP") for xi in range(3)]
+    seen = set()
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.data())
+    def walk(data):
+        old = data.draw(st.lists(st.sampled_from(cells), max_size=8, unique=True))
+        new = data.draw(
+            st.lists(st.sampled_from([x for x in cells if x not in old]), max_size=3, unique=True)
+        )
+        ends = st.sampled_from(old or cells)
+        strict = data.draw(st.lists(st.tuples(ends, ends), max_size=12)) if old else []
+        core = OrderIndex(old, strict)
+        before = (list(core.pts), dict(core.index), list(core.down), list(core.up), dict(core.levels))
+        got, fresh = core.inserted(data.draw(st.permutations(new + new[:1])))
+        want = OrderIndex(old + new, strict)
+        assert (got.pts, got.index, got.down, got.up, got.levels) == (
+            want.pts, want.index, want.down, want.up, want.levels
+        )
+        assert fresh == sum(1 << want.index[x] for x in new)
+        assert (core.pts, core.index, core.down, core.up, core.levels) == before
+        slots = [want.index[x] for x in new]
+        seen.update(
+            kind
+            for kind, hit in (
+                ("none", not new),
+                ("first", old and 0 in slots),
+                ("last", old and len(want.pts) - 1 in slots),
+                ("adjacent", any(q + 1 in slots for q in slots)),
+                ("new level", any(x.level not in core.levels for x in new)),
+                ("old level", any(x.level in core.levels for x in new)),
+            )
+            if hit
+        )
+
+    walk()
+    assert seen == {"none", "first", "last", "adjacent", "new level", "old level"}
+    a, b = pt("w"), pt("TOP")
+    with pytest.raises(ConditionError, match=r"point \(w, 0\) is already in the condition"):
+        OrderIndex([a, b], [(a, b)]).inserted([pt("1"), a])
+
+
 def test_make_condition_closure_and_cycles():
     a, b, c = pt("1"), pt("w"), pt("w*2")
     cond = make_condition("kappa", [a, b, c], [(a, b), (b, c)])
@@ -187,6 +238,15 @@ def test_level_monotone_and_grid(tree):
     assert clauses(validate(too_high, tree)) == ["grid"]
     wide_top = make_condition("kappa", [pt("TOP", 99)])
     assert clauses(validate(wide_top, tree)) == ["grid"]
+    # kappa_w is 3 and lambda_w 6: columns 0 to 2 below the top, 0 to 5 at it
+    cells = [("w", -1), ("w", 0), ("w", 2), ("w", 3), ("TOP", -1), ("TOP", 0), ("TOP", 5), ("TOP", 6)]
+    edges = make_condition("kappa", [pt(level, xi) for level, xi in cells])
+    assert [str(v) for v in validate(edges, tree)] == [
+        "grid [(w, -1)]: column -1 out of range",
+        "grid [(w, 3)]: column 3 out of range",
+        "grid [(TOP, -1)]: top column -1 out of range",
+        "grid [(TOP, 6)]: top column 6 out of range",
+    ]
 
 
 def test_meet_axiom_violation(tree):
@@ -674,6 +734,7 @@ def test_size_cap_is_reported():
     assert [str(v) for v in validate(three_tops, tree, big_F(tree))] == [
         "size-cap []: 3 points exceed cap 2"
     ]
+    assert validate(make_condition("kappa", [pt("TOP", 0), pt("TOP", 1)]), tree, big_F(tree)) == []
 
 
 def test_top_meet_off_the_root_markers(tree):
@@ -853,6 +914,46 @@ def test_the_check_of_what_an_extension_adds_matches_the_full_oracle(drawn):
     assert all(m.judged_valid(tree, None) for m in settled)
     want = outcome(naive_validate, cond, tree)
     assert outcome(conditions.violations_touching, cond, tree, None, -1, settled) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(extensions(), st.data())
+def test_the_check_of_a_mask_is_the_full_oracle_on_its_points_and_pairs(drawn, data):
+    """With a mask of positions, `violations_touching` reports, in order,
+    exactly the findings of the full oracle that name a point of the mask,
+    and the size cap; the mask is drawn whole, one bit, two bits (adjacent
+    or far apart) or any subset."""
+    cond, _ = drawn
+    tree = kappa_tree()
+    n = cond.size
+    bit = st.integers(0, n - 1)
+    mask = data.draw(
+        st.one_of(
+            st.just((1 << n) - 1),
+            bit.map(lambda i: 1 << i),
+            st.tuples(bit, bit).map(lambda ij: 1 << ij[0] | 1 << ij[1]),
+            st.integers(0, (1 << n) - 1),
+        )
+    )
+    index = cond.core().index
+    want = outcome(naive_validate, cond, tree)
+    got = outcome(conditions.violations_touching, cond, tree, None, mask)
+    if isinstance(want, list):
+        want = [v for v in want if not v.points or any(mask >> index[x] & 1 for x in v.points)]
+        assert got == want
+    else:
+        assert got == want or isinstance(got, list)
+
+
+def test_the_check_of_what_an_extension_adds_counts_meet_points_on_cross_pairs(tree):
+    # (a, b) has one end in the member and one outside it, and two meet points
+    a, b, c, d = pt("w*3"), pt("w*4"), pt("w", 0), pt("w", 1)
+    member = make_condition("kappa", [a])
+    cond = make_condition("kappa", [a, b, c, d], [(c, a), (c, b), (d, a), (d, b)], complete=True)
+    assert validate(member, tree) == [] and leq(cond, member)
+    found = outcome(conditions.violations_touching, cond, tree, None, -1, (member,))
+    assert "meet-arity [(w*3, 0), (w*4, 0)]: 2 meet points" in [str(x) for x in found]
+    assert found == outcome(naive_validate, cond, tree)
 
 
 def test_the_check_of_what_an_extension_adds_keeps_the_meet_axiom_on_old_pairs(tree):

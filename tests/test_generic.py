@@ -189,6 +189,8 @@ def test_schedule_error_bad_column(tree, F):
         run(tree, F, [RealizePoint(W, 8)])
     with pytest.raises(ScheduleError):
         run(tree, F, [RealizePoint(TOP, 12)])
+    with pytest.raises(ScheduleError, match="column -1 outside width cap 8"):
+        run(tree, F, [RealizePoint(W, -1)])
 
 
 def test_schedule_error_negative_floor(tree, F):

@@ -204,12 +204,14 @@ def test_touching_pairs_are_the_full_listing_filtered(p, data):
     """`strict_pairs(touching)` and `pairs(touching)`, listed from the
     points of the mask, are the full listings filtered to the pairs with an
     end in it, in the same order; raw orders (cycles, reflexive pairs)
-    included."""
+    included.  Every one-bit and two-bit mask is tried: a pair with both
+    ends in the mask, adjacent or far apart, is listed once."""
     core = p.core()
     n = len(core.pts)
     strict, every = list(core.strict_pairs()), list(itertools.combinations(range(n), 2))
     masks = [-1, 0, (1 << n) - 1, data.draw(st.integers(0, (1 << n) - 1))]
-    for mask in masks + [1 << k for k in range(n)]:
+    masks += [1 << k for k in range(n)] + [1 << i | 1 << j for i, j in every]
+    for mask in masks:
         keep = [(i, j) for i, j in every if (mask >> i | mask >> j) & 1]
         assert core.pairs(mask) == keep
         keep = [(i, j) for i, j in strict if (mask >> i | mask >> j) & 1]
