@@ -23,7 +23,10 @@ The module provides, in dependency order:
 
 The pairing clauses, the root-interpolant cross order and the root meet
 disagreements each have one helper, shared by the builders and reports that
-decide them; order is read from the ``OrderIndex`` masks.  Construction
+decide them; order is read from the ``OrderIndex`` masks, and a pairing
+carries rows and meets by position.  ``check_adequate`` compares every pair
+only to name what a bad bijection breaks.  Stamps are kept per level in the
+tree's stamp memo, so a tree stamps each level once.  Construction
 functions never return silently-wrong output, and none rebuilds a condition
 it already holds in normal form: ``push_down`` and ``pull_back`` rename
 their input's order index, and ``amalgamate_eta`` grows each search node
@@ -214,9 +217,27 @@ def check_adequate(g: Mapping[Point, Point]) -> List[str]:
 
     Clauses: strata preserved, relative level order preserved, column
     preserved below top, column order preserved on top.
+
+    One pass over the items in `point_key` order accepts a clean g: each
+    item keeps its stratum and, below top, its column, and each next image
+    sorts after the last one, at the same level exactly when the point is.
+    Both orders are then the same chain of ties and steps, so no pair is
+    reordered, and g is injective.  Otherwise every pair is compared, to
+    name what g breaks.
     """
-    out = []
     items = sorted(g.items(), key=lambda kv: point_key(kv[0]))
+    last = None
+    for s, gs in items:
+        key, image = point_key(s), point_key(gs)
+        if s.is_top != gs.is_top or not s.is_top and s.xi != gs.xi:
+            break
+        # a key starts (stratum, level), so key[:2] compares levels
+        if last and not (last[1] < image and (last[0][:2] == key[:2]) == (last[1][:2] == image[:2])):
+            break
+        last = key, image
+    else:
+        return []
+    out = []
     if len(set(g.values())) != len(g):
         out.append("strata: mapping not injective")
     for s, gs in items:
@@ -269,19 +290,33 @@ def _pairing_clauses(
     p: Condition, q: Condition, h: Mapping[Point, Point], root: FrozenSet[Point]
 ) -> List[str]:
     """The clauses that the bijection h: X_p -> X_q breaks: adequacy, fixing
-    the root, carrying p's order onto q's and p's meets onto q's."""
+    the root, carrying p's order onto q's and p's meets onto q's.
+
+    Both are judged by position: `at[i]` is the position in q of the image
+    of p's point i.  Each `up` row of p, moved through `at`, is compared with
+    q's row at `at[i]`, and a pair whose bits differ is named by its
+    preimages, once, in position order.  Each meet key moves through `at`
+    to q's canonical pair, and its value through h.
+    """
     out = check_adequate(h)
     out.extend(f"root-fixing: moves {s}" for s in sorted(root, key=point_key) if h[s] != s)
-    # h is a bijection, so the pairs it fails to carry are the preimages of
-    # the pairs in one of h(p.strict) and q.strict but not the other
-    back = {v: k for k, v in h.items()}
-    image = {(h[s], h[t]) for s, t in p.strict}
-    moved = {pair_key(back[a], back[b]) for a, b in image ^ q.strict}
-    for s, t in sorted(moved, key=lambda st: (point_key(st[0]), point_key(st[1]))):
-        out.append(f"order: ({s}, {t}) not preserved")
-    table = p.meet_table().items()
-    if any(frozenset(h[v] for v in value) != q.meet(h[s], h[t]) for (s, t), value in table):
-        out.append("meets: not transported")
+    pc, qc = p.core(), q.core()
+    at = [qc.index[h[x]] for x in pc.pts]
+    back = {k: i for i, k in enumerate(at)}
+    moved = set()
+    for i, row in enumerate(pc.up):
+        image = 0
+        for j in bits(row):
+            image |= 1 << at[j]
+        for k in bits(image ^ qc.up[at[i]]):
+            moved.add((i, back[k]) if i < back[k] else (back[k], i))
+    out.extend(f"order: ({pc.pts[i]}, {pc.pts[j]}) not preserved" for i, j in sorted(moved))
+    table, index = q.meet_table(), pc.index
+    for (s, t), value in p.meet_table().items():
+        key = (h[s], h[t]) if at[index[s]] < at[index[t]] else (h[t], h[s])
+        if table.get(key, frozenset()) != frozenset(map(h.__getitem__, value)):
+            out.append("meets: not transported")
+            break
     return out
 
 
@@ -564,14 +599,25 @@ def _tag_of(tree: IntervalTree, alpha: Ordinal, root_levels, cache) -> Interval:
         k += 1
 
 
+def _level_stamp(tree: IntervalTree, alpha: Ordinal, root_levels):
+    """alpha's tag, with the tag's (xi, gamma, window) when it is not a
+    singleton: the entry the tree's stamp memo keeps."""
+    cache: Dict = {}
+    tag = _tag_of(tree, alpha, root_levels, cache)
+    return tag, None if tag.is_singleton else _interval_data(tree, tag, root_levels, cache)
+
+
 def equivalence_stamp(fam: SeparatedFamily, tree: IntervalTree) -> EquivalenceStamp:
     """Compute tag intervals for every member point and verify that the
-    family is pairwise equivalent (tags agree through every pairing)."""
+    family is pairwise equivalent (tags agree through every pairing).
+
+    Each level's tag and window are read from the tree's stamp memo, and
+    computed by `_tag_of` and `_interval_data` the first time only."""
     root_levels = tuple(
         sorted({x.level for x in fam.root if not x.is_top})
     )
-    cache: Dict = {}
     tags: Dict[Point, Interval] = {}
+    windows: Dict[Interval, Optional[Tuple]] = {}  # None for a singleton tag
     for m in fam.members:
         for s in m.sorted_points():
             if s.is_top:
@@ -579,7 +625,7 @@ def equivalence_stamp(fam: SeparatedFamily, tree: IntervalTree) -> EquivalenceSt
                     f"stamps require top-free members, found {s}"
                 )
             if s not in tags:
-                tags[s] = _tag_of(tree, s.level, root_levels, cache)
+                tags[s], windows[tags[s]] = tree.stamp(s.level, root_levels, _level_stamp)
     for i, j in itertools.combinations(range(len(fam.members)), 2):
         h = fam.pairing(i, j)
         for s, hs in h.items():
@@ -599,12 +645,8 @@ def equivalence_stamp(fam: SeparatedFamily, tree: IntervalTree) -> EquivalenceSt
     gamma_of: Dict[Interval, Ordinal] = {}
     d_of: Dict[Interval, Tuple[Ordinal, ...]] = {}
     for iv in jset:
-        if iv.is_singleton:
-            continue
-        xi, gamma, window = _interval_data(tree, iv, root_levels, cache)
-        xi_of[iv] = xi
-        gamma_of[iv] = gamma
-        d_of[iv] = window
+        if not iv.is_singleton:
+            xi_of[iv], gamma_of[iv], d_of[iv] = windows[iv]
     levels = sorted({b for window in d_of.values() for b in window})
     gamma = (levels[-1] + ONE) if levels else ONE
     return EquivalenceStamp(tags, jset, xi_of, gamma_of, d_of, gamma, root_levels)

@@ -41,7 +41,6 @@ from typing import (
     Dict,
     FrozenSet,
     Iterable,
-    Iterator,
     List,
     Mapping,
     Optional,
@@ -156,12 +155,25 @@ def _least_pair(pairs: Iterable[Tuple[Point, Point]]) -> Tuple[Point, Point]:
     return min(pairs, key=lambda st: (st[0]._key, st[1]._key))
 
 
-def bits(mask: int) -> Iterator[int]:
-    """The positions of the set bits of `mask`, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+# the set bits of each byte value, as positions in the low and the next byte
+_LOW_BYTE = [tuple(k for k in range(8) if b >> k & 1) for b in range(256)]
+_HIGH_BYTE = [tuple(k + 8 for k in row) for row in _LOW_BYTE]
+
+
+def bits(mask: int) -> Sequence[int]:
+    """The positions of the set bits of `mask`, lowest first, read from two
+    byte tables: bits 0-15 by lookup, each further byte shifted by its
+    offset.  A negative mask has no last set bit and is refused."""
+    if mask < 256:
+        if mask < 0:
+            raise ConditionError(f"negative mask {mask} has no finite set of bits")
+        return _LOW_BYTE[mask]
+    if mask < 65536:
+        return _LOW_BYTE[mask & 255] + _HIGH_BYTE[mask >> 8]
+    found = list(_LOW_BYTE[mask & 255] + _HIGH_BYTE[mask >> 8 & 255])
+    for base in range(16, mask.bit_length(), 8):
+        found += map(base.__add__, _LOW_BYTE[mask >> base & 255])
+    return found
 
 
 class OrderIndex:

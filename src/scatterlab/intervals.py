@@ -110,7 +110,10 @@ class IntervalTree:
       as deep as `locate`, `path` or a split has walked (to a singleton at
       most); its path is the trail's prefix down to its left endpoint;
     - `_orbits`: an ordinal's orbit as a set;
-    - `_splits`: where the paths of two ordinals part.
+    - `_splits`: where the paths of two ordinals part;
+    - `_stamps`: by (level, root levels), the level's interval stamp that
+      `amalgam.equivalence_stamp` reads through `stamp`: its tag and, for
+      a limit-ended tag, the tag's `(xi, gamma, window)`.
 
     Each is insert-only (a marker list or a trail only grows at its end)
     and every entry is a deterministic function of its key, so a cached
@@ -127,6 +130,7 @@ class IntervalTree:
         self._trails: Dict[Ordinal, List[Interval]] = {}
         self._orbits: Dict[Ordinal, FrozenSet[Ordinal]] = {}
         self._splits: Dict[Tuple[Ordinal, Ordinal], Tuple[Optional[int], Interval]] = {}
+        self._stamps: Dict[Tuple[Ordinal, Tuple[Ordinal, ...]], tuple] = {}
 
     # -- marker sequences -----------------------------------------------
 
@@ -316,6 +320,16 @@ class IntervalTree:
                     f"{self.depth_cap}"
                 )
             depth += 1
+
+    def stamp(self, alpha: Ordinal, root_levels: Tuple[Ordinal, ...], compute) -> tuple:
+        """alpha's interval stamp under `root_levels` from the `_stamps`
+        memo, or else `compute(self, alpha, root_levels)`, kept when it
+        returns.  `compute` is always `amalgam`'s stamp of one level, which
+        reads nothing but this tree and its arguments."""
+        entry = self._stamps.get((alpha, root_levels))
+        if entry is None:
+            entry = self._stamps[alpha, root_levels] = compute(self, alpha, root_levels)
+        return entry
 
     # -- truncations ------------------------------------------------------
 

@@ -12,7 +12,6 @@ import itertools
 from itertools import combinations
 
 from scatterlab import fmt
-from scatterlab.amalgam import check_adequate
 from scatterlab.conditions import (
     ConditionError,
     LevelBudgetError,
@@ -345,6 +344,43 @@ def omega_cross_filter(p, q, root):
 # completed meet table instead; the messages and their order must match.
 
 
+def naive_check_adequate(g):
+    """`amalgam.check_adequate` as every pair of points: the clauses, in
+    the package's order, by comparing each pair's levels and top columns."""
+    out = []
+    items = sorted(g.items(), key=lambda kv: point_key(kv[0]))
+    if len(set(g.values())) != len(g):
+        out.append("strata: mapping not injective")
+    for s, gs in items:
+        if s.is_top != gs.is_top:
+            out.append(f"strata: {s} maps across the top boundary")
+    for (s, gs), (t, gt) in itertools.combinations(items, 2):
+        if level_lt(s.level, t.level) != level_lt(gs.level, gt.level):
+            out.append(f"level-order: ({s}, {t}) reordered")
+        if s.is_top and t.is_top and ((s.xi < t.xi) != (gs.xi < gt.xi)):
+            out.append(f"top-column-order: ({s}, {t}) reordered")
+    for s, gs in items:
+        if not s.is_top and s.xi != gs.xi:
+            out.append(f"column-preserved: {s} maps to column {gs.xi}")
+    return out
+
+
+def naive_pairing_clauses(p, q, h, root):
+    """`amalgam._pairing_clauses` by point-pair sets: the pairs h fails to
+    carry are the preimages of the symmetric difference of h(p.strict) and
+    q.strict, and each meet is compared as a point set."""
+    out = naive_check_adequate(h)
+    out.extend(f"root-fixing: moves {s}" for s in _by_key(root) if h[s] != s)
+    back = {v: k for k, v in h.items()}
+    image = {(h[s], h[t]) for s, t in p.strict}
+    moved = {pair_key(back[a], back[b]) for a, b in image ^ q.strict}
+    for s, t in sorted(moved, key=lambda st: (st[0]._key, st[1]._key)):
+        out.append(f"order: ({s}, {t}) not preserved")
+    if any(frozenset(h[v] for v in value) != q.meet(h[s], h[t]) for (s, t), value in p.meets):
+        out.append("meets: not transported")
+    return out
+
+
 def naive_separated_report(fam):
     """`amalgam.separated_report` by point-pair membership tests."""
     out = []
@@ -373,7 +409,7 @@ def naive_separated_report(fam):
         if set(h) != set(p.points) or set(h.values()) != set(q.points):
             out.append(f"bijection: pairing {i},{j} has wrong domain or range")
             continue
-        for clause in check_adequate(h):
+        for clause in naive_check_adequate(h):
             out.append(f"pair {i},{j} {clause}")
         for s in _by_key(root):
             if h[s] != s:

@@ -27,10 +27,12 @@ from .corpus import (
     root_moving_family,
 )
 from .oracles import (
+    naive_check_adequate,
     naive_deficient,
     naive_eta_base,
     naive_eta_search,
     naive_first_deficient,
+    naive_pairing_clauses,
     naive_pull_back,
     naive_push_down,
     naive_r2_report,
@@ -52,6 +54,7 @@ from scatterlab.amalgam import (
     SearchExhaustedError,
     SeparatedFamily,
     _first_deficient,
+    _pairing_clauses,
     _tag_of,
     amalgamate_eta,
     amalgamate_kappa,
@@ -197,6 +200,111 @@ def test_adequate_clause_names():
     # collapsing two points
     squash = check_adequate({a: pt("w*3", 0), b: pt("w*3", 0)})
     assert any("injective" in c for c in squash)
+
+
+ADEQUACY_LEVELS = [parse(x) for x in ("1", "w", "w + 1", "w*2", "w*3")]
+ADEQUACY_CELLS = [Point(lv, xi) for lv in ADEQUACY_LEVELS for xi in range(3)]
+ADEQUACY_CELLS += [Point(TOP, xi) for xi in range(4)]
+
+
+@st.composite
+def adequacy_maps(draw):
+    """A map between grid points: a relabelling of its domain that keeps
+    strata, level order and columns, with up to three edits, each one a
+    random image, two points sent to one image, a point sent across the
+    top boundary, a level tie, two images swapped (top columns reordered
+    when both are tops) or a column moved."""
+    dom = sorted(
+        draw(st.lists(st.sampled_from(ADEQUACY_CELLS), min_size=1, max_size=7, unique=True)),
+        key=point_key,
+    )
+    old = sorted({x.level for x in dom if not x.is_top})
+    new = draw(st.lists(st.sampled_from(ADEQUACY_LEVELS), min_size=len(old), max_size=len(old), unique=True))
+    level = dict(zip(old, sorted(new)))
+    tops = [x for x in dom if x.is_top]
+    cols = draw(st.lists(st.integers(0, 5), min_size=len(tops), max_size=len(tops), unique=True))
+    g = {x: Point(level[x.level], x.xi) for x in dom if not x.is_top}
+    g.update((x, Point(TOP, c)) for x, c in zip(tops, sorted(cols)))
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["any", "merge", "cross", "tie", "swap", "column"]))
+        s, t = draw(st.sampled_from(dom)), draw(st.sampled_from(dom))
+        if edit == "any":
+            g[s] = draw(st.sampled_from(ADEQUACY_CELLS))
+        elif edit == "merge":
+            g[s] = g[t]
+        elif edit == "cross":
+            g[s] = Point(ADEQUACY_LEVELS[0] if g[s].is_top else TOP, g[s].xi)
+        elif edit == "tie":
+            g[s] = Point(g[t].level, g[s].xi)
+        elif edit == "swap":
+            g[s], g[t] = g[t], g[s]
+        else:
+            g[s] = Point(g[s].level, g[s].xi + 1)
+    return g
+
+
+def test_adequacy_names_what_the_pairwise_oracle_names():
+    """`check_adequate` accepts a clean map in one pass and names a bad
+    one's clauses by comparing every pair; both give `naive_check_adequate`'s
+    list exactly, clean maps and each kind of break alike."""
+    seen = set()
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(adequacy_maps())
+    def judge(g):
+        got = check_adequate(g)
+        assert got == naive_check_adequate(g)
+        seen.update(line.split(":")[0] for line in got)
+        seen.add("clean" if not got else "broken")
+
+    judge()
+    assert seen == {
+        "clean", "broken", "strata", "level-order", "top-column-order", "column-preserved"
+    }
+
+
+def test_adequacy_of_two_points_whose_one_pair_is_reordered():
+    """The one-pass acceptance compares each point and its image with the
+    last ones: a level tie sent apart either way, two levels sent to one
+    and two top columns swapped are each refused, and named by comparing
+    every pair."""
+    cases = [
+        ({pt("w", 0): pt("w", 0), pt("w", 1): pt("w*2", 1)}, "level-order: ((w, 0), (w, 1))"),
+        ({pt("w", 0): pt("1", 0), pt("w", 1): pt("w", 1)}, "level-order: ((w, 0), (w, 1))"),
+        ({pt("w", 0): pt("w", 0), pt("w*2", 1): pt("w", 1)}, "level-order: ((w, 0), (w*2, 1))"),
+        ({pt("top", 0): pt("top", 2), pt("top", 1): pt("top", 1)}, "top-column-order: ((TOP, 0), (TOP, 1))"),
+    ]
+    for g, pair in cases:
+        assert check_adequate(g) == naive_check_adequate(g) == [f"{pair} reordered"]
+
+
+def test_pairings_are_judged_as_the_point_pair_oracle_judges_them(ktree):
+    """`_pairing_clauses` moves rows and meets by position; it gives
+    `naive_pairing_clauses`'s list exactly, over the canonical pairing and
+    random bijections of `kappa_instance` members, raw and pushed down,
+    each with the other and with itself."""
+    members = []
+    for seed in range(30):
+        r_nu, r_mu, pp, qq = eta_inputs(ktree, seed)[:4]
+        members += [(r_nu, r_mu), (pp, qq), (qq, pp), (r_nu, r_nu)]
+    seen = set()
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(pair=st.sampled_from(members), canonical=st.booleans(), data=st.data())
+    def judge(pair, canonical, data):
+        p, q = pair
+        image = q.sorted_points()
+        if not canonical:
+            image = data.draw(st.permutations(image))
+        h = dict(zip(p.sorted_points(), image))
+        root = p.points & q.points
+        got = _pairing_clauses(p, q, h, root)
+        assert got == naive_pairing_clauses(p, q, h, root)
+        seen.update(line.split(":")[0] for line in got)
+        seen.add("clean" if not got else "broken")
+
+    judge()
+    assert {"clean", "broken", "root-fixing", "order", "meets", "level-order"} <= seen
 
 
 def test_canonical_pairing_requires_matching_strata():
@@ -590,6 +698,21 @@ def test_stamp_rejects_mismatched_tags(ktree):
         equivalence_stamp(fam, ktree)
 
 
+def test_stamp_intervals_are_the_tags_of_the_first_member(ktree):
+    """The stamp's intervals and windows are those of the first member's
+    tags, even where a pairing left partial by its caller leaves another
+    member's tags unchecked."""
+    eps = ktree.root_eps()
+    u, x = Point(eps[1], 0), Point(eps[5] + ONE, 0)
+    a = make_condition("kappa", [u, x], [(u, x)], complete=True)
+    b = make_condition("kappa", [u])
+    root_iv, u_iv = Interval(parse("0"), ktree.params.eta), Interval(eps[1], eps[1] + ONE)
+    for members, want in (((a, b), (root_iv, u_iv)), ((b, a), (u_iv,))):
+        stamps = equivalence_stamp(SeparatedFamily(members, frozenset({u}), {(0, 1): {}}), ktree)
+        assert stamps.intervals == want
+        assert list(stamps.d_of) == [iv for iv in want if not iv.is_singleton]
+
+
 def test_stamp_tags_match_the_walk_from_the_root(ktree):
     """Every tag equals `naive_tag_of`'s, which locates each depth afresh
     from the root: the stamped tags of `kappa_instance` pairs, and the tags
@@ -634,6 +757,43 @@ def test_a_tag_judges_no_interval_below_one_its_level_starts():
     assert naive_tag_of(IntervalTree(params), alpha, root_levels) == singleton
     with pytest.raises(BudgetExceededError):
         amalgam._interval_data(tree, tree.locate(alpha, 1), root_levels, {})
+
+
+def test_a_tree_that_has_stamped_other_families_stamps_as_a_fresh_one():
+    """Stamps are read from the tree's memo by (level, root levels): every
+    field of a family's stamp on a tree that has stamped the other seeds'
+    families, single members and swapped pairs is that of a fresh tree."""
+    warm = kappa_tree()
+    families = []
+    for seed in range(30):
+        _, _, pp, qq, _, _, pairing, _, _ = eta_inputs(warm, seed)
+        root = pp.points & qq.points
+        families.append(SeparatedFamily((pp, qq), root, {(0, 1): pairing}))
+        families.append(SeparatedFamily((qq, pp), root, {(0, 1): canonical_pairing(qq, pp)}))
+        families.append(SeparatedFamily((qq,), frozenset(), {}))
+    for fam in families:
+        equivalence_stamp(fam, warm)
+    for fam in families:
+        got = equivalence_stamp(fam, warm)
+        want = equivalence_stamp(fam, kappa_tree())
+        assert (got.tags, got.intervals, got.root_levels) == (want.tags, want.intervals, want.root_levels)
+        assert (got.xi_of, got.gamma_of, got.d_of, got.gamma) == (
+            want.xi_of, want.gamma_of, want.d_of, want.gamma
+        )
+
+
+def test_a_stamp_that_overruns_the_budget_is_kept_nowhere():
+    """w*2 + 3 sits in [w*2, w*3), whose markers up to the root level
+    w*2 + 7 overrun e_budget = 6: the stamp raises the same error twice,
+    and the memo keeps only the level stamped before it, w."""
+    params = Params(parse("w^2"), kappa_w=3, lambda_w=8, e_budget=6)
+    tree = IntervalTree(params)
+    u, s, w = pt("w*2 + 7"), pt("w*2 + 3"), pt("w")
+    fam = SeparatedFamily((make_condition("kappa", [w, s, u]),), frozenset({u}), {})
+    first = outcome(equivalence_stamp, fam, tree)
+    assert first == (BudgetExceededError, "requested 8 markers of [w*2, w*3), budget is 7")
+    assert outcome(equivalence_stamp, fam, tree) == first
+    assert list(tree._stamps) == [(w.level, (u.level,))]
 
 
 # --- push down ---------------------------------------------------------------------

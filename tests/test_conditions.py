@@ -42,6 +42,7 @@ from .corpus import (
     multi_meet_documents,
     omega_top_meet,
 )
+from .conftest import wall_clock
 from .oracles import naive_extend_below, naive_validate
 
 
@@ -182,6 +183,41 @@ def test_inserted_matches_an_index_built_afresh():
     a, b = pt("w"), pt("TOP")
     with pytest.raises(ConditionError, match=r"point \(w, 0\) is already in the condition"):
         OrderIndex([a, b], [(a, b)]).inserted([pt("1"), a])
+
+
+def test_bits_lists_every_set_bit_lowest_first():
+    """Every mask below 2**17 by lookup and byte, and masks up to 80 bits
+    wide, at and around each byte boundary, against the bit-by-bit list."""
+    rng = random.Random(11)
+    wide = [1 << k for k in range(80)] + [(1 << k) - 1 for k in range(80)]
+    wide += [rng.getrandbits(k) for k in range(1, 81) for _ in range(5)]
+    for mask in itertools.chain(range(1 << 17), wide):
+        assert list(conditions.bits(mask)) == [k for k in range(mask.bit_length()) if mask >> k & 1]
+
+
+def test_a_negative_mask_is_refused_at_once():
+    """A negative mask has no last set bit: `bits` refuses it, and so do
+    `pairs` and `strict_pairs` below the every-point sentinel -1, and
+    `members` at any negative mask, where a bit-by-bit walk would never
+    end."""
+    s, t, u = pt("1"), pt("w"), pt("w", 1)
+    core = make_condition("kappa", [s, t, u], [(s, t)]).core()
+    with wall_clock(10):
+        for ask, mask in (
+            (conditions.bits, -1),
+            (conditions.bits, -(1 << 70)),
+            (core.pairs, -2),
+            (core.pairs, -5),
+            (core.strict_pairs, -2),
+            (core.strict_pairs, -(1 << 20) - 1),
+            (core.members, -1),
+            (core.members, -256),
+        ):
+            with pytest.raises(ConditionError) as err:
+                ask(mask)
+            assert str(err.value) == f"negative mask {mask} has no finite set of bits"
+        assert core.pairs(-1) == [(0, 1), (0, 2), (1, 2)]
+        assert core.strict_pairs(-1) == [(0, 1)]
 
 
 def test_make_condition_closure_and_cycles():

@@ -243,7 +243,7 @@ def test_the_order_and_the_tree_walk_are_stored_once():
     ]
     tree = IntervalTree(Params(eta=parse("w^2")))
     memos = sorted(name for name, value in vars(tree).items() if isinstance(value, dict))
-    assert memos == ["_markers", "_orbits", "_splits", "_trails"]
+    assert memos == ["_markers", "_orbits", "_splits", "_stamps", "_trails"]
 
 
 REIMPORT = """
