@@ -230,10 +230,14 @@ class OrderIndex:
         the mask `touching`, when it is given.  Those are listed from each
         position f of the mask, as (i, f) for each i < f off the mask and
         (f, j) for each j > f, so a pair with both ends in it is listed
-        once, and sorted: one run when the mask has one bit."""
+        once.  A mask of one bit gives them in order; a wider one sorts
+        them."""
         n = len(self.pts)
         if touching == -1:
             return list(itertools.combinations(range(n), 2))
+        if touching > 0 and not touching & (touching - 1):
+            f = touching.bit_length() - 1
+            return [(i, f) for i in range(f)] + [(f, j) for j in range(f + 1, n)]
         ends = list(bits(touching))
         off = [True] * n
         for f in ends:
@@ -250,10 +254,17 @@ class OrderIndex:
         only those with an end in the mask `touching`, when it is given.
         Those are read from each position f of the mask, as the bits of
         its `down` row off the mask and its `up` row, so a pair with both
-        ends in it is listed once, from its first end, and sorted."""
+        ends in it is listed once, from its first end.  A mask of one bit f
+        gives them in order when `down[f]` holds no bit at f or above; any
+        other mask, a raw order's cycle or reflexive pair at f among them,
+        sorts them."""
         if touching == -1:
             return [(i, j) for i, m in enumerate(self.up) for j in bits(m)]
         up, down, found = self.up, self.down, []
+        if touching > 0 and not touching & (touching - 1):
+            f = touching.bit_length() - 1
+            if not down[f] >> f:
+                return [(i, f) for i in bits(down[f])] + [(f, j) for j in bits(up[f])]
         for f in bits(touching):
             found += zip(bits(down[f] & ~touching), itertools.repeat(f))
             found += zip(itertools.repeat(f), bits(up[f]))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from .conftest import outcome
+from .conftest import outcome, wall_clock
 from .corpus import (
     broken_mirror,
     eta_inputs,
@@ -89,6 +89,15 @@ from scatterlab.intervals import (
 )
 from scatterlab.ordinals import ONE, parse
 from scatterlab.unbounded import UnboundedFn
+
+
+@pytest.fixture(autouse=True)
+def fail_fast():
+    """Every test here answers within 30 s, well above the slowest one's
+    few seconds, so a tree walk that stops advancing fails its test
+    instead of hanging the file."""
+    with wall_clock(30):
+        yield
 
 
 def pt(level, xi=0):

@@ -22,6 +22,7 @@ import scatterlab.generic
 from scatterlab.conditions import (
     TOP,
     ConditionError,
+    OrderIndex,
     Point,
     condition_to_text,
     make_condition,
@@ -216,6 +217,46 @@ def test_touching_pairs_are_the_full_listing_filtered(p, data):
         assert core.pairs(mask) == keep
         keep = [(i, j) for i, j in strict if (mask >> i | mask >> j) & 1]
         assert list(core.strict_pairs(mask)) == keep
+
+
+def listing(method, mask):
+    """What `method(mask)` lists, and whether it read the bits of the mask
+    itself, as the merge-and-sort does and the one-point path does not."""
+    bits = scatterlab.conditions.bits
+    with mock.patch.object(scatterlab.conditions, "bits", wraps=bits) as spy:
+        found = method(mask)
+    return found, mock.call(mask) in spy.call_args_list
+
+
+def test_one_point_listings_of_an_order_below_its_points():
+    """a, b < c < d and a < d: each `down` row holds only lower positions,
+    so a one-bit mask lists its pairs straight in order."""
+    a, b, c, d = (Point(TOP, k) for k in range(4))
+    core = OrderIndex([d, c, b, a], [(c, d), (a, c), (b, c), (a, d)])
+    assert core.pts == [a, b, c, d]
+    assert listing(core.pairs, 1 << 0) == ([(0, 1), (0, 2), (0, 3)], False)
+    assert listing(core.strict_pairs, 1 << 0) == ([(0, 2), (0, 3)], False)
+    assert listing(core.strict_pairs, 1 << 1) == ([(1, 2)], False)
+    assert listing(core.pairs, 1 << 2) == ([(0, 2), (1, 2), (2, 3)], False)
+    assert listing(core.strict_pairs, 1 << 2) == ([(0, 2), (1, 2), (2, 3)], False)
+    assert listing(core.pairs, 1 << 3) == ([(0, 3), (1, 3), (2, 3)], False)
+    assert listing(core.strict_pairs, 1 << 3) == ([(0, 3), (2, 3)], False)
+    assert listing(core.strict_pairs, 1 << 0 | 1 << 3) == ([(0, 2), (0, 3), (2, 3)], True)
+
+
+def test_one_point_listings_of_a_cycle_and_a_reflexive_pair():
+    """a < c < a, a < b < b and b, c < d: the `down` rows of a and b hold
+    a position at or above their own, so their strict pairs are merged and
+    sorted, and b's pair with itself is listed once."""
+    a, b, c, d = (Point(TOP, k) for k in range(4))
+    core = OrderIndex([a, b, c, d], [(a, c), (c, a), (a, b), (b, b), (b, d), (c, d)])
+    assert core.down == [0b100, 0b11, 0b1, 0b110]
+    assert listing(core.pairs, 1 << 0) == ([(0, 1), (0, 2), (0, 3)], False)
+    assert listing(core.strict_pairs, 1 << 0) == ([(0, 1), (0, 2), (2, 0)], True)
+    assert listing(core.pairs, 1 << 1) == ([(0, 1), (1, 2), (1, 3)], False)
+    assert listing(core.strict_pairs, 1 << 1) == ([(0, 1), (1, 1), (1, 3)], True)
+    assert listing(core.strict_pairs, 1 << 2) == ([(0, 2), (2, 0), (2, 3)], False)
+    assert listing(core.strict_pairs, 1 << 3) == ([(1, 3), (2, 3)], False)
 
 
 def test_poset_order_queries_keep_raw_semantics():
