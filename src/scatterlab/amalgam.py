@@ -868,25 +868,21 @@ def _grid_base(pp: Condition, qq: Condition, root, cross, base_meets) -> Conditi
     if _root_order(pp, root) != _root_order(qq, root):
         return make_condition("kappa", points, rel, base_meets, complete=True)
     core = OrderIndex(points, rel)
-    index = core.index
-    off = [
-        (i, j) if i < j else (j, i)
-        for i in (index[x] for x in pp.points - root)
-        for j in (index[y] for y in qq.points - root)
-    ]
+    own = core.owners((pp, qq))
+    off = [(i, j) for i, j in core.pairs() if not own[i] & own[j]]
     return condition_from_index("kappa", core, dict(base_meets), off)
 
 
-def _grown(cond: Condition, v: Point, lower, ups, owner) -> Condition:
-    """`cond` with the fresh point v placed above `lower` and below `ups`;
-    `owner` maps each member point to its member bits, and the pairs of
-    one member keep their meets.  No cycle can close: `lower` is a
-    down-set, sitting below v's level, and every point of `ups` above it."""
+def _grown(cond: Condition, v: Point, lower, ups, members) -> Condition:
+    """`cond` with the fresh point v placed above `lower` and below `ups`.
+    The pairs whose ends share an owner bit of `OrderIndex.owners(members)`
+    lie inside one member and keep their meets; every other pair with an
+    end at v or above it is forced again.  `lower`'s down-set is its
+    `OrderIndex.hull`.  No cycle can close: `lower` is a down-set, sitting
+    below v's level, and every point of `ups` above it."""
     core, bit = cond.core().inserted([v])
     index, up, down = core.index, core.up, core.down
-    low = high = 0
-    for w in lower:
-        low |= down[index[w]] | 1 << index[w]
+    low, high = core.hull(lower), 0
     for c in ups:
         high |= up[index[c]] | 1 << index[c]
     for i in bits(low):
@@ -895,7 +891,7 @@ def _grown(cond: Condition, v: Point, lower, ups, owner) -> Condition:
         down[j] |= low | bit
     q = bit.bit_length() - 1
     down[q], up[q] = low, high
-    own = [owner.get(x, 0) for x in core.pts]
+    own = core.owners(members)
     force = [(i, j) for i, j in core.pairs(high | bit) if not own[i] & own[j]]
     meets = cond.meet_table().copy()
     return condition_from_index("kappa", core, meets, force)
@@ -924,10 +920,6 @@ def _grid_amalgam(
         raise HypothesisViolationError(f"members disagree on the root meet of ({s}, {t})")
     # meet maps are keyed in point_key order, so a shared pair has one key
     base_meets = pp.meet_table() | qq.meet_table()
-    # bit 0: the point lies in pp, bit 1: in qq; fresh points own neither
-    owner = dict.fromkeys(pp.points, 1)
-    for x in qq.points:
-        owner[x] = owner.get(x, 0) | 2
     settled = pp.judged_valid(tree, None) and qq.judged_valid(tree, None)
     blocked = []
 
@@ -989,7 +981,7 @@ def _grid_amalgam(
                 ):
                     continue
                 placed_any = True
-                hit = attempt(_grown(cond, v, lower, ups, owner), fresh + (v,))
+                hit = attempt(_grown(cond, v, lower, ups, (pp, qq)), fresh + (v,))
                 if hit is not None:
                     return hit
         if not placed_any:
@@ -1012,16 +1004,11 @@ def _grid_amalgam(
 # pull back
 
 
-def _meet_max(core, below: List[int], cands: List[FrozenSet[Point]], pair):
+def _meet_max(core, cands: List[FrozenSet[Point]], pair):
     """The candidate every candidate lies below, one set lying below another
-    when its down-set, the OR of its points' `le` masks `below`, is inside
-    the other's."""
-    hulls = []
-    for c in cands:
-        hull = 0
-        for x in c:
-            hull |= below[core.index[x]]
-        hulls.append(hull)
+    when its down-set, its `OrderIndex.hull` in `core`, is inside the
+    other's."""
+    hulls = [core.hull(c) for c in cands]
     best = 0
     for k, hull in enumerate(hulls):
         if not hulls[best] & ~hull:
@@ -1105,10 +1092,9 @@ def pull_back(
         preimages: Dict[Point, List[Point]] = {}
         for src, dst in sorted(h.items(), key=lambda kv: point_key(kv[0])):
             preimages.setdefault(dst, []).append(src)
-        below = core.below()
         for s, t in itertools.combinations(sorted(points, key=point_key), 2):
             cands = [rp.meet(sp, tp) for sp in preimages[s] for tp in preimages[t]]
-            value = cands[0] if len(cands) == 1 else _meet_max(core, below, cands, (s, t))
+            value = cands[0] if len(cands) == 1 else _meet_max(core, cands, (s, t))
             meets[(s, t)] = frozenset(h[v] for v in value)
 
     tops, unjudged = z_nu | z_mu, -1

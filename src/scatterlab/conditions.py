@@ -326,6 +326,23 @@ class OrderIndex:
     def members(self, mask: int) -> List[Point]:
         return [self.pts[k] for k in bits(mask)]
 
+    def hull(self, points: Iterable[Point]) -> int:
+        """The mask of the points `le` some point of `points`."""
+        index, down, out = self.index, self.down, 0
+        for x in points:
+            k = index[x]
+            out |= down[k] | 1 << k
+        return out
+
+    def owners(self, members: Sequence["Poset"]) -> List[int]:
+        """One mask per position, with bit k set when the point there lies in
+        `members[k]`; every member point must be indexed here."""
+        index, out = self.index, [0] * len(self.pts)
+        for k, m in enumerate(members):
+            for x in m.points:
+                out[index[x]] |= 1 << k
+        return out
+
 
 class Poset:
     """Points, a strict order and a meet table, with the order queries
@@ -334,15 +351,15 @@ class Poset:
     The index masks are the only stored form of the order: `le` is
     reflexive on the points and false for any point outside them, and
     every query reads the masks as given.  `strict`, the order as point
-    pairs, is read off the masks on first use and kept in a slot outside
-    `_fields()` and the hash.  The meet table is one map from canonical
-    pairs `pair_key(s, t)` of distinct points to meet sets, and is the
-    only stored form of the meets: `meet_table()` returns it, and `meets`
-    lists its entries as rows `((s, t), value)` in `pairs()` order, built
-    afresh on each read.  A pair without an entry reads `_no_meet`.
+    pairs, is a frozenset built from `strict_pairs()` on each read.  The
+    meet table is one map from canonical pairs `pair_key(s, t)` of
+    distinct points to meet sets, and is the only stored form of the
+    meets: `meet_table()` returns it, and `meets` lists its entries as
+    rows `((s, t), value)` in `pairs()` order, built afresh on each read.
+    A pair without an entry reads `_no_meet`.
     """
 
-    __slots__ = ("dialect", "points", "_core", "_meet_map", "_strict")
+    __slots__ = ("dialect", "points", "_core", "_meet_map")
     _no_meet: Optional[FrozenSet[Point]] = None
 
     def __init__(
@@ -359,12 +376,8 @@ class Poset:
 
     @property
     def strict(self) -> FrozenSet[Tuple[Point, Point]]:
-        try:
-            return self._strict
-        except AttributeError:
-            pts = self._core.pts
-            self._strict = frozenset((pts[i], pts[j]) for i, j in self._core.strict_pairs())
-            return self._strict
+        pts = self._core.pts
+        return frozenset((pts[i], pts[j]) for i, j in self._core.strict_pairs())
 
     @property
     def meets(self) -> Tuple[Tuple[Tuple[Point, Point], FrozenSet[Point]], ...]:
@@ -688,13 +701,16 @@ def violations_touching(
     left out was judged valid already, as they stand in `p`.
 
     `members` are conditions that `p` extends (`leq`), each `judged_valid`
-    for `tree` and `F`.  Among the points and pairs above, the meet axiom
-    is still checked on every pair, and every other clause only on the
-    points in no member and the pairs inside no member (cross pairs
-    included).  Nothing stops early, so a check that `validate` would
-    raise from raises here too.  A pair inside a member keeps the verdict
-    it had there, clause by clause, because `leq` pins its order and its
-    meet value and the tree answers as it did:
+    for `tree` and `F`.  Which member holds a point is read from
+    `OrderIndex.owners(members)`, the one rule `amalgam`'s eta search also
+    reads to choose the pairs it forces.  Among the points and pairs
+    above, the meet axiom is still checked on every pair, and every other
+    clause only on the points with no owner bit and the pairs whose ends
+    share none (cross pairs included).  Nothing stops early, so a check
+    that `validate` would raise from raises here too.  A pair inside a
+    member keeps the verdict it had there, clause by clause, because
+    `leq` pins its order and its meet value and the tree answers as it
+    did:
     - grid and level-monotone read one point or one strict pair;
     - meet-arity and every meet-location clause read the pair, its
       comparability and its meet value; a pair that newly gains a common
@@ -707,8 +723,8 @@ def violations_touching(
     The pairs come from `pairs(fresh)` and `strict_pairs(fresh)`.  No
     whole `below` or `above` list is built: a clause reads the `down` or
     `up` row of a point it meets, with the point's own bit added where it
-    needs `le`, and the points below one of a meet value are ORed once per
-    distinct value in a call.
+    needs `le`, and the mask a meet value covers is read from
+    `OrderIndex.hull` once per distinct value in a call.
     """
     if p.judged_valid(tree, F):
         return []
@@ -721,11 +737,7 @@ def violations_touching(
     points = pts if fresh == -1 else core.members(fresh)
     owners: Optional[List[int]] = None
     if members:
-        # bit k of a position's owners: its point lies in members[k]
-        owners = [0] * len(pts)
-        for k, m in enumerate(members):
-            for x in m.points:
-                owners[index[x]] |= 1 << k
+        owners = core.owners(members)
         pairs = [(i, j) for i, j in pairs if not owners[i] & owners[j]]
         strict = [(i, j) for i, j in strict if not owners[i] & owners[j]]
         points = [x for x in points if not owners[index[x]]]
@@ -757,10 +769,7 @@ def violations_touching(
         value = table.get((s, t), none)
         covered = covers.get(value)
         if covered is None:
-            covered = 0
-            for k in map(index.__getitem__, value):
-                covered |= down[k] | 1 << k
-            covers[value] = covered
+            covered = covers[value] = core.hull(value)
         missed = (down[i] | 1 << i) & (down[j] | 1 << j) ^ covered
         if missed:
             out.append(

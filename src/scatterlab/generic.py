@@ -285,14 +285,15 @@ def run_schedule(
     the clauses that touch them, plus the size cap.  A step's condition
     moves the previous order rows into its own index, copies the previous
     meet map and adds the entries of its new pairs; the returned union
-    shares the last condition's index and map.  The check's mask is read
-    off the new points' positions: a realized point's own, or the point
+    shares the last condition's index and map.  A realize step checks
+    with mask 0, so only the size cap: a realized point is isolated, its
+    meets are empty, and a point off the grid was refused above, so no
+    clause on its pairs can fail.  An insertion step's mask is the point
     `extend_below` plants and the chain it ties above it, which are the
-    points at or above the planted one and not at or above the target.
-    That is sound because every step is monotone: a realized point is
-    isolated, and `extend_below`'s insertion is monotone (its docstring
-    gives the argument).  The previous condition passed every clause, so
-    the old pairs still do.
+    points at or above the planted one and not at or above the target;
+    that insertion is monotone (its docstring gives the argument).  The
+    previous condition passed every clause, so the old pairs still do,
+    and a clean check keeps the whole condition's verdict.
     """
     params = tree.params
     p = make_condition(dialect, [])
@@ -317,11 +318,8 @@ def run_schedule(
                     tree.path(x.level)
                 except TreeError as err:
                     fail(f"level not materialized: {err}", k, req)
-            if x in p.points:
-                p2, fresh = p, 0
-            else:
-                p2 = extend_condition(p, [x], ())
-                fresh = 1 << p2.core().index[x]
+            p2 = p if x in p.points else extend_condition(p, [x], ())
+            fresh = 0
         elif isinstance(req, PredecessorBelow):
             if req.target not in p.points:
                 fail("target point has not been realized", k, req)

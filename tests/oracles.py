@@ -458,6 +458,14 @@ def naive_deficient(cond, base_keys, tree):
     strict lower bounds that lack a unique maximum inside both orbits."""
     out = []
     rel = cond.strict
+    orbits = {}
+
+    def orbit(level):
+        # the tree's full walk, asked once per level in a call
+        if level not in orbits:
+            orbits[level] = set(tree.orbit(level))
+        return orbits[level]
+
     for s, t in _raw_pairs(cond):
         if frozenset((s, t)) in base_keys or (s, t) in rel or (t, s) in rel:
             continue
@@ -467,8 +475,8 @@ def naive_deficient(cond, base_keys, tree):
         maxima = [x for x in common if not any((x, y) in rel for y in common)]
         if (
             len(maxima) == 1
-            and maxima[0].level in tree.orbit(s.level)
-            and maxima[0].level in tree.orbit(t.level)
+            and maxima[0].level in orbit(s.level)
+            and maxima[0].level in orbit(t.level)
         ):
             continue
         out.append((s, t))

@@ -1588,6 +1588,35 @@ def test_pull_back_max_undefined(ktree):
     assert set(err.value.pair) == {ta, tc}
 
 
+def test_meet_max_names_its_pair_in_order(ktree):
+    eps = ktree.root_eps()
+    u1, u2, s, t = Point(eps[1], 0), Point(eps[2], 0), Point(TOP, 0), Point(TOP, 1)
+    core = make_condition("kappa", [u1, u2, s, t]).core()
+    with pytest.raises(MaxUndefinedError) as err:
+        amalgam._meet_max(core, [frozenset({u1}), frozenset({u2})], (s, t))
+    assert str(err.value) == "meet candidates of ((TOP, 0), (TOP, 1)) have no maximum"
+    assert err.value.pair == (s, t)
+
+
+def test_pull_back_checks_the_f_gap_above_the_root_alone(ktree):
+    """With gamma left out, the gap bound is the root's top level w, not
+    the first member's private point at w*6: a table of w*3 passes, and a
+    table of w is refused by name."""
+    eps = ktree.root_eps()
+    u, x = Point(eps[1], 0), Point(eps[6], 0)
+    t1, t2 = Point(TOP, 1), Point(TOP, 2)
+    a, b = Point(eps[8], 1), Point(eps[8], 2)
+    r_nu = make_condition("kappa", [u, x, t1], [(u, t1), (x, t1)], complete=True)
+    r_mu = make_condition("kappa", [u, t2], [(u, t2)], complete=True)
+    rp = make_condition("kappa", [u, x, a, b], [(u, a), (x, a), (u, b)], complete=True)
+    args = (r_nu, r_mu, {u: u, x: x, a: t1}, {u: u, b: t2}, ktree)
+    r = pull_back(rp, *args, flat_F(ktree, ktree.params.lambda_w, 3))
+    assert r.points == {u, x, t1, t2}
+    with pytest.raises(FGapError) as err:
+        pull_back(rp, *args, flat_F(ktree, ktree.params.lambda_w, 1))
+    assert str(err.value) == "F(1,2) = w not above w"
+
+
 def test_pull_back_breaks_an_equal_hull_tie_by_the_last_preimage(ktree):
     """The shared top's preimages, in point order, are b (w*9) and a (w*10).
     An omega amalgam may give c a meet with each that covers the same

@@ -199,6 +199,34 @@ def test_schedule_error_negative_floor(tree, F):
         run(tree, F, steps)
     assert err.value.step == 1
 
+def test_a_realize_step_can_fail_only_the_size_cap():
+    """A realized point is isolated and its grid cell was checked before,
+    so its step reports the size cap alone, and a clean step keeps the
+    whole condition's verdict, which the set-based oracle confirms."""
+    steps = [
+        RealizePoint(TOP, 0),
+        PredecessorBelow(Point(TOP, 0), parse("w+1"), 0),
+        RealizePoint(parse("w*2"), 3),
+    ]
+    for cap in (3, 4):
+        tree = IntervalTree(Params(parse("w^2"), kappa_w=8, lambda_w=12, e_budget=16, size_cap=cap))
+        F = flat_F(tree, 12, 12)
+        if cap == 3:
+            with pytest.raises(ScheduleError) as err:
+                run(tree, F, steps)
+            assert str(err.value) == (
+                "step 2 RealizePoint(level=Ordinal('w*2'), xi=3): "
+                "size-cap []: 4 points exceed cap 3"
+            )
+            assert err.value.step == 2
+            assert [c.size for c in err.value.trace] == [0, 1, 3]
+        else:
+            p = run(tree, F, steps).provenance[-1]
+            assert p.size == 4
+            assert p.judged_valid(tree, F)
+            assert naive_validate(p, tree, F) == []
+
+
 def test_schedule_error_level_out_of_range(tree, F):
     with pytest.raises(ScheduleError):
         run(tree, F, [RealizePoint(parse("w^2"), 0)])

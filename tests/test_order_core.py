@@ -219,6 +219,37 @@ def test_touching_pairs_are_the_full_listing_filtered(p, data):
         assert list(core.strict_pairs(mask)) == keep
 
 
+@settings(max_examples=200)
+@given(st.one_of(raw_posets(), st.sampled_from(["kappa", "omega"]).flatmap(conditions)), st.data())
+def test_hull_is_every_point_at_or_below_one_of_the_points(p, data):
+    """`hull(points)` holds the positions of the points `le` some point of
+    `points`, read from `strict`; raw orders (cycles, reflexive pairs)
+    included."""
+    core, strict = p.core(), p.strict
+    some = data.draw(st.lists(st.sampled_from(core.pts), unique=True)) if core.pts else []
+    want = 0
+    for k, y in enumerate(core.pts):
+        if any(y == x or (y, x) in strict for x in some):
+            want |= 1 << k
+    assert core.hull(some) == want
+
+
+@settings(max_examples=200)
+@given(st.one_of(raw_posets(), st.sampled_from(["kappa", "omega"]).flatmap(conditions)), st.data())
+def test_owners_sets_one_bit_per_member_holding_the_point(p, data):
+    core = p.core()
+    subsets = st.lists(st.sampled_from(core.pts), unique=True) if core.pts else st.just([])
+    members = [
+        make_condition(p.dialect, data.draw(subsets)) for _ in range(data.draw(st.integers(0, 3)))
+    ]
+    owners = core.owners(members)
+    assert len(owners) == len(core.pts)
+    for i, x in enumerate(core.pts):
+        for k, m in enumerate(members):
+            assert owners[i] >> k & 1 == (x in m.points)
+        assert owners[i] >> len(members) == 0
+
+
 def listing(method, mask):
     """What `method(mask)` lists, and whether it read the bits of the mask
     itself, as the merge-and-sort does and the one-point path does not."""

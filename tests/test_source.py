@@ -10,6 +10,7 @@ from pathlib import Path
 
 import scatterlab
 from scatterlab.conditions import Condition, Poset, condition_from_index
+from scatterlab.generic import FinitePoset
 from scatterlab.intervals import IntervalTree, Params
 from scatterlab.ordinals import Ordinal, parse
 
@@ -244,6 +245,15 @@ def test_the_order_and_the_tree_walk_are_stored_once():
     tree = IntervalTree(Params(eta=parse("w^2")))
     memos = sorted(name for name, value in vars(tree).items() if isinstance(value, dict))
     assert memos == ["_markers", "_orbits", "_splits", "_stamps", "_trails"]
+
+
+def test_no_poset_keeps_a_second_copy_of_its_order():
+    # `strict` is built from the masks on each read, so no slot holds point
+    # pairs, or a cache of them, that must be kept in step with the masks
+    assert Poset.__slots__ == ("dialect", "points", "_core", "_meet_map")
+    for cls in (Poset, Condition, FinitePoset):
+        slots = {name for k in cls.__mro__ for name in vars(k).get("__slots__", ())}
+        assert slots.isdisjoint({"strict", "_strict"})
 
 
 REIMPORT = """

@@ -6,10 +6,11 @@ mutant at a time: a comparison flipped (`<` and `<=`, `>` and `>=`, `==`
 and `!=`, `is` and `is not`, `in` and `not in`), `&` and `|`, `<<` and
 `>>`, `+` and `-`, `and` and `or` swapped, a `not` dropped, or an integer
 constant moved by +1 and by -1.  For each mutant it writes the module
-back as `ast.unparse` text and runs `tests/test_<module>.py` with `-x` in
-one child process, with a limit of TIMEOUT seconds per mutant.  A mutant
-is killed when pytest fails, survived when it passes and timed out when
-it overruns.
+back as `ast.unparse` text and runs the module's test files with `-x` in
+one child process, with a limit of TIMEOUT seconds per mutant.  The test
+files are `tests/test_<module>.py`, or the files TESTS lists for a module
+whose tests live in more than one.  A mutant is killed when pytest fails,
+survived when it passes and timed out when it overruns.
 
 Run it from the repository root, naming a module and its functions
 (`Class.method` for one method, a bare name for every function or method
@@ -41,6 +42,12 @@ SWAPS = {
     ast.In: ast.NotIn, ast.NotIn: ast.In, ast.BitAnd: ast.BitOr, ast.BitOr: ast.BitAnd,
     ast.LShift: ast.RShift, ast.RShift: ast.LShift, ast.Add: ast.Sub, ast.Sub: ast.Add,
     ast.And: ast.Or, ast.Or: ast.And,
+}
+# modules tested in more than tests/test_<module>.py: the order core's
+# listings, hulls and owners and its checker gates are in test_order_core.py
+TESTS = {
+    "conditions": ("test_conditions.py", "test_order_core.py"),
+    "generic": ("test_generic.py", "test_order_core.py"),
 }
 
 
@@ -99,10 +106,10 @@ def swap(holder, slot, value):
     return old
 
 
-def run_tests(copy: Path, test_file: str) -> str:
-    """killed, survived or timeout for `test_file` run in `copy`."""
+def run_tests(copy: Path, test_files) -> str:
+    """killed, survived or timeout for `test_files` run in `copy`."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
-    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", test_file]
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *test_files]
     child = subprocess.Popen(cmd, cwd=copy, env=env, stdout=subprocess.DEVNULL,
                              stderr=subprocess.DEVNULL, start_new_session=True)
     try:
@@ -121,7 +128,7 @@ def main(argv=None) -> int:
     parser.add_argument("module", help="a module of src/scatterlab, without .py")
     parser.add_argument("functions", nargs="+")
     args = parser.parse_args(argv)
-    test_file = f"tests/test_{args.module}.py"
+    test_files = [f"tests/{name}" for name in TESTS.get(args.module, (f"test_{args.module}.py",))]
     rel = Path("src", "scatterlab", args.module + ".py")
     tree = ast.parse((ROOT / rel).read_text())
     targets = functions(tree, set(args.functions))
@@ -133,7 +140,7 @@ def main(argv=None) -> int:
         skip = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis")
         shutil.copytree(ROOT, copy, ignore=skip)
         (copy / rel).write_text(ast.unparse(tree))
-        if run_tests(copy, test_file) != "survived":
+        if run_tests(copy, test_files) != "survived":
             print("the tests fail or time out on the unmutated module; nothing was mutated")
             return 1
         for qual, func in targets:
@@ -144,7 +151,7 @@ def main(argv=None) -> int:
                 (copy / rel).write_text(ast.unparse(tree))
                 swap(holder, slot, old)
                 start = time.perf_counter()
-                verdict = run_tests(copy, test_file)
+                verdict = run_tests(copy, test_files)
                 tally[qual][verdict] += 1
                 print(f"{rel.name}:{line} {qual}  {before!r} -> {after!r}  {verdict} "
                       f"{time.perf_counter() - start:.1f}s", flush=True)
