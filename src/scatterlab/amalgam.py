@@ -32,7 +32,8 @@ it already holds in normal form: ``push_down`` and ``pull_back`` rename
 their input's order index, and ``amalgamate_eta`` grows each search node
 from its parent.  Each judges its result and raises with the offending
 clause, in full unless a kept verdict covers a part: an eta leaf is judged
-on what it adds to members judged valid, a pull-back on its returned tops.
+on what it adds to members judged valid, a pull-back on its returned tops
+and the pairs of two tops.
 Only ``conditions.violations_touching`` keeps a verdict.
 ``separated_refine`` returns its family unjudged, since its construction
 proves every clause of ``separated_report``.
@@ -48,7 +49,6 @@ from .conditions import (
     TOP,
     Condition,
     ConditionError,
-    OrderIndex,
     Point,
     bits,
     condition_from_index,
@@ -461,9 +461,15 @@ def kerneldown_check(fam: SeparatedFamily):
 # top-heavy dialect amalgamation
 
 
-def _root_order(p: Condition, root: FrozenSet[Point]):
-    """The strict pairs of p between root points."""
-    return {(s, t) for s, t in p.strict if s in root and t in root}
+def _root_rows(p: Condition, root: FrozenSet[Point]) -> List[List[Point]]:
+    """p's order on the root as rows: for each root point in point_key
+    order, its `up` row restricted to the root, as points.  Two members
+    order the root alike when their rows are equal."""
+    core = p.core()
+    inside = 0
+    for u in root:
+        inside |= 1 << core.index[u]
+    return [core.members(core.up[i] & inside) for i in bits(inside)]
 
 
 def _root_meet_conflicts(p: Condition, q: Condition, root: FrozenSet[Point]):
@@ -512,7 +518,7 @@ def amalgamate_omega(
                 problems.append(
                     f"initial-segment: {name} member point {x} below root top level"
                 )
-    if _root_order(p, root) != _root_order(q, root):
+    if _root_rows(p, root) != _root_rows(q, root):
         problems.append("root order disagrees between the members")
     for s, t in _root_meet_conflicts(p, q, root):
         problems.append(f"root meet disagrees at ({s}, {t})")
@@ -737,13 +743,18 @@ def r2_report(
 
 def _r2_findings(r, pp, qq, pairing, root, cross) -> List[str]:
     """`r2_report`'s findings, given the members' `root` and `cross`, their
-    `_cross_order`."""
+    `_cross_order`.  The cross order is accepted by rows: each private
+    point's `up` row, restricted to the other member's private points, is
+    the mask of its upper ends in `cross`.  Only when a row differs are the
+    pairs listed one by one, to name each that disagrees."""
     out = []
     core = r.core()
     index, up, down = core.index, core.up, core.down
-    above = core.above()
-    rootmask = sum(1 << index[u] for u in root)
-    for y in sorted(r.points - pp.points - qq.points, key=point_key):
+    fresh = r.points - pp.points - qq.points
+    if fresh:
+        above = core.above()
+        rootmask = sum(1 << index[u] for u in root)
+    for y in sorted(fresh, key=point_key):
         j = index[y]
         for s in pp.sorted_points():
             i, k = index[s], index[pairing[s]]
@@ -755,24 +766,54 @@ def _r2_findings(r, pp, qq, pairing, root, cross) -> List[str]:
             i = index[s]
             if down[j] >> i & 1 and not rootmask & above[i] & down[j]:
                 out.append(f"root-passage: {s} reaches {y} off the root")
-    for s in sorted(pp.points - root, key=point_key):
-        for t in sorted(qq.points - root, key=point_key):
+    mine, theirs = pp.points - root, qq.points - root
+    if _cross_rows_agree(core, mine, theirs, cross):
+        return out
+    for s in sorted(mine, key=point_key):
+        for t in sorted(theirs, key=point_key):
             for a, b in ((s, t), (t, s)):
-                if up[index[a]] >> index[b] & 1 != ((a, b) in cross):
+                if up[index[a]] >> index[b] & 1 != (b in cross.get(a, ())):
                     out.append(f"cross-order: ({a}, {b}) disagrees with interpolants")
     return out
 
 
-def _cross_order(pp: Condition, qq: Condition, root: FrozenSet[Point]):
+def _cross_rows_agree(core, mine, theirs, cross) -> bool:
+    """Whether the `up` row of each point of `mine` and `theirs` in `core`,
+    restricted to the other set, is the mask of its upper ends in `cross`."""
+    index, up = core.index, core.up
+    for side, other in ((mine, theirs), (theirs, mine)):
+        others = 0
+        for b in other:
+            others |= 1 << index[b]
+        for a in side:
+            want = 0
+            for b in cross.get(a, ()):
+                want |= 1 << index[b]
+            if up[index[a]] & others != want:
+                return False
+    return True
+
+
+def _cross_order(pp: Condition, qq: Condition, root: FrozenSet[Point]) -> Dict[Point, List[Point]]:
     """The cross pairs between the members' private points that pass
-    through a root interpolant: (s, t) for s of pp and t of qq when
-    s < u < t for some root point u, and (t, s) when t < u < s."""
-    out = set()
+    through a root interpolant, as each lower end's upper ends in point_key
+    order: (s, t) for s private to one member and t to the other when
+    s < u < t for some root point u.  Read from the members' `down` masks:
+    the root points below t in its member, and the private points below
+    each of them in the other, both by position."""
+    out: Dict[Point, List[Point]] = {}
     for a, b in ((pp, qq), (qq, pp)):
-        under = {u: a.down(u) - root for u in root}
-        for t in b.points - root:
-            for u in b.down(t) & root:
-                out.update((s, t) for s in under[u])
+        ac, bc = a.core(), b.core()
+        private = ~sum(1 << ac.index[u] for u in root)
+        # by b's position of each root point u, a's private points below u
+        under = {bc.index[u]: ac.down[ac.index[u]] & private for u in root}
+        for k, t in enumerate(bc.pts):
+            if k not in under:
+                low = 0
+                for j in bits(bc.down[k]):
+                    low |= under.get(j, 0)
+                for s in ac.members(low):
+                    out.setdefault(s, []).append(t)
     return out
 
 
@@ -824,21 +865,24 @@ def amalgamate_eta(
     leaf reached was refused, both are None.
 
     Each search node equals `make_condition(..., complete=True)` on its
-    parts without being rebuilt from them.  The base node takes the
-    members' meets as they stand and forces only the cross pairs'; a child
-    grows from its parent's order index with the fresh point v inserted,
-    and only the pairs off the members with an end at v or above it are
-    forced again: no other pair's down-sets, comparability or maximal
-    common lower bounds change.
+    parts without being rebuilt from them.  The base node ORs the members'
+    order rows, moved to their positions in the merged index, with the
+    cross order, read from their `down` masks; it takes the members' meets
+    as they stand and forces only the cross pairs'.  A child grows from
+    its parent's order index with the fresh point v inserted, and only the
+    pairs off the members with an end at v or above it are forced again:
+    no other pair's down-sets, comparability or maximal common lower
+    bounds change.
 
     A leaf, a placement with no deficient pair left, is judged in this
     order: `leq` below both members; then, when both members are
     `judged_valid` for `tree` (push_down leaves them so), only what the
     leaf adds to them (`violations_touching` with the members, which
     keeps a clean verdict as `validate` does), else a full `validate`;
-    then `r2_report`'s cross-structure contract; then the fresh levels
-    against the stamp bound gamma.  A leaf that fails `leq` still runs
-    the full `validate`, so a check it would raise from raises.
+    then `r2_report`'s cross-structure contract, whose cross order is
+    accepted row by row; then the fresh levels against the stamp bound
+    gamma.  A leaf that fails `leq` still runs the full `validate`, so a
+    check it would raise from raises.
     """
     _require_grid_members(pp, qq)
     if pp != qq:
@@ -859,15 +903,29 @@ def _require_grid_members(pp: Condition, qq: Condition) -> None:
 
 
 def _grid_base(pp: Condition, qq: Condition, root, cross, base_meets) -> Condition:
-    """The search's first node: the members' union with the cross order.
-    When the members' root orders agree, the union is closed: a chain
-    that leaves one member through a root point and comes back climbs
-    between root points, which both members order alike."""
-    points = pp.points | qq.points
-    rel = pp.strict | qq.strict | cross
-    if _root_order(pp, root) != _root_order(qq, root):
-        return make_condition("kappa", points, rel, base_meets, complete=True)
-    core = OrderIndex(points, rel)
+    """The search's first node: the members' union with the cross order,
+    built from rows.  pp's index with qq's private points inserted holds
+    pp's rows at their merged positions; qq's `up` and `down` rows are moved
+    through its position map and ORed in, and so are the cross pairs.  When
+    the members' root orders agree, the union is closed: a chain that
+    leaves one member through a root point and comes back climbs between
+    root points, which both members order alike.  Otherwise its strict
+    pairs go to `make_condition`, which closes them."""
+    core, _ = pp.core().inserted(qq.points - root)
+    index, up, down, qc = core.index, core.up, core.down, qq.core()
+    at = [index[x] for x in qc.pts]
+    for rows, own in ((up, qc.up), (down, qc.down)):
+        for i, row in enumerate(own):
+            for j in bits(row):
+                rows[at[i]] |= 1 << at[j]
+    for s, tops in cross.items():
+        for t in tops:
+            up[index[s]] |= 1 << index[t]
+            down[index[t]] |= 1 << index[s]
+    if _root_rows(pp, root) != _root_rows(qq, root):
+        pts = core.pts
+        rel = [(pts[i], pts[j]) for i, j in core.strict_pairs()]
+        return make_condition("kappa", pts, rel, base_meets, complete=True)
     own = core.owners((pp, qq))
     off = [(i, j) for i, j in core.pairs() if not own[i] & own[j]]
     return condition_from_index("kappa", core, dict(base_meets), off)
@@ -1021,6 +1079,23 @@ def _meet_max(core, cands: List[FrozenSet[Point]], pair):
     return cands[best]
 
 
+def _landings_covered(core, landed, tree: IntervalTree) -> bool:
+    """Whether rp's verdict, `core` its order index, covers every pair of a
+    kept point and a landing point once the landing point is renamed to its
+    top: each landing level is a root marker, and no point below a landing
+    point lies in the depth-1 interval that ends at its level, where the
+    landing point itself would be the interpolant witness.  Positions sort
+    by level, so the highest bit of a landing point's `down` row is the
+    point below it whose depth-1 interval ends highest."""
+    for z in landed:
+        if not tree.is_root_marker(z.level):
+            return False
+        low = core.down[core.index[z]]
+        if low and tree.locate(core.pts[low.bit_length() - 1].level, 1).hi == z.level:
+            return False
+    return True
+
+
 def pull_back(
     rp: Condition,
     r_nu: Condition,
@@ -1049,11 +1124,31 @@ def pull_back(
     point renamed to its top (the tops sort last, and the landing points of
     a shared top merge), and the kept points' down-sets, order, meets and
     interpolant witnesses are rp's own; otherwise the result is built
-    through `make_condition`.  With that index and rp a kappa condition
-    `judged_valid` for `tree`, only the returned tops and the pairs with an
-    end among them are checked, and a clean check keeps the result's
-    verdict as a full one would; otherwise the result is validated in
-    full.  Last, it must lie below both members.
+    through `make_condition`.
+
+    With that index and rp a kappa condition `judged_valid` for `tree`,
+    `violations_touching` checks the size cap, each returned top's grid
+    cell and every clause on a pair of two tops with a returned top among
+    them.  rp's verdict covers each pair (x, z) of a kept point x and a
+    returned top z, landed from l at eps[k], a root marker:
+    - the renaming carries order and meets over.  At a shared top the meet
+      is `_meet_max`'s candidate, whose down-set holds the other
+      candidates', so it covers every common lower bound;
+    - a landing point is maximal, so no meet value holds it, and the orbit
+      of eps[k] is the root markers below it: rp's orbit test on (x, l) is
+      the top clause's root-marker test on (x, z);
+    - when x < l, x.level < eps[k], so `j_and_J` splits their paths at
+      depth 1, the interval that eta's convention gives x below a top, and
+      the interpolant clause asks for a witness at its right end.  That
+      witness is rp's unless the interval ends at eps[k], where it is l.
+    `_landings_covered` confirms that every landing level is a root marker
+    and that no point below a landing point lies in the interval ending at
+    its level; otherwise every pair with a returned top is checked.  A
+    clean check keeps the result's verdict, and the `validate` that
+    follows answers from it; a check that finds a clause keeps none, and
+    `validate` names every clause the result breaks.  Without that index
+    or verdict the result is validated in full.  Last, it must lie below
+    both members.
     """
     pushed_nu = {k: v for k, v in g_nu.items() if k != v}
     pushed_mu = {k: v for k, v in g_mu.items() if k != v}
@@ -1097,19 +1192,24 @@ def pull_back(
             value = cands[0] if len(cands) == 1 else _meet_max(core, cands, (s, t))
             meets[(s, t)] = frozenset(h[v] for v in value)
 
-    tops, unjudged = z_nu | z_mu, -1
+    tops = z_nu | z_mu
     if keep.isdisjoint(tops) and not any(core.up[core.index[x]] for x in landed):
         # nothing sits above a landing point, so rp's order index is r's
         # with each landing point renamed to its top: the kept points' rows,
         # meets and interpolant witnesses are rp's own
         r = condition_from_index("kappa", core.renamed(h), meets)
         if rp.dialect == "kappa" and rp.judged_valid(tree, None):
-            index = r.core().index
-            unjudged = sum(1 << index[z] for z in tops)
+            rc = r.core()
+            returned = sum(1 << rc.index[z] for z in tops)
+            within = rc.levels.get(TOP, 0) if _landings_covered(core, landed, tree) else -1
+            # a clean check keeps r's verdict, which validate answers from
+            # below; one that finds a clause keeps none, and validate names
+            # every clause r breaks
+            violations_touching(r, tree, F, returned, (), within)
     else:
         rel = [(s, h[t]) for s, t in rp.strict if s in keep]
         r = make_condition("kappa", points, rel, meets)
-    _require_valid(validate(r, tree, F, unjudged), "pull-back")
+    _require_valid(validate(r, tree, F), "pull-back")
     for member, name in ((r_nu, "first"), (r_mu, "second")):
         if not leq(r, member):
             raise AmalgamError(f"pull-back is not below the {name} member")

@@ -231,10 +231,12 @@ class OrderIndex:
         position f of the mask, as (i, f) for each i < f off the mask and
         (f, j) for each j > f, so a pair with both ends in it is listed
         once.  A mask of one bit gives them in order; a wider one sorts
-        them."""
+        them.  A mask with a bit past the last position is refused."""
         n = len(self.pts)
         if touching == -1:
             return list(itertools.combinations(range(n), 2))
+        if touching >> n > 0:
+            raise ConditionError(f"mask {touching} has a bit past the last of {n} positions")
         if touching > 0 and not touching & (touching - 1):
             f = touching.bit_length() - 1
             return [(i, f) for i in range(f)] + [(f, j) for j in range(f + 1, n)]
@@ -687,11 +689,13 @@ def violations_touching(
     F: Optional[UnboundedFn],
     fresh: int,
     members: Sequence[Condition] = (),
+    within: int = -1,
 ) -> List[Violation]:
     """`validate`'s findings on the points in the mask `fresh` (positions in
     `p.core()`, -1 for every point) and on the pairs with an end among
     them, in `validate`'s order; the size cap is checked whatever `fresh`
-    holds.
+    holds.  A mask `within` narrows both to the points in it and the pairs
+    with both ends in it (`amalgam.pull_back` passes the top points).
 
     This is the one function that keeps a verdict and the one check that
     answers from it: a condition `judged_valid` for `tree` and `F` gets []
@@ -720,7 +724,8 @@ def violations_touching(
     The meet axiom is the one exception: a new point can sit below both
     ends of an old pair.
 
-    The pairs come from `pairs(fresh)` and `strict_pairs(fresh)`.  No
+    The pairs come from `pairs(fresh)` and `strict_pairs(fresh)`, or with
+    `within` from the pairs of its positions and their `up` rows.  No
     whole `below` or `above` list is built: a clause reads the `down` or
     `up` row of a point it meets, with the point's own bit added where it
     needs `le`, and the mask a meet value covers is read from
@@ -732,8 +737,18 @@ def violations_touching(
     out: List[Violation] = []
     core = p.core()
     pts, index, down = core.pts, core.index, core.down
-    meet_pairs = pairs = core.pairs(fresh)
-    strict = core.strict_pairs(fresh)
+    if within == -1:
+        meet_pairs = pairs = core.pairs(fresh)
+        strict = core.strict_pairs(fresh)
+    else:
+        inner = bits(within)
+        meet_pairs = pairs = [
+            (i, j) for i, j in itertools.combinations(inner, 2) if (fresh >> i | fresh >> j) & 1
+        ]
+        strict = [
+            (i, j) for i in inner for j in bits(core.up[i] & within) if (fresh >> i | fresh >> j) & 1
+        ]
+        fresh &= within
     points = pts if fresh == -1 else core.members(fresh)
     owners: Optional[List[int]] = None
     if members:
@@ -900,8 +915,8 @@ def leq(q: Condition, p: Condition) -> bool:
             want |= 1 << at[j]
         if qc.up[at[i]] & inside != want:
             return False
-    table = q.meet_table()
-    return all(table.get(key, frozenset()) == value for key, value in p.meet_table().items())
+    # meet tables are total and keyed by pair_key, so p's pairs are q's keys
+    return p.meet_table().items() <= q.meet_table().items()
 
 
 def _fresh_column(core: OrderIndex, level: Level, floor: int, cap: int) -> Point:

@@ -731,6 +731,20 @@ def _sorted_strict(p):
     return sorted(p.strict, key=lambda st: (st[0]._key, st[1]._key))
 
 
+def naive_leq(q, p):
+    """`conditions.leq` by point-pair tests: the same dialect, p's points
+    inside q's, q's strict pairs between p's points exactly p's, and q's meet
+    of each of p's pairs, a missing entry read as empty, equal to p's, entry
+    by entry."""
+    if q.dialect != p.dialect or not p.points <= q.points:
+        return False
+    inside = {(s, t) for s, t in q.strict if s in p.points and t in p.points}
+    if inside != set(p.strict):
+        return False
+    table = q.meet_table()
+    return all(table.get(key, frozenset()) == value for key, value in p.meet_table().items())
+
+
 def naive_validate(p, tree, F=None):
     """`conditions.validate` by point-pair membership tests, no masks."""
     params = tree.params

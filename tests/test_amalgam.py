@@ -1252,7 +1252,16 @@ def test_r2_report_names_mirror_down_root_passage_and_cross_order(ktree):
     assert r2_report(crossed, pp, qq, mirror) == [
         f"cross-order: ({x}, {b}) disagrees with interpolants",
     ]
-    for r in (leaf, crossed):
+    # x < v mends the mirror, but x, above the lowest position, reaches v
+    # off the root, and b through v
+    passed = make_condition("kappa", leaf.points, set(leaf.strict) | {(x, v)}, dict(leaf.meets))
+    assert leaf.core().index[x] > 0
+    assert r2_report(passed, pp, qq, mirror) == [
+        f"root-passage: {y} reaches {v} off the root",
+        f"root-passage: {x} reaches {v} off the root",
+        f"cross-order: ({x}, {b}) disagrees with interpolants",
+    ]
+    for r in (leaf, crossed, passed):
         assert r2_report(r, pp, qq, mirror) == naive_r2_report(r, pp, qq, mirror)
 
 
@@ -1405,6 +1414,68 @@ def test_root_order_disagreement_is_closed_as_the_oracle_closes_it(ktree):
     u1, b = Point(ktree.root_eps()[1], 0), Point(ktree.root_eps()[7], 0)
     assert (u1, b) in base.strict and (u1, b) not in pp.strict | qq.strict
     eta_against_oracle(pp, qq, pairing, stamps, ktree, max_fresh)
+
+
+def test_grid_base_is_the_union_with_its_cross_order_completed(ktree):
+    """The base node, built from the members' rows, is `make_condition(...,
+    complete=True)` on both strict sets and the cross order, index and all,
+    for every seeded pair and for members whose root orders disagree; the
+    cross order is the root-interpolant relation, read by point tests."""
+    instances = [eta_inputs(ktree, seed)[2:4] for seed in range(60)]
+    instances += [root_order_instance(ktree)[:2], r2_instance(ktree)[:2]]
+    # private points on both sides of the root u, none at the lowest position,
+    # and the root points r and w below u: the cross order is (s, t) and
+    # (s2, t2)
+    eps = ktree.root_eps()
+    r, s, s2, w, u, t, t2 = (Point(eps[k], 0) for k in (1, 2, 3, 4, 5, 6, 7))
+    below = [(r, u), (w, u)]
+    pp = make_condition("kappa", [r, s, w, u, t2], below + [(s, u), (u, t2)], complete=True)
+    qq = make_condition("kappa", [r, s2, w, u, t], below + [(s2, u), (u, t)], complete=True)
+    assert amalgam._cross_order(pp, qq, frozenset({r, w, u})) == {s: [t], s2: [t2]}
+    instances.append((pp, qq))
+    for pp, qq in instances:
+        root = pp.points & qq.points
+        ordered = sorted(root, key=point_key)
+        for m in (pp, qq):
+            rows = [[t for t in ordered if m.lt(u, t)] for u in ordered]
+            assert amalgam._root_rows(m, root) == rows
+        cross = amalgam._cross_order(pp, qq, root)
+        pairs = {(s, t) for s, tops in cross.items() for t in tops}
+        want = {
+            (s, t)
+            for a, b in ((pp, qq), (qq, pp))
+            for s in a.points - root
+            for t in b.points - root
+            if any(a.lt(s, u) and b.lt(u, t) for u in root)
+        }
+        assert pairs == want
+        assert all(tops == sorted(tops, key=point_key) for tops in cross.values())
+        base_meets = pp.meet_table() | qq.meet_table()
+        rel = pp.strict | qq.strict | pairs
+        full = make_condition("kappa", pp.points | qq.points, rel, base_meets, complete=True)
+        assert_rebuilt(amalgam._grid_base(pp, qq, root, cross, base_meets), full)
+
+
+def test_the_cross_order_of_every_seeded_amalgam_is_accepted_by_rows(ktree):
+    """`r2_report` lists the cross pairs one by one only when a row differs:
+    every seeded amalgam and the member union are accepted by rows, and a
+    union with one cross pair added is not."""
+    for seed in range(60):
+        _, _, pp, qq, _, _, pairing, stamps, _ = eta_inputs(ktree, seed)
+        root = pp.points & qq.points
+        cross = amalgam._cross_order(pp, qq, root)
+        mine, theirs = pp.points - root, qq.points - root
+        r = amalgamate_eta(pp, qq, pairing, stamps, ktree).condition
+        for cond in (r, naive_eta_base(pp, qq)):
+            assert amalgam._cross_rows_agree(cond.core(), mine, theirs, cross)
+    pp, qq, pairing, _ = r2_instance(ktree)
+    root = pp.points & qq.points
+    x, b = Point(ktree.root_eps()[2], 0), Point(ktree.root_eps()[6], 2)
+    base = naive_eta_base(pp, qq)
+    crossed = make_condition("kappa", base.points, set(base.strict) | {(x, b)}, dict(base.meets))
+    cross = amalgam._cross_order(pp, qq, root)
+    assert amalgam._cross_rows_agree(base.core(), pp.points - root, qq.points - root, cross)
+    assert not amalgam._cross_rows_agree(crossed.core(), pp.points - root, qq.points - root, cross)
 
 
 def test_r2_report_flags_broken_mirror(ktree):
@@ -1646,20 +1717,28 @@ def test_pull_back_fgap(ktree):
 
 
 def judged_pull_back(rp, *args):
-    """`pull_back(rp, *args)`'s result or AmalgamError, and every `validate`
-    it ran as (mask, condition, findings)."""
+    """`pull_back(rp, *args)`'s result or AmalgamError, and every check it
+    ran as (fresh, within, condition, findings): its narrowed
+    `violations_touching` call, if any, then its `validate` call, which
+    reads within as -1."""
     calls = []
 
-    def spy(cond, tree, F=None, fresh=-1):
-        found = validate(cond, tree, F, fresh)
-        calls.append((fresh, cond, found))
+    def narrowed(cond, tree, F, fresh, members=(), within=-1):
+        found = violations_touching(cond, tree, F, fresh, members, within)
+        calls.append((fresh, within, cond, found))
         return found
 
-    with mock.patch.object(amalgam, "validate", spy):
-        try:
-            return pull_back(rp, *args), calls
-        except AmalgamError as err:
-            return err, calls
+    def full(cond, tree, F=None, fresh=-1):
+        found = validate(cond, tree, F, fresh)
+        calls.append((fresh, -1, cond, found))
+        return found
+
+    with mock.patch.object(amalgam, "validate", full):
+        with mock.patch.object(amalgam, "violations_touching", narrowed):
+            try:
+                return pull_back(rp, *args), calls
+            except AmalgamError as err:
+                return err, calls
 
 
 def unjudged(cond):
@@ -1683,26 +1762,29 @@ PULL_TABLES = st.one_of(st.none(), st.integers(1, 12))
 @example(seed=0, flat=None)
 def test_pull_back_judges_the_returned_tops_as_validate_judges_all(ktree, seed, flat):
     """With the amalgam's verdict kept, pull_back checks only the returned
-    tops and their pairs, and answers as the full check of an unjudged
-    twin: the same condition, or the same refusal; the narrowed findings
-    are `naive_validate`'s, and the condition judged, built from the
-    amalgam's order index, is `naive_pull_back`'s, index and all.  Seeds 5
-    and 10 share a top, so its two landing points merge and each meet is a
-    maximum over preimages; seed 0 merges none, and its meets are rp's,
-    renamed."""
+    tops and the pairs of two tops, and answers as the full check of an
+    unjudged twin: the same condition, or the same refusal; the narrowed
+    findings are `naive_validate`'s, and the condition judged, built from
+    the amalgam's order index, is `naive_pull_back`'s, index and all.  The
+    `validate` that follows answers from a clean check's verdict, or finds
+    the same clauses.  Seeds 5 and 10 share a top, so its two landing
+    points merge and each meet is a maximum over preimages; seed 0 merges
+    none, and its meets are rp's, renamed."""
     r_nu, r_mu, pp, qq, g_nu, g_mu, pairing, stamps, F = eta_inputs(ktree, seed)
     if flat is not None:
         F = flat_F(ktree, ktree.params.lambda_w, flat)
     res = amalgamate_eta(pp, qq, pairing, stamps, ktree)
     assert res.condition.judged_valid(ktree, None)
     args = (r_nu, r_mu, g_nu, g_mu, ktree, F, res.gamma)
-    fast, narrowed = judged_pull_back(res.condition, *args)
+    fast, checks = judged_pull_back(res.condition, *args)
     full, whole = judged_pull_back(unjudged(res.condition), *args)
-    assert [fresh for fresh, _, _ in whole] == [-1] * len(whole)
-    assert len(narrowed) == len(whole) <= 1
-    for (fresh, r, found), (_, twin, want) in zip(narrowed, whole):
-        assert fresh == tops_mask(r) and r == twin
+    assert [(fresh, within) for fresh, within, _, _ in whole] == [(-1, -1)] * len(whole)
+    assert len(checks) == 2 * len(whole) <= 2
+    for narrowed, last, (_, _, twin, want) in zip(checks[::2], checks[1::2], whole):
+        fresh, within, r, found = narrowed
+        assert fresh == within == tops_mask(r) and r == twin
         assert found == want == naive_validate(r, ktree, F)
+        assert last == (-1, -1, r, want)
         assert_rebuilt(r, naive_pull_back(res.condition, g_nu, g_mu))
     if isinstance(full, AmalgamError):
         assert type(fast) is type(full) and str(fast) == str(full)
@@ -1763,7 +1845,7 @@ def test_pull_back_without_a_kept_verdict_validates_in_full(ktree):
     res = amalgamate_eta(pp, qq, pairing, stamps, ktree)
     args = (r_nu, r_mu, g_nu, g_mu, ktree, F, res.gamma)
     r, calls = judged_pull_back(unjudged(res.condition), *args)
-    assert [(fresh, found) for fresh, _, found in calls] == [(-1, [])]
+    assert [(fresh, within, found) for fresh, within, _, found in calls] == [(-1, -1, [])]
     assert r == judged_pull_back(res.condition, *args)[0]
 
 
@@ -1777,7 +1859,7 @@ def test_pull_back_with_a_point_above_a_landing_point_validates_in_full(ktree):
     assert validate(rp, ktree) == []
     F = flat_F(ktree, ktree.params.lambda_w, 12)
     err, calls = judged_pull_back(rp, r, r, g, g, ktree, F)
-    assert [fresh for fresh, _, _ in calls] == [-1]
+    assert [(fresh, within) for fresh, within, _, _ in calls] == [(-1, -1)]
     assert str(err) == (
         "pull-back failed validation: "
         "meet-axiom [(w*10, 0), (TOP, 0)]: lower-bound set mismatch at {(TOP, 0)}; "
@@ -1796,7 +1878,7 @@ def test_pull_back_onto_a_kept_point_validates_in_full(ktree):
     g = {u: u, w: w, landed: w}
     F = flat_F(ktree, ktree.params.lambda_w, 12)
     out, calls = judged_pull_back(rp, r, r, g, g, ktree, F)
-    assert [(fresh, found) for fresh, _, found in calls] == [(-1, [])]
+    assert [(fresh, within, found) for fresh, within, _, found in calls] == [(-1, -1, [])]
     assert out == r
 
 
@@ -1813,21 +1895,103 @@ def test_pull_back_from_an_omega_amalgam_validates_in_full(ktree):
     g = {landed: z}
     F = flat_F(ktree, ktree.params.lambda_w, 12)
     err, calls = judged_pull_back(rp, r, r, g, g, ktree, F)
-    assert [fresh for fresh, _, _ in calls] == [-1]
+    assert [(fresh, within) for fresh, within, _, _ in calls] == [(-1, -1)]
     assert str(err).startswith("pull-back failed validation: meet-arity [(w*5, 0), (w*6, 0)]")
 
 
 def test_pull_back_names_what_the_returned_tops_break(ktree):
     # the top's column is past lambda_w = 8; the amalgam itself is valid
-    # and judged, so only the top and its pairs are checked
+    # and judged, so only the top and the pairs of two tops are checked,
+    # and validate then names the same clause in full
     r, pp, g = pushed_top(ktree, 8)
     assert pp.judged_valid(ktree, None)
     F = flat_F(ktree, ktree.params.lambda_w, 12)
     err, calls = judged_pull_back(pp, r, r, g, g, ktree, F)
-    assert [fresh for fresh, _, _ in calls] == [tops_mask(calls[0][1])] != [-1]
+    tops = tops_mask(calls[0][2])
+    assert [(fresh, within) for fresh, within, _, _ in calls] == [(tops, tops), (-1, -1)]
+    assert calls[0][3] == calls[1][3] == naive_validate(calls[0][2], ktree, F)
     want = "pull-back failed validation: grid [(TOP, 8)]: top column 8 out of range"
     assert str(err) == want
     assert str(judged_pull_back(unjudged(pp), r, r, g, g, ktree, F)[0]) == want
+
+
+def test_pull_back_from_a_landing_level_off_the_root_markers_checks_every_top_pair(ktree):
+    # l sits at w*9 + 1, no root marker, so the pairs of kept points with
+    # the returned top are checked too: the mask of pairs is not narrowed
+    eps = ktree.root_eps()
+    u, landed, z = Point(eps[1], 0), Point(eps[9] + ONE, 0), Point(TOP, 0)
+    rp = make_condition("kappa", [u, landed], [(u, landed)], complete=True)
+    assert validate(rp, ktree) == []
+    r = make_condition("kappa", [u, z], [(u, z)], complete=True)
+    g = {u: u, landed: z}
+    F = flat_F(ktree, ktree.params.lambda_w, 12)
+    out, calls = judged_pull_back(rp, r, r, g, g, ktree, F)
+    tops = tops_mask(calls[0][2])
+    assert [(fresh, within, found) for fresh, within, _, found in calls] == [
+        (tops, -1, []),
+        (-1, -1, []),
+    ]
+    assert out == r == judged_pull_back(unjudged(rp), r, r, g, g, ktree, F)[0]
+
+
+def test_pull_back_below_a_landing_point_in_its_last_interval_checks_every_top_pair(ktree):
+    """x at w*8 + 1 lies in [w*8, w*9), the depth-1 interval that ends at
+    the landing level w*9, so in rp the landing point itself is the
+    interpolant witness for (x, l).  The returned top leaves no point at
+    w*9: the check of the top pairs alone would miss that, so every pair
+    with the returned top is checked and the refusal is named."""
+    eps = ktree.root_eps()
+    x, landed, z = Point(eps[8] + ONE, 0), Point(eps[9], 0), Point(TOP, 0)
+    rp = make_condition("kappa", [x, landed], [(x, landed)], complete=True)
+    assert validate(rp, ktree) == []
+    member = make_condition("kappa", [x, z], [(x, z)], complete=True)
+    g = {x: x, landed: z}
+    F = flat_F(ktree, ktree.params.lambda_w, 12)
+    err, calls = judged_pull_back(rp, member, member, g, g, ktree, F)
+    r = calls[0][2]
+    tops = tops_mask(r)
+    assert [(fresh, within) for fresh, within, _, _ in calls] == [(tops, -1), (-1, -1)]
+    want = naive_validate(r, ktree, F)
+    assert calls[0][3] == calls[1][3] == want != []
+    assert violations_touching(unjudged(r), ktree, F, tops, (), tops) == []
+    assert str(err) == (
+        "pull-back failed validation: isolation-interpolant [(w*8 + 1, 0), (TOP, 0)]: "
+        "split interval [w*8, w*9) isolates but no point sits at w*9"
+    )
+    assert str(judged_pull_back(unjudged(rp), member, member, g, g, ktree, F)[0]) == str(err)
+
+
+@pytest.mark.parametrize("flat", [1, 12])
+def test_pull_back_checks_a_kept_top_against_the_returned_top(ktree, flat):
+    """The kept top y and the landing point l meet at u in rp, a top and a
+    sub-top point; once l returns as the top z, (y, z) is a pair of two tops,
+    whose meet must lie below F's value.  The narrowed check covers it: a
+    table of w refuses the meet at w, a table of w*12 keeps it."""
+    eps = ktree.root_eps()
+    u, landed = Point(eps[1], 0), Point(eps[9], 0)
+    y, z = Point(TOP, 1), Point(TOP, 0)
+    rp = make_condition("kappa", [u, landed, y], [(u, landed), (u, y)], complete=True)
+    assert validate(rp, ktree) == [] and rp.meet(landed, y) == {u}
+    member = make_condition("kappa", [u, y, z], [(u, y), (u, z)], complete=True)
+    g = {u: u, y: y, landed: z}
+    F = flat_F(ktree, ktree.params.lambda_w, flat)
+    out, calls = judged_pull_back(rp, member, member, g, g, ktree, F)
+    r = calls[0][2]
+    returned = 1 << r.core().index[z]
+    assert [(fresh, within) for fresh, within, _, _ in calls] == [
+        (returned, tops_mask(r)),
+        (-1, -1),
+    ]
+    assert calls[0][3] == calls[1][3] == naive_validate(r, ktree, F)
+    twin = judged_pull_back(unjudged(rp), member, member, g, g, ktree, F)[0]
+    if flat == 1:
+        want = (
+            "pull-back failed validation: "
+            "meet-location [(TOP, 0), (TOP, 1)]: w not a root marker below F value w"
+        )
+        assert str(out) == str(twin) == want
+    else:
+        assert out == twin == member and out.judged_valid(ktree, F)
 
 
 # --- the kappa route end to end ------------------------------------------------

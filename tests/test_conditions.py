@@ -981,6 +981,31 @@ def test_the_check_of_a_mask_is_the_full_oracle_on_its_points_and_pairs(drawn, d
         assert got == want or isinstance(got, list)
 
 
+@settings(max_examples=300, deadline=None)
+@given(extensions(), st.data())
+def test_the_check_within_a_mask_is_the_full_oracle_on_the_pairs_inside_it(drawn, data):
+    """With a second mask `within`, `violations_touching` reports, in
+    order, exactly the findings of the full oracle on the points of both
+    masks and on the pairs with both ends in `within` and one in `fresh`,
+    and the size cap."""
+    cond, _ = drawn
+    tree = kappa_tree()
+    masks = st.integers(0, (1 << cond.size) - 1)
+    fresh, within = data.draw(st.one_of(st.just(-1), masks)), data.draw(masks)
+    index = cond.core().index
+    want = outcome(naive_validate, cond, tree)
+    got = outcome(conditions.violations_touching, cond, tree, None, fresh, (), within)
+    if isinstance(want, list):
+        inside = [
+            v for v in want
+            if all(within >> index[x] & 1 for x in v.points)
+            and (not v.points or any(fresh >> index[x] & 1 for x in v.points))
+        ]
+        assert got == inside
+    else:
+        assert got == want or isinstance(got, list)
+
+
 def test_the_check_of_what_an_extension_adds_counts_meet_points_on_cross_pairs(tree):
     # (a, b) has one end in the member and one outside it, and two meet points
     a, b, c, d = pt("w*3"), pt("w*4"), pt("w", 0), pt("w", 1)

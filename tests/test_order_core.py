@@ -25,6 +25,7 @@ from scatterlab.conditions import (
     OrderIndex,
     Point,
     condition_to_text,
+    leq,
     make_condition,
     point_key,
     validate,
@@ -56,6 +57,7 @@ from .corpus import (
 )
 from .oracles import (
     naive_complete_meets,
+    naive_leq,
     naive_poset_block,
     naive_skeleton_check,
     naive_sposet_check,
@@ -248,6 +250,64 @@ def test_owners_sets_one_bit_per_member_holding_the_point(p, data):
         for k, m in enumerate(members):
             assert owners[i] >> k & 1 == (x in m.points)
         assert owners[i] >> len(members) == 0
+
+
+def test_pairs_refuses_a_mask_bit_past_the_last_point():
+    """A one-bit mask and a wider one, each with a bit at or past the
+    number of points, name no pairs that exist."""
+    core = OrderIndex([Point(TOP, k) for k in range(3)], [])
+    for mask in (1 << 3, 1 << 7, 1 << 3 | 1, 0b1111):
+        with pytest.raises(ConditionError) as err:
+            core.pairs(mask)
+        assert str(err.value) == f"mask {mask} has a bit past the last of 3 positions"
+    assert core.pairs(0b111) == [(0, 1), (0, 2), (1, 2)]
+    assert core.pairs(1 << 2) == [(0, 2), (1, 2)]
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(["kappa", "omega"]).flatmap(conditions), st.data())
+def test_leq_matches_the_oracle_on_restrictions_and_their_mutants(cond, data):
+    """`leq` against `naive_leq`, in both directions, between a condition
+    and a restriction of it to some of its points: the strict pairs inside,
+    the meets whose values stay inside, and then a few meet entries
+    replaced or an order pair dropped."""
+    keep = set(data.draw(st.lists(st.sampled_from(cond.sorted_points()), unique=True)))
+    rel = {(s, t) for s, t in cond.strict if s in keep and t in keep}
+    meets = {
+        key: value
+        for key, value in cond.meet_table().items()
+        if keep.issuperset(key) and value <= keep
+    }
+    for _ in range(data.draw(st.integers(0, 2))):
+        if meets and data.draw(st.booleans()):
+            key = data.draw(st.sampled_from(sorted(meets, key=lambda k: (k[0]._key, k[1]._key))))
+            meets[key] = frozenset(data.draw(st.lists(st.sampled_from(sorted(keep, key=point_key)))))
+        elif rel:
+            rel.discard(data.draw(st.sampled_from(sorted(rel, key=lambda k: (k[0]._key, k[1]._key)))))
+    part = make_condition(cond.dialect, keep, rel, meets)
+    other = make_condition("omega" if cond.dialect == "kappa" else "kappa", keep, rel, meets)
+    for q, p in ((cond, part), (part, cond), (cond, cond), (part, part), (cond, other)):
+        assert leq(q, p) == naive_leq(q, p)
+
+
+@settings(max_examples=200)
+@given(st.one_of(raw_posets(), st.sampled_from(["kappa", "omega"]).flatmap(conditions)), st.data())
+def test_renamed_is_the_index_of_the_renamed_points_and_pairs(p, data):
+    """`OrderIndex.renamed(new)` is the index built from the renamed points
+    and strict pairs, rows and level masks included, whether no position
+    moves, some do, or points renamed alike merge; raw orders (cycles,
+    reflexive pairs) included."""
+    core = p.core()
+    eps = TREES["kappa"].root_eps()
+    targets = [Point(level, xi) for level in (eps[0], eps[2], TOP) for xi in (10, 11)]
+    new = {x: data.draw(st.sampled_from(targets)) for x in core.pts if data.draw(st.booleans())}
+    got = core.renamed(new)
+    want = OrderIndex(
+        {new.get(x, x) for x in core.pts},
+        {(new.get(s, s), new.get(t, t)) for s, t in p.strict},
+    )
+    assert (got.pts, got.index, got.up, got.down) == (want.pts, want.index, want.up, want.down)
+    assert got.levels == want.levels
 
 
 def listing(method, mask):

@@ -20,7 +20,9 @@ of that name):
 
 It prints one line per mutant as it finishes, then killed, survived and
 timed out per function.  It first runs the tests on the unmutated module
-as written back by `ast.unparse`, and stops if they fail.
+as written back by `ast.unparse`, and stops if they fail.  An interrupt or
+a SIGTERM stops it at once, with the running test process group killed
+and the temporary copy removed.
 """
 
 import argparse
@@ -117,13 +119,19 @@ def run_tests(copy: Path, test_files) -> str:
     except subprocess.TimeoutExpired:
         return "timeout"
     finally:
-        # an overrun or an interrupt leaves no test process behind
+        # an overrun, an interrupt or a SIGTERM leaves no test process behind
         if child.poll() is None:
             os.killpg(child.pid, signal.SIGKILL)
             child.wait()
 
 
+def exit_on_sigterm(signum, frame):
+    """Unwind as an interrupt does, through every `finally` and `with`."""
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
+    signal.signal(signal.SIGTERM, exit_on_sigterm)
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("module", help="a module of src/scatterlab, without .py")
     parser.add_argument("functions", nargs="+")
